@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, ParameterError, WashoutError
-from .growth import OrderedSpecies
+from .growth import OrderedSpecies, rate_matrix
 
 _DELTA_MIN_REL = 1e-9  # extension floor relative to the smallest break-even level
 
@@ -170,13 +170,10 @@ def _pack_gap(ordered: OrderedSpecies, i: int, s_grid: np.ndarray) -> np.ndarray
     Pack-wise means the slowest member of pack i against the fastest member
     of any higher pack, so a positive gap certifies every member pair.
     """
-    lower = np.min([g(s_grid) for g in ordered.pack_growths(i)], axis=0)
-    uppers = [
-        g(s_grid)
-        for j in range(i + 1, ordered.n_packs)
-        for g in ordered.pack_growths(j)
-    ]
-    return lower - np.max(uppers, axis=0)
+    first = ordered.packs[i][0]
+    split = ordered.packs[i + 1][0] - first
+    rates = rate_matrix([rec.growth for rec in ordered.records[first:]], s_grid)
+    return np.min(rates[:split], axis=0) - np.max(rates[split:], axis=0)
 
 
 def overshoot_cap(lam_lower: float, s_in: float) -> float:
@@ -279,8 +276,12 @@ def gamma_bounds(
     """
     if len(margins) != ordered.n_packs - 1:
         raise ParameterError("one margin pair per boundary is required")
+    # Every law at the leftmost margin (column 0) and at the upper margin
+    # below each higher pack (column i), in one matrix evaluation.
+    s_points = [margins[0][0]] + [s_plus for _, s_plus in margins]
+    rates = rate_matrix([rec.growth for rec in ordered.records], s_points)
     s1_minus = margins[0][0]
-    mu1 = max(g(s1_minus) for g in ordered.pack_growths(0))
+    mu1 = float(np.max(rates[: len(ordered.packs[0]), 0]))
     gamma_minus = d - mu1
     if gamma_minus <= 0.0:
         raise CertificateError(
@@ -293,16 +294,15 @@ def gamma_bounds(
         if not math.isfinite(ordered.pack_lambda(i)):
             skipped.append(i)
             continue
-        s_plus_below = margins[i - 1][1]
-        for j in range(i):
-            for g in ordered.pack_growths(j):
-                excess = g(s_plus_below) - d
-                if excess <= 0.0:
-                    raise CertificateError(
-                        f"pack {j + 1} does not outgrow the removal rate at "
-                        f"s={s_plus_below:g} (needed below pack {i + 1})"
-                    )
-                gamma_plus = min(gamma_plus, excess)
+        excess = rates[: ordered.packs[i][0], i] - d
+        short = np.flatnonzero(excess <= 0.0)
+        if short.size:
+            j = next(j for j, pack in enumerate(ordered.packs) if short[0] <= pack[-1])
+            raise CertificateError(
+                f"pack {j + 1} does not outgrow the removal rate at "
+                f"s={margins[i - 1][1]:g} (needed below pack {i + 1})"
+            )
+        gamma_plus = min(gamma_plus, float(np.min(excess)))
     if not math.isfinite(gamma_plus):
         raise CertificateError("no finite pack above the first; gamma_plus undefined")
     return gamma_minus, gamma_plus, tuple(skipped)
@@ -381,7 +381,9 @@ def build_certificate(
             )
 
     margins = tuple((b.s_minus, b.s_plus) for b in boundaries)
-    nu = compute_nu(ordered, margins, grid_n=grid_n)
+    # Each gap_min is the minimum on the boundary's final margin grid, the
+    # same grid compute_nu would evaluate again.
+    nu = 0.5 * min(b.gap_min for b in boundaries)
     gamma_minus, gamma_plus, skipped = gamma_bounds(ordered, margins, d)
     d_minus, d_plus = dilution_bounds(gamma_minus, gamma_plus, d)
     if not 0.0 < d_minus < d < d_plus:
@@ -448,6 +450,8 @@ def recheck_certificate(
                 f"exceed nu {cert.nu:g} on the refined grid"
             )
 
+    # gamma_bounds also checks that every lower-pack law outgrows the removal
+    # rate at each higher boundary's upper margin, the chain gamma_plus needs.
     margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
     try:
         gamma_minus, gamma_plus, skipped = gamma_bounds(ordered, margins, cert.d)
@@ -466,17 +470,4 @@ def recheck_certificate(
     if not 0.0 < cert.d_minus < cert.d < cert.d_plus:
         problems.append("dilution bounds do not straddle the removal rate")
 
-    # Lower packs must outgrow the removal rate at every higher boundary's
-    # upper margin (the chain that makes gamma_plus meaningful).
-    for i in range(1, len(cert.boundaries) + 1):
-        if not math.isfinite(ordered.pack_lambda(i)):
-            continue
-        s_plus_below = cert.boundaries[i - 1].s_plus
-        for j in range(i):
-            for g in ordered.pack_growths(j):
-                if not g(s_plus_below) > cert.d:
-                    problems.append(
-                        f"pack {j + 1} fails to outgrow the removal rate at "
-                        f"s={s_plus_below:g}"
-                    )
     return problems

@@ -26,6 +26,9 @@ _BISECT_MAX_ITER = 4000
 # would leave too much absolute error on large roots.
 _BISECT_WIDTH_CAP = 1e-12
 
+# Rows per block when rate_matrix divides by (k + s).
+_ROW_BLOCK = 8
+
 
 def _as_substrate(s) -> np.ndarray:
     arr = np.asarray(s, dtype=float)
@@ -176,6 +179,39 @@ class Table(GrowthFunction):
         return float(np.interp(s, xs, ys))
 
 
+def rate_matrix(laws: Sequence[GrowthFunction], s) -> np.ndarray:
+    """Rates of several laws on one substrate grid, one row per law.
+
+    Row k is bitwise equal to ``laws[k](s)``.  Monod laws are evaluated as
+    one array expression over their parameter arrays, with the operations of
+    ``Monod._rate`` in the same order.  Every other law keeps its own row:
+    tables interpolate per law, and a Hill row needs ``np.power`` with its
+    own scalar exponent, as in ``Hill._rate``, since a vectorised pow loop
+    may round differently.
+    """
+    arr = _as_substrate(s)
+    flat = arr.reshape(-1)
+    monod = [k for k, g in enumerate(laws) if type(g) is Monod]
+    if monod:
+        mu_max = np.array([laws[k].mu_max for k in monod])[:, None]
+        k_half = np.array([laws[k].k for k in monod])[:, None]
+        block = mu_max * flat
+        # Divide in row blocks: a full-size (k + s) temporary would double
+        # the memory this matrix needs at its peak.
+        for r in range(0, len(monod), _ROW_BLOCK):
+            rows = slice(r, r + _ROW_BLOCK)
+            np.divide(block[rows], k_half[rows] + flat, out=block[rows])
+        if len(monod) == len(laws):
+            return block.reshape((len(laws),) + arr.shape)
+    out = np.empty((len(laws), flat.size))
+    if monod:
+        out[monod] = block
+    for k, g in enumerate(laws):
+        if type(g) is not Monod:
+            out[k] = g._rate(flat)
+    return out.reshape((len(laws),) + arr.shape)
+
+
 @dataclass(frozen=True)
 class BreakEven:
     """Substrate level at which a growth law balances the removal rate.
@@ -302,12 +338,29 @@ def order_species(
     The sort is stable, so species that tie keep their input order inside a
     pack.  Infinite levels sort last and form a single pack.
     """
-    if len(species) == 0:
-        raise ParameterError("need at least one species")
     lams = [
         break_even(g, d, root_tol=root_tol, s_probe_max=s_probe_max).value
         for _, g in species
     ]
+    return pack_species(species, lams, eq_tol=eq_tol)
+
+
+def pack_species(
+    species: Sequence[tuple[str, GrowthFunction]],
+    lams: Sequence[float],
+    *,
+    eq_tol: float = 1e-9,
+) -> OrderedSpecies:
+    """Sort species by already computed break-even levels and pack them.
+
+    This is the sort/pack step of :func:`order_species`; ``lams[k]`` is the
+    level of ``species[k]``.  A subset of an ordered scenario can be
+    re-packed with the levels it already has, without new bisections.
+    """
+    if len(species) == 0:
+        raise ParameterError("need at least one species")
+    if len(lams) != len(species):
+        raise ParameterError("one break-even level per species is required")
     order = sorted(range(len(species)), key=lambda i: lams[i])
     records = tuple(
         SpeciesRecord(species[i][0], species[i][1], lams[i]) for i in order

@@ -145,9 +145,10 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rel_tol: float,
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def _initial_step(f, t0, y0, f0, horizon, rel_tol, abs_tol) -> float:
+def _initial_step(f, t0, y0, f0, horizon, rel_tol, abs_tol) -> tuple[float, int]:
     """Automatic first-step guess from the local derivative scale.
 
+    Returns the step and the number of RHS evaluations it made (0 or 1).
     Extreme derivative scales (overflowing norms) fall back to a tiny
     positive step; the main loop's rejection control then either recovers
     or reports step-size underflow.
@@ -157,19 +158,19 @@ def _initial_step(f, t0, y0, f0, horizon, rel_tol, abs_tol) -> float:
         d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
         d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
         if not math.isfinite(d0) or not math.isfinite(d1):
-            return min(1e-6, horizon)
+            return min(1e-6, horizon), 0
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, horizon)
         y1 = y0 + h0 * f0
         f1 = f(t0 + h0, y1)
         d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
         if not math.isfinite(d2):
-            return min(1e-6, horizon)
+            return min(1e-6, horizon), 1
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, horizon)
+    return min(100.0 * h0, h1, horizon), 1
 
 
 def simulate(
@@ -205,8 +206,8 @@ def simulate(
     k1 = f(t, y)
     n_evals = 1
 
-    h = _initial_step(f, t, y, k1, horizon, rel_tol, abs_tol)
-    n_evals += 2
+    h, used = _initial_step(f, t, y, k1, horizon, rel_tol, abs_tol)
+    n_evals += used
     first_step = h
 
     step_times = [0.0]
@@ -318,19 +319,28 @@ def simulate(
 
 
 def _dense_states(times, step_times, step_states, step_conts) -> np.ndarray:
-    out = np.empty((times.size, step_states.shape[1]))
-    idx = np.searchsorted(step_times, times, side="right") - 1
-    np.clip(idx, 0, len(step_times) - 2, out=idx)
-    for j, tt in enumerate(times):
-        k = idx[j]
-        t0 = step_times[k]
-        if tt == t0:
-            out[j] = step_states[k]
-        elif tt >= step_times[-1]:
-            out[j] = step_states[-1]
-        else:
-            h = step_times[k + 1] - t0
-            out[j] = _interp_eval(step_conts[k], (tt - t0) / h)
+    """``Trajectory.sample`` at every time of a sorted grid, as arrays.
+
+    The interpolant is evaluated in the operation order of ``_interp_eval``,
+    one coefficient slice at a time, so each row is bitwise equal to the
+    corresponding ``sample`` call.
+    """
+    k = np.searchsorted(step_times, times, side="right") - 1
+    np.clip(k, 0, len(step_times) - 2, out=k)
+    t0 = step_times[k]
+    theta = ((times - t0) / (step_times[k + 1] - t0))[:, None]
+    rest = 1.0 - theta
+    out = rest * step_conts[k, 4]
+    out += step_conts[k, 3]
+    out *= theta
+    out += step_conts[k, 2]
+    out *= rest
+    out += step_conts[k, 1]
+    out *= theta
+    out += step_conts[k, 0]
+    at_step = times == t0
+    out[at_step] = step_states[k[at_step]]
+    out[~at_step & (times >= step_times[-1])] = step_states[-1]
     np.maximum(out, 0.0, out=out)
     return out
 
@@ -377,14 +387,10 @@ class EntryRecord:
 
 def _membership_runs(inside: np.ndarray) -> list[tuple[int, int, bool]]:
     """Maximal runs of constant membership as (start, end_inclusive, inside)."""
-    runs = []
-    start = 0
-    for k in range(1, inside.size):
-        if inside[k] != inside[start]:
-            runs.append((start, k - 1, bool(inside[start])))
-            start = k
-    runs.append((start, inside.size - 1, bool(inside[start])))
-    return runs
+    starts = np.flatnonzero(np.diff(inside)) + 1
+    starts = np.concatenate(([0], starts))
+    ends = np.append(starts[1:] - 1, inside.size - 1)
+    return list(zip(starts.tolist(), ends.tolist(), inside[starts].tolist()))
 
 
 def scan_persistent_entry(

@@ -17,7 +17,7 @@ import numpy as np
 from .certificate import Certificate, build_certificate
 from .dynamics import ChemostatParams, State, predicted_limit
 from .errors import CertificateError, ChemostatError, WashoutError
-from .growth import GrowthFunction, OrderedSpecies, order_species
+from .growth import GrowthFunction, OrderedSpecies, order_species, pack_species
 from .integrate import (
     Trajectory,
     _B_ZERO,
@@ -111,18 +111,41 @@ def _json_safe(d: Mapping) -> dict:
 
 def fit_log_decay(
     t: np.ndarray, v: np.ndarray, floor: float = _RATIO_FLOOR
-) -> tuple[float | None, int]:
+) -> tuple[float | None, int] | tuple[list[float | None], np.ndarray]:
     """Least-squares slope of log v over t, skipping sub-floor samples.
 
-    Returns (slope, samples used); slope is None when too few samples remain
-    to support a line.
+    For 1-D ``v`` returns (slope, samples used); slope is None when too few
+    samples remain to support a line.  For 2-D ``v`` (samples x columns)
+    every column is fitted on its own usable samples, in one pass, and the
+    result is (list of slopes or None, array of samples used).
+
+    The fit is the centred closed form slope = S_ty / S_tt over each column's
+    usable samples.  Times are shifted by their mean first so the per-column
+    sums do not cancel.
     """
-    mask = np.isfinite(v) & (v > floor)
-    n = int(np.count_nonzero(mask))
-    if n < _MIN_FIT_SAMPLES:
-        return None, n
-    slope = float(np.polyfit(t[mask], np.log(v[mask]), 1)[0])
-    return slope, n
+    one = np.ndim(v) == 1
+    v2 = v[:, None] if one else v
+    mask = np.isfinite(v2) & (v2 > floor)
+    n = np.count_nonzero(mask, axis=0)
+    fit = n >= _MIN_FIT_SAMPLES
+    slopes: list[float | None] = [None] * n.size
+    if np.any(fit):
+        t0 = t - np.mean(t)
+        # One work matrix: first the 0/1 weights of the time sums, then the
+        # centred logs, zero where masked.
+        y = mask.astype(float)
+        n_fit = np.where(fit, n, 1)
+        t_bar = (t0 @ y) / n_fit
+        s_tt = (t0 * t0) @ y - n_fit * t_bar * t_bar
+        np.log(v2, out=y, where=mask)
+        y -= y.sum(axis=0) / n_fit
+        y *= mask
+        s_ty = t0 @ y - t_bar * y.sum(axis=0)
+        for j in np.flatnonzero(fit):
+            slopes[j] = float(s_ty[j] / s_tt[j])
+    if one:
+        return slopes[0], int(n[0])
+    return slopes, n
 
 
 def check_mass_convergence(
@@ -338,6 +361,19 @@ def check_induction_properties(
     t = traj.times
     order_slack = 2e-9 * traj.horizon
 
+    # Column j - 1 holds pack j's summed density over the lead species, for
+    # every pack above the first; each stage fits a tail block of it.
+    cols = [[id_to_column[sid] for sid in pack.ids] for pack in cert.packs[1:]]
+    ratios = np.empty((t.size, len(cols)))
+    for c, pack_cols in enumerate(cols):
+        ratios[:, c] = traj.states[:, pack_cols].sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(ratios, x_ref[:, None], out=ratios)
+    ratios[x_ref <= 0.0] = np.nan
+    p_final_by_pack = [
+        float(np.sum(traj.channels.p[-1, [c - 1 for c in pack_cols]])) for pack_cols in cols
+    ]
+
     results = []
     for i, rec in enumerate(entries):
         measured: dict = {
@@ -355,19 +391,10 @@ def check_induction_properties(
                 details.append("entered the smaller interval earlier than the larger one")
 
         if rec.entry_time is not None:
-            window = t >= rec.entry_time
-            for j in range(i + 1, len(cert.packs)):
-                cols = [id_to_column[sid] for sid in cert.packs[j].ids]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    r_pack = np.where(
-                        x_ref > 0.0,
-                        traj.states[:, cols].sum(axis=1) / x_ref,
-                        np.nan,
-                    )
-                slope, n_used = fit_log_decay(t[window], r_pack[window])
-                p_final = float(
-                    np.sum(traj.channels.p[-1, [c - 1 for c in cols]])
-                )
+            start = int(np.searchsorted(t, rec.entry_time, side="left"))
+            slopes, _ = fit_log_decay(t[start:], ratios[start:, i:])
+            for j, slope in enumerate(slopes, start=i + 1):
+                p_final = p_final_by_pack[j - 1]
                 measured[f"slope_pack_{j + 1}"] = slope
                 measured[f"p_final_pack_{j + 1}"] = p_final
                 prop_ok = math.isfinite(p_final) and p_final < eps_p
@@ -480,13 +507,12 @@ def run_report(scenario: "Scenario") -> VerificationReport:
 
     cert: Certificate | None = None
     if viable:
-        ordered_active = order_species(
-            active,
-            params.d,
-            eq_tol=opts.eq_tol,
-            root_tol=opts.root_tol,
-            s_probe_max=probe,
-        )
+        if len(active) == len(scenario.species):
+            ordered_active = ordered_full
+        else:
+            ordered_active = pack_species(
+                active, [lam_by_id[sid] for sid, _ in active], eq_tol=opts.eq_tol
+            )
         try:
             cert = build_certificate(
                 ordered_active, params.d, params.s_in, grid_n=opts.grid_n

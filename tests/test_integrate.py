@@ -18,7 +18,8 @@ from chemostat_cep import (
     sample,
     simulate,
 )
-from chemostat_cep.integrate import scan_persistent_entry
+from chemostat_cep import integrate
+from chemostat_cep.integrate import _initial_step, scan_persistent_entry
 
 from conftest import CANONICAL_SPECIES
 
@@ -105,6 +106,57 @@ class TestSimulate:
         with pytest.raises((StiffnessError, DivergenceError)) as exc:
             simulate(PARAMS, [Monod(1e300, 1.0)], State(s=10.0, x=np.array([0.1])), 10.0)
         assert exc.value.t >= 0.0
+
+
+class TestRhsCount:
+    """``IntegratorStats.rhs_evals`` counts the RHS calls actually made."""
+
+    @staticmethod
+    def _counted_simulate(monkeypatch, *args, **kwargs):
+        calls = [0]
+        factory = integrate.vector_field
+
+        def counting_factory(*fargs):
+            f = factory(*fargs)
+
+            def counted(t, y):
+                calls[0] += 1
+                return f(t, y)
+
+            return counted
+
+        monkeypatch.setattr(integrate, "vector_field", counting_factory)
+        traj = simulate(*args, **kwargs)
+        return traj, calls[0]
+
+    @pytest.mark.parametrize(
+        "growths, x, horizon",
+        [
+            (GROWTHS, [0.01, 0.01, 0.01], 80.0),
+            ([Monod(3, 1)], [0.0], 10.0),
+            ([Monod(3, 1), Monod(1, 1)], [0.5, 2.0], 25.0),
+        ],
+    )
+    def test_reported_count_equals_calls(self, monkeypatch, growths, x, horizon):
+        traj, calls = self._counted_simulate(
+            monkeypatch, PARAMS, growths, State(s=10.0, x=np.array(x)), horizon
+        )
+        assert traj.meta.rhs_evals == calls
+
+    def test_initial_step_reports_its_own_calls(self):
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return np.array([np.inf, 0.0])
+
+        y0 = np.array([1.0, 1.0])
+        # overflowing derivative norm: fallback step, no RHS call
+        assert _initial_step(f, 0.0, y0, np.array([np.inf, 0.0]), 10.0, 1e-8, 1e-10) == (1e-6, 0)
+        assert calls == []
+        # overflowing second derivative estimate: fallback after one call
+        assert _initial_step(f, 0.0, y0, np.array([1.0, 0.0]), 10.0, 1e-8, 1e-10) == (1e-6, 1)
+        assert len(calls) == 1
 
 
 class TestMassLawProperty:

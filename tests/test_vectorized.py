@@ -1,0 +1,243 @@
+"""Array evaluations along the species axis against their scalar references.
+
+``rate_matrix``, the batched ``fit_log_decay``, the run splitter behind
+persistent entries, dense output and the certificate's pack gaps each
+replace a per-species or per-sample loop; these properties pin them to the
+loop they replace.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chemostat_cep import (
+    CertificateError,
+    ChemostatParams,
+    DomainError,
+    Hill,
+    Monod,
+    State,
+    Table,
+    build_certificate,
+    compute_nu,
+    gamma_bounds,
+    order_species,
+    simulate,
+)
+from chemostat_cep.certificate import _pack_gap
+from chemostat_cep.growth import pack_species, rate_matrix
+from chemostat_cep.integrate import _membership_runs
+from chemostat_cep.verify import fit_log_decay
+
+from conftest import CANONICAL_SPECIES
+
+pos = st.floats(min_value=0.01, max_value=20.0, allow_nan=False, allow_infinity=False)
+
+monods = st.builds(Monod, mu_max=pos, k=pos)
+hills = st.builds(Hill, mu_max=pos, k=pos, p=st.floats(min_value=1.0, max_value=4.0))
+
+
+@st.composite
+def tables(draw):
+    steps = draw(st.lists(st.tuples(pos, pos), min_size=1, max_size=5))
+    pts, s, mu = [(0.0, 0.0)], 0.0, 0.0
+    for ds, dmu in steps:
+        s, mu = s + ds, mu + dmu
+        pts.append((s, mu))
+    return Table(points=tuple(pts))
+
+
+laws = st.lists(st.one_of(monods, hills, tables()), min_size=1, max_size=8)
+grids = st.lists(
+    st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestRateMatrix:
+    @given(laws, grids)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_bitwise_equal_to_each_law(self, gs, s):
+        # s = 0 and a point beyond every table's last node are always included
+        grid = np.array([0.0] + s + [1e4])
+        rates = rate_matrix(gs, grid)
+        assert rates.shape == (len(gs), grid.size)
+        for row, g in zip(rates, gs):
+            assert np.array_equal(row, g(grid))
+
+    @given(laws, st.floats(min_value=0.0, max_value=1e3))
+    @settings(max_examples=50, deadline=None)
+    def test_scalar_substrate_gives_one_rate_per_law(self, gs, s):
+        rates = rate_matrix(gs, s)
+        assert rates.shape == (len(gs),)
+        assert [float(r) for r in rates] == [g(s) for g in gs]
+
+    def test_negative_substrate_rejected(self):
+        with pytest.raises(DomainError):
+            rate_matrix([Monod(3, 1)], [1.0, -1e-9])
+
+
+def _polyfit_reference(t, v):
+    mask = np.isfinite(v) & (v > 1e-300)
+    if np.count_nonzero(mask) < 8:
+        return None
+    return float(np.polyfit(t[mask], np.log(v[mask]), 1)[0])
+
+
+class TestBatchedDecayFit:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=2, max_value=120),
+        st.integers(min_value=1, max_value=6),
+        st.floats(min_value=0.0, max_value=0.9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_polyfit_on_masked_columns(self, seed, n, cols, hole_rate):
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, 100.0, n))
+        slope = rng.uniform(-3.0, -0.05, cols)
+        v = np.exp(rng.uniform(-50, 50, cols) + np.outer(t, slope) + rng.normal(0, 0.1, (n, cols)))
+        holes = rng.random((n, cols)) < hole_rate
+        v[holes] = rng.choice([0.0, np.nan, np.inf, -1.0, 1e-310], holes.sum())
+        slopes, used = fit_log_decay(t, v)
+        assert len(slopes) == cols and used.shape == (cols,)
+        for j in range(cols):
+            ref = _polyfit_reference(t, v[:, j])
+            usable = np.isfinite(v[:, j]) & (v[:, j] > 1e-300)
+            assert used[j] == np.count_nonzero(usable)
+            if ref is None:
+                assert slopes[j] is None
+            else:
+                assert slopes[j] == pytest.approx(ref, rel=1e-9, abs=0.0)
+            one, n_one = fit_log_decay(t, v[:, j])
+            assert n_one == used[j]
+            assert (one is None) == (ref is None)
+            if ref is not None:
+                assert one == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def test_columns_without_enough_usable_samples_give_none(self):
+        t = np.linspace(0.0, 10.0, 20)
+        good = np.exp(-0.5 * t)
+        seven = good.copy()
+        seven[7:] = np.nan
+        floored = good.copy()
+        floored[5:] = 1e-301
+        infinite = np.full_like(good, np.inf)
+        slopes, used = fit_log_decay(t, np.column_stack([good, seven, floored, infinite]))
+        assert slopes[0] == pytest.approx(-0.5, rel=1e-12)
+        assert slopes[1:] == [None, None, None]
+        assert used.tolist() == [20, 7, 5, 0]
+
+    def test_one_dimensional_contract(self):
+        t = np.linspace(0.0, 10.0, 50)
+        slope, n = fit_log_decay(t, 3.0 * np.exp(-0.25 * t))
+        assert isinstance(slope, float) and isinstance(n, int)
+        assert slope == pytest.approx(-0.25, rel=1e-12) and n == 50
+        assert fit_log_decay(t[:7], np.ones(7)) == (None, 7)
+
+
+def _runs_reference(inside):
+    runs = []
+    start = 0
+    for k in range(1, inside.size):
+        if inside[k] != inside[start]:
+            runs.append((start, k - 1, bool(inside[start])))
+            start = k
+    runs.append((start, inside.size - 1, bool(inside[start])))
+    return runs
+
+
+class TestMembershipRuns:
+    @given(st.lists(st.booleans(), min_size=1, max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_loop(self, bits):
+        inside = np.array(bits, dtype=bool)
+        assert _membership_runs(inside) == _runs_reference(inside)
+
+    @pytest.mark.parametrize("bits", [[True], [False], [True] * 9, [False] * 9])
+    def test_length_one_and_constant(self, bits):
+        inside = np.array(bits, dtype=bool)
+        assert _membership_runs(inside) == [(0, len(bits) - 1, bits[0])]
+
+
+def _assert_dense_equals_sample(traj):
+    for t, row in zip(traj.times, traj.states):
+        st_ = traj.sample(float(t))
+        assert np.array_equal(row, np.concatenate(([st_.s], st_.x))), t
+
+
+class TestDenseStates:
+    def test_canonical_dense_grid_equals_sample(self, canonical_trajectory):
+        _assert_dense_equals_sample(canonical_trajectory)
+
+    @given(
+        st.floats(min_value=1.2, max_value=6.0),
+        st.floats(min_value=0.1, max_value=4.0),
+        st.floats(min_value=0.0, max_value=12.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.5, max_value=30.0),
+        st.sampled_from([None, 0.05, 0.37]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_random_runs_dense_grid_equals_sample(self, mu2, k2, s0, x1, horizon, dense_dt):
+        growths = [Monod(3.0, 1.0), Monod(mu2, k2)]
+        x0 = State(s=s0, x=np.array([0.05, x1]))
+        traj = simulate(ChemostatParams(1.0, 10.0), growths, x0, horizon, dense_dt=dense_dt)
+        _assert_dense_equals_sample(traj)
+
+
+def _pack_gap_reference(ordered, i, grid):
+    lower = np.min([g(grid) for g in ordered.pack_growths(i)], axis=0)
+    uppers = [g(grid) for j in range(i + 1, ordered.n_packs) for g in ordered.pack_growths(j)]
+    return lower - np.max(uppers, axis=0)
+
+
+MIXED = CANONICAL_SPECIES + (
+    ("sp3b", Monod(5.0, 3.0)),
+    ("h", Hill(2.0, 1.5, 2.0)),
+    ("tab", Table(((0.0, 0.0), (1.0, 0.9), (4.0, 2.0)))),
+    ("slow", Monod(1.0, 1.0)),
+)
+
+
+class TestCertificateArrays:
+    def test_pack_gap_bitwise_equal_to_per_law_loop(self):
+        ordered = order_species(MIXED, 1.0)
+        for i in range(ordered.n_packs - 1):
+            grid = np.linspace(0.1, 12.0, 513)
+            assert np.array_equal(_pack_gap(ordered, i, grid), _pack_gap_reference(ordered, i, grid))
+
+    def test_nu_is_compute_nu_on_the_same_margins(self):
+        ordered = order_species(MIXED, 1.0)
+        cert = build_certificate(ordered, 1.0, 10.0)
+        margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
+        assert cert.nu == compute_nu(ordered, margins, grid_n=cert.grid_n)
+
+    def test_gamma_bounds_match_scalar_loop(self):
+        ordered = order_species(MIXED, 1.0)
+        cert = build_certificate(ordered, 1.0, 10.0)
+        margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
+        gamma_minus, gamma_plus, skipped = gamma_bounds(ordered, margins, 1.0)
+        assert gamma_minus == 1.0 - max(g(margins[0][0]) for g in ordered.pack_growths(0))
+        finite = [i for i in range(1, ordered.n_packs) if np.isfinite(ordered.pack_lambda(i))]
+        assert gamma_plus == min(
+            g(margins[i - 1][1]) - 1.0 for i in finite for j in range(i) for g in ordered.pack_growths(j)
+        )
+        assert skipped == tuple(i for i in range(1, ordered.n_packs) if i not in finite)
+
+    def test_gamma_bounds_names_the_first_pack_that_falls_short(self, canonical_ordered):
+        # below pack 3, the upper margin 0.6 lies under pack 2's level 2/3
+        with pytest.raises(CertificateError, match=r"pack 2 does not outgrow .* below pack 3"):
+            gamma_bounds(canonical_ordered, ((0.3, 0.6), (0.3, 0.6)), 1.0)
+
+
+class TestPackSpecies:
+    def test_subset_repacked_from_known_levels_equals_fresh_ordering(self):
+        full = order_species(MIXED, 1.0)
+        lam = {rec.id: rec.lam for rec in full.records}
+        subset = [sp for k, sp in enumerate(MIXED) if k % 3 != 1]
+        assert pack_species(subset, [lam[sid] for sid, _ in subset]) == order_species(subset, 1.0)
