@@ -26,9 +26,6 @@ _BISECT_MAX_ITER = 4000
 # would leave too much absolute error on large roots.
 _BISECT_WIDTH_CAP = 1e-12
 
-# Rows per block when rate_matrix divides by (k + s).
-_ROW_BLOCK = 8
-
 
 def _as_substrate(s) -> np.ndarray:
     arr = np.asarray(s, dtype=float)
@@ -182,32 +179,24 @@ class Table(GrowthFunction):
 def rate_matrix(laws: Sequence[GrowthFunction], s) -> np.ndarray:
     """Rates of several laws on one substrate grid, one row per law.
 
-    Row k is bitwise equal to ``laws[k](s)``.  Monod laws are evaluated as
-    one array expression over their parameter arrays, with the operations of
-    ``Monod._rate`` in the same order.  Every other law keeps its own row:
-    tables interpolate per law, and a Hill row needs ``np.power`` with its
-    own scalar exponent, as in ``Hill._rate``, since a vectorised pow loop
-    may round differently.
+    Row k is bitwise equal to ``laws[k](s)``.  Monod rows come from one
+    array expression over the parameter arrays, with the operations of
+    ``Monod._rate`` in the same order, written in place so that at most one
+    more matrix (the ``k + s`` denominators) is alive.  Every other law then
+    overwrites its own row: tables interpolate per law, and a Hill row needs
+    ``np.power`` with its own scalar exponent, as in ``Hill._rate``, since a
+    vectorised pow loop may round differently.
     """
     arr = _as_substrate(s)
     flat = arr.reshape(-1)
-    monod = [k for k, g in enumerate(laws) if type(g) is Monod]
-    if monod:
-        mu_max = np.array([laws[k].mu_max for k in monod])[:, None]
-        k_half = np.array([laws[k].k for k in monod])[:, None]
-        block = mu_max * flat
-        # Divide in row blocks: a full-size (k + s) temporary would double
-        # the memory this matrix needs at its peak.
-        for r in range(0, len(monod), _ROW_BLOCK):
-            rows = slice(r, r + _ROW_BLOCK)
-            np.divide(block[rows], k_half[rows] + flat, out=block[rows])
-        if len(monod) == len(laws):
-            return block.reshape((len(laws),) + arr.shape)
-    out = np.empty((len(laws), flat.size))
-    if monod:
-        out[monod] = block
+    is_monod = [type(g) is Monod for g in laws]
+    # Rows of other laws get harmless stand-in parameters (0 * s / (1 + s)).
+    mu_max = np.array([g.mu_max if m else 0.0 for g, m in zip(laws, is_monod)])
+    k_half = np.array([g.k if m else 1.0 for g, m in zip(laws, is_monod)])
+    out = np.multiply(mu_max[:, None], flat)
+    np.divide(out, k_half[:, None] + flat, out=out)
     for k, g in enumerate(laws):
-        if type(g) is not Monod:
+        if not is_monod[k]:
             out[k] = g._rate(flat)
     return out.reshape((len(laws),) + arr.shape)
 

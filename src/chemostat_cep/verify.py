@@ -507,12 +507,9 @@ def run_report(scenario: "Scenario") -> VerificationReport:
 
     cert: Certificate | None = None
     if viable:
-        if len(active) == len(scenario.species):
-            ordered_active = ordered_full
-        else:
-            ordered_active = pack_species(
-                active, [lam_by_id[sid] for sid, _ in active], eq_tol=opts.eq_tol
-            )
+        ordered_active = pack_species(
+            active, [lam_by_id[sid] for sid, _ in active], eq_tol=opts.eq_tol
+        )
         try:
             cert = build_certificate(
                 ordered_active, params.d, params.s_in, grid_n=opts.grid_n
