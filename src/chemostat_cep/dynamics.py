@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ChartError, DomainError, ParameterError
-from .growth import GrowthFunction, OrderedSpecies
+from .growth import GrowthFunction, Monod, OrderedSpecies
 
 _SIMPLEX_TOL = 1e-12
 
@@ -102,11 +102,6 @@ class DerivedChannels:
     r: np.ndarray | None
 
 
-def mean_growth(growths: Sequence[GrowthFunction], s: float, p: np.ndarray) -> float:
-    """Proportion-weighted growth rate at substrate level s."""
-    return float(sum(pi * g(s) for pi, g in zip(p, growths)))
-
-
 def rhs_original(
     params: ChemostatParams,
     growths: Sequence[GrowthFunction],
@@ -115,14 +110,13 @@ def rhs_original(
     """Time derivative (ds, dx) of the original chart at ``state``.
 
     ds = d (s_in - s) - sum_i mu_i(s) x_i and dx_i = (mu_i(s) - d) x_i,
-    with unit yield coefficients.
+    with unit yield coefficients.  The state is validated, then evaluated
+    by :func:`vector_field`, the integrator's right-hand side.
     """
     if len(growths) != state.n:
         raise ParameterError("growth law count must match species count")
-    mu = np.array([g(state.s) for g in growths])
-    ds = params.d * (params.s_in - state.s) - float(mu @ state.x)
-    dx = (mu - params.d) * state.x
-    return ds, dx
+    dy = vector_field(params, growths)(0.0, np.concatenate(([state.s], state.x)))
+    return float(dy[0]), dy[1:]
 
 
 def rhs_transformed(
@@ -202,22 +196,47 @@ def vector_field(
     """Unvalidated f(t, y) with y = [s, x_1..x_n] for the integrator hot loop.
 
     Growth laws are evaluated with the substrate clamped at zero so that
-    intermediate stage values with tiny negative substrate stay legal.
+    intermediate stage values with tiny negative substrate stay legal.  The
+    rates of all Monod laws come from one array expression over their
+    parameters, with the operations of ``Monod._rate_scalar`` in the same
+    order; every other law overwrites its own entry through its scalar path
+    (a Hill law needs the scalar ``pow``, since a vectorised pow loop may
+    round differently).  Consumption is summed sequentially from 0, as a
+    per-species loop would, so every call returns the same bits as one.
+    Each call returns a new array; the closure reuses its work buffers, so
+    one closure must not be called from two threads at once.
     """
     d = params.d
     s_in = params.s_in
     laws = tuple(growths)
+    is_monod = [type(g) is Monod for g in laws]
+    # Other laws get stand-in parameters (0 * s / (1 + s)) until overwritten.
+    mu_max = np.array([g.mu_max if m else 0.0 for g, m in zip(laws, is_monod)])
+    k_half = np.array([g.k if m else 1.0 for g, m in zip(laws, is_monod)])
+    scalar_rows = [(i, g._rate_scalar) for i, (g, m) in enumerate(zip(laws, is_monod)) if not m]
+    n = len(laws)
+    den = np.empty(n)
+    # Row 0 is 0.0 (the start of the running consumption sum) and then the
+    # terms mu_i x_i; row 1 is a free slot and then dx_i = (mu_i - d) x_i.
+    work = np.zeros((2, n + 1))
+    rows = work[:, 1:]
+    mu = work[0, 1:]
+    dx = work[1, 1:]
+    terms = work[0]
+    out_row = work[1]
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
-        s = y[0]
-        dy = np.empty_like(y)
-        consumption = 0.0
-        for i, g in enumerate(laws):
-            mu = g.rate_unchecked(s)
-            xi = y[1 + i]
-            dy[1 + i] = (mu - d) * xi
-            consumption += mu * xi
-        dy[0] = d * (s_in - s) - consumption
+        s = y.item(0)
+        sc = s if s > 0.0 else 0.0
+        np.multiply(mu_max, sc, out=mu)
+        np.add(k_half, sc, out=den)
+        np.divide(mu, den, out=mu)
+        for i, rate in scalar_rows:
+            mu[i] = rate(sc)
+        np.subtract(mu, d, out=dx)
+        np.multiply(rows, y[1:], out=rows)
+        dy = out_row.copy()
+        dy[0] = d * (s_in - s) - np.add.accumulate(terms)[-1]
         return dy
 
     return f

@@ -10,6 +10,7 @@ the quantity that ranks species in the competition.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -102,13 +103,20 @@ class Hill(GrowthFunction):
         if not (math.isfinite(self.p) and self.p >= 1.0):
             raise ParameterError(f"hill exponent must be finite and >= 1, got {self.p!r}")
 
+    @cached_property
+    def _k_pow(self) -> float:
+        return self.k**self.p
+
     def _rate(self, s: np.ndarray) -> np.ndarray:
         sp = np.power(s, self.p)
-        return self.mu_max * sp / (self.k**self.p + sp)
+        return self.mu_max * sp / (self._k_pow + sp)
 
     def _rate_scalar(self, s: float) -> float:
-        sp = s**self.p
-        return self.mu_max * sp / (self.k**self.p + sp)
+        try:
+            sp = s**self.p
+        except OverflowError:  # a float power raises where np.power gives inf
+            sp = math.inf
+        return self.mu_max * sp / (self._k_pow + sp)
 
 
 @dataclass(frozen=True)
@@ -151,6 +159,14 @@ class Table(GrowthFunction):
         return s, mu
 
     @cached_property
+    def _segments(self) -> tuple[list[float], list[float], list[float]]:
+        """Node lists and chord slopes, as ``np.interp`` computes them."""
+        xs = [a for a, _ in self.points]
+        ys = [b for _, b in self.points]
+        slopes = [(ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1)]
+        return xs, ys, slopes
+
+    @cached_property
     def _tail_slope(self) -> float:
         s, mu = self._nodes
         slope = (mu[-1] - mu[-2]) / (s[-1] - s[-2])
@@ -170,10 +186,17 @@ class Table(GrowthFunction):
         return out
 
     def _rate_scalar(self, s: float) -> float:
-        xs, ys = self._nodes
-        if s > xs[-1]:
-            return float(ys[-1]) + self._tail_slope * (s - float(xs[-1]))
-        return float(np.interp(s, xs, ys))
+        # np.interp's arithmetic without its array wrapper: the node value
+        # at a node, y_0 below the first node, the chord formula in between.
+        xs, ys, slopes = self._segments
+        if not s <= xs[-1]:  # NaN lands here too and stays NaN
+            return ys[-1] + self._tail_slope * (s - xs[-1])
+        j = bisect_right(xs, s) - 1
+        if j < 0:
+            return ys[0]
+        if s == xs[j]:
+            return ys[j]
+        return slopes[j] * (s - xs[j]) + ys[j]
 
 
 def rate_matrix(laws: Sequence[GrowthFunction], s) -> np.ndarray:
@@ -243,8 +266,11 @@ def break_even(
     if isinstance(g, Table) and not g.nodes_strictly_increasing:
         raise ModelError("table rates are not strictly increasing; bracket is unreliable")
 
+    # Every probe is a finite float >= 0 made here, so the law's array path
+    # runs without the domain check of ``g(...)``; it gives the same bits.
+    rate = g._rate
     hi = min(1.0, s_probe_max)
-    while g(hi) <= d:
+    while rate(hi) <= d:
         if hi >= s_probe_max:
             return BreakEven(math.inf)
         hi = min(hi * 2.0, s_probe_max)
@@ -254,7 +280,7 @@ def break_even(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if g(mid) < d:
+        if rate(mid) < d:
             lo = mid
         else:
             hi = mid

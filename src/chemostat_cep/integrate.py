@@ -141,8 +141,17 @@ def _interp_eval(cont: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rel_tol: float, abs_tol: float) -> float:
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    """RMS of err / (abs_tol + rel_tol * max(|y0|, |y1|)), in place.
+
+    ``np.add.reduce(q) / q.size`` is the sum and division of ``np.mean``.
+    """
+    q = np.abs(y0)
+    np.maximum(q, np.abs(y1), out=q)
+    q *= rel_tol
+    q += abs_tol
+    np.divide(err, q, out=q)
+    q *= q
+    return math.sqrt(np.add.reduce(q) / q.size)
 
 
 def _initial_step(f, t0, y0, f0, horizon, rel_tol, abs_tol) -> tuple[float, int]:
@@ -203,40 +212,42 @@ def simulate(
     f = vector_field(params, growths)
     y = np.concatenate(([x0.s], x0.x)).astype(float)
     t = 0.0
-    k1 = f(t, y)
+    # K[0] holds the derivative at the current state (first-same-as-last).
+    K = np.empty((7, y.size))
+    K[0] = f(t, y)
     n_evals = 1
 
-    h, used = _initial_step(f, t, y, k1, horizon, rel_tol, abs_tol)
+    h, used = _initial_step(f, t, y, K[0], horizon, rel_tol, abs_tol)
     n_evals += used
     first_step = h
 
     step_times = [0.0]
-    step_states = [y.copy()]
-    step_conts: list[np.ndarray] = []
+    step_states = [y]
+    # Interpolant coefficients, one (5, dim) block per accepted step; the
+    # buffer doubles when full and is cut to the step count at the end.
+    conts = np.empty((64, 5, y.size))
 
     n_accepted = 0
     n_rejected = 0
     fac_old = 1e-4
     min_preclip = float(np.min(y))
-    K = np.empty((7, y.size))
     # Below this step size the explicit pair cannot make useful progress on
     # the requested horizon; treat it as stiffness (or divergence when the
     # state has already left any physical scale).
     min_step = 1e-14 * horizon
 
-    while t < horizon:
-        # Judge underflow on the controller's proposal, not on the final
-        # sliver left before the horizon, which may be one ulp wide.
-        if h < min_step or t + min(h, horizon - t) <= t:
-            if float(np.max(np.abs(y))) > 1e100:
-                raise DivergenceError(t, y, "state grew beyond any physical scale")
-            raise StiffnessError(t, y)
-        h = min(h, horizon - t)
-        if n_accepted + n_rejected >= _MAX_STEPS:
-            raise StiffnessError(t, y, f"step budget of {_MAX_STEPS} exhausted")
+    with np.errstate(over="ignore", invalid="ignore"):
+        while t < horizon:
+            # Judge underflow on the controller's proposal, not on the final
+            # sliver left before the horizon, which may be one ulp wide.
+            if h < min_step or t + min(h, horizon - t) <= t:
+                if float(np.max(np.abs(y))) > 1e100:
+                    raise DivergenceError(t, y, "state grew beyond any physical scale")
+                raise StiffnessError(t, y)
+            h = min(h, horizon - t)
+            if n_accepted + n_rejected >= _MAX_STEPS:
+                raise StiffnessError(t, y, f"step budget of {_MAX_STEPS} exhausted")
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            K[0] = k1
             for i, a_row in enumerate(_A):
                 K[i + 1] = f(t + _C[i + 1] * h, y + h * (a_row @ K[: i + 1]))
             y_new = y + h * (_B @ K[:6])
@@ -244,55 +255,58 @@ def simulate(
             n_evals += 6
             err = _error_norm(h * (_E @ K), y, y_new, rel_tol, abs_tol)
 
-        if not np.all(np.isfinite(y_new)) or not math.isfinite(err):
-            # overflow inside the trial step: reject as hard as possible
-            n_rejected += 1
-            h = h / _FAC_SHRINK_MAX
-            continue
+            if not np.isfinite(y_new).all() or not math.isfinite(err):
+                # overflow inside the trial step: reject as hard as possible
+                n_rejected += 1
+                h = h / _FAC_SHRINK_MAX
+                continue
 
-        if err <= 1.0:
-            # Accept: build the interpolant before clipping, then clip.
-            ydiff = y_new - y
-            bspl = h * K[0] - ydiff
-            cont = np.stack([
-                y,
-                ydiff,
-                bspl,
-                ydiff - h * K[6] - bspl,
-                h * (_D @ K),
-            ])
-            step_conts.append(cont)
+            if err <= 1.0:
+                # Accept: build the interpolant before clipping, then clip.
+                if n_accepted == conts.shape[0]:
+                    # only the previous step's view ``c`` refers to the
+                    # buffer, and it is never read again, so it may move
+                    conts.resize((2 * n_accepted,) + conts.shape[1:], refcheck=False)
+                c = conts[n_accepted]
+                c[0] = y
+                np.subtract(y_new, y, out=c[1])  # ydiff
+                np.multiply(h, K[0], out=c[2])
+                c[2] -= c[1]  # bspl = h K[0] - ydiff
+                np.multiply(h, K[6], out=c[3])
+                np.subtract(c[1], c[3], out=c[3])
+                c[3] -= c[2]  # ydiff - h K[6] - bspl
+                np.multiply(h, _D @ K, out=c[4])
 
-            t = t + h
-            low = float(np.min(y_new))
-            if low < min_preclip:
-                min_preclip = low
-            if low < 0.0:
-                y = np.maximum(y_new, 0.0)
-                k1 = f(t, y)
-                n_evals += 1
+                t = t + h
+                low = float(y_new.min())
+                if low < min_preclip:
+                    min_preclip = low
+                if low < 0.0:
+                    y = np.maximum(y_new, 0.0)
+                    K[0] = f(t, y)
+                    n_evals += 1
+                else:
+                    y = y_new
+                    K[0] = K[6]
+                step_times.append(t)
+                step_states.append(y)
+                n_accepted += 1
+
+                fac = (err**_EXPO) / (fac_old**_BETA)
+                fac = max(_FAC_GROW_MAX, min(_FAC_SHRINK_MAX, fac / _SAFETY))
+                h = h / fac
+                fac_old = max(err, 1e-4)
             else:
-                y = y_new
-                k1 = K[6].copy()
-            step_times.append(t)
-            step_states.append(y.copy())
-            n_accepted += 1
+                n_rejected += 1
+                h = h / min(_FAC_SHRINK_MAX, (err**_EXPO) / _SAFETY)
 
-            fac = (err**_EXPO) / (fac_old**_BETA)
-            fac = max(_FAC_GROW_MAX, min(_FAC_SHRINK_MAX, fac / _SAFETY))
-            h = h / fac
-            fac_old = max(err, 1e-4)
-        else:
-            n_rejected += 1
-            h = h / min(_FAC_SHRINK_MAX, (err**_EXPO) / _SAFETY)
-
+    conts.resize((n_accepted,) + conts.shape[1:], refcheck=False)
     step_times_arr = np.array(step_times)
     step_states_arr = np.array(step_states)
-    step_conts_arr = np.array(step_conts)
 
     n_dense = max(1, math.ceil(horizon / dense_dt))
     times = np.linspace(0.0, horizon, n_dense + 1)
-    states = _dense_states(times, step_times_arr, step_states_arr, step_conts_arr)
+    states = _dense_states(times, step_times_arr, step_states_arr, conts)
 
     meta = IntegratorStats(
         steps_accepted=n_accepted,
@@ -305,7 +319,7 @@ def simulate(
         min_component_preclip=min_preclip,
     )
     channels = _derive_channel_arrays(states, x0)
-    for arr in (times, states, step_times_arr, step_states_arr, step_conts_arr):
+    for arr in (times, states, step_times_arr, step_states_arr, conts):
         arr.setflags(write=False)
     return Trajectory(
         times=times,
@@ -314,7 +328,7 @@ def simulate(
         meta=meta,
         step_times=step_times_arr,
         step_states=step_states_arr,
-        step_coeffs=step_conts_arr,
+        step_coeffs=conts,
     )
 
 

@@ -1,16 +1,20 @@
 """Array evaluations along the species axis against their scalar references.
 
 ``rate_matrix``, the batched ``fit_log_decay``, the run splitter behind
-persistent entries, dense output and the certificate's pack gaps each
-replace a per-species or per-sample loop; these properties pin them to the
-loop they replace.
+persistent entries, dense output, the certificate's pack gaps and the
+integrator's right-hand side each replace a per-species or per-sample loop;
+these properties pin them to the loop they replace.  The table row of the
+right-hand side and the break-even bisection drop numpy wrappers, and are
+pinned to the wrapped calls.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemostat_cep import (
@@ -21,6 +25,7 @@ from chemostat_cep import (
     Monod,
     State,
     Table,
+    break_even,
     build_certificate,
     compute_nu,
     gamma_bounds,
@@ -28,6 +33,7 @@ from chemostat_cep import (
     simulate,
 )
 from chemostat_cep.certificate import _pack_gap
+from chemostat_cep.dynamics import vector_field
 from chemostat_cep.growth import pack_species, rate_matrix
 from chemostat_cep.integrate import _membership_runs
 from chemostat_cep.verify import fit_log_decay
@@ -48,6 +54,14 @@ def tables(draw):
         s, mu = s + ds, mu + dmu
         pts.append((s, mu))
     return Table(points=tuple(pts))
+
+
+@st.composite
+def offset_tables(draw):
+    """Tables whose first node lies above s = 0, so y_0 holds below it."""
+    t = draw(tables())
+    dx = draw(pos)
+    return Table(points=tuple((a + dx, b) for a, b in t.points))
 
 
 laws = st.lists(st.one_of(monods, hills, tables()), min_size=1, max_size=8)
@@ -241,3 +255,134 @@ class TestPackSpecies:
         lam = {rec.id: rec.lam for rec in full.records}
         subset = [sp for k, sp in enumerate(MIXED) if k % 3 != 1]
         assert pack_species(subset, [lam[sid] for sid, _ in subset]) == order_species(subset, 1.0)
+
+
+def _rate_reference(g, s):
+    """The integrator's per-law rate before it was vectorised."""
+    s = s if s > 0.0 else 0.0
+    if isinstance(g, Table):
+        xs, ys = g._nodes
+        if s > xs[-1]:
+            return float(ys[-1]) + g._tail_slope * (s - float(xs[-1]))
+        return float(np.interp(s, xs, ys))
+    if isinstance(g, Hill):
+        sp = s**g.p
+        return g.mu_max * sp / (g.k**g.p + sp)
+    return g.mu_max * s / (g.k + s)
+
+
+def _field_reference(params, growths, y):
+    """The per-species loop that ``vector_field`` replaces (y[0] a numpy float)."""
+    s = y[0]
+    dy = np.empty_like(y)
+    consumption = 0.0
+    for i, g in enumerate(growths):
+        mu = _rate_reference(g, s)
+        dy[1 + i] = (mu - params.d) * y[1 + i]
+        consumption += mu * y[1 + i]
+    dy[0] = params.d * (params.s_in - s) - consumption
+    return dy
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+many_laws = st.lists(st.one_of(monods, hills, tables(), offset_tables()), min_size=1, max_size=120)
+special_substrates = st.sampled_from(
+    [0.0, -0.0, -1e-300, -1e-12, -1e-9, 1e-300, 1e150, 1e300, math.inf, -math.inf, math.nan]
+)
+
+
+@st.composite
+def field_inputs(draw):
+    """Laws, a state vector and a substrate at the edges the stages can reach.
+
+    The substrate is drawn from tiny undershoots, zero, table nodes, points
+    beyond the last node, huge values and non-finite trial-stage values;
+    densities may be negative, as in a trial stage.
+    """
+    gs = draw(many_laws)
+    nodes = [a for g in gs if isinstance(g, Table) for a, _ in g.points]
+    candidates = [special_substrates, st.floats(min_value=0.0, max_value=1e3)]
+    if nodes:
+        candidates.append(st.sampled_from(nodes))
+        candidates.append(st.sampled_from(nodes).map(lambda a: 1.5 * a + 1.0))
+    s = draw(st.one_of(*candidates))
+    x = draw(st.lists(st.floats(min_value=-1.0, max_value=50.0), min_size=len(gs), max_size=len(gs)))
+    return gs, np.array([s] + x)
+
+
+class TestVectorField:
+    @given(field_inputs(), st.floats(min_value=0.1, max_value=5.0), st.floats(min_value=0.5, max_value=50.0))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_per_species_loop(self, inputs, d, s_in):
+        gs, y = inputs
+        params = ChemostatParams(d=d, s_in=s_in)
+        f = vector_field(params, gs)
+        with np.errstate(all="ignore"):
+            want = _field_reference(params, gs, y)
+            got = f(0.0, y)
+            again = f(1.0, y.copy())
+        assert np.array_equal(_bits(got), _bits(want)), (got, want)
+        assert np.array_equal(_bits(again), _bits(want))
+
+    def test_each_call_returns_a_new_array(self):
+        f = vector_field(ChemostatParams(1.0, 10.0), [g for _, g in MIXED])
+        y = np.linspace(1.0, 2.0, len(MIXED) + 1)
+        a = f(0.0, y)
+        b = f(0.0, 2.0 * y)
+        assert a is not b and not np.shares_memory(a, b)
+        assert np.array_equal(a, f(0.0, y))
+
+
+class TestTableScalarRow:
+    @given(st.one_of(tables(), offset_tables()), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_interp_path(self, table, data):
+        nodes = [a for a, _ in table.points]
+        s = data.draw(st.one_of(
+            st.sampled_from(nodes),
+            st.sampled_from(nodes).map(lambda a: math.nextafter(a, math.inf)),
+            st.sampled_from(nodes).map(lambda a: math.nextafter(a, 0.0)),
+            st.floats(min_value=0.0, max_value=2.0 * nodes[-1] + 1.0),
+            st.floats(min_value=0.0, max_value=1e300),
+        ))
+        assert _bits(table._rate_scalar(s)) == _bits(float(table._rate(np.asarray(s))))
+
+
+def _break_even_reference(g, d, root_tol=1e-12, s_probe_max=1e6):
+    """The bisection of ``break_even`` with every probe through ``g(...)``."""
+    hi = min(1.0, s_probe_max)
+    while g(hi) <= d:
+        if hi >= s_probe_max:
+            return math.inf
+        hi = min(hi * 2.0, s_probe_max)
+    lo = 0.0
+    for _ in range(4000):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if g(mid) < d:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= min(root_tol * mid, 1e-12):
+            break
+    return 0.5 * (lo + hi)
+
+
+class TestBreakEvenProbes:
+    @given(
+        st.one_of(monods, hills, tables(), offset_tables()),
+        st.floats(min_value=0.05, max_value=25.0),
+        st.sampled_from([1e-12, 1e-9, 1e-6]),
+        st.sampled_from([1e2, 1e6]),
+    )
+    # libm pow and np.power differ in the last bit of one probe of this law,
+    # so probing with the scalar path would move its level
+    @example(Hill(13.622, 1.251, 2.059), 11.642, 1e-12, 1e6)
+    @settings(max_examples=300, deadline=None)
+    def test_levels_identical_to_validated_probes(self, g, d, root_tol, probe):
+        got = break_even(g, d, root_tol=root_tol, s_probe_max=probe).value
+        assert _bits(got) == _bits(_break_even_reference(g, d, root_tol, probe))

@@ -1,0 +1,140 @@
+"""Byte-compare the command-line outputs of two source trees.
+
+Usage::
+
+    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC --seeds 1 2 3
+
+``PARENT_SRC`` and ``CHANGE_SRC`` are ``src`` directories that each hold a
+``chemostat_cep`` package, for example this checkout's ``src`` and the
+``src`` of a ``git archive`` of the parent commit.  The scenario pools of
+the three benchmark workloads are generated for every seed with
+``perfbench/workloads.py`` (imported read-only), and every scenario is run
+through ``chemostat_cep.cli.main`` with the workload's command, once per
+tree, each tree in its own subprocess.  The output file, stdout, stderr and
+exit code of every run are compared byte for byte.
+
+Exit status: 0 when the trees agree everywhere, 1 with one line per
+difference, 2 on a usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _load_workloads():
+    if "workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["workloads"] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return sys.modules["workloads"]
+
+
+def write_inputs(inputs: Path, seeds) -> list[dict]:
+    """Write every pool's YAML files; returns the run manifest."""
+    workloads = _load_workloads()
+    manifest = []
+    for name in workloads.NAMES:
+        for seed in seeds:
+            wl = workloads.build(name, seed)
+            for i, sc in enumerate(wl.pool):
+                stem = f"{name}-{seed}/scenario-{i:03d}"
+                path = inputs / f"{stem}.yaml"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(workloads.to_yaml(sc), encoding="utf-8")
+                manifest.append({"command": wl.command, "input": str(path), "stem": stem, "output": wl.output})
+    return manifest
+
+
+def worker(src: Path, manifest_path: Path, out: Path) -> None:
+    """Run every manifest entry with the ``chemostat_cep`` found in ``src``."""
+    import contextlib
+    import io
+
+    sys.path.insert(0, str(src))
+    from chemostat_cep import cli
+
+    if Path(cli.__file__).resolve().parent != src / "chemostat_cep":
+        sys.exit(f"imported {cli.__file__}, not the package under {src}")
+
+    for run in json.loads(manifest_path.read_text()):
+        dest = out / run["stem"]
+        dest.mkdir(parents=True, exist_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = str(cli.main([run["command"], run["input"], "-o", str(dest / run["output"])]))
+            except Exception as exc:  # a traceback is an output to compare, not a crash
+                code = f"{type(exc).__name__}: {exc}"
+        (dest / "stdout").write_text(stdout.getvalue())
+        (dest / "stderr").write_text(stderr.getvalue())
+        (dest / "exit_code").write_text(code)
+
+
+def _files(top: Path) -> dict[str, Path]:
+    return {str(p.relative_to(top)): p for p in sorted(top.rglob("*")) if p.is_file()}
+
+
+def compare(parent: Path, change: Path) -> list[str]:
+    """One line per file that is missing on one side or differs in its bytes."""
+    a, b = _files(parent), _files(change)
+    diffs = [f"only in parent: {k}" for k in sorted(a.keys() - b.keys())]
+    diffs += [f"only in change: {k}" for k in sorted(b.keys() - a.keys())]
+    diffs += [f"differs: {k}" for k in sorted(a.keys() & b.keys()) if a[k].read_bytes() != b[k].read_bytes()]
+    return diffs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent_src", type=Path)
+    ap.add_argument("change_src", type=Path)
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = ap.parse_args(argv)
+    for src in (args.parent_src, args.change_src):
+        if not (src / "chemostat_cep" / "__init__.py").is_file():
+            print(f"no chemostat_cep package under {src}", file=sys.stderr)
+            return 2
+
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CHEMOSTAT_CEP_")}
+    env.update({var: "1" for var in THREAD_VARS})
+    env.pop("PYTHONPATH", None)
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
+        tmp = Path(tmp)
+        manifest = write_inputs(tmp / "inputs", args.seeds)
+        (tmp / "manifest.json").write_text(json.dumps(manifest))
+        outs = {side: tmp / side for side in ("parent", "change")}
+        procs = [
+            subprocess.Popen(
+                [sys.executable, __file__, "--worker", str(src.resolve()), str(tmp / "manifest.json"), str(outs[side])],
+                env=env,
+            )
+            for side, src in (("parent", args.parent_src), ("change", args.change_src))
+        ]
+        codes = [p.wait() for p in procs]
+        if any(codes):
+            print(f"worker exit codes (parent, change): {codes}", file=sys.stderr)
+            return 1
+        diffs = compare(outs["parent"], outs["change"])
+        n_files = len(_files(outs["parent"]))
+    for line in diffs:
+        print(line)
+    print(f"{len(manifest)} runs, {n_files} parent files, {len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        worker(Path(sys.argv[2]), Path(sys.argv[3]), Path(sys.argv[4]))
+        sys.exit(0)
+    sys.exit(main())
