@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ChartError, DomainError, ParameterError
-from .growth import GrowthFunction, Monod, OrderedSpecies
+from .growth import GrowthFunction, OrderedSpecies, monod_arrays
 
 _SIMPLEX_TOL = 1e-12
 
@@ -209,10 +209,7 @@ def vector_field(
     d = params.d
     s_in = params.s_in
     laws = tuple(growths)
-    is_monod = [type(g) is Monod for g in laws]
-    # Other laws get stand-in parameters (0 * s / (1 + s)) until overwritten.
-    mu_max = np.array([g.mu_max if m else 0.0 for g, m in zip(laws, is_monod)])
-    k_half = np.array([g.k if m else 1.0 for g, m in zip(laws, is_monod)])
+    is_monod, mu_max, k_half = monod_arrays(laws)
     scalar_rows = [(i, g._rate_scalar) for i, (g, m) in enumerate(zip(laws, is_monod)) if not m]
     n = len(laws)
     den = np.empty(n)

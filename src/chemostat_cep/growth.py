@@ -199,6 +199,19 @@ class Table(GrowthFunction):
         return slopes[j] * (s - xs[j]) + ys[j]
 
 
+def monod_arrays(laws: Sequence[GrowthFunction]) -> tuple[list[bool], np.ndarray, np.ndarray]:
+    """Which laws are Monod, and their ``mu_max`` and ``k`` as arrays.
+
+    Other laws get harmless stand-in parameters 0 and 1, so an array
+    evaluation gives 0 * s / (1 + s) in their entries until the caller
+    overwrites them with the law's own rate.
+    """
+    is_monod = [type(g) is Monod for g in laws]
+    mu_max = np.array([g.mu_max if m else 0.0 for g, m in zip(laws, is_monod)])
+    k_half = np.array([g.k if m else 1.0 for g, m in zip(laws, is_monod)])
+    return is_monod, mu_max, k_half
+
+
 def rate_matrix(laws: Sequence[GrowthFunction], s) -> np.ndarray:
     """Rates of several laws on one substrate grid, one row per law.
 
@@ -212,10 +225,7 @@ def rate_matrix(laws: Sequence[GrowthFunction], s) -> np.ndarray:
     """
     arr = _as_substrate(s)
     flat = arr.reshape(-1)
-    is_monod = [type(g) is Monod for g in laws]
-    # Rows of other laws get harmless stand-in parameters (0 * s / (1 + s)).
-    mu_max = np.array([g.mu_max if m else 0.0 for g, m in zip(laws, is_monod)])
-    k_half = np.array([g.k if m else 1.0 for g, m in zip(laws, is_monod)])
+    is_monod, mu_max, k_half = monod_arrays(laws)
     out = np.multiply(mu_max[:, None], flat)
     np.divide(out, k_half[:, None] + flat, out=out)
     for k, g in enumerate(laws):
