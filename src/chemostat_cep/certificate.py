@@ -410,7 +410,9 @@ def build_certificate(
         grid_n=grid_n,
         notes=tuple(notes),
     )
-    problems = recheck_certificate(cert, ordered, grid_factor=1)
+    # The self-check's grids are the final margin grids just evaluated, so
+    # it reads their minima instead of evaluating them again.
+    problems = _certificate_problems(cert, ordered, [b.gap_min for b in boundaries])
     if problems:
         raise CertificateError("certificate failed self-check: " + "; ".join(problems))
     return cert
@@ -425,16 +427,27 @@ def recheck_certificate(
     """Re-verify every certificate inequality on a refined grid.
 
     Returns a list of violation descriptions (empty when the certificate
-    holds).  Used both as a construction self-check and as an independent
-    robustness gate with a finer grid.
+    holds).  Every boundary's grid of ``grid_n * grid_factor`` intervals is
+    evaluated afresh, so this also checks certificates built elsewhere;
+    ``build_certificate`` makes the same checks on its final margin grids.
     """
-    problems: list[str] = []
     if cert.degenerate:
-        return problems
+        return []
     grid_n = cert.grid_n * grid_factor
+    gap_mins = [
+        float(np.min(_pack_gap(ordered, i, np.linspace(b.s_minus, b.s_plus, grid_n + 1))))
+        for i, b in enumerate(cert.boundaries)
+    ]
+    return _certificate_problems(cert, ordered, gap_mins)
 
+
+def _certificate_problems(
+    cert: Certificate, ordered: OrderedSpecies, gap_mins: list[float]
+) -> list[str]:
+    """Every certificate inequality, given each boundary's minimum grid gap."""
+    problems: list[str] = []
     prev_plus = None
-    for i, b in enumerate(cert.boundaries):
+    for i, (b, gap_min) in enumerate(zip(cert.boundaries, gap_mins)):
         if not 0.0 < b.s_minus < b.lam_lower:
             problems.append(f"boundary {i + 1}: s_minus {b.s_minus:g} not in (0, lambda)")
         if not b.s_plus > b.lam_upper_eff:
@@ -442,11 +455,9 @@ def recheck_certificate(
         if prev_plus is not None and not b.s_plus > prev_plus:
             problems.append(f"boundary {i + 1}: absorbing intervals not nested")
         prev_plus = b.s_plus
-        grid = np.linspace(b.s_minus, b.s_plus, grid_n + 1)
-        gap = _pack_gap(ordered, i, grid)
-        if not float(np.min(gap)) > cert.nu:
+        if not gap_min > cert.nu:
             problems.append(
-                f"boundary {i + 1}: domination gap {float(np.min(gap)):g} does not "
+                f"boundary {i + 1}: domination gap {gap_min:g} does not "
                 f"exceed nu {cert.nu:g} on the refined grid"
             )
 

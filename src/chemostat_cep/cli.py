@@ -34,6 +34,9 @@ from .integrate import Trajectory, simulate
 from .verify import run_report
 
 _ENV_PREFIX = "CHEMOSTAT_CEP_"
+# libyaml's composer when PyYAML was built with it; its nodes carry the same
+# tags, values and line marks as the pure-Python one's.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,7 @@ def parse_scenario(path: str) -> Scenario:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            root = yaml.compose(fh, Loader=yaml.SafeLoader)
+            root = yaml.compose(fh, Loader=_YAML_LOADER)
     except OSError as exc:
         raise InputError(f"cannot read scenario file {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -13,7 +13,6 @@ recorded in the integrator statistics.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,23 +120,8 @@ class Trajectory:
         if not (-slack <= t <= horizon + slack):
             raise DomainError(f"sample time {t!r} outside [0, {horizon!r}]")
         t = min(max(t, 0.0), horizon)
-        if t >= horizon:
-            return State(s=float(self.step_states[-1, 0]), x=self.step_states[-1, 1:])
-        k = bisect_right(self.step_times, t) - 1
-        k = min(max(k, 0), len(self.step_times) - 2)
-        t0 = self.step_times[k]
-        if t == t0:
-            return State(s=float(self.step_states[k, 0]), x=self.step_states[k, 1:])
-        h = self.step_times[k + 1] - t0
-        y = _interp_eval(self.step_coeffs[k], (t - t0) / h)
-        np.maximum(y, 0.0, out=y)
+        y = _dense_states(np.array([t]), self.step_times, self.step_states, self.step_coeffs)[0]
         return State(s=float(y[0]), x=y[1:])
-
-
-def _interp_eval(cont: np.ndarray, theta: float) -> np.ndarray:
-    """Evaluate the quartic continuous extension at fraction theta of a step."""
-    c1, c2, c3, c4, c5 = cont
-    return c1 + theta * (c2 + (1.0 - theta) * (c3 + theta * (c4 + (1.0 - theta) * c5)))
 
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rel_tol: float, abs_tol: float) -> float:
@@ -333,11 +317,13 @@ def simulate(
 
 
 def _dense_states(times, step_times, step_states, step_conts) -> np.ndarray:
-    """``Trajectory.sample`` at every time of a sorted grid, as arrays.
+    """Continuous extension at every time of ``times`` (in [0, horizon]).
 
-    The interpolant is evaluated in the operation order of ``_interp_eval``,
-    one coefficient slice at a time, so each row is bitwise equal to the
-    corresponding ``sample`` call.
+    Times on a step node give that node's state and times at or past the
+    last node give the final state; elsewhere the quartic
+    c1 + theta (c2 + (1 - theta) (c3 + theta (c4 + (1 - theta) c5))) of the
+    enclosing step is evaluated, one coefficient slice at a time.  Negative
+    undershoots are clipped to zero.
     """
     k = np.searchsorted(step_times, times, side="right") - 1
     np.clip(k, 0, len(step_times) - 2, out=k)
@@ -459,38 +445,60 @@ def _exits_after_first_entry(runs) -> int:
     return sum(1 for r in runs[first_in + 1 :] if not r[2])
 
 
+def persistent_entries(
+    trajectory: Trajectory,
+    intervals: Sequence[tuple[float, float]],
+    grace: float = 0.0,
+) -> list[EntryRecord]:
+    """Persistent entries of the substrate channel into closed intervals.
+
+    Each entry is located on the dense samples and then refined by bisecting
+    the continuous extension across the bracketing spacing.  The brackets of
+    all intervals are bisected in lockstep, one evaluation of the substrate
+    interpolant per round at every unfinished midpoint.  Persistence is
+    always relative to the finite horizon.
+    """
+    s = trajectory.states[:, 0]
+    t = trajectory.times
+    scans = []  # (lo, hi, entry index, excursions, persistent)
+    for interval in intervals:
+        lo, hi = float(interval[0]), float(interval[1])
+        if not lo < hi:
+            raise ParameterError(f"interval must satisfy lo < hi, got {interval!r}")
+        scans.append((lo, hi, *scan_persistent_entry(t, (s >= lo) & (s <= hi), grace)))
+
+    # Bracket [t_out, t_in] of every entry past the first sample.
+    refine = [k for k, (_, _, idx, _, _) in enumerate(scans) if idx]
+    lows = np.array([scans[k][0] for k in refine])
+    highs = np.array([scans[k][1] for k in refine])
+    t_in_idx = [scans[k][2] for k in refine]
+    t_out = t[[idx - 1 for idx in t_in_idx]]
+    t_in = t[t_in_idx]
+    tol = max(1e-12, 1e-9 * trajectory.horizon)
+    active = np.flatnonzero(t_in - t_out > tol)
+    while active.size:
+        mid = 0.5 * (t_out[active] + t_in[active])
+        sm = _dense_states(
+            mid, trajectory.step_times, trajectory.step_states[:, :1], trajectory.step_coeffs[:, :, :1]
+        )[:, 0]
+        inside = (lows[active] <= sm) & (sm <= highs[active])
+        t_in[active[inside]] = mid[inside]
+        t_out[active[~inside]] = mid[~inside]
+        active = active[t_in[active] - t_out[active] > tol]
+
+    entry_times: list[float | None] = [None if idx is None else 0.0 for _, _, idx, _, _ in scans]
+    for pos, k in enumerate(refine):
+        entry_times[k] = float(t_in[pos])
+    return [
+        EntryRecord((lo, hi), entry_time, persistent, excursions)
+        for (lo, hi, _, excursions, persistent), entry_time in zip(scans, entry_times)
+    ]
+
+
 def first_persistent_entry(
     trajectory: Trajectory,
     interval: tuple[float, float],
     grace: float = 0.0,
 ) -> EntryRecord:
-    """Persistent entry of the substrate channel into a closed interval.
-
-    The entry is located on the dense samples and then refined by bisecting
-    the continuous extension across the bracketing spacing.  Persistence is
-    always relative to the finite horizon.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ParameterError(f"interval must satisfy lo < hi, got {interval!r}")
-    s = trajectory.states[:, 0]
-    t = trajectory.times
-    inside = (s >= lo) & (s <= hi)
-
-    entry_idx, excursions, persistent = scan_persistent_entry(t, inside, grace)
-    if entry_idx is None:
-        return EntryRecord((lo, hi), None, False, excursions)
-    if entry_idx == 0:
-        return EntryRecord((lo, hi), 0.0, persistent, excursions)
-
-    t_out = float(t[entry_idx - 1])
-    t_in = float(t[entry_idx])
-    tol = max(1e-12, 1e-9 * trajectory.horizon)
-    while t_in - t_out > tol:
-        mid = 0.5 * (t_out + t_in)
-        sm = trajectory.sample(mid).s
-        if lo <= sm <= hi:
-            t_in = mid
-        else:
-            t_out = mid
-    return EntryRecord((lo, hi), t_in, persistent, excursions)
+    """Persistent entry into one closed interval (see ``persistent_entries``)."""
+    return persistent_entries(trajectory, [interval], grace)[0]

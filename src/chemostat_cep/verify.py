@@ -21,7 +21,8 @@ from .growth import GrowthFunction, OrderedSpecies, order_species, pack_species
 from .integrate import (
     Trajectory,
     _B_ZERO,
-    first_persistent_entry,
+    first_persistent_entry,  # noqa: F401  (perfbench/tracing.py patches this name here)
+    persistent_entries,
     scan_persistent_entry,
     simulate,
 )
@@ -117,35 +118,115 @@ def fit_log_decay(
     For 1-D ``v`` returns (slope, samples used); slope is None when too few
     samples remain to support a line.  For 2-D ``v`` (samples x columns)
     every column is fitted on its own usable samples, in one pass, and the
-    result is (list of slopes or None, array of samples used).
-
-    The fit is the centred closed form slope = S_ty / S_tt over each column's
-    usable samples.  Times are shifted by their mean first so the per-column
-    sums do not cancel.
+    result is (list of slopes or None, array of samples used).  This is the
+    single-tail case of ``fit_log_decay_tails``, on a copy of ``v``.
     """
     one = np.ndim(v) == 1
-    v2 = v[:, None] if one else v
-    mask = np.isfinite(v2) & (v2 > floor)
-    n = np.count_nonzero(mask, axis=0)
-    fit = n >= _MIN_FIT_SAMPLES
-    slopes: list[float | None] = [None] * n.size
-    if np.any(fit):
-        t0 = t - np.mean(t)
-        # One work matrix: first the 0/1 weights of the time sums, then the
-        # centred logs, zero where masked.
-        y = mask.astype(float)
-        n_fit = np.where(fit, n, 1)
-        t_bar = (t0 @ y) / n_fit
-        s_tt = (t0 * t0) @ y - n_fit * t_bar * t_bar
-        np.log(v2, out=y, where=mask)
-        y -= y.sum(axis=0) / n_fit
-        y *= mask
-        s_ty = t0 @ y - t_bar * y.sum(axis=0)
-        for j in np.flatnonzero(fit):
-            slopes[j] = float(s_ty[j] / s_tt[j])
+    buf = np.array(v, dtype=float)
+    slopes, n = fit_log_decay_tails(t, buf[:, None] if one else buf, [0], floor)[0]
     if one:
         return slopes[0], int(n[0])
     return slopes, n
+
+
+def fit_log_decay_tails(
+    t: np.ndarray,
+    v: np.ndarray,
+    starts: Sequence[int | None],
+    floor: float = _RATIO_FLOOR,
+) -> list[tuple[list[float | None], np.ndarray] | None]:
+    """Decay slopes of every column of ``v`` on the tail from every start.
+
+    Returns, per start, what 2-D ``fit_log_decay`` returns on
+    ``t[start:], v[start:]``, and None for a None start.  ``v`` (samples x
+    columns, float) is the work buffer: its rows from the first start on are
+    overwritten.
+
+    Those rows are cut at every start into segments.  Each segment gives,
+    per column and over the column's usable samples, the count, the means of
+    t and log v, and the centred sums S_tt and S_ty.  Merging the segments
+    from the end with the pairwise update of Chan, Golub and LeVeque gives
+    every tail's sums in one pass over the samples, and the slope is
+    S_ty / S_tt.  Raw sums of t*y over long tails are not used: they cancel
+    badly on short tails at the end of long horizons.
+    """
+    t = np.asarray(t, dtype=float)
+    cuts = sorted({s for s in starts if s is not None})
+    if not cuts:
+        return [None] * len(starts)
+    block = v[cuts[0]:]
+    mask = np.isfinite(block)
+    mask &= block > floor
+    np.log(block, out=block, where=mask)
+    # Measure times and logs from the last sample and each column's last
+    # usable log, so a mean's rounding scales with how far its rows lie
+    # from the end, as in a two-pass fit of a short final tail.
+    if block.shape[0]:
+        last = block.shape[0] - 1 - np.argmax(mask[::-1], axis=0)
+        np.subtract(block, block[last, np.arange(block.shape[1])], out=block, where=mask)
+        t = t - t[-1]
+    block[~mask] = 0.0
+
+    tails = {}
+    acc = None
+    bounds = cuts + [t.size]
+    for a, b in reversed(list(zip(bounds[:-1], bounds[1:]))):
+        seg = _segment_moments(t[a:b], v[a:b], mask[a - cuts[0] : b - cuts[0]])
+        acc = seg if acc is None else _merge_moments(seg, acc)
+        tails[a] = acc
+
+    out: list[tuple[list[float | None], np.ndarray] | None] = []
+    for start in starts:
+        if start is None:
+            out.append(None)
+            continue
+        n, _, _, s_tt, s_ty = tails[start]
+        slopes: list[float | None] = [None] * n.size
+        for j in np.flatnonzero(n >= _MIN_FIT_SAMPLES):
+            slopes[j] = float(s_ty[j] / s_tt[j])
+        out.append((slopes, n))
+    return out
+
+
+def _segment_moments(t: np.ndarray, y: np.ndarray, mask: np.ndarray) -> tuple:
+    """(count, mean t, mean y, S_tt, S_ty) of each column over its masked rows.
+
+    ``y`` is zero outside the mask and is centred in place.  Columns with no
+    usable row get zero means, so merging them changes nothing.
+    """
+    n = np.count_nonzero(mask, axis=0)
+    if t.size == 0:
+        zero = np.zeros(n.size)
+        return n, zero, zero, zero, zero
+    w = mask.astype(float)
+    n1 = np.maximum(n, 1)
+    c = np.mean(t)
+    t0 = t - c
+    t_bar = (t0 @ w) / n1
+    s_tt = (t0 * t0) @ w - n * t_bar * t_bar
+    y_bar = y.sum(axis=0) / n1
+    y -= y_bar
+    y *= w
+    s_ty = t0 @ y - t_bar * y.sum(axis=0)
+    return n, (c + t_bar) * (n > 0), y_bar, s_tt, s_ty
+
+
+def _merge_moments(a: tuple, b: tuple) -> tuple:
+    """Moments of the union of two disjoint row sets (Chan et al.)."""
+    n_a, t_a, y_a, tt_a, ty_a = a
+    n_b, t_b, y_b, tt_b, ty_b = b
+    n = n_a + n_b
+    w_b = n_b / np.maximum(n, 1)
+    d_t = t_b - t_a
+    d_y = y_b - y_a
+    cross = n_a * w_b
+    return (
+        n,
+        t_a + d_t * w_b,
+        y_a + d_y * w_b,
+        tt_a + tt_b + d_t * d_t * cross,
+        ty_a + ty_b + d_t * d_y * cross,
+    )
 
 
 def check_mass_convergence(
@@ -355,14 +436,14 @@ def check_induction_properties(
         slope_slack = 0.1 * nu
     slope_threshold = -nu + slope_slack
 
-    entries = [first_persistent_entry(traj, iv, grace) for iv in cert.intervals]
+    entries = persistent_entries(traj, cert.intervals, grace)
     ref_col = id_to_column[cert.packs[0].ids[0]]
     x_ref = traj.states[:, ref_col]
     t = traj.times
     order_slack = 2e-9 * traj.horizon
 
     # Column j - 1 holds pack j's summed density over the lead species, for
-    # every pack above the first; each stage fits a tail block of it.
+    # every pack above the first; each stage fits the tail from its entry.
     cols = [[id_to_column[sid] for sid in pack.ids] for pack in cert.packs[1:]]
     ratios = np.empty((t.size, len(cols)))
     for c, pack_cols in enumerate(cols):
@@ -373,6 +454,12 @@ def check_induction_properties(
     p_final_by_pack = [
         float(np.sum(traj.channels.p[-1, [c - 1 for c in pack_cols]])) for pack_cols in cols
     ]
+
+    starts = [
+        None if rec.entry_time is None else int(np.searchsorted(t, rec.entry_time, side="left"))
+        for rec in entries
+    ]
+    fits = fit_log_decay_tails(t, ratios, starts)
 
     results = []
     for i, rec in enumerate(entries):
@@ -391,9 +478,8 @@ def check_induction_properties(
                 details.append("entered the smaller interval earlier than the larger one")
 
         if rec.entry_time is not None:
-            start = int(np.searchsorted(t, rec.entry_time, side="left"))
-            slopes, _ = fit_log_decay(t[start:], ratios[start:, i:])
-            for j, slope in enumerate(slopes, start=i + 1):
+            slopes, _ = fits[i]
+            for j, slope in enumerate(slopes[i:], start=i + 1):
                 p_final = p_final_by_pack[j - 1]
                 measured[f"slope_pack_{j + 1}"] = slope
                 measured[f"p_final_pack_{j + 1}"] = p_final

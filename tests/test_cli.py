@@ -5,11 +5,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from chemostat_cep import InputError, Monod, State, simulate
+from chemostat_cep import cli
 from chemostat_cep.cli import (
     Scenario,
     main,
@@ -119,6 +123,69 @@ class TestParseScenario:
         assert a.digest() == b.digest()
         c = make_scenario(horizon=81.0)
         assert c.digest() != a.digest()
+
+
+def _wide_yaml(n=100):
+    """A generated scenario file with n Monod species, in flow and block style."""
+    rng = np.random.default_rng(n)
+    lines = ["params:", "  dilution: 1.0", "  s_in: 10.0", "species:"]
+    for i in range(n):
+        mu_max, k = float(rng.uniform(1.5, 4.0)), float(rng.uniform(0.2, 9.0))
+        lines += [f"  - id: m{i:03d}", f"    growth: {{kind: monod, mu_max: {mu_max!r}, k: {k!r}}}"]
+    x = ", ".join(repr(float(v)) for v in rng.uniform(0.005, 0.02, n))
+    lines += ["initial:", "  s: 10.0", f"  x: [{x}]", "horizon: 800.0", ""]
+    return "\n".join(lines)
+
+
+def _node_tree(node):
+    """(tag, value, line) of a composed node and, recursively, its children."""
+    if isinstance(node, yaml.ScalarNode):
+        return (node.tag, node.value, node.start_mark.line)
+    if isinstance(node, yaml.SequenceNode):
+        return (node.tag, [_node_tree(v) for v in node.value], node.start_mark.line)
+    return (node.tag, [(_node_tree(k), _node_tree(v)) for k, v in node.value], node.start_mark.line)
+
+
+class TestYamlLoader:
+    def test_libyaml_chosen_when_available(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert cli._YAML_LOADER is expected
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    @pytest.mark.parametrize("name", ["canonical.yaml", "with_washout.yaml", "wide"])
+    def test_both_loaders_compose_the_same_tree(self, name, tmp_path):
+        if name == "wide":
+            path = tmp_path / "wide.yaml"
+            path.write_text(_wide_yaml())
+        else:
+            path = Path(__file__).resolve().parent.parent / "scenarios" / name
+        trees = []
+        for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+            with open(path, encoding="utf-8") as fh:
+                trees.append(_node_tree(yaml.compose(fh, Loader=loader)))
+        assert trees[0] == trees[1]
+
+    def test_wide_file_parses(self, tmp_path):
+        path = tmp_path / "wide.yaml"
+        path.write_text(_wide_yaml())
+        assert len(parse_scenario(str(path)).species) == 100
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("params:\n  dilution: 1.0\n  s_in: [1, 2\nspecies: x\n", 4),
+            ("params: {dilution: 1.0\n", 2),
+            ("params:\n  dilution: 1.0\n s_in: 2\n", 3),
+        ],
+    )
+    def test_malformed_yaml_exits_2_and_names_a_line(self, text, line, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid YAML" in err
+        assert f"line {line}" in err, err
+        assert re.search(r"line \d+, column \d+", err)
 
 
 class TestTrajectoryCsv:

@@ -1,0 +1,54 @@
+"""The report classifier of ``tools/compare_outputs.py``."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "compare_outputs", Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def _report(slope2=-0.5, slope3=-0.25, entry=3.0, detail=""):
+    return json.dumps(
+        {
+            "claims": [
+                {
+                    "id": "exclusion_stage_1",
+                    "measured": {"entry_time": entry, "slope_pack_2": slope2, "slope_pack_3": slope3},
+                    "detail": detail,
+                }
+            ],
+            "overall_pass": True,
+        },
+        indent=2,
+    ).encode()
+
+
+class TestSlopeOnlyDifference:
+    def test_slopes_only_give_the_largest_relative_difference(self):
+        rel = compare_outputs.slope_only_difference(
+            _report(), _report(slope2=-0.5 * (1 + 2e-15), slope3=-0.25 * (1 - 4e-15))
+        )
+        assert rel == pytest.approx(4e-15, rel=1e-3)
+
+    def test_identical_reports_differ_by_zero(self):
+        assert compare_outputs.slope_only_difference(_report(), _report()) == 0.0
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            _report(entry=3.0000001),
+            _report(detail="pack 2 ratio unfittable"),
+            _report(slope2=None),
+            b"not json",
+        ],
+    )
+    def test_any_other_difference_is_not_slope_only(self, other):
+        assert compare_outputs.slope_only_difference(_report(), other) is None

@@ -1,16 +1,19 @@
 """Array evaluations along the species axis against their scalar references.
 
-``rate_matrix``, the batched ``fit_log_decay``, the run splitter behind
-persistent entries, dense output, the certificate's pack gaps and the
-integrator's right-hand side each replace a per-species or per-sample loop;
-these properties pin them to the loop they replace.  The table row of the
-right-hand side and the break-even bisection drop numpy wrappers, and are
-pinned to the wrapped calls.
+``rate_matrix``, the batched ``fit_log_decay``, the merged-moment tail fits,
+the run splitter behind persistent entries, the lockstep entry bisection,
+dense output, the certificate's pack gaps and self-check and the
+integrator's right-hand side each replace a per-species, per-stage or
+per-sample loop; these properties pin them to the loop they replace.  The
+table row of the right-hand side and the break-even bisection drop numpy
+wrappers, and are pinned to the wrapped calls.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,15 +33,24 @@ from chemostat_cep import (
     compute_nu,
     gamma_bounds,
     order_species,
+    recheck_certificate,
     simulate,
 )
 from chemostat_cep.certificate import _pack_gap
+from chemostat_cep.cli import parse_scenario
 from chemostat_cep.dynamics import vector_field
 from chemostat_cep.growth import pack_species, rate_matrix
-from chemostat_cep.integrate import _membership_runs
-from chemostat_cep.verify import fit_log_decay
+from chemostat_cep.integrate import (
+    EntryRecord,
+    _membership_runs,
+    persistent_entries,
+    scan_persistent_entry,
+)
+from chemostat_cep.verify import fit_log_decay, fit_log_decay_tails
 
 from conftest import CANONICAL_SPECIES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 pos = st.floats(min_value=0.01, max_value=20.0, allow_nan=False, allow_infinity=False)
 
@@ -154,6 +166,110 @@ class TestBatchedDecayFit:
         assert fit_log_decay(t[:7], np.ones(7)) == (None, 7)
 
 
+def _tail_fit_reference(t, v, floor=1e-300):
+    """One masked, centred closed-form fit of one tail on its own.
+
+    Times are centred on the tail's mean and logs on each column's mean
+    over its usable samples, in two passes.
+    """
+    mask = np.isfinite(v) & (v > floor)
+    n = np.count_nonzero(mask, axis=0)
+    fit = n >= 8
+    slopes = [None] * n.size
+    if np.any(fit):
+        t0 = t - np.mean(t)
+        y = mask.astype(float)
+        n_fit = np.where(fit, n, 1)
+        t_bar = (t0 @ y) / n_fit
+        s_tt = (t0 * t0) @ y - n_fit * t_bar * t_bar
+        np.log(v, out=y, where=mask)
+        y -= y.sum(axis=0) / n_fit
+        y *= mask
+        s_ty = t0 @ y - t_bar * y.sum(axis=0)
+        for j in np.flatnonzero(fit):
+            slopes[j] = float(s_ty[j] / s_tt[j])
+    return slopes, n
+
+
+@st.composite
+def tail_fit_inputs(draw):
+    """A ratio block like the induction check's, and stage starts into it.
+
+    Columns decay until they fall under the log floor; holes are NaN, inf,
+    zero, negative or sub-floor samples; rows where the lead species is
+    zero are NaN throughout.  Starts come unsorted, duplicated and None,
+    and some leave 8-16 samples at the end of a long horizon.
+    """
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.sampled_from([12, 40, 301, 2001]))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    horizon = draw(st.sampled_from([1.0, 80.0, 800.0]))
+    t = np.linspace(0.0, horizon, n)
+    rate = rng.uniform(0.05, 3.0, cols) * 80.0 / horizon
+    v = np.exp(rng.uniform(-50.0, 50.0, cols) - np.outer(t, rate) + rng.normal(0.0, 0.1, (n, cols)))
+    holes = rng.random((n, cols)) < draw(st.floats(min_value=0.0, max_value=0.5))
+    v[holes] = rng.choice([0.0, np.nan, np.inf, -1.0, 1e-310], holes.sum())
+    v[rng.random(n) < draw(st.floats(min_value=0.0, max_value=0.2))] = np.nan
+    late = [int(k) for k in rng.integers(max(0, n - 16), max(1, n - 7), 3)]
+    anywhere = [int(k) for k in rng.integers(0, n + 1, draw(st.integers(0, 6)))]
+    starts = draw(st.permutations(late + anywhere + [None] * draw(st.integers(0, 2))))
+    return t, v, list(starts)
+
+
+class TestMergedTailFits:
+    @given(tail_fit_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_tail_matches_a_two_pass_fit_of_that_tail(self, inputs):
+        t, v, starts = inputs
+        fits = fit_log_decay_tails(t, v.copy(), starts)
+        assert len(fits) == len(starts)
+        for start, fit in zip(starts, fits):
+            if start is None:
+                assert fit is None
+                continue
+            slopes, n = fit
+            ref_slopes, ref_n = _tail_fit_reference(t[start:], v[start:].copy())
+            assert n.tolist() == ref_n.tolist()
+            for got, ref in zip(slopes, ref_slopes):
+                assert (got is None) == (ref is None)
+                if ref is not None:
+                    assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_short_noisy_tails_at_the_end_of_a_long_horizon(self, seed):
+        # Logs near 45 whose trend over 8-16 samples is lost in the noise,
+        # so the slopes are small and rounding in the tails' means shows.
+        # Measured from the end these agree to 2e-13; measured from t = 0
+        # and log 0 they drift by 1e-12 to 5e-10.
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0.0, 80.0, 2001)
+        v = np.exp(45.0 - 0.05 * t[:, None] + rng.normal(0.0, 0.1, (2001, 4)))
+        starts = list(range(1985, 1994))
+        for start, (slopes, _) in zip(starts, fit_log_decay_tails(t, v.copy(), starts)):
+            ref, _ = _tail_fit_reference(t[start:], v[start:].copy())
+            assert slopes == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_columns_turn_unfittable_on_later_tails(self):
+        t = np.linspace(0.0, 10.0, 40)
+        v = np.exp(-np.outer(t, [0.5, 1.0]))
+        v[30:, 1] = np.nan  # 30 usable samples, then none
+        fits = fit_log_decay_tails(t, v, [0, 25, 30, 40, None])
+        assert [s is None for s in fits[0][0]] == [False, False]
+        assert [s is None for s in fits[1][0]] == [False, True]  # 5 usable
+        assert fits[2][1].tolist() == [10, 0]
+        assert fits[3][0] == [None, None] and fits[3][1].tolist() == [0, 0]
+        assert fits[4] is None
+        assert fits[0][0][0] == pytest.approx(-0.5, rel=1e-12)
+
+    def test_values_are_overwritten_with_their_logs(self):
+        t = np.linspace(0.0, 1.0, 10)
+        v = np.column_stack([np.exp(-t), np.full(10, np.nan)])
+        fit_log_decay_tails(t, v, [4])
+        assert np.array_equal(v[:4, 0], np.exp(-t[:4]))  # rows before the first start untouched
+        assert np.all(np.isfinite(v[4:]))
+
+
 def _runs_reference(inside):
     runs = []
     start = 0
@@ -178,10 +294,33 @@ class TestMembershipRuns:
         assert _membership_runs(inside) == [(0, len(bits) - 1, bits[0])]
 
 
+def _sample_reference(traj, t):
+    """The quartic continuous extension at one time, written out per step.
+
+    Step nodes give their stored state, times at or past the last node the
+    final state; elsewhere c1 + theta (c2 + (1 - theta) (c3 + theta (c4 +
+    (1 - theta) c5))) on the enclosing step, clipped at zero.
+    """
+    if t >= traj.step_times[-1]:
+        return traj.step_states[-1]
+    k = min(max(bisect_right(traj.step_times, t) - 1, 0), len(traj.step_times) - 2)
+    t0 = traj.step_times[k]
+    if t == t0:
+        return traj.step_states[k]
+    c1, c2, c3, c4, c5 = traj.step_coeffs[k]
+    theta = (t - t0) / (traj.step_times[k + 1] - t0)
+    y = c1 + theta * (c2 + (1.0 - theta) * (c3 + theta * (c4 + (1.0 - theta) * c5)))
+    return np.maximum(y, 0.0)
+
+
 def _assert_dense_equals_sample(traj):
+    mids = 0.5 * (traj.step_times[:-1] + traj.step_times[1:])
     for t, row in zip(traj.times, traj.states):
+        assert np.array_equal(row, _sample_reference(traj, float(t))), t
+    for t in np.concatenate((traj.times, mids)):
         st_ = traj.sample(float(t))
-        assert np.array_equal(row, np.concatenate(([st_.s], st_.x))), t
+        ref = _sample_reference(traj, float(t))
+        assert np.array_equal(np.concatenate(([st_.s], st_.x)), ref), t
 
 
 class TestDenseStates:
@@ -202,6 +341,64 @@ class TestDenseStates:
         x0 = State(s=s0, x=np.array([0.05, x1]))
         traj = simulate(ChemostatParams(1.0, 10.0), growths, x0, horizon, dense_dt=dense_dt)
         _assert_dense_equals_sample(traj)
+
+
+def _entry_reference(traj, interval, grace):
+    """One interval's entry, bisected one ``Trajectory.sample`` at a time."""
+    lo, hi = interval
+    t = traj.times
+    s = traj.states[:, 0]
+    idx, excursions, persistent = scan_persistent_entry(t, (s >= lo) & (s <= hi), grace)
+    if idx is None:
+        return EntryRecord((lo, hi), None, False, excursions)
+    if idx == 0:
+        return EntryRecord((lo, hi), 0.0, persistent, excursions)
+    t_out, t_in = float(t[idx - 1]), float(t[idx])
+    tol = max(1e-12, 1e-9 * traj.horizon)
+    while t_in - t_out > tol:
+        mid = 0.5 * (t_out + t_in)
+        if lo <= traj.sample(mid).s <= hi:
+            t_in = mid
+        else:
+            t_out = mid
+    return EntryRecord((lo, hi), t_in, persistent, excursions)
+
+
+class TestPersistentEntries:
+    def test_canonical_intervals_match_per_interval_bisection(
+        self, canonical_trajectory, canonical_certificate
+    ):
+        traj = canonical_trajectory
+        # the certificate's stages, one holding from t = 0, one never entered
+        intervals = list(canonical_certificate.intervals) + [(0.0, 11.0), (100.0, 200.0)]
+        for grace in (0.0, 0.5):
+            got = persistent_entries(traj, intervals, grace)
+            assert got == [_entry_reference(traj, iv, grace) for iv in intervals]
+        assert got[-2].entry_time == 0.0 and got[-1].entry_time is None
+
+    @given(
+        st.floats(min_value=1.2, max_value=6.0),
+        st.floats(min_value=0.1, max_value=4.0),
+        st.floats(min_value=0.0, max_value=12.0),
+        st.floats(min_value=0.5, max_value=30.0),
+        st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=12.0), st.floats(min_value=1e-3, max_value=12.0)),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([0.0, 0.3]),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_random_runs_match_per_interval_bisection(self, mu2, k2, s0, horizon, ivs, grace):
+        growths = [Monod(3.0, 1.0), Monod(mu2, k2)]
+        x0 = State(s=s0, x=np.array([0.05, 0.05]))
+        traj = simulate(ChemostatParams(1.0, 10.0), growths, x0, horizon)
+        intervals = [(lo, lo + w) for lo, w in ivs]
+        got = persistent_entries(traj, intervals, grace)
+        assert got == [_entry_reference(traj, iv, grace) for iv in intervals]
+
+    def test_empty_interval_list(self, canonical_trajectory):
+        assert persistent_entries(canonical_trajectory, []) == []
 
 
 def _pack_gap_reference(ordered, i, grid):
@@ -247,6 +444,46 @@ class TestCertificateArrays:
         # below pack 3, the upper margin 0.6 lies under pack 2's level 2/3
         with pytest.raises(CertificateError, match=r"pack 2 does not outgrow .* below pack 3"):
             gamma_bounds(canonical_ordered, ((0.3, 0.6), (0.3, 0.6)), 1.0)
+
+
+def _mixed_species(seed):
+    """Monod, Hill and table laws with levels spread below s_in = 10."""
+    rng = np.random.default_rng(seed)
+    species = []
+    for i, lam in enumerate(rng.permutation(np.linspace(0.6, 8.0, 12))):
+        mu_max = float(rng.uniform(1.5, 5.0))
+        kind = i % 3
+        if kind == 0:
+            g = Monod(mu_max, float(lam * (mu_max - 1.0)))
+        elif kind == 1:
+            p = float(rng.uniform(1.0, 3.0))
+            g = Hill(mu_max, float(lam * (mu_max - 1.0) ** (1.0 / p)), p)
+        else:
+            g = Table(((0.0, 0.0), (float(lam), 1.0), (float(2.0 * lam + 5.0), mu_max + 1.0)))
+        species.append((f"sp{i}", g))
+    return tuple(species)
+
+
+def _certificate_cases():
+    cases = []
+    for name in ("canonical", "with_washout"):
+        sc = parse_scenario(str(ROOT / "scenarios" / f"{name}.yaml"))
+        probe = sc.options.probe_factor * sc.params.s_in
+        cases.append((name, order_species(sc.species, sc.params.d, s_probe_max=probe)))
+    cases.append(("mixed", order_species(MIXED, 1.0)))
+    cases += [(f"mixed-{seed}", order_species(_mixed_species(seed), 1.0)) for seed in range(6)]
+    return cases
+
+
+class TestCertificateSelfCheck:
+    @pytest.mark.parametrize("name,ordered", _certificate_cases())
+    def test_construction_reads_the_grids_a_recheck_evaluates(self, name, ordered):
+        cert = build_certificate(ordered, 1.0, 10.0)
+        assert not cert.degenerate
+        assert recheck_certificate(cert, ordered, grid_factor=1) == []
+        for i, b in enumerate(cert.boundaries):
+            grid = np.linspace(b.s_minus, b.s_plus, cert.grid_n + 1)
+            assert b.gap_min == float(np.min(_pack_gap(ordered, i, grid)))
 
 
 class TestPackSpecies:

@@ -14,7 +14,10 @@ tree, each tree in its own subprocess.  The output file, stdout, stderr and
 exit code of every run are compared byte for byte.
 
 Exit status: 0 when the trees agree everywhere, 1 with one line per
-difference, 2 on a usage error.
+difference, 2 on a usage error.  A JSON report that differs only in its
+``slope_pack_*`` values is marked as such with its largest relative
+difference, and a last line gives the count of such reports and the
+largest difference over all of them; these still count as differences.
 """
 
 from __future__ import annotations
@@ -86,13 +89,57 @@ def _files(top: Path) -> dict[str, Path]:
     return {str(p.relative_to(top)): p for p in sorted(top.rglob("*")) if p.is_file()}
 
 
-def compare(parent: Path, change: Path) -> list[str]:
-    """One line per file that is missing on one side or differs in its bytes."""
+def slope_only_difference(a: bytes, b: bytes) -> float | None:
+    """Largest relative difference if two reports differ only in ``slope_pack_*`` numbers.
+
+    Returns None when the files are not JSON or differ anywhere else.
+    Decay slopes depend on summation order, so a change that regroups the
+    fit moves them in their last bits and nothing else.
+    """
+    try:
+        x, y = json.loads(a), json.loads(b)
+    except ValueError:
+        return None
+    worst = 0.0
+
+    def same(u, v, key: str) -> bool:
+        nonlocal worst
+        if key.startswith("slope_pack_") and all(type(w) in (int, float) for w in (u, v)):
+            if u != v:
+                worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+            return True
+        if type(u) is not type(v):
+            return False
+        if isinstance(u, dict):
+            return u.keys() == v.keys() and all(same(u[k], v[k], k) for k in u)
+        if isinstance(u, list):
+            return len(u) == len(v) and all(same(p, q, key) for p, q in zip(u, v))
+        return u == v
+
+    return worst if same(x, y, "") else None
+
+
+def compare(parent: Path, change: Path) -> tuple[list[str], list[float]]:
+    """One line per file that is missing on one side or differs in its bytes.
+
+    Also returns the relative slope differences of the reports that differ
+    only in their ``slope_pack_*`` values.
+    """
     a, b = _files(parent), _files(change)
     diffs = [f"only in parent: {k}" for k in sorted(a.keys() - b.keys())]
     diffs += [f"only in change: {k}" for k in sorted(b.keys() - a.keys())]
-    diffs += [f"differs: {k}" for k in sorted(a.keys() & b.keys()) if a[k].read_bytes() != b[k].read_bytes()]
-    return diffs
+    slopes = []
+    for k in sorted(a.keys() & b.keys()):
+        old, new = a[k].read_bytes(), b[k].read_bytes()
+        if old == new:
+            continue
+        rel = slope_only_difference(old, new) if k.endswith(".json") else None
+        if rel is None:
+            diffs.append(f"differs: {k}")
+        else:
+            slopes.append(rel)
+            diffs.append(f"differs: {k} (only slope_pack_* values, max relative difference {rel:.3g})")
+    return diffs, slopes
 
 
 def main(argv=None) -> int:
@@ -125,11 +172,16 @@ def main(argv=None) -> int:
         if any(codes):
             print(f"worker exit codes (parent, change): {codes}", file=sys.stderr)
             return 1
-        diffs = compare(outs["parent"], outs["change"])
+        diffs, slopes = compare(outs["parent"], outs["change"])
         n_files = len(_files(outs["parent"]))
     for line in diffs:
         print(line)
     print(f"{len(manifest)} runs, {n_files} parent files, {len(diffs)} differences")
+    if slopes:
+        print(
+            f"{len(slopes)} of the differences are reports that differ only in slope_pack_* "
+            f"values, max relative difference {max(slopes):.3g}"
+        )
     return 1 if diffs else 0
 
 
