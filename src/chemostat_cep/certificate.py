@@ -20,9 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, ParameterError, WashoutError
-from .growth import OrderedSpecies, rate_matrix
+from .growth import GrowthFunction, Hill, Monod, OrderedSpecies, Table, rate_matrix
 
 _DELTA_MIN_REL = 1e-9  # extension floor relative to the smallest break-even level
+
+# Slack on the row selection's comparison of two computed rates: far above
+# the few-ulp error of a Monod, Hill (``np.power``) or table evaluation.
+_ROUNDING_ALLOWANCE = (1.0 - 1e-12) ** 2
 
 
 @dataclass(frozen=True)
@@ -164,21 +168,87 @@ class Certificate:
         }
 
 
-def _pack_gap(ordered: OrderedSpecies, i: int, s_grid: np.ndarray) -> np.ndarray:
+def _pack_gap(
+    ordered: OrderedSpecies, i: int, s_grid: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Domination gap of pack i over all packs above it, pointwise on a grid.
 
     Pack-wise means the slowest member of pack i against the fastest member
     of any higher pack, so a positive gap certifies every member pair.
+    ``rows`` lists the record positions of the slower packs to evaluate
+    (``None`` for all of them); leaving out rows that cannot set the maximum
+    (``_envelope_rows``) gives the same gap bitwise.
     """
     first = ordered.packs[i][0]
-    split = ordered.packs[i + 1][0] - first
-    rates = rate_matrix([rec.growth for rec in ordered.records[first:]], s_grid)
-    return np.min(rates[:split], axis=0) - np.max(rates[split:], axis=0)
+    split = ordered.packs[i + 1][0]
+    if rows is None:
+        rows = range(split, ordered.n)
+    laws = [rec.growth for rec in ordered.records[first:split]]
+    laws += [ordered.records[k].growth for k in rows]
+    rates = rate_matrix(laws, s_grid)
+    return np.min(rates[: split - first], axis=0) - np.max(rates[split - first :], axis=0)
 
 
 def overshoot_cap(lam_lower: float, s_in: float) -> float:
     """Upper margin stand-in when the next break-even level is out of reach."""
     return max(2.0 * s_in, 2.0 * lam_lower)
+
+
+def _boundary_levels(ordered: OrderedSpecies, i: int, s_in: float) -> tuple[float, float, bool]:
+    """Lower level, effective upper level, and whether the cap replaced the latter."""
+    lam_lo = ordered.pack_lambda(i)
+    lam_hi = ordered.pack_lambda(i + 1)
+    cap = overshoot_cap(lam_lo, s_in)
+    capped = not math.isfinite(lam_hi) or lam_hi > cap
+    return lam_lo, (cap if capped else lam_hi), capped
+
+
+def _margins(lam_lo: float, lam_hi_eff: float, delta: float) -> tuple[float, float]:
+    """Margins at extension delta, before the nesting limit is applied."""
+    return lam_lo - min(delta, 0.5 * lam_lo), lam_hi_eff + delta
+
+
+def _monotone(g: GrowthFunction) -> bool:
+    """Whether the law is known to be non-decreasing on [0, inf)."""
+    return type(g) in (Monod, Hill) or (type(g) is Table and g.nodes_strictly_increasing)
+
+
+def _envelope_rows(ordered: OrderedSpecies, s_in: float, grid_n: int) -> list[np.ndarray]:
+    """Per boundary, the slower-pack record positions that can set the maximum.
+
+    Every margin grid of boundary i lies in its widest interval [L, R], the
+    margins at the starting extension: the shrink loop and the nesting
+    limit only move them inward.  Let M be the largest rate at L among the
+    slower laws known to be non-decreasing.  Such a law whose rate at R is
+    below M (with a rounding allowance) lies below the law attaining M at
+    every grid point, so it never sets the maximum of the slower rows and is
+    left out.  Every other law, the one attaining M, and any row whose
+    comparison is NaN are kept.  All ends come from one ``rate_matrix`` call.
+    """
+    n_bounds = ordered.n_packs - 1
+    ends, steps = [], []
+    for i in range(n_bounds):
+        lam_lo, lam_hi_eff, _ = _boundary_levels(ordered, i, s_in)
+        ends += _margins(lam_lo, lam_hi_eff, 0.5 * (lam_hi_eff - lam_lo))
+        steps.append((lam_hi_eff - lam_lo) / grid_n)  # no grid step is smaller
+    laws = [rec.growth for rec in ordered.records]
+    rates = rate_matrix(laws, ends)  # column 2i is L, column 2i + 1 is R
+    # (record, boundary) masks: the record is in a slower pack, and its law
+    # is known to be non-decreasing.
+    splits = [ordered.packs[i + 1][0] for i in range(n_bounds)]
+    slower = np.arange(ordered.n)[:, None] >= np.array(splits)
+    monotone = np.array([_monotone(g) for g in laws])[:, None]
+    left = np.where(slower & monotone, rates[:, 0::2], -np.inf)
+    cols = np.arange(n_bounds)
+    top = np.argmax(left, axis=0)  # the first NaN, if any
+    bound = left[top, cols] * _ROUNDING_ALLOWANCE
+    # A subnormal (or zero) M has no relative rounding bound: keep every row.
+    below = (rates[:, 1::2] < bound) & (bound >= np.finfo(float).tiny)
+    # A linspace point can round past R only when the step is a few ulps of R.
+    below &= np.array(steps) > 2.0**-40 * np.array(ends[1::2])
+    keep = slower & ~(monotone & below)
+    keep[top, cols] |= slower[top, cols]
+    return [np.flatnonzero(k) for k in keep.T]
 
 
 def separation_margins(
@@ -189,6 +259,7 @@ def separation_margins(
     grid_n: int = 2048,
     shrink: float = 0.5,
     s_plus_limit: float | None = None,
+    rows: np.ndarray | None = None,
 ) -> Boundary:
     """Margins (s_i_minus, s_i_plus) around the boundary between packs i, i+1.
 
@@ -196,7 +267,8 @@ def separation_margins(
     shrinks geometrically until the grid-checked domination gap of pack i
     over all higher packs is positive on [s_i_minus, s_i_plus].  The lower
     margin never crosses zero and the upper one stays below ``s_plus_limit``
-    when given (used to keep absorbing intervals nested).
+    when given (used to keep absorbing intervals nested).  ``rows`` selects
+    the slower-pack records the grids evaluate, as in :func:`_pack_gap`.
 
     Raises :class:`CertificateError` when no positive-gap extension exists
     down to the floor, which means the ordering data contradicts the growth
@@ -204,11 +276,7 @@ def separation_margins(
     """
     if not 0 <= i < ordered.n_packs - 1:
         raise ParameterError(f"boundary index {i} out of range")
-    lam_lo = ordered.pack_lambda(i)
-    lam_hi = ordered.pack_lambda(i + 1)
-    cap = overshoot_cap(lam_lo, s_in)
-    capped = not math.isfinite(lam_hi) or lam_hi > cap
-    lam_hi_eff = cap if capped else lam_hi
+    lam_lo, lam_hi_eff, capped = _boundary_levels(ordered, i, s_in)
     if not lam_hi_eff > lam_lo:
         raise CertificateError(
             f"effective upper level {lam_hi_eff:g} does not exceed lower level {lam_lo:g}"
@@ -217,12 +285,11 @@ def separation_margins(
     delta = 0.5 * (lam_hi_eff - lam_lo)
     delta_min = _DELTA_MIN_REL * ordered.pack_lambda(0)
     while True:
-        s_minus = lam_lo - min(delta, 0.5 * lam_lo)
-        s_plus = lam_hi_eff + delta
+        s_minus, s_plus = _margins(lam_lo, lam_hi_eff, delta)
         if s_plus_limit is not None and s_plus >= s_plus_limit:
             s_plus = lam_hi_eff + 0.5 * (s_plus_limit - lam_hi_eff)
         grid = np.linspace(s_minus, s_plus, grid_n + 1)
-        gap_min = float(np.min(_pack_gap(ordered, i, grid)))
+        gap_min = float(np.min(_pack_gap(ordered, i, grid, rows)))
         if gap_min > 0.0:
             return Boundary(
                 s_minus=s_minus,
@@ -368,10 +435,14 @@ def build_certificate(
 
     # Build margins from the top boundary down, limiting each upper margin by
     # the one above so the absorbing intervals come out nested.
+    # Each grid evaluates only the slower laws that can set its maximum.
     boundaries: list[Boundary] = [None] * (ordered.n_packs - 1)  # type: ignore[list-item]
+    rows = _envelope_rows(ordered, s_in, grid_n)
     limit = None
     for i in range(ordered.n_packs - 2, -1, -1):
-        b = separation_margins(ordered, i, s_in, grid_n=grid_n, s_plus_limit=limit)
+        b = separation_margins(
+            ordered, i, s_in, grid_n=grid_n, s_plus_limit=limit, rows=rows[i]
+        )
         boundaries[i] = b
         limit = b.s_plus
         if b.capped:

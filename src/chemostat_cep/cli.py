@@ -191,8 +191,9 @@ def _growth_from_node(node, key: str) -> GrowthFunction:
         if kind == "table":
             _reject_unknown(m, ("kind", "points"), key, node)
             pts_node = _require(m, "points", key, node)
+            p_nodes = _sequence(pts_node, f"{key}.points")
             pts = []
-            for i, p_node in enumerate(_sequence(pts_node, f"{key}.points")):
+            for i, p_node in enumerate(p_nodes):
                 pair = _sequence(p_node, f"{key}.points[{i}]")
                 if len(pair) != 2:
                     raise _fail(f"{key}.points[{i}]", p_node, "expected a [s, mu] pair")
@@ -202,7 +203,14 @@ def _growth_from_node(node, key: str) -> GrowthFunction:
                         _float(pair[1], f"{key}.points[{i}][1]"),
                     )
                 )
-            return Table(points=tuple(pts))
+            table = Table(points=tuple(pts))
+            # The paper's hypotheses, which Table itself leaves to callers.
+            if pts[0] != (0.0, 0.0):
+                raise _fail(f"{key}.points[0]", p_nodes[0], "first node must be [0, 0], so that mu(0) = 0")
+            for i in range(1, len(pts)):
+                if not pts[i][1] > pts[i - 1][1]:
+                    raise _fail(f"{key}.points[{i}]", p_nodes[i], "node rates must increase strictly")
+            return table
     except ChemostatError as exc:
         if isinstance(exc, InputError):
             raise

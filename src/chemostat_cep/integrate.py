@@ -363,11 +363,6 @@ def _derive_channel_arrays(states: np.ndarray, x0: State) -> Channels:
     return Channels(b=b, p=p, m=m, r=r)
 
 
-def sample(trajectory: Trajectory, t: float) -> State:
-    """Continuous-extension sample; functional form of ``Trajectory.sample``."""
-    return trajectory.sample(t)
-
-
 @dataclass(frozen=True)
 class EntryRecord:
     """Persistent-entry report for one interval.

@@ -317,3 +317,39 @@ class TestCommands:
         path.write_text(CANONICAL_YAML.replace("s_in: 10.0", "s_in: 0.4"))
         codes.add(main(["certificate", str(path)]))
         assert codes <= {0, 1, 2}
+
+
+def _with_table(points: str) -> str:
+    """The canonical scenario with sp2 (line 8) replaced by a table law."""
+    return CANONICAL_YAML.replace(
+        "growth: {kind: monod, mu_max: 4.0, k: 2.0}", f"growth: {{kind: table, points: {points}}}"
+    )
+
+
+class TestTableHypotheses:
+    """mu(0) = 0 and strictly increasing node rates are enforced at parse time."""
+
+    @pytest.mark.parametrize(
+        "points, key, message",
+        [
+            # mu(0) = 0.5: verified PASS with exit 0 when it was not checked
+            ("[[1.0, 0.5], [10.0, 3.0]]", "species[1].growth.points[0]", "first node must be [0, 0]"),
+            ("[[0.5, 0.0], [10.0, 3.0]]", "species[1].growth.points[0]", "first node must be [0, 0]"),
+            # failed in break_even with exit 1 and no key or line
+            ("[[0, 0], [1, 0.5], [2, 0.4], [10, 3]]", "species[1].growth.points[2]", "node rates must increase strictly"),
+            ("[[0, 0], [1, 0.5], [2, 0.5]]", "species[1].growth.points[2]", "node rates must increase strictly"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["verify", "certificate", "simulate", "curves"])
+    def test_rejected_with_exit_2_key_and_line(self, points, key, message, command, tmp_path, capsys):
+        path = tmp_path / "table.yaml"
+        path.write_text(_with_table(points))
+        assert main([command, str(path), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {key}: {message}" in err
+        assert "(line 8)" in err
+
+    def test_valid_table_parses(self, tmp_path):
+        path = tmp_path / "table.yaml"
+        path.write_text(_with_table("[[0.0, 0.0], [1.0, 0.5], [10.0, 3.0]]"))
+        assert parse_scenario(str(path)).species[1][1].points[0] == (0.0, 0.0)

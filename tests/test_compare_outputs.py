@@ -52,3 +52,13 @@ class TestSlopeOnlyDifference:
     )
     def test_any_other_difference_is_not_slope_only(self, other):
         assert compare_outputs.slope_only_difference(_report(), other) is None
+
+
+class TestManifest:
+    def test_verify_pools_also_run_certificate_json(self, tmp_path):
+        manifest = compare_outputs.write_inputs(tmp_path, [1])
+        verify = [run["argv"][1] for run in manifest if run["argv"][0] == "verify"]
+        certificate = [run for run in manifest if run["argv"][0] == "certificate"]
+        assert verify and [run["argv"][1] for run in certificate] == verify
+        assert all(run["argv"][2:] == ["--json"] for run in certificate)
+        assert len({run["stem"] for run in manifest}) == len(manifest)

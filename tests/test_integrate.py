@@ -15,7 +15,6 @@ from chemostat_cep import (
     State,
     first_persistent_entry,
     mass_closed_form,
-    sample,
     simulate,
 )
 from chemostat_cep import integrate
@@ -209,7 +208,7 @@ class TestSample:
         with pytest.raises(DomainError):
             canonical_trajectory.sample(-0.5)
         with pytest.raises(DomainError):
-            sample(canonical_trajectory, 80.5)
+            canonical_trajectory.sample(80.5)
 
 
 class TestPersistentEntry:

@@ -6,7 +6,9 @@ dense output, the certificate's pack gaps and self-check and the
 integrator's right-hand side each replace a per-species, per-stage or
 per-sample loop; these properties pin them to the loop they replace.  The
 table row of the right-hand side and the break-even bisection drop numpy
-wrappers, and are pinned to the wrapped calls.
+wrappers, and are pinned to the wrapped calls.  The certificate's margin
+grids evaluate only the slower laws that can set the envelope, and are
+pinned to the grids that evaluate every law.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ from chemostat_cep import (
     gamma_bounds,
     order_species,
     recheck_certificate,
+    separation_margins,
     simulate,
 )
-from chemostat_cep.certificate import _pack_gap
+from chemostat_cep import certificate as certificate_mod
+from chemostat_cep.certificate import _envelope_rows, _pack_gap
 from chemostat_cep.cli import parse_scenario
 from chemostat_cep.dynamics import vector_field
 from chemostat_cep.growth import pack_species, rate_matrix
@@ -484,6 +488,175 @@ class TestCertificateSelfCheck:
         for i, b in enumerate(cert.boundaries):
             grid = np.linspace(b.s_minus, b.s_plus, cert.grid_n + 1)
             assert b.gap_min == float(np.min(_pack_gap(ordered, i, grid)))
+
+
+# Laws at d = 1 whose break-even level is (about) a given lam.
+
+
+def _monod_at(lam, mu_max):
+    return Monod(mu_max, lam * (mu_max - 1.0))
+
+
+def _hill_at(lam, mu_max, p):
+    return Hill(mu_max, lam * (mu_max - 1.0) ** (1.0 / p), p)
+
+
+def _table_at(lam, q, fracs):
+    fracs = sorted(set(fracs) | {0.5, 2.0})
+    return Table(((0.0, 0.0),) + tuple((lam * u, u**q) for u in fracs))
+
+
+mu_maxes = st.floats(min_value=1.05, max_value=100.0)
+
+
+@st.composite
+def law_at(draw, lam, kinds=("monod", "hill", "table")):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "monod":
+        return _monod_at(lam, draw(mu_maxes))
+    if kind == "hill":
+        return _hill_at(lam, draw(mu_maxes), draw(st.floats(min_value=1.0, max_value=4.0)))
+    fracs = draw(st.lists(st.integers(1, 30), max_size=4))
+    return _table_at(lam, draw(st.floats(min_value=0.6, max_value=1.4)), [f / 10 for f in fracs])
+
+
+@st.composite
+def certificate_species(draw):
+    """Mixed laws: multi-species packs, steep slow laws, capped, unreachable
+    and zero-at-the-left-end laws, each drawn at random."""
+    gaps = draw(st.lists(st.floats(min_value=0.05, max_value=1.5), min_size=2, max_size=8))
+    species = []
+    for lam in 0.2 + np.cumsum(gaps):
+        species.append(draw(law_at(float(lam))))
+        # pack partners: laws with the same closed-form level
+        for _ in range(draw(st.integers(0, 2))):
+            species.append(draw(law_at(float(lam), kinds=("monod", "hill"))))
+    if draw(st.booleans()):  # above the overshoot cap max(2 s_in, 2 lam)
+        species.append(draw(law_at(draw(st.floats(min_value=25.0, max_value=60.0)))))
+    if draw(st.booleans()):  # never reaches the removal rate
+        species.append(Monod(draw(st.floats(min_value=0.2, max_value=0.95)), 1.0))
+    if draw(st.booleans()):  # s**600 underflows to 0 below s = 0.29
+        species.append(Hill(2.0, draw(st.floats(min_value=0.5, max_value=3.0)), 600.0))
+    order = draw(st.permutations(range(len(species))))
+    return tuple((f"sp{k}", species[k]) for k in order)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except CertificateError as exc:
+        return str(exc)
+
+
+def _assert_certificate_matches_every_row(ordered, d=1.0, s_in=10.0, grid_n=2048):
+    """build_certificate against the same construction with every slower row."""
+    got = _outcome(lambda: build_certificate(ordered, d, s_in, grid_n=grid_n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificate_mod, "_envelope_rows", lambda o, s, n: [None] * (o.n_packs - 1))
+        want = _outcome(lambda: build_certificate(ordered, d, s_in, grid_n=grid_n))
+    assert got == want
+    if isinstance(got, str):
+        return None
+    rows = _envelope_rows(ordered, s_in, grid_n)
+    limit = None
+    for i in reversed(range(len(got.boundaries))):
+        b = got.boundaries[i]
+        ref = separation_margins(ordered, i, s_in, grid_n=grid_n, s_plus_limit=limit)
+        assert (b.s_minus, b.s_plus, b.delta, b.gap_min) == (ref.s_minus, ref.s_plus, ref.delta, ref.gap_min)
+        grid = np.linspace(b.s_minus, b.s_plus, grid_n + 1)
+        every = _pack_gap(ordered, i, grid)
+        assert np.array_equal(_pack_gap(ordered, i, grid, rows[i]), every)
+        assert b.gap_min == float(np.min(every))
+        limit = ref.s_plus
+    if not got.degenerate:
+        margins = tuple((b.s_minus, b.s_plus) for b in got.boundaries)
+        assert got.nu == compute_nu(ordered, margins, grid_n=grid_n)
+    return got
+
+
+def _slower_rates(ordered, i, s):
+    split = ordered.packs[i + 1][0]
+    return np.array([rec.growth(s) for rec in ordered.records[split:]])
+
+
+# One deterministic set per case the row selection must get right.
+ENVELOPE_CASES = {
+    # On the first margin grid the nearly flat table sets the slower packs'
+    # maximum at both ends, and the steep Monod law sets it in between.
+    "overtaking": (("low", Monod(3.0, 1.0)), ("flat", Table(((0.0, 0.0), (0.4, 0.5), (1.9, 0.55), (2.0, 1.0)))),
+                   ("steep", _monod_at(2.05, 100.0)), ("top", _monod_at(4.0, 2.0))),
+    "multi-species packs": tuple(
+        (f"p{j}{m}", law) for j, lam in enumerate((0.5, 1.5, 3.0))
+        for m, law in enumerate((_monod_at(lam, 2.0), _monod_at(lam, 9.0), _hill_at(lam, 3.0, 2.5)))
+    ),
+    "capped and unreachable": (("a", _monod_at(0.8, 3.0)), ("b", _monod_at(3.0, 2.0)),
+                               ("capped", _monod_at(40.0, 1.5)), ("never", Monod(0.5, 1.0)),
+                               ("also-never", Hill(0.9, 2.0, 2.0))),
+    # sp2 overtakes sp1 below the upper margin at the starting extension.
+    "shrinks": (("sp1", _monod_at(1.0, 1.1)), ("sp2", _monod_at(3.0, 100.0)), ("sp3", _monod_at(5.0, 4.0))),
+    # At the first left end s = 0.25 every slower rate underflows to 0
+    # (s**600), so their maximum there is 0; s**600 overflows above 3.26.
+    "zero at the left end": (("a", _monod_at(0.5, 100.0)), ("h1", Hill(2.0, 1.5, 600.0)),
+                             ("h2", Hill(2.0, 2.0, 600.0)), ("h3", Hill(2.0, 2.8, 600.0))),
+    # The unreachable pack's rates are subnormal, where rounding has no
+    # relative bound, so t1 is evaluated although it ends below t2's start.
+    "subnormal rates": (("a", Monod(3.0, 1.0)), ("b", _monod_at(2.0, 2.0)),
+                        ("t1", Monod(1e-320, 1.0)), ("t2", Monod(3e-320, 0.01))),
+}
+
+
+class TestEnvelopeRows:
+    @given(certificate_species())
+    @settings(max_examples=60, deadline=None)
+    def test_certificate_bitwise_equal_to_every_row_path(self, species):
+        _assert_certificate_matches_every_row(order_species(species, 1.0))
+
+    @pytest.mark.parametrize("case", sorted(ENVELOPE_CASES))
+    def test_case(self, case):
+        ordered = order_species(ENVELOPE_CASES[case], 1.0)
+        cert = _assert_certificate_matches_every_row(ordered)
+        assert not cert.degenerate
+        b0 = cert.boundaries[0]
+        if case == "overtaking":
+            grid = np.linspace(b0.s_minus, b0.s_plus, cert.grid_n + 1)
+            assert set(np.argmax(_slower_rates(ordered, 0, grid), axis=0)) == {0, 1}
+        elif case == "multi-species packs":
+            assert all(len(p.ids) == 3 for p in cert.packs)
+        elif case == "capped and unreachable":
+            assert cert.boundaries[-1].capped and math.isinf(cert.packs[-1].lam)
+        elif case == "shrinks":
+            assert b0.delta < 0.5 * (b0.lam_upper_eff - b0.lam_lower)
+        elif case == "zero at the left end":
+            assert b0.s_minus < 0.26 and _slower_rates(ordered, 0, b0.s_minus).max() == 0.0
+        elif case == "subnormal rates":
+            assert _envelope_rows(ordered, 10.0, cert.grid_n)[-1].size == 2
+
+    @given(mu_maxes, mu_maxes, st.floats(min_value=1.05, max_value=3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_steep_slow_law_that_overtakes_a_nearer_one(self, mu_near, mu_far, ratio):
+        species = (("low", Monod(3.0, 1.0)), ("near", _monod_at(2.0, mu_near)), ("far", _monod_at(2.0 * ratio, mu_far)))
+        _assert_certificate_matches_every_row(order_species(species, 1.0))
+
+    def test_wide_monod_set_drops_most_rows(self):
+        rng = np.random.default_rng(7)
+        lams = rng.permutation(np.linspace(0.5, 6.5, 100) + rng.uniform(0.0, 0.05, 100))
+        species = tuple((f"m{k}", _monod_at(float(lam), float(rng.uniform(1.2, 6.0)))) for k, lam in enumerate(lams))
+        ordered = order_species(species, 1.0)
+        rows = _envelope_rows(ordered, 10.0, 2048)
+        kept = sum(r.size for r in rows)
+        slower = sum(ordered.n - ordered.packs[i + 1][0] for i in range(ordered.n_packs - 1))
+        assert slower == 4950 and kept < 0.2 * slower
+        _assert_certificate_matches_every_row(ordered)
+
+    def test_laws_of_other_types_are_always_evaluated(self):
+        class Custom(Monod):
+            pass
+
+        species = (("a", Monod(3.0, 1.0)), ("b", _monod_at(2.0, 5.0)), ("c", Custom(1.5, 1.5)), ("d", _monod_at(4.0, 1.2)))
+        ordered = order_species(species, 1.0)
+        custom = next(k for k, rec in enumerate(ordered.records) if rec.id == "c")
+        assert all(custom in r for r in _envelope_rows(ordered, 10.0, 2048)[:2])
+        _assert_certificate_matches_every_row(ordered)
 
 
 class TestPackSpecies:

@@ -10,8 +10,10 @@ Usage::
 the three benchmark workloads are generated for every seed with
 ``perfbench/workloads.py`` (imported read-only), and every scenario is run
 through ``chemostat_cep.cli.main`` with the workload's command, once per
-tree, each tree in its own subprocess.  The output file, stdout, stderr and
-exit code of every run are compared byte for byte.
+tree, each tree in its own subprocess.  Every scenario of a ``verify`` pool
+also runs ``certificate --json``, which certifies all its species, while
+``verify`` certifies only those present initially.  The output file,
+stdout, stderr and exit code of every run are compared byte for byte.
 
 Exit status: 0 when the trees agree everywhere, 1 with one line per
 difference, 2 on a usage error.  A JSON report that differs only in its
@@ -56,7 +58,15 @@ def write_inputs(inputs: Path, seeds) -> list[dict]:
                 path = inputs / f"{stem}.yaml"
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(workloads.to_yaml(sc), encoding="utf-8")
-                manifest.append({"command": wl.command, "input": str(path), "stem": stem, "output": wl.output})
+                manifest.append({"argv": [wl.command, str(path)], "stem": stem, "output": wl.output})
+                if wl.command == "verify":
+                    manifest.append(
+                        {
+                            "argv": ["certificate", str(path), "--json"],
+                            "stem": f"{name}-{seed}/certificate-{i:03d}",
+                            "output": "certificate.json",
+                        }
+                    )
     return manifest
 
 
@@ -77,7 +87,7 @@ def worker(src: Path, manifest_path: Path, out: Path) -> None:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
-                code = str(cli.main([run["command"], run["input"], "-o", str(dest / run["output"])]))
+                code = str(cli.main(run["argv"] + ["-o", str(dest / run["output"])]))
             except Exception as exc:  # a traceback is an output to compare, not a crash
                 code = f"{type(exc).__name__}: {exc}"
         (dest / "stdout").write_text(stdout.getvalue())
