@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from chemostat_cep import InputError, Monod, State, simulate
+from chemostat_cep import Hill, InputError, Monod, State, Table, order_species, simulate
 from chemostat_cep import cli
 from chemostat_cep.cli import (
     Scenario,
@@ -250,6 +251,137 @@ class TestTrajectoryCsv:
         assert all(row[r2] == "" for row in rows[1:])
 
 
+# --------------------------------------------------------------------------
+# The per-cell writers that the block writers replaced, kept as oracles.
+
+
+def _cell(v) -> str:
+    if v is None or (isinstance(v, float) and math.isnan(v)):
+        return ""
+    return f"{v:.17g}"
+
+
+def _reference_trajectory_csv(traj) -> str:
+    out = io.StringIO()
+    n = traj.n_species
+    header = ["t", "s"] + [f"x{i}" for i in range(1, n + 1)] + ["b"]
+    header += [f"p{i}" for i in range(1, n + 1)] + ["m"]
+    if n >= 2:
+        header += [f"r{i}" for i in range(2, n + 1)]
+    out.write(",".join(header) + "\n")
+    ch = traj.channels
+    for k in range(traj.times.size):
+        row = [_cell(traj.times[k]), _cell(traj.states[k, 0])]
+        row += [_cell(v) for v in traj.states[k, 1:]]
+        row.append(_cell(ch.b[k]))
+        row += [_cell(v) for v in ch.p[k]]
+        row.append(_cell(ch.m[k]))
+        if n >= 2:
+            if ch.r is None:
+                row += [""] * (n - 1)
+            else:
+                row += [_cell(v) for v in ch.r[k]]
+        out.write(",".join(row) + "\n")
+    return out.getvalue()
+
+
+def _reference_growth_curves_csv(scenario, s_max=None, points=512) -> str:
+    out = io.StringIO()
+    opt = scenario.options
+    ordered = order_species(
+        scenario.species,
+        scenario.params.d,
+        eq_tol=opt.eq_tol,
+        root_tol=opt.root_tol,
+        s_probe_max=opt.probe_factor * scenario.params.s_in,
+    )
+    lam_by_id = {rec.id: rec.lam for rec in ordered.records}
+    if s_max is None:
+        finite = [lam for lam in lam_by_id.values() if math.isfinite(lam)]
+        s_max = max([scenario.params.s_in] + [1.5 * v for v in finite])
+    out.write(f"# dilution = {_cell(scenario.params.d)}\n")
+    for sid, _ in scenario.species:
+        lam = lam_by_id[sid]
+        out.write(f"# lambda_{sid} = {'inf' if math.isinf(lam) else _cell(lam)}\n")
+    out.write(",".join(["s"] + [f"mu_{sid}" for sid, _ in scenario.species]) + "\n")
+    grid = np.linspace(0.0, s_max, points + 1)
+    curves = [g(grid) for _, g in scenario.species]
+    for j, s in enumerate(grid):
+        out.write(",".join([_cell(s)] + [_cell(c[j]) for c in curves]) + "\n")
+    return out.getvalue()
+
+
+MIXED_LAWS = [Monod(3.0, 1.0), Hill(4.0, 2.0, 2.5), Table(((0.0, 0.0), (1.0, 0.5), (10.0, 3.0)))]
+_UNIT = make_scenario().params  # d = 1, s_in = 10
+
+TRAJECTORY_CASES = {
+    "no biomass": ([Monod(3, 1), Monod(4, 2)], (0.0, 0.0), 3.0, 5.0),
+    "lead absent": ([Monod(3, 1), Monod(4, 2)], (0.0, 0.01), 10.0, 20.0),
+    "one species": ([Monod(3, 1)], (0.1,), 1.0, 5.0),
+    "one species washing out": ([Monod(0.5, 1)], (0.1,), 10.0, 1500.0),
+    # x1 decays to subnormal levels, so x2 / x1 overflows to inf
+    "lead washout": ([Monod(0.5, 1.0), Monod(3.0, 1.0)], (0.01, 0.01), 10.0, 1500.0),
+    "hill/table mix": (MIXED_LAWS, (0.01, 0.01, 0.01), 10.0, 40.0),
+}
+
+
+def _trajectory_case(name, **kw):
+    laws, x0, s0, horizon = TRAJECTORY_CASES[name]
+    return simulate(_UNIT, laws, State(s=s0, x=np.array(x0)), horizon, **kw)
+
+
+class TestCsvByteIdentity:
+    """Both block writers reproduce the per-cell writers byte for byte."""
+
+    @staticmethod
+    def _written(traj) -> str:
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("name", sorted(TRAJECTORY_CASES))
+    def test_trajectory_cases(self, name):
+        traj = _trajectory_case(name)
+        assert self._written(traj) == _reference_trajectory_csv(traj)
+
+    def test_cases_reach_the_special_cells(self):
+        assert _trajectory_case("lead absent").channels.r is None
+        assert np.all(np.isnan(_trajectory_case("no biomass").channels.p))
+        assert np.isnan(_trajectory_case("one species washing out").channels.p[-1, 0])
+        r = _trajectory_case("lead washout").channels.r
+        assert np.isinf(r).sum() > 100 and not np.isnan(r).any()
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 256, 2001, 4096])
+    def test_block_boundaries(self, canonical_trajectory, block_rows, monkeypatch):
+        # 2001 rows: exact blocks for 1 and 2001, a remainder for 7 and 256, one short block for 4096
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        assert self._written(canonical_trajectory) == _reference_trajectory_csv(canonical_trajectory)
+
+    @pytest.mark.parametrize("rows", [255, 256, 257, 512, 513])
+    def test_row_counts_around_the_block_size(self, rows):
+        traj = _trajectory_case("hill/table mix", dense_dt=40.0 / (rows - 1))  # horizon 40
+        assert traj.times.size == rows
+        assert self._written(traj) == _reference_trajectory_csv(traj)
+
+    @pytest.mark.parametrize("points", [None, 16])
+    def test_growth_curves(self, points, tmp_path):
+        path = tmp_path / "mixed.yaml"
+        path.write_text(
+            CANONICAL_YAML.replace(
+                "growth: {kind: monod, mu_max: 4.0, k: 2.0}", "growth: {kind: hill, mu_max: 4.0, k: 2.0, p: 2.5}"
+            )
+            .replace("growth: {kind: monod, mu_max: 5.0, k: 3.0}", "growth: {kind: table, points: [[0, 0], [1, 0.5], [10, 3]]}")
+            .replace("  - id: sp1\n", "  - id: slow\n    growth: {kind: monod, mu_max: 0.5, k: 1.0}\n  - id: sp1\n")
+            .replace("x: [0.01, 0.01, 0.01]", "x: [0.01, 0.01, 0.01, 0.01]")
+        )
+        out = tmp_path / "curves.csv"
+        argv = ["curves", str(path), "-o", str(out)] + ([] if points is None else ["--points", str(points)])
+        assert main(argv) == 0
+        expected = _reference_growth_curves_csv(parse_scenario(str(path)), points=points or 512)
+        assert "# lambda_slow = inf\n" in expected
+        assert out.read_text() == expected
+
+
 class TestCommands:
     def test_simulate_writes_csv(self, canonical_file, tmp_path, capsys):
         out = tmp_path / "traj.csv"
@@ -317,6 +449,56 @@ class TestCommands:
         path.write_text(CANONICAL_YAML.replace("s_in: 10.0", "s_in: 0.4"))
         codes.add(main(["certificate", str(path)]))
         assert codes <= {0, 1, 2}
+
+
+class TestParserReuse:
+    def test_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_successive_calls_parse_independently(self, canonical_file, tmp_path, capsys):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["curves", canonical_file, "-o", str(first), "--points", "16", "--s-max", "2"]) == 0
+        assert main(["curves", canonical_file, "-o", str(second)]) == 0
+        rows = [line for line in second.read_text().splitlines() if not line.startswith("#")]
+        assert len(rows) == 1 + 513 and rows[-1].split(",")[0] != "2"
+        assert len(first.read_text().splitlines()) == 4 + 1 + 17
+        cert = tmp_path / "cert.txt"
+        assert main(["certificate", canonical_file, "--json", "-o", str(tmp_path / "cert.json")]) == 0
+        assert main(["certificate", canonical_file, "-o", str(cert)]) == 0
+        assert cert.read_text().startswith("status: ok")
+        assert main(["verify", canonical_file]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
+
+HILL_OVERFLOW_YAML = """\
+params:
+  dilution: 1.0
+  s_in: 20.0
+species:
+  - id: fast
+    growth: {kind: monod, mu_max: 3.0, k: 1.0}
+  - id: steep_k
+    growth: {kind: hill, mu_max: 2.0, k: 10.0, p: 600.0}
+  - id: steep_s
+    growth: {kind: hill, mu_max: 2.0, k: 2.8, p: 600.0}
+initial:
+  s: 20.0
+  x: [0.01, 0.01, 0.01]
+horizon: 60.0
+"""
+
+
+class TestHillOverflowScenario:
+    """k**600 and s**600 overflow here; the laws saturate at mu_max instead."""
+
+    @pytest.mark.parametrize("command", ["verify", "certificate", "simulate", "curves"])
+    def test_exits_without_traceback(self, command, tmp_path, capsys):
+        path = tmp_path / "steep.yaml"
+        path.write_text(HILL_OVERFLOW_YAML)
+        out = tmp_path / "out"
+        assert main([command, str(path), "-o", str(out)]) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        assert "nan" not in out.read_text()
 
 
 def _with_table(points: str) -> str:

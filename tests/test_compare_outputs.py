@@ -62,3 +62,10 @@ class TestManifest:
         assert verify and [run["argv"][1] for run in certificate] == verify
         assert all(run["argv"][2:] == ["--json"] for run in certificate)
         assert len({run["stem"] for run in manifest}) == len(manifest)
+
+    def test_simulate_pools_also_run_curves(self, tmp_path):
+        manifest = compare_outputs.write_inputs(tmp_path, [1])
+        simulate = [run["argv"][1] for run in manifest if run["argv"][0] == "simulate"]
+        curves = [run for run in manifest if run["argv"][0] == "curves"]
+        assert simulate and [run["argv"][1:] for run in curves] == [[path] for path in simulate]
+        assert all(run["output"] == "curves.csv" for run in curves)

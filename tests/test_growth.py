@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from chemostat_cep import (
     order_species,
     validate_growth,
 )
+from chemostat_cep.growth import rate_matrix
 
 ROOT_TOL = 1e-12
 
@@ -68,6 +70,41 @@ class TestEvaluation:
     def test_bad_parameters_rejected(self, build):
         with pytest.raises(ParameterError):
             build()
+
+
+# Steep Hill laws whose powers overflow: s**600 above s = 3.26 for the first,
+# k**600 itself for the second.
+OVERFLOWING_HILLS = [Hill(2.0, 2.8, 600.0), Hill(2.0, 10.0, 600.0)]
+OVERFLOW_LEVELS = [0.0, 1e-300, 1.0, 2.79, 2.8, 3.3, 9.99, 10.0, 10.01, 50.0, 1e6, 1e300]
+
+
+class TestHillOverflow:
+    @pytest.mark.parametrize("g", OVERFLOWING_HILLS)
+    def test_rates_finite_and_at_most_mu_max(self, g):
+        s = np.array(OVERFLOW_LEVELS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = [g(s), rate_matrix([g], s)[0], [g.rate_unchecked(v) for v in OVERFLOW_LEVELS]]
+        for rates in paths:
+            rates = np.asarray(rates)
+            assert np.all(np.isfinite(rates)) and np.all((0.0 <= rates) & (rates <= g.mu_max))
+            assert rates[0] == 0.0 and rates[-1] == g.mu_max
+            assert np.all(np.diff(rates) >= 0.0)
+        assert g(3.3) == g.rate_unchecked(3.3)
+
+    def test_non_overflowing_rates_keep_their_bits(self):
+        g = OVERFLOWING_HILLS[0]
+        s = np.linspace(0.0, 3.2, 321)  # 3.2**600 < 1e300: no overflow anywhere
+        sp = np.power(s, g.p)
+        assert np.array_equal(g(s), g.mu_max * sp / (g.k**g.p + sp))
+        assert [g.rate_unchecked(v) for v in s.tolist()] == [
+            g.mu_max * v**g.p / (g.k**g.p + v**g.p) for v in s.tolist()
+        ]
+
+    @pytest.mark.parametrize("g", OVERFLOWING_HILLS)
+    def test_break_even_finite(self, g):
+        lam = break_even(g, 1.0, root_tol=ROOT_TOL).value
+        assert math.isfinite(lam) and lam == pytest.approx(g.k, rel=1e-12)
 
 
 class TestBreakEven:

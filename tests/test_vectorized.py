@@ -677,7 +677,10 @@ def _rate_reference(g, s):
         return float(np.interp(s, xs, ys))
     if isinstance(g, Hill):
         sp = s**g.p
-        return g.mu_max * sp / (g.k**g.p + sp)
+        num, den = g.mu_max * sp, g.k**g.p + sp
+        if math.isinf(num) or math.isinf(den):  # overflow: the law as mu_max / (1 + (k/s)**p)
+            return g.mu_max / (1.0 + np.power(g.k / s, g.p)) if s > 0.0 else 0.0
+        return num / den
     return g.mu_max * s / (g.k + s)
 
 

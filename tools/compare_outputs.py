@@ -12,8 +12,10 @@ the three benchmark workloads are generated for every seed with
 through ``chemostat_cep.cli.main`` with the workload's command, once per
 tree, each tree in its own subprocess.  Every scenario of a ``verify`` pool
 also runs ``certificate --json``, which certifies all its species, while
-``verify`` certifies only those present initially.  The output file,
-stdout, stderr and exit code of every run are compared byte for byte.
+``verify`` certifies only those present initially.  Every scenario of a
+``simulate`` pool also runs ``curves``, so both CSV writers are compared.
+The output file, stdout, stderr and exit code of every run are compared
+byte for byte.
 
 Exit status: 0 when the trees agree everywhere, 1 with one line per
 difference, 2 on a usage error.  A JSON report that differs only in its
@@ -66,6 +68,10 @@ def write_inputs(inputs: Path, seeds) -> list[dict]:
                             "stem": f"{name}-{seed}/certificate-{i:03d}",
                             "output": "certificate.json",
                         }
+                    )
+                elif wl.command == "simulate":
+                    manifest.append(
+                        {"argv": ["curves", str(path)], "stem": f"{name}-{seed}/curves-{i:03d}", "output": "curves.csv"}
                     )
     return manifest
 
