@@ -110,35 +110,22 @@ class Hill(GrowthFunction):
         except OverflowError:  # a float power raises where np.power gives inf
             return math.inf
 
-    @cached_property
-    def _s_safe(self) -> float:
-        """Below this level s**p, mu_max * s**p and k**p stay under 1e300: no overflow."""
-        if not self._k_pow < 1e300:
-            return 0.0
-        return (1e300 / max(self.mu_max, 1.0)) ** (1.0 / self.p)
-
     def _saturated(self, s):
         """mu_max / (1 + (k/s)**p), the law where the direct form overflows; 0 at s = 0."""
         with np.errstate(over="ignore", divide="ignore"):
             return self.mu_max / (1.0 + np.power(self.k / np.asarray(s, dtype=float), self.p))
 
     def _rate(self, s: np.ndarray) -> np.ndarray:
-        if isinstance(s, float) and s < self._s_safe:  # break_even's probes
-            sp = np.power(s, self.p)
-            return self.mu_max * sp / (self._k_pow + sp)
         with np.errstate(over="ignore", invalid="ignore"):
             sp = np.power(s, self.p)
             num, den = self.mu_max * sp, self._k_pow + sp
             out = num / den
         over = np.isinf(num) | np.isinf(den)
-        if np.any(over):
+        if over.any():
             out = np.where(over, self._saturated(s), out)
         return out
 
     def _rate_scalar(self, s: float) -> float:
-        if s < self._s_safe:
-            sp = s**self.p
-            return self.mu_max * sp / (self._k_pow + sp)
         try:
             sp = s**self.p
         except OverflowError:  # a float power raises where np.power gives inf
