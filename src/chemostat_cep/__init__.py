@@ -5,134 +5,34 @@ that certify competitive exclusion, integrates the model with an adaptive
 embedded Runge-Kutta pair, and checks the long-run claims (mass convergence,
 washout, biomass persistence, substrate framing, staged exclusion, and the
 final state) on simulated trajectories.
+
+The names below are the library entry points; every other name is imported
+from its own module (``chemostat_cep.certificate``, ``chemostat_cep.verify``,
+...).
 """
 
-from .certificate import (
-    Boundary,
-    Certificate,
-    PackSummary,
-    build_certificate,
-    compute_nu,
-    dilution_bounds,
-    gamma_bounds,
-    recheck_certificate,
-    separation_margins,
-)
-from .dynamics import (
-    ChemostatParams,
-    DerivedChannels,
-    State,
-    TransformedState,
-    derive_channels,
-    from_transformed,
-    mass_closed_form,
-    predicted_limit,
-    rhs_original,
-    rhs_transformed,
-    to_transformed,
-)
-from .errors import (
-    CertificateError,
-    ChartError,
-    ChemostatError,
-    DivergenceError,
-    DomainError,
-    InputError,
-    ModelError,
-    ParameterError,
-    StiffnessError,
-    WashoutError,
-)
-from .growth import (
-    BreakEven,
-    GrowthFunction,
-    GrowthValidation,
-    Hill,
-    Monod,
-    OrderedSpecies,
-    SpeciesRecord,
-    Table,
-    break_even,
-    order_species,
-    validate_growth,
-)
-from .integrate import (
-    Channels,
-    EntryRecord,
-    IntegratorStats,
-    Trajectory,
-    first_persistent_entry,
-    simulate,
-)
-from .verify import (
-    ClaimResult,
-    VerificationReport,
-    check_biomass_floor,
-    check_final_convergence,
-    check_induction_properties,
-    check_mass_convergence,
-    check_substrate_frame,
-    check_washout_species,
-    run_report,
-)
+from .certificate import build_certificate
+from .dynamics import ChemostatParams, State
+from .errors import ChemostatError, InputError
+from .growth import Hill, Monod, Table, order_species
+from .integrate import simulate
+from .scenario import Scenario, parse_scenario
+from .verify import run_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BreakEven",
-    "Boundary",
-    "Certificate",
-    "CertificateError",
-    "Channels",
-    "ChartError",
     "ChemostatError",
     "ChemostatParams",
-    "ClaimResult",
-    "DerivedChannels",
-    "DivergenceError",
-    "DomainError",
-    "EntryRecord",
-    "GrowthFunction",
-    "GrowthValidation",
     "Hill",
     "InputError",
-    "IntegratorStats",
-    "ModelError",
     "Monod",
-    "OrderedSpecies",
-    "PackSummary",
-    "ParameterError",
-    "SpeciesRecord",
+    "Scenario",
     "State",
-    "StiffnessError",
     "Table",
-    "Trajectory",
-    "TransformedState",
-    "VerificationReport",
-    "WashoutError",
-    "break_even",
     "build_certificate",
-    "check_biomass_floor",
-    "check_final_convergence",
-    "check_induction_properties",
-    "check_mass_convergence",
-    "check_substrate_frame",
-    "check_washout_species",
-    "compute_nu",
-    "derive_channels",
-    "dilution_bounds",
-    "first_persistent_entry",
-    "from_transformed",
-    "gamma_bounds",
-    "mass_closed_form",
     "order_species",
-    "predicted_limit",
-    "recheck_certificate",
-    "rhs_original",
-    "rhs_transformed",
+    "parse_scenario",
     "run_report",
-    "separation_margins",
     "simulate",
-    "to_transformed",
-    "validate_growth",
 ]

@@ -82,18 +82,6 @@ class Certificate:
         return self.nu is None
 
     @property
-    def lambdas(self) -> tuple[float, ...]:
-        return tuple(p.lam for p in self.packs)
-
-    @property
-    def s_minus(self) -> tuple[float, ...]:
-        return tuple(b.s_minus for b in self.boundaries)
-
-    @property
-    def s_plus(self) -> tuple[float, ...]:
-        return tuple(b.s_plus for b in self.boundaries)
-
-    @property
     def intervals(self) -> tuple[tuple[float, float], ...]:
         if not self.boundaries:
             return ()
@@ -257,17 +245,16 @@ def separation_margins(
     s_in: float,
     *,
     grid_n: int = 2048,
-    shrink: float = 0.5,
     s_plus_limit: float | None = None,
     rows: np.ndarray | None = None,
 ) -> Boundary:
     """Margins (s_i_minus, s_i_plus) around the boundary between packs i, i+1.
 
     Starting from symmetric extensions of half the level gap, the extension
-    shrinks geometrically until the grid-checked domination gap of pack i
-    over all higher packs is positive on [s_i_minus, s_i_plus].  The lower
-    margin never crosses zero and the upper one stays below ``s_plus_limit``
-    when given (used to keep absorbing intervals nested).  ``rows`` selects
+    halves until the grid-checked domination gap of pack i over all higher
+    packs is positive on [s_i_minus, s_i_plus].  The lower margin never
+    crosses zero and the upper one stays below ``s_plus_limit`` when given
+    (used to keep absorbing intervals nested).  ``rows`` selects
     the slower-pack records the grids evaluate, as in :func:`_pack_gap`.
 
     Raises :class:`CertificateError` when no positive-gap extension exists
@@ -306,7 +293,7 @@ def separation_margins(
                 f"extension {delta_min:g}; growth curves touch between levels "
                 f"{lam_lo:g} and {lam_hi_eff:g}, contradicting the strict ordering"
             )
-        delta *= shrink
+        delta *= 0.5
 
 
 def compute_nu(

@@ -1,11 +1,9 @@
-"""Chemostat vector fields, coordinate charts, and predicted limit states.
+"""Chemostat parameters, states, vector field, and predicted limit states.
 
 The model couples one substrate with n consumer species under a common
-removal rate.  Two charts are provided: the original (substrate, densities)
-coordinates, and the (substrate, total biomass, proportions) coordinates.
-The simulator integrates the original chart, which stays defined when the
-biomass vanishes; the transformed chart and the derived mass/ratio channels
-are computed from it.
+removal rate.  The simulator integrates the original (substrate, densities)
+chart, which stays defined when the biomass vanishes; the biomass,
+proportion, mass and ratio channels are derived from it per sample.
 """
 
 from __future__ import annotations
@@ -16,16 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ChartError, DomainError, ParameterError
+from .errors import DomainError, ParameterError
 from .growth import GrowthFunction, OrderedSpecies, monod_arrays
-
-_SIMPLEX_TOL = 1e-12
-
-
-def _readonly(a) -> np.ndarray:
-    arr = np.array(a, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -55,7 +45,8 @@ class State:
 
     def __post_init__(self):
         object.__setattr__(self, "s", float(self.s))
-        arr = _readonly(np.atleast_1d(self.x))
+        arr = np.array(self.x, dtype=float, ndmin=1)
+        arr.setflags(write=False)
         object.__setattr__(self, "x", arr)
         if not math.isfinite(self.s) or self.s < 0.0:
             raise DomainError(f"substrate level must be finite and >= 0, got {self.s!r}")
@@ -65,100 +56,6 @@ class State:
     @property
     def n(self) -> int:
         return self.x.size
-
-
-@dataclass(frozen=True)
-class TransformedState:
-    """Point in the biomass/proportion chart (undefined at zero biomass)."""
-
-    s: float
-    b: float
-    p: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "b", float(self.b))
-        p = _readonly(np.atleast_1d(self.p))
-        object.__setattr__(self, "p", p)
-        if not math.isfinite(self.s) or self.s < 0.0:
-            raise DomainError(f"substrate level must be finite and >= 0, got {self.s!r}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise ChartError(f"total biomass must be > 0 in this chart, got {self.b!r}")
-        if not np.all(np.isfinite(p)) or np.any(p < 0.0):
-            raise ChartError("proportions must be finite and >= 0")
-        if abs(float(np.sum(p)) - 1.0) > _SIMPLEX_TOL:
-            raise ChartError(f"proportions must sum to 1 within {_SIMPLEX_TOL:g}")
-
-
-@dataclass(frozen=True)
-class DerivedChannels:
-    """Channels derived from a state: total mass m = b + s, ratios x_i / x_1.
-
-    The ratio vector covers species 2..n and is None when the first species
-    is absent.
-    """
-
-    m: float
-    r: np.ndarray | None
-
-
-def rhs_original(
-    params: ChemostatParams,
-    growths: Sequence[GrowthFunction],
-    state: State,
-) -> tuple[float, np.ndarray]:
-    """Time derivative (ds, dx) of the original chart at ``state``.
-
-    ds = d (s_in - s) - sum_i mu_i(s) x_i and dx_i = (mu_i(s) - d) x_i,
-    with unit yield coefficients.  The state is validated, then evaluated
-    by :func:`vector_field`, the integrator's right-hand side.
-    """
-    if len(growths) != state.n:
-        raise ParameterError("growth law count must match species count")
-    dy = vector_field(params, growths)(0.0, np.concatenate(([state.s], state.x)))
-    return float(dy[0]), dy[1:]
-
-
-def rhs_transformed(
-    params: ChemostatParams,
-    growths: Sequence[GrowthFunction],
-    tstate: TransformedState,
-) -> tuple[float, float, np.ndarray]:
-    """Time derivative (ds, db, dp) of the biomass/proportion chart.
-
-    The proportion derivatives satisfy sum_i dp_i = 0 identically.
-    """
-    if len(growths) != tstate.p.size:
-        raise ParameterError("growth law count must match species count")
-    mu = np.array([g(tstate.s) for g in growths])
-    mubar = float(mu @ tstate.p)
-    ds = params.d * (params.s_in - tstate.s) - mubar * tstate.b
-    db = (mubar - params.d) * tstate.b
-    dp = tstate.p * (mu - mubar)
-    return ds, db, dp
-
-
-def to_transformed(state: State) -> TransformedState:
-    """Map (s, x) to (s, b, p).  Raises :class:`ChartError` at zero biomass."""
-    b = float(np.sum(state.x))
-    if b <= 0.0:
-        raise ChartError("total biomass is zero; proportion chart undefined")
-    return TransformedState(s=state.s, b=b, p=state.x / b)
-
-
-def from_transformed(tstate: TransformedState) -> State:
-    """Inverse chart map (s, b, p) -> (s, x)."""
-    return State(s=tstate.s, x=tstate.b * tstate.p)
-
-
-def derive_channels(state: State) -> DerivedChannels:
-    """Total mass and ratio channels at a single state."""
-    m = state.s + float(np.sum(state.x))
-    if state.n >= 2 and state.x[0] > 0.0:
-        r = _readonly(state.x[1:] / state.x[0])
-    else:
-        r = None
-    return DerivedChannels(m=m, r=r)
 
 
 def predicted_limit(params: ChemostatParams, ordered: OrderedSpecies) -> State:

@@ -19,10 +19,6 @@ class ModelError(ChemostatError):
     """Model data violates a structural assumption, e.g. monotonicity."""
 
 
-class ChartError(ChemostatError):
-    """The biomass/proportion chart is undefined at the requested state."""
-
-
 class CertificateError(ChemostatError):
     """A certificate constant could not be constructed or is non-positive."""
 

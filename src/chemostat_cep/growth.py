@@ -143,9 +143,9 @@ class Table(GrowthFunction):
     Inside the node range the law interpolates linearly; beyond the last node
     it continues with the final chord's slope so a strictly increasing table
     stays strictly increasing on all of [0, inf).  Nodes only need strictly
-    increasing substrate values at construction; rate monotonicity and the
-    zero-growth origin are checked by ``validate_growth`` so that defective
-    tables can be diagnosed rather than rejected unseen.
+    increasing substrate values at construction; the scenario parser checks
+    the zero-growth origin and strictly increasing rates, and
+    :func:`break_even` refuses tables whose rates do not increase strictly.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -251,33 +251,18 @@ def rate_matrix(laws: Sequence[GrowthFunction], s) -> np.ndarray:
     return out.reshape((len(laws),) + arr.shape)
 
 
-@dataclass(frozen=True)
-class BreakEven:
-    """Substrate level at which a growth law balances the removal rate.
-
-    ``value`` is a finite positive level, or ``math.inf`` when the law never
-    reaches the removal rate below the probe bound.
-    """
-
-    value: float
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
-
-
 def break_even(
     g: GrowthFunction,
     d: float,
     *,
     root_tol: float = 1e-12,
     s_probe_max: float = 1e6,
-) -> BreakEven:
+) -> float:
     """Solve mu(s) = d by bracketing and bisection.
 
     The bracket is doubled outward from 1 until mu exceeds d, probing no
     further than ``s_probe_max``; if the law never reaches d below the probe
-    bound the result is the infinite sentinel.  Bisection then narrows the
+    bound the result is ``math.inf``.  Bisection then narrows the
     bracket to floating-point resolution, which is always at least as tight
     as the relative ``root_tol`` guarantee.
 
@@ -299,7 +284,7 @@ def break_even(
     hi = min(1.0, s_probe_max)
     while rate(hi) <= d:
         if hi >= s_probe_max:
-            return BreakEven(math.inf)
+            return math.inf
         hi = min(hi * 2.0, s_probe_max)
 
     lo = 0.0
@@ -313,7 +298,7 @@ def break_even(
             hi = mid
         if hi - lo <= min(root_tol * mid, _BISECT_WIDTH_CAP):
             break
-    return BreakEven(0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)
@@ -352,9 +337,6 @@ class OrderedSpecies:
     def pack_lambda(self, pack_idx: int) -> float:
         return self.records[self.packs[pack_idx][0]].lam
 
-    def pack_growths(self, pack_idx: int) -> tuple[GrowthFunction, ...]:
-        return tuple(self.records[k].growth for k in self.packs[pack_idx])
-
     def pack_ids(self, pack_idx: int) -> tuple[str, ...]:
         return tuple(self.records[k].id for k in self.packs[pack_idx])
 
@@ -381,7 +363,7 @@ def order_species(
     pack.  Infinite levels sort last and form a single pack.
     """
     lams = [
-        break_even(g, d, root_tol=root_tol, s_probe_max=s_probe_max).value
+        break_even(g, d, root_tol=root_tol, s_probe_max=s_probe_max)
         for _, g in species
     ]
     return pack_species(species, lams, eq_tol=eq_tol)
@@ -423,43 +405,4 @@ def pack_species(
         permutation=tuple(order),
         packs=tuple(packs),
         eq_tol=eq_tol,
-    )
-
-
-@dataclass(frozen=True)
-class GrowthValidation:
-    """Grid report of growth-law assumption checks.
-
-    ``zero_value`` is mu(0); ``monotone_violations`` lists grid segments
-    (s_lo, s_hi, mu_lo, mu_hi) on which the law failed to increase strictly.
-    Violations are data, not exceptions.
-    """
-
-    zero_value: float
-    monotone_violations: tuple[tuple[float, float, float, float], ...]
-
-    @property
-    def zero_ok(self) -> bool:
-        return self.zero_value == 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.zero_ok and not self.monotone_violations
-
-
-def validate_growth(g: GrowthFunction, s_max: float, grid_n: int) -> GrowthValidation:
-    """Check mu(0) = 0 and strict increase on a uniform grid of grid_n+1 points."""
-    if not (math.isfinite(s_max) and s_max > 0.0):
-        raise ParameterError(f"s_max must be finite and > 0, got {s_max!r}")
-    if grid_n < 2:
-        raise ParameterError(f"grid_n must be >= 2, got {grid_n!r}")
-    grid = np.linspace(0.0, s_max, grid_n + 1)
-    mu = g(grid)
-    violations = []
-    for j in range(grid_n):
-        if not mu[j + 1] > mu[j]:
-            violations.append((float(grid[j]), float(grid[j + 1]), float(mu[j]), float(mu[j + 1])))
-    return GrowthValidation(
-        zero_value=float(mu[0]),
-        monotone_violations=tuple(violations),
     )

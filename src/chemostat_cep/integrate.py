@@ -110,9 +110,6 @@ class Trajectory:
     def n_species(self) -> int:
         return self.states.shape[1] - 1
 
-    def state_at(self, k: int) -> State:
-        return State(s=float(self.states[k, 0]), x=self.states[k, 1:])
-
     def sample(self, t: float) -> State:
         """Continuous-extension sample at any time in [0, horizon]."""
         horizon = float(self.step_times[-1])
@@ -201,8 +198,15 @@ def simulate(
     K[0] = f(t, y)
     n_evals = 1
 
+    # Below this step size the explicit pair cannot make useful progress on
+    # the requested horizon; treat it as stiffness (or divergence when the
+    # state has already left any physical scale).
+    min_step = 1e-14 * horizon
     h, used = _initial_step(f, t, y, K[0], horizon, rel_tol, abs_tol)
     n_evals += used
+    # The guess falls below that limit for a state near zero with a large
+    # derivative (s0 = 1e-12, no biomass); the controller corrects it.
+    h = max(h, min_step)
     first_step = h
 
     step_times = [0.0]
@@ -215,10 +219,6 @@ def simulate(
     n_rejected = 0
     fac_old = 1e-4
     min_preclip = float(np.min(y))
-    # Below this step size the explicit pair cannot make useful progress on
-    # the requested horizon; treat it as stiffness (or divergence when the
-    # state has already left any physical scale).
-    min_step = 1e-14 * horizon
 
     with np.errstate(over="ignore", invalid="ignore"):
         while t < horizon:

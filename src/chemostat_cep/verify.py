@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,9 +26,7 @@ from .integrate import (
     scan_persistent_entry,
     simulate,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .cli import Scenario
+from .scenario import Scenario
 
 _RATIO_FLOOR = 1e-300  # discard ratio samples below this before taking logs
 _MIN_FIT_SAMPLES = 8
@@ -419,22 +417,19 @@ def check_induction_properties(
     id_to_column: Mapping[str, int],
     eps_p: float,
     grace: float = 0.0,
-    slope_slack: float | None = None,
 ) -> list[ClaimResult]:
     """Per-stage absorbing-interval entries and ratio decay.
 
     Stage i requires the substrate to enter the i-th absorbing interval for
     good, no earlier than the next (wider) stage's entry, and every pack
     above i to decay: the log of its summed density ratio against the lead
-    species must fall at least at rate nu (minus the slack), and its final
-    proportion must end below eps_p.
+    species must fall at least at rate nu less a slack of 0.1 nu, and its
+    final proportion must end below eps_p.
     """
     if cert.degenerate:
         return [_not_applicable("exclusion_stage_1", "degenerate certificate")]
     nu = cert.nu
-    if slope_slack is None:
-        slope_slack = 0.1 * nu
-    slope_threshold = -nu + slope_slack
+    slope_threshold = -nu + 0.1 * nu
 
     entries = persistent_entries(traj, cert.intervals, grace)
     ref_col = id_to_column[cert.packs[0].ids[0]]
@@ -540,7 +535,7 @@ def check_final_convergence(traj: Trajectory, predicted: State, eps: float) -> C
     )
 
 
-def run_report(scenario: "Scenario") -> VerificationReport:
+def run_report(scenario: Scenario) -> VerificationReport:
     """Simulate a scenario once and evaluate every applicable claim.
 
     Simulation and certificate failures become failed report entries rather

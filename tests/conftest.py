@@ -7,7 +7,7 @@ import pytest
 
 from chemostat_cep import ChemostatParams, Monod, State, order_species, simulate
 from chemostat_cep.certificate import build_certificate
-from chemostat_cep.cli import Options, Scenario, Tolerances
+from chemostat_cep.scenario import Options, Scenario, Tolerances
 
 CANONICAL_SPECIES = (
     ("sp1", Monod(mu_max=3.0, k=1.0)),

@@ -9,31 +9,27 @@ horizon 80 at rel_tol 1e-8.  Each test prints one pass/fail line; run with
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from chemostat_cep import (
-    ChemostatParams,
-    Monod,
-    State,
-    break_even,
-    build_certificate,
+from chemostat_cep import ChemostatParams, Monod, State, build_certificate, order_species, run_report, simulate
+from chemostat_cep.certificate import recheck_certificate
+from chemostat_cep.dynamics import mass_closed_form
+from chemostat_cep.growth import break_even
+from chemostat_cep.integrate import first_persistent_entry
+from chemostat_cep.verify import (
     check_biomass_floor,
     check_final_convergence,
     check_induction_properties,
     check_mass_convergence,
     check_substrate_frame,
     check_washout_species,
-    first_persistent_entry,
-    mass_closed_form,
-    order_species,
-    recheck_certificate,
-    simulate,
+    fit_log_decay,
 )
-from chemostat_cep.verify import fit_log_decay, run_report
 
 from conftest import CANONICAL_SPECIES, LAM, make_scenario
 
@@ -63,7 +59,7 @@ def test_c01_break_even_oracle():
             mu_max = float(rng.uniform(1.05, 20.0)) * d
             k = float(rng.uniform(0.01, 100.0))
             expected = k * d / (mu_max - d)
-            got = break_even(Monod(mu_max, k), d, s_probe_max=1e9).value
+            got = break_even(Monod(mu_max, k), d, s_probe_max=1e9)
             assert abs(got - expected) <= 1e-10 * max(1.0, expected / 1e3)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -134,7 +130,7 @@ def test_c08_washout_species_added(canonical_trajectory):
     with criterion("C8 unreachable-level species washes out harmlessly"):
         species = CANONICAL_SPECIES + (("slow", Monod(1.0, 1.0)),)
         growths = [g for _, g in species]
-        assert not break_even(Monod(1.0, 1.0), 1.0).finite
+        assert break_even(Monod(1.0, 1.0), 1.0) == math.inf
         traj = simulate(PARAMS, growths, State(s=10.0, x=np.array([0.01] * 4)), 80.0)
         assert traj.states[-1, 4] < 1e-4
         ordered = order_species(species, 1.0, s_probe_max=1e7)

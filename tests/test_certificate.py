@@ -8,21 +8,16 @@ import math
 import numpy as np
 import pytest
 
-from chemostat_cep import (
-    CertificateError,
-    Monod,
-    OrderedSpecies,
-    ParameterError,
-    SpeciesRecord,
-    WashoutError,
-    build_certificate,
+from chemostat_cep import Monod, build_certificate, order_species
+from chemostat_cep.certificate import (
     compute_nu,
     dilution_bounds,
     gamma_bounds,
-    order_species,
     recheck_certificate,
     separation_margins,
 )
+from chemostat_cep.errors import CertificateError, ParameterError, WashoutError
+from chemostat_cep.growth import OrderedSpecies, SpeciesRecord
 
 from conftest import CANONICAL_SPECIES, LAM
 
@@ -176,8 +171,9 @@ class TestBuildCertificate:
         (i1, i2) = cert.intervals
         assert i1[0] == i2[0]
         assert i1[1] < i2[1]
-        assert cert.s_minus[0] < LAM[0] and cert.s_plus[0] > LAM[1]
-        assert cert.s_plus[1] > LAM[2]
+        b1, b2 = cert.boundaries
+        assert b1.s_minus < LAM[0] and b1.s_plus > LAM[1]
+        assert b2.s_plus > LAM[2]
 
     def test_fine_grid_recheck_clean(self, canonical_ordered, canonical_certificate):
         assert recheck_certificate(canonical_certificate, canonical_ordered, grid_factor=10) == []
@@ -254,7 +250,7 @@ class TestBuildCertificate:
             assert cert.nu > 0.0
             assert 0.0 < cert.d_minus < 1.0 < cert.d_plus
             assert recheck_certificate(cert, ordered, grid_factor=4) == []
-            plus = cert.s_plus
+            plus = [b.s_plus for b in cert.boundaries]
             assert all(a < b for a, b in zip(plus, plus[1:]))
         assert built >= 10  # the draw really exercised full certificates
 
@@ -269,6 +265,6 @@ class TestBuildCertificate:
         ordered = order_species(species, 1.0)
         assert ordered.n_packs == 3
         cert = build_certificate(ordered, 1.0, 10.0)
-        s_plus = cert.s_plus
+        s_plus = [b.s_plus for b in cert.boundaries]
         assert s_plus[0] < s_plus[1]
         assert recheck_certificate(cert, ordered, grid_factor=4) == []

@@ -12,15 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chemostat_cep import Hill, InputError, Monod, State, Table, order_species, simulate
+from chemostat_cep import Hill, InputError, Monod, Scenario, State, Table, order_species, parse_scenario, simulate
 from chemostat_cep import cli
-from chemostat_cep.cli import (
-    Scenario,
-    main,
-    parse_scenario,
-    write_trajectory_csv,
-)
+from chemostat_cep import scenario as scenario_mod
+from chemostat_cep.cli import main, write_trajectory_csv
 
 from conftest import make_scenario
 
@@ -59,7 +57,7 @@ class TestParseScenario:
         assert sc.params.d == 1.0 and sc.params.s_in == 10.0
         assert sc.horizon == 80.0
         assert sc.tolerances.rel_tol == 1e-8
-        assert sc.ids == ("sp1", "sp2", "sp3")
+        assert [sid for sid, _ in sc.species] == ["sp1", "sp2", "sp3"]
         np.testing.assert_array_equal(sc.initial.x, [0.01, 0.01, 0.01])
 
     def test_repo_fixture_parses(self):
@@ -106,18 +104,6 @@ class TestParseScenario:
         with pytest.raises(InputError):
             parse_scenario(str(tmp_path / "nope.yaml"))
 
-    def test_env_overrides_defaults_but_not_file(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CHEMOSTAT_CEP_REL_TOL", "1e-6")
-        # file sets rel_tol explicitly: the file wins
-        path = tmp_path / "a.yaml"
-        path.write_text(CANONICAL_YAML)
-        assert parse_scenario(str(path)).tolerances.rel_tol == 1e-8
-        # file omits tolerances: the environment default applies
-        bare = CANONICAL_YAML.split("tolerances:")[0]
-        path2 = tmp_path / "b.yaml"
-        path2.write_text(bare)
-        assert parse_scenario(str(path2)).tolerances.rel_tol == 1e-6
-
     def test_digest_is_stable_and_sensitive(self, canonical_file):
         a = parse_scenario(canonical_file)
         b = parse_scenario(canonical_file)
@@ -150,7 +136,7 @@ def _node_tree(node):
 class TestYamlLoader:
     def test_libyaml_chosen_when_available(self):
         expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-        assert cli._YAML_LOADER is expected
+        assert scenario_mod._YAML_LOADER is expected
 
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
     @pytest.mark.parametrize("name", ["canonical.yaml", "with_washout.yaml", "wide"])
@@ -440,6 +426,12 @@ class TestCommands:
         assert main(["simulate", str(bad)]) == 2
         assert "input error" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.yaml"
+        bad.write_bytes(CANONICAL_YAML.replace("sp1", "sp\xe9").encode("latin-1"))
+        assert main(["verify", str(bad)]) == 2
+        assert "input error: cannot read scenario file" in capsys.readouterr().err
+
     def test_exit_codes_are_exhaustive(self, canonical_file, tmp_path):
         # each command path returns one of {0, 1, 2}
         codes = set()
@@ -543,3 +535,145 @@ class TestTableHypotheses:
         path = tmp_path / "table.yaml"
         path.write_text(_with_table("[[0.0, 0.0], [1.0, 0.5], [10.0, 3.0]]"))
         assert parse_scenario(str(path)).species[1][1].points[0] == (0.0, 0.0)
+
+
+# --------------------------------------------------------------------------
+# Malformed input: exit 2 with the key (or flag) and line, never a traceback.
+
+_LAST_TOLERANCE_LINE = "  abs_tol: 1.0e-10\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, key, line",
+    [
+        ("x: [0.01, 0.01, 0.01]", "x: [nan, 0.01, 0.01]", "initial.x[0]", 13),
+        ("  s: 10.0\n", "  s: inf\n", "initial.s", 12),
+        ("dilution: 1.0", "dilution: inf", "params.dilution", 2),
+        ("s_in: 10.0", "s_in: -inf", "params.s_in", 3),
+        ("horizon: 80.0", "horizon: nan", "horizon", 14),
+        ("mu_max: 3.0", "mu_max: inf", "species[0].growth.mu_max", 6),
+        (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "  eps_p: nan\n", "tolerances.eps_p", 18),
+        (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "options:\n  grid_n: inf\n", "options.grid_n", 19),
+        (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "options:\n  grid_n: nan\n", "options.grid_n", 19),
+        (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "options:\n  eq_tol: nan\n", "options.eq_tol", 19),
+        (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "options:\n  dense_dt: nan\n", "options.dense_dt", 19),
+        (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "options:\n  probe_factor: inf\n", "options.probe_factor", 19),
+    ],
+)
+def test_non_finite_numbers_exit_2(old, new, key, line, tmp_path, capsys):
+    path = tmp_path / "nonfinite.yaml"
+    path.write_text(CANONICAL_YAML.replace(old, new))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {key}: expected a finite number" in err, err
+    assert f"(line {line})" in err
+
+
+def test_default_horizon_must_be_finite(tmp_path, capsys):
+    path = tmp_path / "slow.yaml"
+    path.write_text(CANONICAL_YAML.replace("dilution: 1.0", "dilution: 1e-310").replace("horizon: 80.0\n", ""))
+    assert main(["simulate", str(path), "-o", str(tmp_path / "out.csv")]) == 2
+    assert "input error: params.dilution: too small for the default horizon" in capsys.readouterr().err
+
+
+TWO_MONOD_YAML = """\
+params: {dilution: 1.0, s_in: 10.0}
+species:
+  - id: sp1
+    growth: {kind: monod, mu_max: 3.0, k: 1.0}
+  - id: ID
+    growth: {kind: monod, mu_max: 4.0, k: 2.0}
+initial: {s: 10.0, x: [0.01, 0.01]}
+"""
+
+
+@pytest.mark.parametrize("sid", ['"a,b"', "'say \"hi\"'", '"tab\\tin"', '"new\\nline"', '"bell\\a"'])
+def test_species_ids_that_break_csv_exit_2(sid, tmp_path, capsys):
+    path = tmp_path / "ids.yaml"
+    path.write_text(TWO_MONOD_YAML.replace("id: ID", f"id: {sid}"))
+    assert main(["curves", str(path), "-o", str(tmp_path / "curves.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "input error: species[1].id: " in err and "(line 5)" in err, err
+    assert not (tmp_path / "curves.csv").exists()
+
+
+def test_species_id_with_spaces_is_kept(tmp_path):
+    path = tmp_path / "ids.yaml"
+    path.write_text(TWO_MONOD_YAML.replace("id: ID", "id: slow grower"))
+    assert [sid for sid, _ in parse_scenario(str(path)).species] == ["sp1", "slow grower"]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--points", "-2"), ("--points", "0"), ("--points", "1.5"), ("--s-max", "-1"),
+     ("--s-max", "0"), ("--s-max", "nan"), ("--s-max", "inf"), ("--s-max", "big")],
+)
+def test_curves_arguments_exit_2(flag, value, canonical_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["curves", canonical_file, "-o", str(tmp_path / "curves.csv"), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected" in err and "Traceback" not in err, err
+    assert len(err) < 1000  # the grid is not dumped into the message
+
+
+# Any one leaf of this document is replaced, or dropped from its mapping or list.
+VALID_DOC = {
+    "params": {"dilution": 1.0, "s_in": 10.0},
+    "species": [
+        {"id": "m", "growth": {"kind": "monod", "mu_max": 3.0, "k": 1.0}},
+        {"id": "h", "growth": {"kind": "hill", "mu_max": 4.0, "k": 2.0, "p": 2.0}},
+        {"id": "t", "growth": {"kind": "table", "points": [[0.0, 0.0], [1.0, 0.5], [10.0, 3.0]]}},
+    ],
+    "initial": {"s": 10.0, "x": [0.01, 0.01, 0.01]},
+    "horizon": 80.0,
+    "tolerances": {"rel_tol": 1e-8, "abs_tol": 1e-10, "eps_p": 1e-4, "eps_final": 1e-3},
+    "options": {
+        "grid_n": 2048, "dense_dt": 0.04, "eq_tol": 1e-9, "root_tol": 1e-12, "probe_factor": 1e6,
+        "persistence_grace": 0.0, "eps_mass": 1e-6, "eps_washout": 1e-4, "eps_floor": 1e-3,
+    },
+}
+
+
+def _leaf_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaf_paths(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+LEAVES = list(_leaf_paths(VALID_DOC))
+_MISSING = object()
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**30), 10**30),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "5e-324"]),
+)
+_REPLACEMENTS = st.one_of(
+    _NUMBERS,
+    st.text(max_size=8),
+    st.lists(st.one_of(_NUMBERS, st.text(max_size=4)), max_size=3),
+    st.just(_MISSING),
+)
+
+
+@given(leaf=st.sampled_from(LEAVES), value=_REPLACEMENTS)
+@settings(max_examples=200, deadline=None)
+def test_parser_returns_a_scenario_or_raises_input_error(leaf, value, tmp_path_factory):
+    doc = json.loads(json.dumps(VALID_DOC))
+    parent = doc
+    for key in leaf[:-1]:
+        parent = parent[key]
+    if value is _MISSING:
+        del parent[leaf[-1]]
+    else:
+        parent[leaf[-1]] = value
+    path = tmp_path_factory.mktemp("doc") / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    try:
+        parsed = parse_scenario(str(path))
+    except InputError:
+        return
+    assert isinstance(parsed, Scenario)

@@ -1,36 +1,113 @@
-"""Vector fields, chart maps, derived channels, and predicted limits."""
+"""Vector field, the (s, b, p) chart as an oracle, derived channels, and predicted limits."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import pytest
 
-from chemostat_cep import (
-    ChartError,
-    ChemostatParams,
-    DomainError,
-    Monod,
-    ParameterError,
-    State,
-    TransformedState,
-    derive_channels,
-    from_transformed,
-    mass_closed_form,
-    order_species,
-    predicted_limit,
-    rhs_original,
-    rhs_transformed,
-    simulate,
-    to_transformed,
-)
-from chemostat_cep.dynamics import vector_field
+from chemostat_cep import ChemostatParams, Monod, State, order_species, simulate
+from chemostat_cep.dynamics import mass_closed_form, predicted_limit, vector_field
+from chemostat_cep.errors import ChemostatError, DomainError, ParameterError
+from chemostat_cep.growth import GrowthFunction
+from chemostat_cep.integrate import _derive_channel_arrays
 
 from conftest import CANONICAL_SPECIES, LAM
 
 PARAMS = ChemostatParams(d=1.0, s_in=10.0)
 GROWTHS = [g for _, g in CANONICAL_SPECIES]
+
+# --------------------------------------------------------------------------
+# The paper's (substrate, total biomass, proportions) chart.  The program
+# integrates the original chart only; this chart is kept here as an
+# independent oracle for it.
+
+_SIMPLEX_TOL = 1e-12
+
+
+class ChartError(ChemostatError):
+    """The biomass/proportion chart is undefined at the requested state."""
+
+
+@dataclass(frozen=True)
+class TransformedState:
+    """Point in the biomass/proportion chart (undefined at zero biomass)."""
+
+    s: float
+    b: float
+    p: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "b", float(self.b))
+        p = np.array(self.p, dtype=float, ndmin=1)
+        p.setflags(write=False)
+        object.__setattr__(self, "p", p)
+        if not math.isfinite(self.s) or self.s < 0.0:
+            raise DomainError(f"substrate level must be finite and >= 0, got {self.s!r}")
+        if not (math.isfinite(self.b) and self.b > 0.0):
+            raise ChartError(f"total biomass must be > 0 in this chart, got {self.b!r}")
+        if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+            raise ChartError("proportions must be finite and >= 0")
+        if abs(float(np.sum(p)) - 1.0) > _SIMPLEX_TOL:
+            raise ChartError(f"proportions must sum to 1 within {_SIMPLEX_TOL:g}")
+
+
+def rhs_original(
+    params: ChemostatParams,
+    growths: Sequence[GrowthFunction],
+    state: State,
+) -> tuple[float, np.ndarray]:
+    """Time derivative (ds, dx) of the original chart at ``state``.
+
+    ds = d (s_in - s) - sum_i mu_i(s) x_i and dx_i = (mu_i(s) - d) x_i,
+    with unit yield coefficients.  The state is validated, then evaluated
+    by :func:`vector_field`, the integrator's right-hand side.
+    """
+    if len(growths) != state.n:
+        raise ParameterError("growth law count must match species count")
+    dy = vector_field(params, growths)(0.0, np.concatenate(([state.s], state.x)))
+    return float(dy[0]), dy[1:]
+
+
+def rhs_transformed(
+    params: ChemostatParams,
+    growths: Sequence[GrowthFunction],
+    tstate: TransformedState,
+) -> tuple[float, float, np.ndarray]:
+    """Time derivative (ds, db, dp) of the biomass/proportion chart.
+
+    The proportion derivatives satisfy sum_i dp_i = 0 identically.
+    """
+    if len(growths) != tstate.p.size:
+        raise ParameterError("growth law count must match species count")
+    mu = np.array([g(tstate.s) for g in growths])
+    mubar = float(mu @ tstate.p)
+    ds = params.d * (params.s_in - tstate.s) - mubar * tstate.b
+    db = (mubar - params.d) * tstate.b
+    dp = tstate.p * (mu - mubar)
+    return ds, db, dp
+
+
+def to_transformed(state: State) -> TransformedState:
+    """Map (s, x) to (s, b, p).  Raises :class:`ChartError` at zero biomass."""
+    b = float(np.sum(state.x))
+    if b <= 0.0:
+        raise ChartError("total biomass is zero; proportion chart undefined")
+    return TransformedState(s=state.s, b=b, p=state.x / b)
+
+
+def from_transformed(tstate: TransformedState) -> State:
+    """Inverse chart map (s, b, p) -> (s, x)."""
+    return State(s=tstate.s, x=tstate.b * tstate.p)
+
+
+def _channels(state: State):
+    """The simulator's derived channels of a single state."""
+    return _derive_channel_arrays(np.concatenate(([state.s], state.x))[None, :], state)
 
 
 def _random_positive_states(n_species, count, seed):
@@ -139,12 +216,12 @@ class TestChartMaps:
 
 class TestDerivedChannels:
     def test_mass_and_ratios(self):
-        ch = derive_channels(State(s=1.0, x=np.array([2.0, 4.0, 1.0])))
-        assert ch.m == 8.0
-        np.testing.assert_allclose(ch.r, [2.0, 0.5])
+        ch = _channels(State(s=1.0, x=np.array([2.0, 4.0, 1.0])))
+        assert ch.m[0] == 8.0
+        np.testing.assert_allclose(ch.r[0], [2.0, 0.5])
 
     def test_ratios_undefined_without_lead_species(self):
-        ch = derive_channels(State(s=1.0, x=np.array([0.0, 4.0])))
+        ch = _channels(State(s=1.0, x=np.array([0.0, 4.0])))
         assert ch.r is None
 
 
@@ -199,9 +276,9 @@ class TestLogRatioLaw:
         )
         h = 1e-4
         for t in (1.0, 3.0, 7.5, 15.0):
-            fwd = derive_channels(traj.sample(t + h))
-            bwd = derive_channels(traj.sample(t - h))
-            fd = (np.log(fwd.r) - np.log(bwd.r)) / (2 * h)
+            fwd = _channels(traj.sample(t + h)).r[0]
+            bwd = _channels(traj.sample(t - h)).r[0]
+            fd = (np.log(fwd) - np.log(bwd)) / (2 * h)
             s_mid = traj.sample(t).s
             expected = np.array([g(s_mid) - GROWTHS[0](s_mid) for g in GROWTHS[1:]])
             np.testing.assert_allclose(fd, expected, atol=5e-6)

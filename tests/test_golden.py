@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from chemostat_cep import ChemostatParams, Monod, State, build_certificate, order_species
-from chemostat_cep.cli import Options, Scenario, Tolerances, parse_scenario
+from chemostat_cep.scenario import Options, Scenario, Tolerances, parse_scenario
 from chemostat_cep.verify import run_report
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from chemostat_cep import ChemostatParams, Hill, Monod, State, Table, simulate
-from chemostat_cep.cli import parse_scenario
+from chemostat_cep.scenario import parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_trajectories.json"

@@ -10,18 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chemostat_cep import (
-    DomainError,
-    Hill,
-    ModelError,
-    Monod,
-    ParameterError,
-    Table,
-    break_even,
-    order_species,
-    validate_growth,
-)
-from chemostat_cep.growth import rate_matrix
+from chemostat_cep import Hill, Monod, Table, order_species
+from chemostat_cep.errors import DomainError, ModelError, ParameterError
+from chemostat_cep.growth import break_even, rate_matrix
 
 ROOT_TOL = 1e-12
 
@@ -103,24 +94,22 @@ class TestHillOverflow:
 
     @pytest.mark.parametrize("g", OVERFLOWING_HILLS)
     def test_break_even_finite(self, g):
-        lam = break_even(g, 1.0, root_tol=ROOT_TOL).value
+        lam = break_even(g, 1.0, root_tol=ROOT_TOL)
         assert math.isfinite(lam) and lam == pytest.approx(g.k, rel=1e-12)
 
 
 class TestBreakEven:
     def test_monod_closed_form(self):
         # k*d/(mu_max - d) = 1/(3-1)
-        assert break_even(Monod(3.0, 1.0), 1.0).value == pytest.approx(0.5, abs=1e-10)
+        assert break_even(Monod(3.0, 1.0), 1.0) == pytest.approx(0.5, abs=1e-10)
 
     def test_identity_table(self):
         g = Table(((0.0, 0.0), (1.0, 1.0)))
-        assert break_even(g, 0.5).value == pytest.approx(0.5, abs=1e-10)
+        assert break_even(g, 0.5) == pytest.approx(0.5, abs=1e-10)
 
     def test_unreachable_rate_is_infinite(self):
         # sup mu = 1 = d is never attained
-        be = break_even(Monod(1.0, 1.0), 1.0)
-        assert not be.finite
-        assert be.value == math.inf
+        assert break_even(Monod(1.0, 1.0), 1.0) == math.inf
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ParameterError):
@@ -136,8 +125,8 @@ class TestBreakEven:
     def test_probe_bound_respected(self):
         # root sits at 1e5, probe stops at 1e3
         g = Monod(2.0, 1e5)
-        assert not break_even(g, 1.0, s_probe_max=1e3).finite
-        assert break_even(g, 1.0, s_probe_max=1e7).value == pytest.approx(1e5, rel=1e-10)
+        assert break_even(g, 1.0, s_probe_max=1e3) == math.inf
+        assert break_even(g, 1.0, s_probe_max=1e7) == pytest.approx(1e5, rel=1e-10)
 
     @given(
         mu_max=st.floats(1.05, 20.0),
@@ -149,7 +138,7 @@ class TestBreakEven:
         if mu_max <= d * 1.05:
             mu_max = d * 1.05 + 1.0
         expected = k * d / (mu_max - d)
-        got = break_even(Monod(mu_max, k), d, s_probe_max=1e9).value
+        got = break_even(Monod(mu_max, k), d, s_probe_max=1e9)
         if expected <= 1e3:
             assert abs(got - expected) <= 1e-10
         else:
@@ -159,7 +148,7 @@ class TestBreakEven:
     @settings(max_examples=40, deadline=None)
     def test_root_invariants(self, mu_max, k):
         g = Monod(mu_max, k)
-        lam = break_even(g, 1.0).value
+        lam = break_even(g, 1.0)
         assert abs(g(lam) - 1.0) <= ROOT_TOL * 1.0
         assert g(lam - 10 * ROOT_TOL) < 1.0 < g(lam + 10 * ROOT_TOL)
 
@@ -205,34 +194,6 @@ class TestOrdering:
     def test_empty_input_rejected(self):
         with pytest.raises(ParameterError):
             order_species([], 1.0)
-
-
-class TestValidateGrowth:
-    def test_monod_is_clean(self):
-        rep = validate_growth(Monod(1, 1), 10.0, 100)
-        assert rep.ok
-        assert rep.zero_ok
-        assert rep.monotone_violations == ()
-
-    def test_decreasing_segment_reported(self):
-        g = Table(((0.0, 0.0), (1.0, 0.5), (2.0, 0.4)))
-        rep = validate_growth(g, 2.0, 2)
-        assert not rep.ok
-        (violation,) = rep.monotone_violations
-        assert violation[0] == pytest.approx(1.0)
-        assert violation[1] == pytest.approx(2.0)
-
-    def test_missing_origin_reported(self):
-        g = Table(((0.5, 0.3), (1.0, 0.5)))
-        rep = validate_growth(g, 1.0, 10)
-        assert not rep.zero_ok
-        assert rep.zero_value == pytest.approx(0.3)
-
-    def test_bad_grid_rejected(self):
-        with pytest.raises(ParameterError):
-            validate_growth(Monod(1, 1), 0.0, 10)
-        with pytest.raises(ParameterError):
-            validate_growth(Monod(1, 1), 1.0, 1)
 
 
 @given(

@@ -23,27 +23,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemostat_cep import (
-    CertificateError,
     ChemostatParams,
-    DomainError,
     Hill,
     Monod,
     State,
     Table,
-    break_even,
     build_certificate,
-    compute_nu,
-    gamma_bounds,
     order_species,
-    recheck_certificate,
-    separation_margins,
+    parse_scenario,
     simulate,
 )
 from chemostat_cep import certificate as certificate_mod
-from chemostat_cep.certificate import _envelope_rows, _pack_gap
-from chemostat_cep.cli import parse_scenario
+from chemostat_cep.certificate import (
+    _envelope_rows,
+    _pack_gap,
+    compute_nu,
+    gamma_bounds,
+    recheck_certificate,
+    separation_margins,
+)
 from chemostat_cep.dynamics import vector_field
-from chemostat_cep.growth import pack_species, rate_matrix
+from chemostat_cep.errors import CertificateError, DomainError
+from chemostat_cep.growth import break_even, pack_species, rate_matrix
 from chemostat_cep.integrate import (
     EntryRecord,
     _membership_runs,
@@ -405,9 +406,13 @@ class TestPersistentEntries:
         assert persistent_entries(canonical_trajectory, []) == []
 
 
+def _pack_growths(ordered, i):
+    return [ordered.records[k].growth for k in ordered.packs[i]]
+
+
 def _pack_gap_reference(ordered, i, grid):
-    lower = np.min([g(grid) for g in ordered.pack_growths(i)], axis=0)
-    uppers = [g(grid) for j in range(i + 1, ordered.n_packs) for g in ordered.pack_growths(j)]
+    lower = np.min([g(grid) for g in _pack_growths(ordered, i)], axis=0)
+    uppers = [g(grid) for j in range(i + 1, ordered.n_packs) for g in _pack_growths(ordered, j)]
     return lower - np.max(uppers, axis=0)
 
 
@@ -437,10 +442,10 @@ class TestCertificateArrays:
         cert = build_certificate(ordered, 1.0, 10.0)
         margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
         gamma_minus, gamma_plus, skipped = gamma_bounds(ordered, margins, 1.0)
-        assert gamma_minus == 1.0 - max(g(margins[0][0]) for g in ordered.pack_growths(0))
+        assert gamma_minus == 1.0 - max(g(margins[0][0]) for g in _pack_growths(ordered, 0))
         finite = [i for i in range(1, ordered.n_packs) if np.isfinite(ordered.pack_lambda(i))]
         assert gamma_plus == min(
-            g(margins[i - 1][1]) - 1.0 for i in finite for j in range(i) for g in ordered.pack_growths(j)
+            g(margins[i - 1][1]) - 1.0 for i in finite for j in range(i) for g in _pack_growths(ordered, j)
         )
         assert skipped == tuple(i for i in range(1, ordered.n_packs) if i not in finite)
 
@@ -797,5 +802,5 @@ class TestBreakEvenProbes:
     @example(Hill(13.622, 1.251, 2.059), 11.642, 1e-12, 1e6)
     @settings(max_examples=300, deadline=None)
     def test_levels_identical_to_validated_probes(self, g, d, root_tol, probe):
-        got = break_even(g, d, root_tol=root_tol, s_probe_max=probe).value
+        got = break_even(g, d, root_tol=root_tol, s_probe_max=probe)
         assert _bits(got) == _bits(_break_even_reference(g, d, root_tol, probe))

@@ -7,20 +7,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chemostat_cep import (
-    ChemostatParams,
-    Monod,
-    State,
-    build_certificate,
+from chemostat_cep import ChemostatParams, Monod, State, build_certificate, order_species, run_report, simulate
+from chemostat_cep.verify import (
     check_biomass_floor,
     check_final_convergence,
     check_induction_properties,
     check_mass_convergence,
     check_substrate_frame,
     check_washout_species,
-    order_species,
-    run_report,
-    simulate,
 )
 
 from conftest import CANONICAL_SPECIES, LAM, make_scenario
