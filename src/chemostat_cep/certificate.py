@@ -296,25 +296,6 @@ def separation_margins(
         delta *= 0.5
 
 
-def compute_nu(
-    ordered: OrderedSpecies,
-    margins: tuple[tuple[float, float], ...],
-    grid_n: int = 2048,
-) -> float:
-    """Uniform domination margin: half the smallest grid gap over all boundaries."""
-    if ordered.n_packs < 2:
-        raise ParameterError("need at least two packs for a domination margin")
-    if len(margins) != ordered.n_packs - 1:
-        raise ParameterError("one margin pair per boundary is required")
-    worst = math.inf
-    for i, (s_minus, s_plus) in enumerate(margins):
-        grid = np.linspace(s_minus, s_plus, grid_n + 1)
-        worst = min(worst, float(np.min(_pack_gap(ordered, i, grid))))
-    if worst <= 0.0:
-        raise CertificateError(f"non-positive domination gap {worst:g} on margins")
-    return 0.5 * worst
-
-
 def gamma_bounds(
     ordered: OrderedSpecies,
     margins: tuple[tuple[float, float], ...],
@@ -439,8 +420,8 @@ def build_certificate(
             )
 
     margins = tuple((b.s_minus, b.s_plus) for b in boundaries)
-    # Each gap_min is the minimum on the boundary's final margin grid, the
-    # same grid compute_nu would evaluate again.
+    # Each gap_min is the minimum on the boundary's final margin grid, so no
+    # grid is evaluated a second time for nu.
     nu = 0.5 * min(b.gap_min for b in boundaries)
     gamma_minus, gamma_plus, skipped = gamma_bounds(ordered, margins, d)
     d_minus, d_plus = dilution_bounds(gamma_minus, gamma_plus, d)

@@ -69,14 +69,7 @@ def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:
 
 def write_growth_curves_csv(scenario: Scenario, out: IO[str], *, s_max: float | None = None, points: int = 512) -> None:
     """Tabulate every growth law (and break-even levels) on a substrate grid."""
-    opt = scenario.options
-    ordered = order_species(
-        scenario.species,
-        scenario.params.d,
-        eq_tol=opt.eq_tol,
-        root_tol=opt.root_tol,
-        s_probe_max=opt.probe_factor * scenario.params.s_in,
-    )
+    ordered = order_species(scenario.species, scenario.params.d, scenario.params.s_in)
     lam_by_id = {rec.id: rec.lam for rec in ordered.records}
     if s_max is None:
         finite = [lam for lam in lam_by_id.values() if math.isfinite(lam)]
@@ -123,13 +116,7 @@ def cmd_simulate(scenario: Scenario, out_csv: str | None) -> int:
 
 
 def cmd_certificate(scenario: Scenario, out: str | None, as_json: bool = False) -> int:
-    ordered = order_species(
-        scenario.species,
-        scenario.params.d,
-        eq_tol=scenario.options.eq_tol,
-        root_tol=scenario.options.root_tol,
-        s_probe_max=scenario.options.probe_factor * scenario.params.s_in,
-    )
+    ordered = order_species(scenario.species, scenario.params.d, scenario.params.s_in)
     try:
         cert = certificate_mod.build_certificate(
             ordered,

@@ -78,14 +78,6 @@ def predicted_limit(params: ChemostatParams, ordered: OrderedSpecies) -> State:
     return State(s=params.s_in, x=x)
 
 
-def mass_closed_form(m0: float, params: ChemostatParams, t) -> float | np.ndarray:
-    """Total mass solution s_in + (m0 - s_in) exp(-d t) of the mass balance."""
-    out = params.s_in + (m0 - params.s_in) * np.exp(-params.d * np.asarray(t, dtype=float))
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
-
-
 def vector_field(
     params: ChemostatParams,
     growths: Sequence[GrowthFunction],

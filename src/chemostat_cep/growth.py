@@ -27,6 +27,16 @@ _BISECT_MAX_ITER = 4000
 # would leave too much absolute error on large roots.
 _BISECT_WIDTH_CAP = 1e-12
 
+# Relative stop of the break-even bisection.
+ROOT_TOL = 1e-12
+
+# Break-even levels within this relative distance share a pack.
+EQ_TOL = 1e-9
+
+# Break-even probes reach no further than PROBE_FACTOR * s_in; a law that
+# stays below the removal rate up to there has an infinite level.
+PROBE_FACTOR = 1e6
+
 
 def _as_substrate(s) -> np.ndarray:
     arr = np.asarray(s, dtype=float)
@@ -251,20 +261,14 @@ def rate_matrix(laws: Sequence[GrowthFunction], s) -> np.ndarray:
     return out.reshape((len(laws),) + arr.shape)
 
 
-def break_even(
-    g: GrowthFunction,
-    d: float,
-    *,
-    root_tol: float = 1e-12,
-    s_probe_max: float = 1e6,
-) -> float:
+def break_even(g: GrowthFunction, d: float, *, s_probe_max: float = 1e6) -> float:
     """Solve mu(s) = d by bracketing and bisection.
 
     The bracket is doubled outward from 1 until mu exceeds d, probing no
     further than ``s_probe_max``; if the law never reaches d below the probe
-    bound the result is ``math.inf``.  Bisection then narrows the
-    bracket to floating-point resolution, which is always at least as tight
-    as the relative ``root_tol`` guarantee.
+    bound the result is ``math.inf``.  Bisection then narrows the bracket
+    until it is narrower than both ``ROOT_TOL`` times its midpoint and
+    ``_BISECT_WIDTH_CAP``, or cannot be split further.
 
     Raises :class:`ParameterError` for d <= 0 and :class:`ModelError` for
     tabulated laws whose node rates are not strictly increasing.
@@ -273,8 +277,6 @@ def break_even(
         raise ParameterError(f"removal rate must be finite and > 0, got {d!r}")
     if not (math.isfinite(s_probe_max) and s_probe_max > 0.0):
         raise ParameterError(f"probe bound must be finite and > 0, got {s_probe_max!r}")
-    if not (math.isfinite(root_tol) and root_tol > 0.0):
-        raise ParameterError(f"root tolerance must be finite and > 0, got {root_tol!r}")
     if isinstance(g, Table) and not g.nodes_strictly_increasing:
         raise ModelError("table rates are not strictly increasing; bracket is unreliable")
 
@@ -296,7 +298,7 @@ def break_even(
             lo = mid
         else:
             hi = mid
-        if hi - lo <= min(root_tol * mid, _BISECT_WIDTH_CAP):
+        if hi - lo <= min(ROOT_TOL * mid, _BISECT_WIDTH_CAP):
             break
     return 0.5 * (lo + hi)
 
@@ -316,15 +318,13 @@ class OrderedSpecies:
 
     ``records[k]`` was input position ``permutation[k]``.  ``packs`` is a
     partition of record positions into consecutive groups whose break-even
-    levels agree within the equality tolerance; across packs the levels are
-    strictly increasing.  Species whose level is infinite share one final
-    pack.
+    levels agree within ``EQ_TOL``; across packs the levels are strictly
+    increasing.  Species whose level is infinite share one final pack.
     """
 
     records: tuple[SpeciesRecord, ...]
     permutation: tuple[int, ...]
     packs: tuple[tuple[int, ...], ...]
-    eq_tol: float
 
     @property
     def n(self) -> int:
@@ -341,39 +341,29 @@ class OrderedSpecies:
         return tuple(self.records[k].id for k in self.packs[pack_idx])
 
 
-def _same_pack(lam_ref: float, lam: float, eq_tol: float) -> bool:
+def _same_pack(lam_ref: float, lam: float) -> bool:
     if math.isinf(lam_ref) and math.isinf(lam):
         return True
     if math.isinf(lam_ref) or math.isinf(lam):
         return False
-    return abs(lam - lam_ref) <= eq_tol * max(lam_ref, lam)
+    return abs(lam - lam_ref) <= EQ_TOL * max(lam_ref, lam)
 
 
 def order_species(
-    species: Sequence[tuple[str, GrowthFunction]],
-    d: float,
-    *,
-    eq_tol: float = 1e-9,
-    root_tol: float = 1e-12,
-    s_probe_max: float = 1e6,
+    species: Sequence[tuple[str, GrowthFunction]], d: float, s_in: float
 ) -> OrderedSpecies:
     """Compute break-even levels, sort ascending, and pack near-equal levels.
 
-    The sort is stable, so species that tie keep their input order inside a
-    pack.  Infinite levels sort last and form a single pack.
+    Levels are probed up to ``PROBE_FACTOR * s_in``.  The sort is stable, so
+    species that tie keep their input order inside a pack.  Infinite levels
+    sort last and form a single pack.
     """
-    lams = [
-        break_even(g, d, root_tol=root_tol, s_probe_max=s_probe_max)
-        for _, g in species
-    ]
-    return pack_species(species, lams, eq_tol=eq_tol)
+    probe = PROBE_FACTOR * s_in
+    return pack_species(species, [break_even(g, d, s_probe_max=probe) for _, g in species])
 
 
 def pack_species(
-    species: Sequence[tuple[str, GrowthFunction]],
-    lams: Sequence[float],
-    *,
-    eq_tol: float = 1e-9,
+    species: Sequence[tuple[str, GrowthFunction]], lams: Sequence[float]
 ) -> OrderedSpecies:
     """Sort species by already computed break-even levels and pack them.
 
@@ -393,16 +383,11 @@ def pack_species(
     packs: list[tuple[int, ...]] = []
     current = [0]
     for pos in range(1, len(records)):
-        if _same_pack(records[current[0]].lam, records[pos].lam, eq_tol):
+        if _same_pack(records[current[0]].lam, records[pos].lam):
             current.append(pos)
         else:
             packs.append(tuple(current))
             current = [pos]
     packs.append(tuple(current))
 
-    return OrderedSpecies(
-        records=records,
-        permutation=tuple(order),
-        packs=tuple(packs),
-        eq_tol=eq_tol,
-    )
+    return OrderedSpecies(records=records, permutation=tuple(order), packs=tuple(packs))

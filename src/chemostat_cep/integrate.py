@@ -368,82 +368,32 @@ class EntryRecord:
     """Persistent-entry report for one interval.
 
     ``entry_time`` is the infimum of times from which the tracked value stays
-    in the interval up to the horizon (excursions no longer than the grace
-    duration are tolerated); None when no such time exists.  ``excursions``
-    counts exits after the first entry.  ``persistent`` is True only when no
-    exit at all follows the entry time.
+    in the interval up to the horizon; None when no such time exists.
+    ``excursions`` counts exits after the first entry.
     """
 
     interval: tuple[float, float]
     entry_time: float | None
-    persistent: bool
     excursions: int
 
 
-def _membership_runs(inside: np.ndarray) -> list[tuple[int, int, bool]]:
-    """Maximal runs of constant membership as (start, end_inclusive, inside)."""
-    starts = np.flatnonzero(np.diff(inside)) + 1
-    starts = np.concatenate(([0], starts))
-    ends = np.append(starts[1:] - 1, inside.size - 1)
-    return list(zip(starts.tolist(), ends.tolist(), inside[starts].tolist()))
-
-
-def scan_persistent_entry(
-    times: np.ndarray,
-    inside: np.ndarray,
-    grace: float = 0.0,
-) -> tuple[int | None, int, bool]:
-    """Locate the final persistent entry on sampled membership values.
+def scan_persistent_entry(inside: np.ndarray) -> tuple[int | None, int]:
+    """Locate the persistent entry on sampled membership values.
 
     Returns (index of the first sample of the persistent tail, number of
-    exits after the first entry, persistent flag).  The index is None when
-    the samples never enter or end outside beyond grace tolerance.
+    exits after the first entry).  The tail runs from the sample after the
+    last outside one (0 if none is outside) to the end; the index is None
+    when the last sample is outside.
     """
-    if not np.any(inside):
-        return None, 0, False
-    runs = _membership_runs(inside)
-
-    # Walk backwards: the persistent tail may absorb outside runs shorter
-    # than the grace duration, but a trailing outside run always blocks.
-    entry_run = None
-    for pos in range(len(runs) - 1, -1, -1):
-        start, end, is_in = runs[pos]
-        if is_in:
-            entry_run = pos
-            continue
-        duration = float(times[end] - times[start]) + _run_pad(times, start, end)
-        if pos == len(runs) - 1 or duration > grace:
-            break
-    if entry_run is None:
-        return None, _exits_after_first_entry(runs), False
-
-    entry_idx = runs[entry_run][0]
-    persistent = entry_run == len(runs) - 1
-    return entry_idx, _exits_after_first_entry(runs), persistent
-
-
-def _run_pad(times: np.ndarray, start: int, end: int) -> float:
-    # Conservative padding: membership between samples is unknown, so an
-    # outside run extends half a spacing on each available side.
-    pad = 0.0
-    if start > 0:
-        pad += 0.5 * float(times[start] - times[start - 1])
-    if end < times.size - 1:
-        pad += 0.5 * float(times[end + 1] - times[end])
-    return pad
-
-
-def _exits_after_first_entry(runs) -> int:
-    first_in = next((pos for pos, r in enumerate(runs) if r[2]), None)
-    if first_in is None:
-        return 0
-    return sum(1 for r in runs[first_in + 1 :] if not r[2])
+    exits = int(np.count_nonzero(inside[:-1] & ~inside[1:]))
+    if not inside[-1]:
+        return None, exits
+    outside = np.flatnonzero(~inside)
+    return (int(outside[-1]) + 1 if outside.size else 0), exits
 
 
 def persistent_entries(
-    trajectory: Trajectory,
-    intervals: Sequence[tuple[float, float]],
-    grace: float = 0.0,
+    trajectory: Trajectory, intervals: Sequence[tuple[float, float]]
 ) -> list[EntryRecord]:
     """Persistent entries of the substrate channel into closed intervals.
 
@@ -455,15 +405,15 @@ def persistent_entries(
     """
     s = trajectory.states[:, 0]
     t = trajectory.times
-    scans = []  # (lo, hi, entry index, excursions, persistent)
+    scans = []  # (lo, hi, entry index, excursions)
     for interval in intervals:
         lo, hi = float(interval[0]), float(interval[1])
         if not lo < hi:
             raise ParameterError(f"interval must satisfy lo < hi, got {interval!r}")
-        scans.append((lo, hi, *scan_persistent_entry(t, (s >= lo) & (s <= hi), grace)))
+        scans.append((lo, hi, *scan_persistent_entry((s >= lo) & (s <= hi))))
 
     # Bracket [t_out, t_in] of every entry past the first sample.
-    refine = [k for k, (_, _, idx, _, _) in enumerate(scans) if idx]
+    refine = [k for k, (_, _, idx, _) in enumerate(scans) if idx]
     lows = np.array([scans[k][0] for k in refine])
     highs = np.array([scans[k][1] for k in refine])
     t_in_idx = [scans[k][2] for k in refine]
@@ -481,19 +431,15 @@ def persistent_entries(
         t_out[active[~inside]] = mid[~inside]
         active = active[t_in[active] - t_out[active] > tol]
 
-    entry_times: list[float | None] = [None if idx is None else 0.0 for _, _, idx, _, _ in scans]
+    entry_times: list[float | None] = [None if idx is None else 0.0 for _, _, idx, _ in scans]
     for pos, k in enumerate(refine):
         entry_times[k] = float(t_in[pos])
     return [
-        EntryRecord((lo, hi), entry_time, persistent, excursions)
-        for (lo, hi, _, excursions, persistent), entry_time in zip(scans, entry_times)
+        EntryRecord((lo, hi), entry_time, excursions)
+        for (lo, hi, _, excursions), entry_time in zip(scans, entry_times)
     ]
 
 
-def first_persistent_entry(
-    trajectory: Trajectory,
-    interval: tuple[float, float],
-    grace: float = 0.0,
-) -> EntryRecord:
+def first_persistent_entry(trajectory: Trajectory, interval: tuple[float, float]) -> EntryRecord:
     """Persistent entry into one closed interval (see ``persistent_entries``)."""
-    return persistent_entries(trajectory, [interval], grace)[0]
+    return persistent_entries(trajectory, [interval])[0]

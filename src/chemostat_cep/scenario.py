@@ -18,11 +18,19 @@ import yaml
 
 from .dynamics import ChemostatParams, State
 from .errors import ChemostatError, InputError
-from .growth import GrowthFunction, Hill, Monod, Table
+from .growth import EQ_TOL, PROBE_FACTOR, ROOT_TOL, GrowthFunction, Hill, Monod, Table
 
 # libyaml's composer when PyYAML was built with it; its nodes carry the same
 # tags, values and line marks as the pure-Python one's.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# Caps on sample counts.  A run holds several (intervals + 1) x (n + 1)
+# float arrays, so 10**7 dense intervals already take gigabytes for a few
+# species, and each margin grid is a (laws x (grid_n + 1)) rate matrix.
+# Far larger counts end in numpy's "Maximum allowed size exceeded" error
+# or exhaust memory, so the parser refuses them.
+_MAX_DENSE_INTERVALS = 10**7
+_MAX_GRID_N = 2**24
 
 
 @dataclass(frozen=True)
@@ -37,14 +45,10 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Options:
-    """Secondary knobs: grid sizes, sampling, equality and probe settings."""
+    """Secondary knobs: grid size, sampling and claim thresholds."""
 
     grid_n: int = 2048
     dense_dt: float | None = None
-    eq_tol: float = 1e-9
-    root_tol: float = 1e-12
-    probe_factor: float = 1e6
-    persistence_grace: float = 0.0
     eps_mass: float = 1e-6
     eps_washout: float = 1e-4
     eps_floor: float = 1e-3
@@ -77,7 +81,14 @@ class Scenario:
             "initial": [self.initial.s, list(map(float, self.initial.x))],
             "horizon": self.horizon,
             "tolerances": vars(self.tolerances),
-            "options": vars(self.options),
+            # Former scenario keys, now constants; kept so digests stay stable.
+            "options": {
+                **vars(self.options),
+                "eq_tol": EQ_TOL,
+                "root_tol": ROOT_TOL,
+                "probe_factor": PROBE_FACTOR,
+                "persistence_grace": 0.0,
+            },
         }
         blob = json.dumps(payload, sort_keys=True, default=str).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -297,30 +308,25 @@ def parse_scenario(path: str) -> Scenario:
     opts = Options()
     if "options" in top:
         om = _mapping(top["options"], "options")
-        allowed = (
-            "grid_n",
-            "dense_dt",
-            "eq_tol",
-            "root_tol",
-            "probe_factor",
-            "persistence_grace",
-            "eps_mass",
-            "eps_washout",
-            "eps_floor",
-        )
+        allowed = ("grid_n", "dense_dt", "eps_mass", "eps_washout", "eps_floor")
         _reject_unknown(om, allowed, "options", top["options"])
         values: dict = {}
         if "grid_n" in om:
             values["grid_n"] = _int(om["grid_n"], "options.grid_n")
-            if values["grid_n"] < 8:
-                raise _fail("options.grid_n", om["grid_n"], "must be >= 8")
+            if not 8 <= values["grid_n"] <= _MAX_GRID_N:
+                raise _fail("options.grid_n", om["grid_n"], f"must lie in [8, {_MAX_GRID_N}]")
         for k in allowed[1:]:
             if k in om:
                 values[k] = _float(om[k], f"options.{k}")
-                if k != "persistence_grace" and values[k] <= 0.0:
+                if values[k] <= 0.0:
                     raise _fail(f"options.{k}", om[k], "must be > 0")
-                if k == "persistence_grace" and values[k] < 0.0:
-                    raise _fail(f"options.{k}", om[k], "must be >= 0")
+        # horizon / dense_dt may overflow to inf, which the comparison also refuses
+        if "dense_dt" in values and horizon / values["dense_dt"] > _MAX_DENSE_INTERVALS:
+            raise _fail(
+                "options.dense_dt",
+                om["dense_dt"],
+                f"gives more than {_MAX_DENSE_INTERVALS} dense intervals over the horizon {horizon:g}",
+            )
         opts = Options(**values)
 
     return Scenario(

@@ -109,7 +109,7 @@ def _json_safe(d: Mapping) -> dict:
 
 
 def fit_log_decay(
-    t: np.ndarray, v: np.ndarray, floor: float = _RATIO_FLOOR
+    t: np.ndarray, v: np.ndarray
 ) -> tuple[float | None, int] | tuple[list[float | None], np.ndarray]:
     """Least-squares slope of log v over t, skipping sub-floor samples.
 
@@ -121,7 +121,7 @@ def fit_log_decay(
     """
     one = np.ndim(v) == 1
     buf = np.array(v, dtype=float)
-    slopes, n = fit_log_decay_tails(t, buf[:, None] if one else buf, [0], floor)[0]
+    slopes, n = fit_log_decay_tails(t, buf[:, None] if one else buf, [0])[0]
     if one:
         return slopes[0], int(n[0])
     return slopes, n
@@ -131,7 +131,6 @@ def fit_log_decay_tails(
     t: np.ndarray,
     v: np.ndarray,
     starts: Sequence[int | None],
-    floor: float = _RATIO_FLOOR,
 ) -> list[tuple[list[float | None], np.ndarray] | None]:
     """Decay slopes of every column of ``v`` on the tail from every start.
 
@@ -154,7 +153,7 @@ def fit_log_decay_tails(
         return [None] * len(starts)
     block = v[cuts[0]:]
     mask = np.isfinite(block)
-    mask &= block > floor
+    mask &= block > _RATIO_FLOOR
     np.log(block, out=block, where=mask)
     # Measure times and logs from the last sample and each column's last
     # usable log, so a mean's rounding scales with how far its rows lie
@@ -254,7 +253,7 @@ def check_mass_convergence(
     resid = float(np.max(np.abs(m[after] - params.s_in)))
 
     inside = np.abs(m - params.s_in) <= eps
-    entry_idx, _, _ = scan_persistent_entry(t, inside)
+    entry_idx, _ = scan_persistent_entry(inside)
     empirical = float(t[entry_idx]) if entry_idx is not None else None
     time_tol = max(0.05 * t_pred, 2.0 * traj.meta.dense_dt)
     ok_time = empirical is not None and abs(empirical - t_pred) <= time_tol
@@ -353,27 +352,22 @@ def check_substrate_frame(
     cert: Certificate,
     growths: Sequence[GrowthFunction],
     params: ChemostatParams,
-    search_from: float = 0.0,
 ) -> ClaimResult:
     """Substrate derivative is framed by the widened dilution bounds.
 
-    First locates the time (no earlier than ``search_from``) from which
-    d*(s_in - s)/b stays inside [d_minus, d_plus]; past that time every
-    sampled derivative must lie between the frame rails, up to a slack
-    covering integration accuracy.
+    First locates the time from which d*(s_in - s)/b stays inside
+    [d_minus, d_plus]; past that time every sampled derivative must lie
+    between the frame rails, up to a slack covering integration accuracy.
     """
     if cert.degenerate:
         return _not_applicable("substrate_frame", "degenerate certificate")
-    keep = traj.times >= search_from
-    t = traj.times[keep]
-    s = traj.states[keep, 0]
-    b = traj.channels.b[keep]
-    p_kept = traj.channels.p[keep]
-    x_kept = traj.states[keep, 1:]
+    t = traj.times
+    s = traj.states[:, 0]
+    b = traj.channels.b
     with np.errstate(divide="ignore", invalid="ignore"):
         dz = np.where(b >= _B_ZERO, params.d * (params.s_in - s) / b, np.nan)
     inside = np.isfinite(dz) & (dz >= cert.d_minus) & (dz <= cert.d_plus)
-    entry_idx, _, _ = scan_persistent_entry(t, inside)
+    entry_idx, _ = scan_persistent_entry(inside)
     if entry_idx is None:
         half = t.size // 2
         tail = dz[half:][np.isfinite(dz[half:])]
@@ -389,11 +383,11 @@ def check_substrate_frame(
 
     T = float(t[entry_idx])
     sl = slice(entry_idx, None)
-    x = x_kept[sl]
+    x = traj.states[sl, 1:]
     s_a = s[sl]
     b_a = b[sl]
     mu = np.column_stack([g(s_a) for g in growths])
-    mubar = np.einsum("ij,ij->i", p_kept[sl], mu)
+    mubar = np.einsum("ij,ij->i", traj.channels.p[sl], mu)
     sdot = params.d * (params.s_in - s_a) - np.einsum("ij,ij->i", mu, x)
     phi_lo = (cert.d_minus - mubar) * b_a
     phi_hi = (cert.d_plus - mubar) * b_a
@@ -416,7 +410,6 @@ def check_induction_properties(
     cert: Certificate,
     id_to_column: Mapping[str, int],
     eps_p: float,
-    grace: float = 0.0,
 ) -> list[ClaimResult]:
     """Per-stage absorbing-interval entries and ratio decay.
 
@@ -431,7 +424,7 @@ def check_induction_properties(
     nu = cert.nu
     slope_threshold = -nu + 0.1 * nu
 
-    entries = persistent_entries(traj, cert.intervals, grace)
+    entries = persistent_entries(traj, cert.intervals)
     ref_col = id_to_column[cert.packs[0].ids[0]]
     x_ref = traj.states[:, ref_col]
     t = traj.times
@@ -545,15 +538,8 @@ def run_report(scenario: Scenario) -> VerificationReport:
     opts = scenario.options
     tols = scenario.tolerances
     growths = [g for _, g in scenario.species]
-    probe = opts.probe_factor * params.s_in
 
-    ordered_full = order_species(
-        scenario.species,
-        params.d,
-        eq_tol=opts.eq_tol,
-        root_tol=opts.root_tol,
-        s_probe_max=probe,
-    )
+    ordered_full = order_species(scenario.species, params.d, params.s_in)
     lam_by_id = {rec.id: rec.lam for rec in ordered_full.records}
     id_to_column = {sid: 1 + k for k, (sid, _) in enumerate(scenario.species)}
 
@@ -588,9 +574,7 @@ def run_report(scenario: Scenario) -> VerificationReport:
 
     cert: Certificate | None = None
     if viable:
-        ordered_active = pack_species(
-            active, [lam_by_id[sid] for sid, _ in active], eq_tol=opts.eq_tol
-        )
+        ordered_active = pack_species(active, [lam_by_id[sid] for sid, _ in active])
         try:
             cert = build_certificate(
                 ordered_active, params.d, params.s_in, grid_n=opts.grid_n
@@ -619,11 +603,7 @@ def run_report(scenario: Scenario) -> VerificationReport:
 
     if cert is not None and not cert.degenerate:
         claims.append(check_substrate_frame(traj, cert, growths, params))
-        claims.extend(
-            check_induction_properties(
-                traj, cert, id_to_column, tols.eps_p, grace=opts.persistence_grace
-            )
-        )
+        claims.extend(check_induction_properties(traj, cert, id_to_column, tols.eps_p))
     else:
         why = (
             "degenerate certificate"

@@ -1,12 +1,17 @@
-"""Shared fixtures: the canonical three-Monod scenario and variants."""
+"""Shared fixtures (the canonical three-Monod scenario and variants) and the
+closed forms several test modules use as references."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from chemostat_cep import ChemostatParams, Monod, State, order_species, simulate
-from chemostat_cep.certificate import build_certificate
+from chemostat_cep.certificate import _pack_gap, build_certificate
+from chemostat_cep.errors import CertificateError, ParameterError
+from chemostat_cep.growth import OrderedSpecies
 from chemostat_cep.scenario import Options, Scenario, Tolerances
 
 CANONICAL_SPECIES = (
@@ -44,7 +49,7 @@ def canonical_scenario() -> Scenario:
 
 @pytest.fixture(scope="session")
 def canonical_ordered():
-    return order_species(CANONICAL_SPECIES, 1.0, s_probe_max=1e7)
+    return order_species(CANONICAL_SPECIES, 1.0, 10.0)
 
 
 @pytest.fixture(scope="session")
@@ -63,3 +68,30 @@ def canonical_trajectory(canonical_scenario):
         rel_tol=sc.tolerances.rel_tol,
         abs_tol=sc.tolerances.abs_tol,
     )
+
+
+def mass_closed_form(m0: float, params: ChemostatParams, t) -> float | np.ndarray:
+    """Total mass solution s_in + (m0 - s_in) exp(-d t) of the mass balance."""
+    out = params.s_in + (m0 - params.s_in) * np.exp(-params.d * np.asarray(t, dtype=float))
+    if np.ndim(t) == 0:
+        return float(out)
+    return out
+
+
+def compute_nu(
+    ordered: OrderedSpecies,
+    margins: tuple[tuple[float, float], ...],
+    grid_n: int = 2048,
+) -> float:
+    """Uniform domination margin: half the smallest grid gap over all boundaries."""
+    if ordered.n_packs < 2:
+        raise ParameterError("need at least two packs for a domination margin")
+    if len(margins) != ordered.n_packs - 1:
+        raise ParameterError("one margin pair per boundary is required")
+    worst = math.inf
+    for i, (s_minus, s_plus) in enumerate(margins):
+        grid = np.linspace(s_minus, s_plus, grid_n + 1)
+        worst = min(worst, float(np.min(_pack_gap(ordered, i, grid))))
+    if worst <= 0.0:
+        raise CertificateError(f"non-positive domination gap {worst:g} on margins")
+    return 0.5 * worst

@@ -18,7 +18,6 @@ import pytest
 
 from chemostat_cep import ChemostatParams, Monod, State, build_certificate, order_species, run_report, simulate
 from chemostat_cep.certificate import recheck_certificate
-from chemostat_cep.dynamics import mass_closed_form
 from chemostat_cep.growth import break_even
 from chemostat_cep.integrate import first_persistent_entry
 from chemostat_cep.verify import (
@@ -31,7 +30,7 @@ from chemostat_cep.verify import (
     fit_log_decay,
 )
 
-from conftest import CANONICAL_SPECIES, LAM, make_scenario
+from conftest import CANONICAL_SPECIES, LAM, make_scenario, mass_closed_form
 
 PARAMS = ChemostatParams(d=1.0, s_in=10.0)
 GROWTHS = [g for _, g in CANONICAL_SPECIES]
@@ -133,7 +132,7 @@ def test_c08_washout_species_added(canonical_trajectory):
         assert break_even(Monod(1.0, 1.0), 1.0) == math.inf
         traj = simulate(PARAMS, growths, State(s=10.0, x=np.array([0.01] * 4)), 80.0)
         assert traj.states[-1, 4] < 1e-4
-        ordered = order_species(species, 1.0, s_probe_max=1e7)
+        ordered = order_species(species, 1.0, 10.0)
         assert check_washout_species(traj, ordered, 10.0, 1e-4).passed
         # the three-species outcome is undisturbed beyond 1e-4
         base = canonical_trajectory.states[-1]
@@ -148,7 +147,7 @@ def test_c09_identical_level_packing():
         ratio = traj.states[:, 4] / traj.states[:, 3]
         drift = float((ratio.max() - ratio.min()) / ratio.mean())
         assert drift <= 1e-6
-        ordered = order_species(species, 1.0, s_probe_max=1e7)
+        ordered = order_species(species, 1.0, 10.0)
         assert ordered.packs == ((0,), (1,), (2, 3))
         cert = build_certificate(ordered, 1.0, 10.0)
         entry = first_persistent_entry(traj, cert.intervals[1])
@@ -173,7 +172,7 @@ def test_c10_negative_controls(canonical_trajectory, canonical_ordered, canonica
         # 3. washout threshold below the reachable density floor
         species = CANONICAL_SPECIES + (("slow", Monod(1.0, 1.0)),)
         trajw = simulate(PARAMS, [g for _, g in species], State(s=10.0, x=np.array([0.01] * 4)), 80.0)
-        ord4 = order_species(species, 1.0, s_probe_max=1e7)
+        ord4 = order_species(species, 1.0, 10.0)
         flips.append(check_washout_species(trajw, ord4, 10.0, 1e-300))
         # 4. biomass floor above the physically possible level
         flips.append(check_biomass_floor(traj, canonical_ordered, PARAMS, 2.0 * PARAMS.s_in))

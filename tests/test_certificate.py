@@ -10,7 +10,6 @@ import pytest
 
 from chemostat_cep import Monod, build_certificate, order_species
 from chemostat_cep.certificate import (
-    compute_nu,
     dilution_bounds,
     gamma_bounds,
     recheck_certificate,
@@ -19,7 +18,7 @@ from chemostat_cep.certificate import (
 from chemostat_cep.errors import CertificateError, ParameterError, WashoutError
 from chemostat_cep.growth import OrderedSpecies, SpeciesRecord
 
-from conftest import CANONICAL_SPECIES, LAM
+from conftest import CANONICAL_SPECIES, LAM, compute_nu
 
 
 def _grid_gap_oracle(growth_lo, growth_his, lo, hi, n=4096):
@@ -44,7 +43,7 @@ class TestSeparationMargins:
         assert b.gap_min <= gap_at_half
 
     def test_well_separated_pair_first_try(self):
-        ordered = order_species([("a", Monod(3, 1)), ("b", Monod(3, 2))], 1.0)
+        ordered = order_species([("a", Monod(3, 1)), ("b", Monod(3, 2))], 1.0, 10.0)
         b = separation_margins(ordered, 0, 10.0)
         # lambdas 0.5 and 1.0, so the symmetric extension 0.25 survives as is
         assert b.s_minus == pytest.approx(0.25, abs=1e-9)
@@ -61,13 +60,12 @@ class TestSeparationMargins:
             ),
             permutation=(0, 1),
             packs=((0,), (1,)),
-            eq_tol=1e-9,
         )
         with pytest.raises(CertificateError):
             separation_margins(ordered, 0, 10.0)
 
     def test_upper_level_capped_when_unreachable(self):
-        ordered = order_species([("a", Monod(3, 1)), ("slow", Monod(1, 1))], 1.0)
+        ordered = order_species([("a", Monod(3, 1)), ("slow", Monod(1, 1))], 1.0, 10.0)
         b = separation_margins(ordered, 0, 10.0)
         assert b.capped
         assert b.lam_upper_eff == pytest.approx(20.0)  # max(2 s_in, 2 lambda_1)
@@ -95,7 +93,7 @@ class TestNu:
 
     def test_far_apart_pair_matches_direct_evaluation(self):
         # lambdas 0.5 and 5.0: the gap minimum sits at the lower margin
-        ordered = order_species([("a", Monod(3, 1)), ("b", Monod(1.5, 2.5))], 1.0)
+        ordered = order_species([("a", Monod(3, 1)), ("b", Monod(1.5, 2.5))], 1.0, 10.0)
         b = separation_margins(ordered, 0, 10.0)
         nu = compute_nu(ordered, ((b.s_minus, b.s_plus),))
         oracle = _grid_gap_oracle(Monod(3, 1), [Monod(1.5, 2.5)], b.s_minus, b.s_plus, n=8192)
@@ -105,7 +103,7 @@ class TestNu:
         assert nu > 0.0
 
     def test_single_pack_rejected(self):
-        ordered = order_species([("a", Monod(3, 1))], 1.0)
+        ordered = order_species([("a", Monod(3, 1))], 1.0, 10.0)
         with pytest.raises(ParameterError):
             compute_nu(ordered, ())
 
@@ -125,7 +123,7 @@ class TestNu:
 
 class TestGammaAndDilution:
     def test_gamma_minus_closed_form(self):
-        ordered = order_species([("a", Monod(3, 1)), ("b", Monod(4, 2))], 1.0)
+        ordered = order_species([("a", Monod(3, 1)), ("b", Monod(4, 2))], 1.0, 10.0)
         gm, gp, skipped = gamma_bounds(ordered, ((0.4, 0.8),), 1.0)
         # 1 - 3*0.4/1.4 = 1/7 and 3*0.8/1.8 - 1 = 1/3
         assert gm == pytest.approx(1.0 / 7.0, rel=1e-12)
@@ -133,13 +131,13 @@ class TestGammaAndDilution:
         assert skipped == ()
 
     def test_gamma_minus_vanishes_at_the_level(self):
-        ordered = order_species([("a", Monod(3, 1)), ("b", Monod(4, 2))], 1.0)
+        ordered = order_species([("a", Monod(3, 1)), ("b", Monod(4, 2))], 1.0, 10.0)
         gm_wide, _, _ = gamma_bounds(ordered, ((0.4, 0.8),), 1.0)
         gm_tight, _, _ = gamma_bounds(ordered, ((0.499, 0.8),), 1.0)
         assert 0.0 < gm_tight < gm_wide
 
     def test_gamma_requires_margin_below_level(self):
-        ordered = order_species([("a", Monod(3, 1)), ("b", Monod(4, 2))], 1.0)
+        ordered = order_species([("a", Monod(3, 1)), ("b", Monod(4, 2))], 1.0, 10.0)
         with pytest.raises(CertificateError):
             gamma_bounds(ordered, ((0.6, 0.8),), 1.0)  # 0.6 is above lambda_1
 
@@ -183,25 +181,25 @@ class TestBuildCertificate:
         assert recheck_certificate(bad, canonical_ordered) != []
 
     def test_washout_refused(self):
-        ordered = order_species(CANONICAL_SPECIES, 1.0)
+        ordered = order_species(CANONICAL_SPECIES, 1.0, 10.0)
         with pytest.raises(WashoutError):
             build_certificate(ordered, 1.0, 0.4)  # lambda_1 = 0.5 >= s_in
 
     def test_single_pack_degenerates(self):
-        ordered = order_species([("u", Monod(3, 1)), ("v", Monod(3, 1))], 1.0)
+        ordered = order_species([("u", Monod(3, 1)), ("v", Monod(3, 1))], 1.0, 10.0)
         cert = build_certificate(ordered, 1.0, 10.0)
         assert cert.degenerate
         assert cert.intervals == ()
         assert any("pack" in note for note in cert.notes)
 
     def test_one_finite_pack_with_washout_degenerates(self):
-        ordered = order_species([("a", Monod(3, 1)), ("slow", Monod(1, 1))], 1.0)
+        ordered = order_species([("a", Monod(3, 1)), ("slow", Monod(1, 1))], 1.0, 10.0)
         cert = build_certificate(ordered, 1.0, 10.0)
         assert cert.degenerate
 
     def test_unreachable_top_pack_is_capped_and_skipped(self):
         species = CANONICAL_SPECIES + (("slow", Monod(1.0, 1.0)),)
-        ordered = order_species(species, 1.0)
+        ordered = order_species(species, 1.0, 10.0)
         cert = build_certificate(ordered, 1.0, 10.0)
         assert not cert.degenerate
         assert len(cert.boundaries) == 3
@@ -236,7 +234,7 @@ class TestBuildCertificate:
                 (f"s{k}", Monod(float(rng.uniform(1.2, 8.0)), float(rng.uniform(0.2, 6.0))))
                 for k in range(n)
             ]
-            ordered = order_species(species, 1.0)
+            ordered = order_species(species, 1.0, 10.0)
             if ordered.n_packs < 2 or not ordered.pack_lambda(0) < 10.0:
                 continue
             finite = sum(
@@ -262,7 +260,7 @@ class TestBuildCertificate:
             ("b", Monod(2.0, 1.0)),      # lambda = 1.0
             ("c", Monod(1.99, 0.9999)),  # lambda just above 1.0
         ]
-        ordered = order_species(species, 1.0)
+        ordered = order_species(species, 1.0, 10.0)
         assert ordered.n_packs == 3
         cert = build_certificate(ordered, 1.0, 10.0)
         s_plus = [b.s_plus for b in cert.boundaries]

@@ -111,6 +111,18 @@ class TestParseScenario:
         c = make_scenario(horizon=81.0)
         assert c.digest() != a.digest()
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("canonical", "c086b25ccccc3dca17c25334658a4cc2653339099bba5acb18b36dde503b7fe6"),
+            ("with_washout", "4c2a37c5efd812e05cd6f5b76e27ecd66096220b02d8b9f834b163ab4175f637"),
+        ],
+    )
+    def test_digest_of_stored_scenarios_is_pinned(self, name, digest):
+        # Reports carry the digest, so a payload change alters every report.
+        path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.yaml"
+        assert parse_scenario(str(path)).digest() == digest
+
 
 def _wide_yaml(n=100):
     """A generated scenario file with n Monod species, in flow and block style."""
@@ -274,13 +286,7 @@ def _reference_trajectory_csv(traj) -> str:
 def _reference_growth_curves_csv(scenario, s_max=None, points=512) -> str:
     out = io.StringIO()
     opt = scenario.options
-    ordered = order_species(
-        scenario.species,
-        scenario.params.d,
-        eq_tol=opt.eq_tol,
-        root_tol=opt.root_tol,
-        s_probe_max=opt.probe_factor * scenario.params.s_in,
-    )
+    ordered = order_species(scenario.species, scenario.params.d, scenario.params.s_in)
     lam_by_id = {rec.id: rec.lam for rec in ordered.records}
     if s_max is None:
         finite = [lam for lam in lam_by_id.values() if math.isfinite(lam)]
@@ -555,9 +561,7 @@ _LAST_TOLERANCE_LINE = "  abs_tol: 1.0e-10\n"
         (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "  eps_p: nan\n", "tolerances.eps_p", 18),
         (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "options:\n  grid_n: inf\n", "options.grid_n", 19),
         (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "options:\n  grid_n: nan\n", "options.grid_n", 19),
-        (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "options:\n  eq_tol: nan\n", "options.eq_tol", 19),
         (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "options:\n  dense_dt: nan\n", "options.dense_dt", 19),
-        (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "options:\n  probe_factor: inf\n", "options.probe_factor", 19),
     ],
 )
 def test_non_finite_numbers_exit_2(old, new, key, line, tmp_path, capsys):
@@ -567,6 +571,59 @@ def test_non_finite_numbers_exit_2(old, new, key, line, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"input error: {key}: expected a finite number" in err, err
     assert f"(line {line})" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("eq_tol", "1.0e-9"), ("root_tol", "1.0e-12"), ("probe_factor", "1.0e6"), ("persistence_grace", "0.0")],
+)
+def test_removed_option_keys_exit_2(key, value, tmp_path, capsys):
+    path = tmp_path / "removed.yaml"
+    path.write_text(CANONICAL_YAML + f"options:\n  {key}: {value}\n")
+    assert main(["verify", str(path)]) == 2
+    assert f"input error: options.{key}: unknown key (line 19)" in capsys.readouterr().err
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("a command ran on a scenario the parser should refuse")
+
+
+@pytest.mark.parametrize(
+    "horizon, dense_dt, line, ok",
+    [
+        ("horizon: 80.0\n", "8.0e-6", 19, True),  # exactly 10**7 intervals
+        ("horizon: 80.0\n", "7.9e-6", 19, False),
+        ("horizon: 80.0\n", "1.0e-300", 19, False),  # the quotient is near the float maximum
+        ("", "1.0e-5", 18, True),  # default horizon 100 / dilution
+        ("", "9.9e-6", 18, False),
+    ],
+)
+def test_dense_interval_cap(horizon, dense_dt, line, ok, tmp_path, capsys, monkeypatch):
+    # Only parsed: no run comes near the cap, whatever the parser does.
+    monkeypatch.setattr(cli, "cmd_simulate", _refuse_to_run)
+    path = tmp_path / "dense.yaml"
+    text = CANONICAL_YAML.replace("horizon: 80.0\n", horizon) + f"options:\n  dense_dt: {dense_dt}\n"
+    path.write_text(text)
+    if ok:
+        assert parse_scenario(str(path)).options.dense_dt == float(dense_dt)
+        return
+    assert main(["simulate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: options.dense_dt: gives more than 10000000 dense intervals" in err, err
+    assert f"(line {line})" in err
+
+
+@pytest.mark.parametrize("grid_n, ok", [("16777216", True), ("16777217", False), ("1.0e30", False)])
+def test_grid_size_cap(grid_n, ok, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_certificate", _refuse_to_run)
+    path = tmp_path / "grid.yaml"
+    path.write_text(CANONICAL_YAML + f"options:\n  grid_n: {grid_n}\n")
+    if ok:
+        assert parse_scenario(str(path)).options.grid_n == 2**24
+        return
+    assert main(["certificate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: options.grid_n: must lie in [8, 16777216] (line 19)" in err, err
 
 
 def test_default_horizon_must_be_finite(tmp_path, capsys):
@@ -629,8 +686,7 @@ VALID_DOC = {
     "horizon": 80.0,
     "tolerances": {"rel_tol": 1e-8, "abs_tol": 1e-10, "eps_p": 1e-4, "eps_final": 1e-3},
     "options": {
-        "grid_n": 2048, "dense_dt": 0.04, "eq_tol": 1e-9, "root_tol": 1e-12, "probe_factor": 1e6,
-        "persistence_grace": 0.0, "eps_mass": 1e-6, "eps_washout": 1e-4, "eps_floor": 1e-3,
+        "grid_n": 2048, "dense_dt": 0.04, "eps_mass": 1e-6, "eps_washout": 1e-4, "eps_floor": 1e-3,
     },
 }
 

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from chemostat_cep import ChemostatParams, Monod, State, order_species, simulate
-from chemostat_cep.dynamics import mass_closed_form, predicted_limit, vector_field
+from chemostat_cep.dynamics import predicted_limit, vector_field
 from chemostat_cep.errors import ChemostatError, DomainError, ParameterError
 from chemostat_cep.growth import GrowthFunction
 from chemostat_cep.integrate import _derive_channel_arrays
 
-from conftest import CANONICAL_SPECIES, LAM
+from conftest import CANONICAL_SPECIES, LAM, mass_closed_form
 
 PARAMS = ChemostatParams(d=1.0, s_in=10.0)
 GROWTHS = [g for _, g in CANONICAL_SPECIES]
@@ -232,15 +232,13 @@ class TestPredictedLimit:
         np.testing.assert_allclose(lim.x, [9.5, 0.0, 0.0], atol=1e-10)
 
     def test_washout(self):
-        ordered = order_species(CANONICAL_SPECIES, 1.0)
+        ordered = order_species(CANONICAL_SPECIES, 1.0, 0.4)
         lim = predicted_limit(ChemostatParams(d=1.0, s_in=0.4), ordered)
         assert lim.s == 0.4
         np.testing.assert_array_equal(lim.x, np.zeros(3))
 
     def test_minimal_pack_shares_the_biomass(self):
-        ordered = order_species(
-            [("u", Monod(3, 1)), ("v", Monod(3, 1)), ("w", Monod(4, 2))], 1.0
-        )
+        ordered = order_species([("u", Monod(3, 1)), ("v", Monod(3, 1)), ("w", Monod(4, 2))], 1.0, 10.0)
         lim = predicted_limit(PARAMS, ordered)
         assert lim.x[0] == pytest.approx(lim.x[1])
         assert lim.x[0] + lim.x[1] == pytest.approx(10.0 - 0.5, abs=1e-9)

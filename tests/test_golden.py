@@ -64,13 +64,7 @@ def scenarios() -> dict[str, Scenario]:
 def capture(sc: Scenario) -> dict:
     opts = sc.options
     active = [(sid, g) for (sid, g), xi in zip(sc.species, sc.initial.x) if xi > 0.0]
-    ordered = order_species(
-        active,
-        sc.params.d,
-        eq_tol=opts.eq_tol,
-        root_tol=opts.root_tol,
-        s_probe_max=opts.probe_factor * sc.params.s_in,
-    )
+    ordered = order_species(active, sc.params.d, sc.params.s_in)
     cert = build_certificate(ordered, sc.params.d, sc.params.s_in, grid_n=opts.grid_n)
     report = run_report(sc).to_dict()
     return {

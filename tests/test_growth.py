@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from chemostat_cep import Hill, Monod, Table, order_species
 from chemostat_cep.errors import DomainError, ModelError, ParameterError
-from chemostat_cep.growth import break_even, rate_matrix
-
-ROOT_TOL = 1e-12
+from chemostat_cep.growth import ROOT_TOL, break_even, rate_matrix
 
 
 class TestEvaluation:
@@ -94,7 +92,7 @@ class TestHillOverflow:
 
     @pytest.mark.parametrize("g", OVERFLOWING_HILLS)
     def test_break_even_finite(self, g):
-        lam = break_even(g, 1.0, root_tol=ROOT_TOL)
+        lam = break_even(g, 1.0)
         assert math.isfinite(lam) and lam == pytest.approx(g.k, rel=1e-12)
 
 
@@ -156,7 +154,7 @@ class TestBreakEven:
 class TestOrdering:
     def test_canonical_triple(self):
         trio = [("a", Monod(3, 1)), ("b", Monod(4, 2)), ("c", Monod(5, 3))]
-        ordered = order_species(trio, 1.0)
+        ordered = order_species(trio, 1.0, 10.0)
         lams = [r.lam for r in ordered.records]
         assert lams == pytest.approx([0.5, 2 / 3, 0.75], abs=1e-10)
         assert ordered.permutation == (0, 1, 2)
@@ -164,27 +162,27 @@ class TestOrdering:
 
     def test_sorting_is_ascending(self):
         trio = [("c", Monod(5, 3)), ("a", Monod(3, 1)), ("b", Monod(4, 2))]
-        ordered = order_species(trio, 1.0)
+        ordered = order_species(trio, 1.0, 10.0)
         assert [r.id for r in ordered.records] == ["a", "b", "c"]
         assert ordered.permutation == (1, 2, 0)
 
     def test_identical_species_share_a_pack(self):
         pair = [("u", Monod(3, 1)), ("v", Monod(3, 1))]
-        ordered = order_species(pair, 1.0)
+        ordered = order_species(pair, 1.0, 10.0)
         assert ordered.packs == ((0, 1),)
         # stable: input order preserved inside the pack
         assert [r.id for r in ordered.records] == ["u", "v"]
 
     def test_infinite_levels_sort_last_in_one_pack(self):
         mix = [("slow", Monod(1, 1)), ("fast", Monod(3, 1)), ("never", Monod(0.5, 1))]
-        ordered = order_species(mix, 1.0)
+        ordered = order_species(mix, 1.0, 10.0)
         assert [r.id for r in ordered.records] == ["fast", "slow", "never"]
         assert ordered.packs == ((0,), (1, 2))
         assert math.isinf(ordered.pack_lambda(1))
 
     def test_packs_partition_the_index_set(self):
         mix = [("a", Monod(3, 1)), ("b", Monod(3, 1)), ("c", Monod(4, 2)), ("d", Monod(1, 1))]
-        ordered = order_species(mix, 1.0)
+        ordered = order_species(mix, 1.0, 10.0)
         flat = [k for pack in ordered.packs for k in pack]
         assert sorted(flat) == list(range(4))
         assert flat == sorted(flat)  # consecutive positions
@@ -193,7 +191,7 @@ class TestOrdering:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParameterError):
-            order_species([], 1.0)
+            order_species([], 1.0, 10.0)
 
 
 @given(

@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemostat_cep import ChemostatParams, Monod, State, integrate, simulate
-from chemostat_cep.dynamics import mass_closed_form
 from chemostat_cep.errors import DomainError, ParameterError
 from chemostat_cep.integrate import _initial_step, first_persistent_entry, scan_persistent_entry
 
-from conftest import CANONICAL_SPECIES
+from conftest import CANONICAL_SPECIES, mass_closed_form
 
 PARAMS = ChemostatParams(d=1.0, s_in=10.0)
 GROWTHS = [g for _, g in CANONICAL_SPECIES]
@@ -209,13 +208,11 @@ class TestPersistentEntry:
     def test_immediate_membership(self, canonical_trajectory):
         rec = first_persistent_entry(canonical_trajectory, (0.0, 11.0))
         assert rec.entry_time == 0.0
-        assert rec.persistent
         assert rec.excursions == 0
 
     def test_canonical_interval_entry(self, canonical_trajectory, canonical_certificate):
         rec = first_persistent_entry(canonical_trajectory, canonical_certificate.intervals[1])
         assert rec.entry_time is not None and 0.0 < rec.entry_time < 80.0
-        assert rec.persistent
         # the substrate really is inside from the entry time onward
         t = canonical_trajectory.times
         s = canonical_trajectory.states[:, 0]
@@ -229,7 +226,6 @@ class TestPersistentEntry:
     def test_disjoint_interval_absent(self, canonical_trajectory):
         rec = first_persistent_entry(canonical_trajectory, (100.0, 200.0))
         assert rec.entry_time is None
-        assert not rec.persistent
         assert rec.excursions == 0
 
     def test_bad_interval(self, canonical_trajectory):
@@ -237,27 +233,13 @@ class TestPersistentEntry:
             first_persistent_entry(canonical_trajectory, (1.0, 1.0))
 
     def test_scan_counts_excursions(self):
-        t = np.linspace(0.0, 9.0, 10)
         inside = np.array([0, 1, 1, 0, 1, 0, 1, 1, 1, 1], dtype=bool)
-        idx, excursions, persistent = scan_persistent_entry(t, inside)
-        assert idx == 6
-        assert excursions == 2
-        assert persistent
+        assert scan_persistent_entry(inside) == (6, 2)
 
     def test_scan_trailing_exit_blocks(self):
-        t = np.linspace(0.0, 4.0, 5)
         inside = np.array([0, 1, 1, 1, 0], dtype=bool)
-        idx, excursions, persistent = scan_persistent_entry(t, inside)
-        assert idx is None
-        assert excursions == 1
-        assert not persistent
+        assert scan_persistent_entry(inside) == (None, 1)
 
-    def test_scan_grace_tolerates_short_excursion(self):
-        t = np.linspace(0.0, 9.0, 10)
+    def test_scan_short_excursion_resets_the_entry(self):
         inside = np.array([0, 0, 1, 1, 0, 1, 1, 1, 1, 1], dtype=bool)
-        strict_idx, _, strict_persistent = scan_persistent_entry(t, inside, grace=0.0)
-        assert strict_idx == 5 and strict_persistent
-        lax_idx, lax_exc, lax_persistent = scan_persistent_entry(t, inside, grace=2.5)
-        assert lax_idx == 2
-        assert lax_exc == 1
-        assert not lax_persistent  # an exit follows the tolerated entry
+        assert scan_persistent_entry(inside) == (5, 1)

@@ -1,7 +1,7 @@
 """Array evaluations along the species axis against their scalar references.
 
 ``rate_matrix``, the batched ``fit_log_decay``, the merged-moment tail fits,
-the run splitter behind persistent entries, the lockstep entry bisection,
+the one-rule persistent-entry scan, the lockstep entry bisection,
 dense output, the certificate's pack gaps and self-check and the
 integrator's right-hand side each replace a per-species, per-stage or
 per-sample loop; these properties pin them to the loop they replace.  The
@@ -37,7 +37,6 @@ from chemostat_cep import certificate as certificate_mod
 from chemostat_cep.certificate import (
     _envelope_rows,
     _pack_gap,
-    compute_nu,
     gamma_bounds,
     recheck_certificate,
     separation_margins,
@@ -45,15 +44,10 @@ from chemostat_cep.certificate import (
 from chemostat_cep.dynamics import vector_field
 from chemostat_cep.errors import CertificateError, DomainError
 from chemostat_cep.growth import break_even, pack_species, rate_matrix
-from chemostat_cep.integrate import (
-    EntryRecord,
-    _membership_runs,
-    persistent_entries,
-    scan_persistent_entry,
-)
+from chemostat_cep.integrate import EntryRecord, persistent_entries, scan_persistent_entry
 from chemostat_cep.verify import fit_log_decay, fit_log_decay_tails
 
-from conftest import CANONICAL_SPECIES
+from conftest import CANONICAL_SPECIES, compute_nu
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -286,17 +280,56 @@ def _runs_reference(inside):
     return runs
 
 
-class TestMembershipRuns:
-    @given(st.lists(st.booleans(), min_size=1, max_size=200))
-    @settings(max_examples=200, deadline=None)
-    def test_matches_reference_loop(self, bits):
-        inside = np.array(bits, dtype=bool)
-        assert _membership_runs(inside) == _runs_reference(inside)
+def _scan_reference(times, inside):
+    """The run-walking scan that ``scan_persistent_entry`` replaced, with no
+    tolerated excursion: (entry index, exits after the first entry,
+    persistent flag)."""
+    if not np.any(inside):
+        return None, 0, False
+    runs = _runs_reference(inside)
+    first_in = next(pos for pos, r in enumerate(runs) if r[2])
+    exits = sum(1 for r in runs[first_in + 1 :] if not r[2])
 
-    @pytest.mark.parametrize("bits", [[True], [False], [True] * 9, [False] * 9])
-    def test_length_one_and_constant(self, bits):
+    # Walk backwards: an outside run ends the persistent tail, and a
+    # trailing one leaves no entry at all.
+    entry_run = None
+    for pos in range(len(runs) - 1, -1, -1):
+        start, end, is_in = runs[pos]
+        if is_in:
+            entry_run = pos
+            continue
+        # membership between samples is unknown, so an outside run extends
+        # half a spacing on each available side
+        duration = float(times[end] - times[start])
+        if start > 0:
+            duration += 0.5 * float(times[start] - times[start - 1])
+        if end < times.size - 1:
+            duration += 0.5 * float(times[end + 1] - times[end])
+        if pos == len(runs) - 1 or duration > 0.0:
+            break
+    if entry_run is None:
+        return None, exits, False
+    return runs[entry_run][0], exits, entry_run == len(runs) - 1
+
+
+membership = st.one_of(
+    st.lists(st.booleans(), min_size=1, max_size=200),
+    st.integers(1, 200).map(lambda n: [True] * n),
+    st.integers(1, 200).map(lambda n: [False] * n),
+    st.lists(st.booleans(), min_size=0, max_size=199).map(lambda b: b + [False]),
+)
+
+
+class TestPersistentScan:
+    @given(membership, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_run_walking_reference(self, bits, data):
         inside = np.array(bits, dtype=bool)
-        assert _membership_runs(inside) == [(0, len(bits) - 1, bits[0])]
+        steps = data.draw(st.lists(st.floats(1e-6, 10.0), min_size=len(bits), max_size=len(bits)))
+        times = np.cumsum(steps)
+        idx, exits = scan_persistent_entry(inside)
+        # the reference's persistent flag holds exactly when there is an entry
+        assert (idx, exits, idx is not None) == _scan_reference(times, inside)
 
 
 def _sample_reference(traj, t):
@@ -348,16 +381,16 @@ class TestDenseStates:
         _assert_dense_equals_sample(traj)
 
 
-def _entry_reference(traj, interval, grace):
+def _entry_reference(traj, interval):
     """One interval's entry, bisected one ``Trajectory.sample`` at a time."""
     lo, hi = interval
     t = traj.times
     s = traj.states[:, 0]
-    idx, excursions, persistent = scan_persistent_entry(t, (s >= lo) & (s <= hi), grace)
+    idx, excursions = scan_persistent_entry((s >= lo) & (s <= hi))
     if idx is None:
-        return EntryRecord((lo, hi), None, False, excursions)
+        return EntryRecord((lo, hi), None, excursions)
     if idx == 0:
-        return EntryRecord((lo, hi), 0.0, persistent, excursions)
+        return EntryRecord((lo, hi), 0.0, excursions)
     t_out, t_in = float(t[idx - 1]), float(t[idx])
     tol = max(1e-12, 1e-9 * traj.horizon)
     while t_in - t_out > tol:
@@ -366,7 +399,7 @@ def _entry_reference(traj, interval, grace):
             t_in = mid
         else:
             t_out = mid
-    return EntryRecord((lo, hi), t_in, persistent, excursions)
+    return EntryRecord((lo, hi), t_in, excursions)
 
 
 class TestPersistentEntries:
@@ -376,9 +409,8 @@ class TestPersistentEntries:
         traj = canonical_trajectory
         # the certificate's stages, one holding from t = 0, one never entered
         intervals = list(canonical_certificate.intervals) + [(0.0, 11.0), (100.0, 200.0)]
-        for grace in (0.0, 0.5):
-            got = persistent_entries(traj, intervals, grace)
-            assert got == [_entry_reference(traj, iv, grace) for iv in intervals]
+        got = persistent_entries(traj, intervals)
+        assert got == [_entry_reference(traj, iv) for iv in intervals]
         assert got[-2].entry_time == 0.0 and got[-1].entry_time is None
 
     @given(
@@ -391,16 +423,15 @@ class TestPersistentEntries:
             min_size=1,
             max_size=6,
         ),
-        st.sampled_from([0.0, 0.3]),
     )
     @settings(max_examples=15, deadline=None)
-    def test_random_runs_match_per_interval_bisection(self, mu2, k2, s0, horizon, ivs, grace):
+    def test_random_runs_match_per_interval_bisection(self, mu2, k2, s0, horizon, ivs):
         growths = [Monod(3.0, 1.0), Monod(mu2, k2)]
         x0 = State(s=s0, x=np.array([0.05, 0.05]))
         traj = simulate(ChemostatParams(1.0, 10.0), growths, x0, horizon)
         intervals = [(lo, lo + w) for lo, w in ivs]
-        got = persistent_entries(traj, intervals, grace)
-        assert got == [_entry_reference(traj, iv, grace) for iv in intervals]
+        got = persistent_entries(traj, intervals)
+        assert got == [_entry_reference(traj, iv) for iv in intervals]
 
     def test_empty_interval_list(self, canonical_trajectory):
         assert persistent_entries(canonical_trajectory, []) == []
@@ -426,19 +457,19 @@ MIXED = CANONICAL_SPECIES + (
 
 class TestCertificateArrays:
     def test_pack_gap_bitwise_equal_to_per_law_loop(self):
-        ordered = order_species(MIXED, 1.0)
+        ordered = order_species(MIXED, 1.0, 10.0)
         for i in range(ordered.n_packs - 1):
             grid = np.linspace(0.1, 12.0, 513)
             assert np.array_equal(_pack_gap(ordered, i, grid), _pack_gap_reference(ordered, i, grid))
 
     def test_nu_is_compute_nu_on_the_same_margins(self):
-        ordered = order_species(MIXED, 1.0)
+        ordered = order_species(MIXED, 1.0, 10.0)
         cert = build_certificate(ordered, 1.0, 10.0)
         margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
         assert cert.nu == compute_nu(ordered, margins, grid_n=cert.grid_n)
 
     def test_gamma_bounds_match_scalar_loop(self):
-        ordered = order_species(MIXED, 1.0)
+        ordered = order_species(MIXED, 1.0, 10.0)
         cert = build_certificate(ordered, 1.0, 10.0)
         margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
         gamma_minus, gamma_plus, skipped = gamma_bounds(ordered, margins, 1.0)
@@ -477,10 +508,9 @@ def _certificate_cases():
     cases = []
     for name in ("canonical", "with_washout"):
         sc = parse_scenario(str(ROOT / "scenarios" / f"{name}.yaml"))
-        probe = sc.options.probe_factor * sc.params.s_in
-        cases.append((name, order_species(sc.species, sc.params.d, s_probe_max=probe)))
-    cases.append(("mixed", order_species(MIXED, 1.0)))
-    cases += [(f"mixed-{seed}", order_species(_mixed_species(seed), 1.0)) for seed in range(6)]
+        cases.append((name, order_species(sc.species, sc.params.d, sc.params.s_in)))
+    cases.append(("mixed", order_species(MIXED, 1.0, 10.0)))
+    cases += [(f"mixed-{seed}", order_species(_mixed_species(seed), 1.0, 10.0)) for seed in range(6)]
     return cases
 
 
@@ -614,11 +644,11 @@ class TestEnvelopeRows:
     @given(certificate_species())
     @settings(max_examples=60, deadline=None)
     def test_certificate_bitwise_equal_to_every_row_path(self, species):
-        _assert_certificate_matches_every_row(order_species(species, 1.0))
+        _assert_certificate_matches_every_row(order_species(species, 1.0, 10.0))
 
     @pytest.mark.parametrize("case", sorted(ENVELOPE_CASES))
     def test_case(self, case):
-        ordered = order_species(ENVELOPE_CASES[case], 1.0)
+        ordered = order_species(ENVELOPE_CASES[case], 1.0, 10.0)
         cert = _assert_certificate_matches_every_row(ordered)
         assert not cert.degenerate
         b0 = cert.boundaries[0]
@@ -640,13 +670,13 @@ class TestEnvelopeRows:
     @settings(max_examples=40, deadline=None)
     def test_steep_slow_law_that_overtakes_a_nearer_one(self, mu_near, mu_far, ratio):
         species = (("low", Monod(3.0, 1.0)), ("near", _monod_at(2.0, mu_near)), ("far", _monod_at(2.0 * ratio, mu_far)))
-        _assert_certificate_matches_every_row(order_species(species, 1.0))
+        _assert_certificate_matches_every_row(order_species(species, 1.0, 10.0))
 
     def test_wide_monod_set_drops_most_rows(self):
         rng = np.random.default_rng(7)
         lams = rng.permutation(np.linspace(0.5, 6.5, 100) + rng.uniform(0.0, 0.05, 100))
         species = tuple((f"m{k}", _monod_at(float(lam), float(rng.uniform(1.2, 6.0)))) for k, lam in enumerate(lams))
-        ordered = order_species(species, 1.0)
+        ordered = order_species(species, 1.0, 10.0)
         rows = _envelope_rows(ordered, 10.0, 2048)
         kept = sum(r.size for r in rows)
         slower = sum(ordered.n - ordered.packs[i + 1][0] for i in range(ordered.n_packs - 1))
@@ -658,7 +688,7 @@ class TestEnvelopeRows:
             pass
 
         species = (("a", Monod(3.0, 1.0)), ("b", _monod_at(2.0, 5.0)), ("c", Custom(1.5, 1.5)), ("d", _monod_at(4.0, 1.2)))
-        ordered = order_species(species, 1.0)
+        ordered = order_species(species, 1.0, 10.0)
         custom = next(k for k, rec in enumerate(ordered.records) if rec.id == "c")
         assert all(custom in r for r in _envelope_rows(ordered, 10.0, 2048)[:2])
         _assert_certificate_matches_every_row(ordered)
@@ -666,10 +696,10 @@ class TestEnvelopeRows:
 
 class TestPackSpecies:
     def test_subset_repacked_from_known_levels_equals_fresh_ordering(self):
-        full = order_species(MIXED, 1.0)
+        full = order_species(MIXED, 1.0, 10.0)
         lam = {rec.id: rec.lam for rec in full.records}
         subset = [sp for k, sp in enumerate(MIXED) if k % 3 != 1]
-        assert pack_species(subset, [lam[sid] for sid, _ in subset]) == order_species(subset, 1.0)
+        assert pack_species(subset, [lam[sid] for sid, _ in subset]) == order_species(subset, 1.0, 10.0)
 
 
 def _rate_reference(g, s):
@@ -769,7 +799,7 @@ class TestTableScalarRow:
         assert _bits(table._rate_scalar(s)) == _bits(float(table._rate(np.asarray(s))))
 
 
-def _break_even_reference(g, d, root_tol=1e-12, s_probe_max=1e6):
+def _break_even_reference(g, d, s_probe_max=1e6):
     """The bisection of ``break_even`` with every probe through ``g(...)``."""
     hi = min(1.0, s_probe_max)
     while g(hi) <= d:
@@ -785,7 +815,7 @@ def _break_even_reference(g, d, root_tol=1e-12, s_probe_max=1e6):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= min(root_tol * mid, 1e-12):
+        if hi - lo <= min(1e-12 * mid, 1e-12):
             break
     return 0.5 * (lo + hi)
 
@@ -794,13 +824,12 @@ class TestBreakEvenProbes:
     @given(
         st.one_of(monods, hills, tables(), offset_tables()),
         st.floats(min_value=0.05, max_value=25.0),
-        st.sampled_from([1e-12, 1e-9, 1e-6]),
         st.sampled_from([1e2, 1e6]),
     )
     # libm pow and np.power differ in the last bit of one probe of this law,
     # so probing with the scalar path would move its level
-    @example(Hill(13.622, 1.251, 2.059), 11.642, 1e-12, 1e6)
+    @example(Hill(13.622, 1.251, 2.059), 11.642, 1e6)
     @settings(max_examples=300, deadline=None)
-    def test_levels_identical_to_validated_probes(self, g, d, root_tol, probe):
-        got = break_even(g, d, root_tol=root_tol, s_probe_max=probe)
-        assert _bits(got) == _bits(_break_even_reference(g, d, root_tol, probe))
+    def test_levels_identical_to_validated_probes(self, g, d, probe):
+        got = break_even(g, d, s_probe_max=probe)
+        assert _bits(got) == _bits(_break_even_reference(g, d, probe))

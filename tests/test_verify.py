@@ -33,7 +33,7 @@ def washout_added_trajectory():
         State(s=10.0, x=np.array([0.01] * 4)),
         80.0,
     )
-    ordered = order_species(species, 1.0, s_probe_max=1e7)
+    ordered = order_species(species, 1.0, 10.0)
     return traj, ordered
 
 
@@ -76,7 +76,7 @@ class TestWashoutSpecies:
             State(s=10.0, x=np.array([0.01, 0.01, 0.01, 0.0])),
             40.0,
         )
-        ordered = order_species(species, 1.0, s_probe_max=1e7)
+        ordered = order_species(species, 1.0, 10.0)
         res = check_washout_species(traj, ordered, 10.0, 1e-4)
         assert res.passed
 
@@ -90,13 +90,13 @@ class TestBiomassFloor:
     def test_not_applicable_in_washout(self):
         params = ChemostatParams(d=1.0, s_in=0.4)
         traj = simulate(params, GROWTHS, State(s=0.4, x=np.array([0.01] * 3)), 10.0)
-        ordered = order_species(CANONICAL_SPECIES, 1.0)
+        ordered = order_species(CANONICAL_SPECIES, 1.0, params.s_in)
         res = check_biomass_floor(traj, ordered, params, 1e-3)
         assert not res.applicable
 
     def test_tiny_inoculum_still_grows(self):
         traj = simulate(PARAMS, GROWTHS, State(s=10.0, x=np.array([1e-8] * 3)), 80.0)
-        ordered = order_species(CANONICAL_SPECIES, 1.0)
+        ordered = order_species(CANONICAL_SPECIES, 1.0, 10.0)
         res = check_biomass_floor(traj, ordered, PARAMS, 1e-3)
         assert res.passed
 
@@ -138,7 +138,7 @@ class TestInduction:
     def test_two_species(self):
         pair = (("a", Monod(3, 1)), ("b", Monod(4, 2)))
         traj = simulate(PARAMS, [g for _, g in pair], State(s=10.0, x=np.array([0.01, 0.01])), 80.0)
-        ordered = order_species(pair, 1.0)
+        ordered = order_species(pair, 1.0, 10.0)
         cert = build_certificate(ordered, 1.0, 10.0)
         results = check_induction_properties(traj, cert, {"a": 1, "b": 2}, 1e-4)
         assert len(results) == 1
