@@ -20,7 +20,7 @@ from . import certificate as certificate_mod
 from .errors import CertificateError, ChemostatError, InputError, WashoutError
 from .growth import order_species
 from .integrate import Trajectory, simulate
-from .scenario import Scenario, parse_scenario
+from .scenario import _MAX_GRID_N, Scenario, parse_scenario
 from .verify import run_report
 
 
@@ -141,7 +141,8 @@ def cmd_verify(scenario: Scenario, out: str | None) -> int:
     report = run_report(scenario)
     sys.stdout.write(report.to_text())
     if out is not None:
-        _emit(out, lambda fh: fh.write(json.dumps(report.to_dict(), indent=2) + "\n"))
+        # Without ``indent`` json.dumps runs CPython's C encoder.
+        _emit(out, lambda fh: fh.write(json.dumps(report.to_dict()) + "\n"))
     return 0 if report.overall_pass else 1
 
 
@@ -155,8 +156,8 @@ def _points(text: str) -> int:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    if not 1 <= value <= _MAX_GRID_N:
+        raise argparse.ArgumentTypeError(f"expected an integer in [1, {_MAX_GRID_N}], got {text!r}")
     return value
 
 

@@ -418,6 +418,12 @@ def check_induction_properties(
     above i to decay: the log of its summed density ratio against the lead
     species must fall at least at rate nu less a slack of 0.1 nu, and its
     final proportion must end below eps_p.
+
+    Stage i measures its entry, the slope and final proportion of pack
+    i + 1 (the pack it newly excludes), and the governing values over every
+    pack above i: ``slope_max`` and ``p_final_max`` with their packs (see
+    ``_governing``).  Slopes are None without an entry.  So a stage reports
+    eight values, and each pack's final proportion appears in one stage.
     """
     if cert.degenerate:
         return [_not_applicable("exclusion_stage_1", "degenerate certificate")]
@@ -465,12 +471,15 @@ def check_induction_properties(
                 ok = False
                 details.append("entered the smaller interval earlier than the larger one")
 
+        slopes = [None] * (len(cols) - i) if fits[i] is None else fits[i][0][i:]
+        p_finals = p_final_by_pack[i:]
+        measured[f"slope_pack_{i + 2}"] = slopes[0]
+        measured[f"p_final_pack_{i + 2}"] = p_finals[0]
+        measured["slope_max"], measured["slope_max_pack"] = _governing(slopes, i + 2)
+        measured["p_final_max"], measured["p_final_max_pack"] = _governing(p_finals, i + 2)
+
         if rec.entry_time is not None:
-            slopes, _ = fits[i]
-            for j, slope in enumerate(slopes[i:], start=i + 1):
-                p_final = p_final_by_pack[j - 1]
-                measured[f"slope_pack_{j + 1}"] = slope
-                measured[f"p_final_pack_{j + 1}"] = p_final
+            for j, (slope, p_final) in enumerate(zip(slopes, p_finals), start=i + 1):
                 prop_ok = math.isfinite(p_final) and p_final < eps_p
                 if slope is None:
                     decay_ok = prop_ok
@@ -499,6 +508,20 @@ def check_induction_properties(
             )
         )
     return results
+
+
+def _governing(values: Sequence[float | None], first_pack: int) -> tuple[float | None, int | None]:
+    """The value that governs a stage among its packs' values, and its pack.
+
+    ``values[k]`` belongs to pack ``first_pack + k``.  None values are
+    skipped; the first non-finite value governs, otherwise the largest one,
+    and ties go to the lowest pack.  (None, None) when every value is None.
+    """
+    best, pack = None, None
+    for j, v in enumerate(values, start=first_pack):
+        if v is not None and (pack is None or (math.isfinite(best) and not v <= best)):
+            best, pack = v, j
+    return best, pack
 
 
 def check_final_convergence(traj: Trajectory, predicted: State, eps: float) -> ClaimResult:

@@ -388,10 +388,12 @@ class TestCommands:
         captured = capsys.readouterr()
         assert code == 0
         assert "overall: PASS" in captured.out
-        report = json.loads(out.read_text())
+        text = out.read_text()
+        report = json.loads(text)
         assert report["overall_pass"] is True
         assert report["certificate"]["status"] == "ok"
         assert any(c["id"] == "exclusion_stage_2" for c in report["claims"])
+        assert text == json.dumps(report) + "\n"  # compact: one line, no indentation
 
     def test_verify_fails_on_short_horizon(self, tmp_path, capsys):
         path = tmp_path / "short.yaml"
@@ -662,16 +664,23 @@ def test_species_id_with_spaces_is_kept(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--points", "-2"), ("--points", "0"), ("--points", "1.5"), ("--s-max", "-1"),
-     ("--s-max", "0"), ("--s-max", "nan"), ("--s-max", "inf"), ("--s-max", "big")],
+    [("--points", "-2"), ("--points", "0"), ("--points", "1.5"), ("--points", "16777217"),
+     ("--points", "100000000000000000000"), ("--s-max", "-1"), ("--s-max", "0"), ("--s-max", "nan"),
+     ("--s-max", "inf"), ("--s-max", "big")],
 )
-def test_curves_arguments_exit_2(flag, value, canonical_file, tmp_path, capsys):
+def test_curves_arguments_exit_2(flag, value, canonical_file, tmp_path, capsys, monkeypatch):
+    # Only parsed: no grid is built, whatever the parser does.
+    monkeypatch.setattr(cli, "cmd_curves", _refuse_to_run)
     with pytest.raises(SystemExit) as exc:
         main(["curves", canonical_file, "-o", str(tmp_path / "curves.csv"), flag, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: expected" in err and "Traceback" not in err, err
     assert len(err) < 1000  # the grid is not dumped into the message
+
+
+def test_curves_points_upper_end_is_accepted(canonical_file):
+    assert cli._build_parser().parse_args(["curves", canonical_file, "--points", "16777216"]).points == 2**24
 
 
 # Any one leaf of this document is replaced, or dropped from its mapping or list.

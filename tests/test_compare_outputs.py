@@ -15,28 +15,36 @@ compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
 
 
-def _report(slope2=-0.5, slope3=-0.25, entry=3.0, detail=""):
+def _report(slope2=-0.5, slope_max=-0.25, pack=3, entry=3.0, detail=""):
     return json.dumps(
         {
             "claims": [
                 {
                     "id": "exclusion_stage_1",
-                    "measured": {"entry_time": entry, "slope_pack_2": slope2, "slope_pack_3": slope3},
+                    "measured": {
+                        "entry_time": entry,
+                        "slope_pack_2": slope2,
+                        "slope_max": slope_max,
+                        "slope_max_pack": pack,
+                    },
                     "detail": detail,
                 }
             ],
             "overall_pass": True,
-        },
-        indent=2,
+        }
     ).encode()
 
 
 class TestSlopeOnlyDifference:
     def test_slopes_only_give_the_largest_relative_difference(self):
         rel = compare_outputs.slope_only_difference(
-            _report(), _report(slope2=-0.5 * (1 + 2e-15), slope3=-0.25 * (1 - 4e-15))
+            _report(), _report(slope2=-0.5 * (1 + 2e-15), slope_max=-0.25 * (1 - 4e-15))
         )
         assert rel == pytest.approx(4e-15, rel=1e-3)
+
+    def test_slope_max_alone_is_a_slope_difference(self):
+        rel = compare_outputs.slope_only_difference(_report(), _report(slope_max=-0.25 * (1 + 8e-15)))
+        assert rel == pytest.approx(8e-15, rel=1e-3)
 
     def test_identical_reports_differ_by_zero(self):
         assert compare_outputs.slope_only_difference(_report(), _report()) == 0.0
@@ -47,11 +55,37 @@ class TestSlopeOnlyDifference:
             _report(entry=3.0000001),
             _report(detail="pack 2 ratio unfittable"),
             _report(slope2=None),
+            _report(slope_max=None),
+            _report(pack=2),
             b"not json",
         ],
     )
     def test_any_other_difference_is_not_slope_only(self, other):
         assert compare_outputs.slope_only_difference(_report(), other) is None
+
+
+class TestCompare:
+    def test_labels(self, tmp_path):
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        files = {
+            "same.json": (_report(), _report()),
+            "formatting.json": (_report(), json.dumps(json.loads(_report()), indent=2).encode()),
+            "slopes.json": (_report(), _report(slope2=-0.5 * (1 + 2e-15))),
+            "other.json": (_report(), _report(entry=4.0)),
+            "stdout": (b"a", b"b"),
+        }
+        for name, (old, new) in files.items():
+            for top, data in ((parent, old), (change, new)):
+                top.mkdir(exist_ok=True)
+                (top / name).write_bytes(data)
+        diffs, slopes = compare_outputs.compare(parent, change)
+        assert diffs == [
+            "differs: formatting.json (only in formatting, the JSON values are equal)",
+            "differs: other.json",
+            "differs: slopes.json (only decay slopes, max relative difference 2e-15)",
+            "differs: stdout",
+        ]
+        assert slopes == [pytest.approx(2e-15, rel=1e-3)]
 
 
 class TestManifest:

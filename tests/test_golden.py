@@ -3,13 +3,18 @@
 ``golden.json`` holds, for the two example scenarios and one seeded
 30-species Monod scenario, the certificate text (17 significant digits) and
 every claim's ``applicable``/``pass`` flags and measured values.  Any change
-to the numbers the verifier produces shows up here.  Decay slopes are
-least-squares fits whose last bits depend on the summation order, so they
-are compared within 1e-9 relative; everything else must match exactly.
+to the numbers the verifier produces shows up here.  Decay slopes
+(``slope_pack_*`` and ``slope_max``) are least-squares fits whose last bits
+depend on the summation order, so they are compared within 1e-9 relative;
+everything else must match exactly.
 
 Regenerate (only when a change is meant to move the numbers, and say why)::
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+This maps the stored data to the current stage layout (``stage_layout``),
+keeps every stored value a fresh capture agrees with, takes the fresh value
+elsewhere, and prints each value that moved.
 """
 
 from __future__ import annotations
@@ -100,21 +105,138 @@ def test_claim_verdicts_are_pinned(pair):
     assert got["overall_pass"] == want["overall_pass"]
 
 
+def _agrees(key: str, want, got) -> bool:
+    if (key.startswith("slope_pack_") or key == "slope_max") and want is not None:
+        return got is not None and math.isclose(got, want, rel_tol=SLOPE_REL_TOL, abs_tol=0.0)
+    return got == want
+
+
 def test_measured_values_are_pinned(pair):
     want, got = pair
     for w, g in zip(want["claims"], got["claims"]):
         assert g["measured"].keys() == w["measured"].keys(), w["id"]
         for key, wv in w["measured"].items():
-            gv = g["measured"][key]
-            if key.startswith("slope_pack_") and wv is not None:
-                assert gv is not None and math.isclose(gv, wv, rel_tol=SLOPE_REL_TOL, abs_tol=0.0), (w["id"], key)
+            assert _agrees(key, wv, g["measured"][key]), (w["id"], key)
+
+
+def _governing(values: dict[int, object]) -> tuple:
+    """(value, pack) of the first non-finite value, else of the largest one
+    (lowest pack on ties), over the non-None values of ``{pack: value}``."""
+    present = [(pack, v) for pack, v in values.items() if v is not None]
+    if not present:
+        return None, None
+
+    def rank(item):
+        pack, v = item
+        x = float(v)  # JSON keeps non-finite values as "nan" / "inf"
+        return (not math.isfinite(x), x if math.isfinite(x) else 0.0, -pack)
+
+    pack, v = max(present, key=rank)
+    return v, pack
+
+
+def stage_layout(claims: list[dict]) -> list[dict]:
+    """Claims whose stages list every slower pack, with one pack per stage.
+
+    Stage k of the full layout holds ``slope_pack_j`` and ``p_final_pack_j``
+    for every pack j > k (none without an entry); the final proportions are
+    the same in every stage.  Stage k of the current layout keeps
+    ``entry_time`` and ``excursions``, pack k + 1's two values and the
+    governing slope and proportion over packs j > k.  Values are carried
+    over as stored; claims in the current layout pass through unchanged.
+    """
+    stages = [c for c in claims if c["id"].startswith("exclusion_stage_") and "entry_time" in c["measured"]]
+    if not stages or "slope_max" in stages[0]["measured"]:
+        return claims
+    p_final: dict[int, object] = {}
+    for c in stages:
+        for key, v in c["measured"].items():
+            if key.startswith("p_final_pack_"):
+                assert p_final.setdefault(int(key.rsplit("_", 1)[1]), v) == v, (c["id"], key)
+    packs = range(2, len(stages) + 2)
+    out = []
+    for c in claims:
+        if not any(c is st for st in stages):
+            out.append(c)
+            continue
+        k = int(c["id"].rsplit("_", 1)[1])
+        old = c["measured"]
+        slopes = {j: old.get(f"slope_pack_{j}") for j in packs if j > k}
+        finals = {j: p_final.get(j) for j in packs if j > k}
+        new = {"entry_time": old["entry_time"], "excursions": old["excursions"]}
+        new[f"slope_pack_{k + 1}"] = slopes[k + 1]
+        new[f"p_final_pack_{k + 1}"] = finals[k + 1]
+        new["slope_max"], new["slope_max_pack"] = _governing(slopes)
+        new["p_final_max"], new["p_final_max_pack"] = _governing(finals)
+        out.append({**c, "measured": new})
+    return out
+
+
+def test_stage_layout_maps_the_full_layout():
+    old = [
+        {"id": "mass_convergence", "measured": {"initial_mass": 10.0}},
+        {"id": "exclusion_stage_1", "pass": False, "measured": {
+            "entry_time": 3.0, "excursions": 1,
+            "slope_pack_2": -0.5, "p_final_pack_2": 1e-6,
+            "slope_pack_3": -0.25, "p_final_pack_3": "nan",
+            "slope_pack_4": -0.25, "p_final_pack_4": 2e-6,
+        }},
+        {"id": "exclusion_stage_2", "pass": False, "measured": {
+            "entry_time": 2.0, "excursions": 0,
+            "slope_pack_3": None, "p_final_pack_3": "nan",
+            "slope_pack_4": None, "p_final_pack_4": 2e-6,
+        }},
+        {"id": "exclusion_stage_3", "pass": True, "measured": {
+            "entry_time": 1.0, "excursions": 0, "slope_pack_4": -0.75, "p_final_pack_4": 2e-6,
+        }},
+    ]
+    new = stage_layout(old)
+    assert new[0] is old[0] and [c["pass"] for c in new[1:]] == [False, False, True]
+    assert [c["measured"] for c in new[1:]] == [
+        {"entry_time": 3.0, "excursions": 1, "slope_pack_2": -0.5, "p_final_pack_2": 1e-6,
+         "slope_max": -0.25, "slope_max_pack": 3, "p_final_max": "nan", "p_final_max_pack": 3},
+        {"entry_time": 2.0, "excursions": 0, "slope_pack_3": None, "p_final_pack_3": "nan",
+         "slope_max": None, "slope_max_pack": None, "p_final_max": "nan", "p_final_max_pack": 3},
+        {"entry_time": 1.0, "excursions": 0, "slope_pack_4": -0.75, "p_final_pack_4": 2e-6,
+         "slope_max": -0.75, "slope_max_pack": 4, "p_final_max": 2e-6, "p_final_max_pack": 4},
+    ]
+    assert stage_layout(new) == new
+
+
+def derive(stored: dict | None, fresh: dict) -> tuple[dict, int, list[str]]:
+    """A fresh capture carrying every stored measured value it agrees with,
+    the count of those values, and one line per value that moved."""
+    if stored is None:
+        return fresh, 0, ["new scenario"]
+    stored = {**stored, "claims": stage_layout(stored["claims"])}
+    moved = [key for key in ("certificate_text", "report_certificate", "overall_pass") if stored[key] != fresh[key]]
+    if [c["id"] for c in stored["claims"]] != [c["id"] for c in fresh["claims"]]:
+        return fresh, 0, moved + ["claim ids"]
+    kept = 0
+    claims = []
+    for w, g in zip(stored["claims"], fresh["claims"]):
+        moved += [f'{g["id"]}.{key}' for key in ("applicable", "pass") if w[key] != g[key]]
+        measured = dict(g["measured"])
+        for key, gv in g["measured"].items():
+            if key in w["measured"] and _agrees(key, w["measured"][key], gv):
+                measured[key] = w["measured"][key]
+                kept += 1
             else:
-                assert gv == wv, (w["id"], key)
+                moved.append(f'{g["id"]}.{key}: {w["measured"].get(key, "absent")!r} -> {gv!r}')
+        moved += [f'{g["id"]}.{key}: dropped' for key in w["measured"].keys() - g["measured"].keys()]
+        claims.append({**g, "measured": measured})
+    return {**fresh, "claims": claims}, kept, moved
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
-    data = {name: capture(sc) for name, sc in scenarios().items()}
+    stored = _golden()
+    data = {}
+    for name, sc in scenarios().items():
+        data[name], kept, moved = derive(stored.get(name), capture(sc))
+        print(f"{name}: {kept} measured values kept as stored, {len(moved)} moved")
+        for line in moved:
+            print(f"  {line}")
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

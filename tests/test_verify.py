@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from chemostat_cep.verify import (
     check_mass_convergence,
     check_substrate_frame,
     check_washout_species,
+    fit_log_decay,
+    _governing,
 )
 
 from conftest import CANONICAL_SPECIES, LAM, make_scenario
@@ -148,6 +152,91 @@ class TestInduction:
         bad = dataclasses.replace(canonical_certificate, nu=50.0 * canonical_certificate.nu)
         results = check_induction_properties(canonical_trajectory, bad, ID_TO_COL, 1e-4)
         assert not all(r.passed for r in results)
+
+
+def _monod_report(n: int, horizon: float):
+    """Report on n Monod species with distinct levels in (0.5, 6.5), all present."""
+    rng = np.random.default_rng(n)
+    lams = rng.uniform(0.5, 6.5, n)
+    mu_max = rng.uniform(1.5, 4.0, n)
+    species = [(f"m{i:02d}", Monod(float(mu_max[i]), float(lams[i] * (mu_max[i] - 1.0)))) for i in range(n)]
+    return run_report(make_scenario(species=species, x=[0.01] * n, horizon=horizon))
+
+
+STAGE_KEYS = {"entry_time", "excursions", "slope_max", "slope_max_pack", "p_final_max", "p_final_max_pack"}
+
+
+@pytest.fixture(scope="module", params=[(10, 10.0), (10, 20.0), (40, 20.0)], ids=lambda p: f"n{p[0]}-h{p[1]:g}")
+def short_monod_report(request):
+    return _monod_report(*request.param)
+
+
+class TestStageLayout:
+    """Each stage reports its own pack and the values that govern its verdict."""
+
+    def test_report_is_linear_in_n(self, short_monod_report):
+        stages = [c for c in short_monod_report.claims if c.claim_id.startswith("exclusion_stage_")]
+        assert len(stages) >= 9
+        for k, c in enumerate(stages, start=1):
+            assert len(c.measured) <= 8
+            assert c.measured.keys() == STAGE_KEYS | {f"slope_pack_{k + 1}", f"p_final_pack_{k + 1}"}
+        finals = [key for c in short_monod_report.claims for key in c.measured if key.startswith("p_final_pack_")]
+        assert sorted(finals) == sorted(f"p_final_pack_{j}" for j in range(2, len(stages) + 2))
+
+    def test_governing_values_explain_the_verdict(self, short_monod_report):
+        stages = [c for c in short_monod_report.claims if c.claim_id.startswith("exclusion_stage_")]
+        # The reports hold passing, failing and entry-less stages.
+        assert {(c.passed, c.measured["entry_time"] is None) for c in stages} == (
+            {(True, False), (False, False), (False, True)}
+            if len(stages) > 20
+            else {(True, False), (False, False)}
+        )
+        for c in stages:
+            m, thr, eps_p = c.measured, c.thresholds["slope_threshold"], c.thresholds["eps_p"]
+            slope_fails = m["slope_max"] is not None and not m["slope_max"] <= thr
+            prop_fails = not (math.isfinite(m["p_final_max"]) and m["p_final_max"] < eps_p)
+            if m["entry_time"] is None:
+                assert m["slope_max"] is None and m["slope_max_pack"] is None
+                assert not c.passed
+                continue
+            if "earlier than" not in c.detail:
+                assert c.passed == (not slope_fails and not prop_fails), c.claim_id
+            if slope_fails:
+                assert f"pack {m['slope_max_pack']} decay rate" in c.detail
+            if prop_fails:
+                assert f"pack {m['p_final_max_pack']} final proportion" in c.detail
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([-0.3, -0.1, -0.2], (-0.1, 3)),
+            ([-0.1, -0.3, -0.1], (-0.1, 2)),  # ties go to the lowest pack
+            ([None, -0.3, None], (-0.3, 3)),
+            ([None, None], (None, None)),
+            ([0.2, math.inf, math.nan, 5.0], (math.inf, 3)),  # the first non-finite value
+            ([math.nan, math.inf], (math.nan, 2)),
+        ],
+    )
+    def test_governing_rule(self, values, want):
+        got = _governing(values, 2)
+        assert got[1] == want[1]
+        assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
+
+    def test_failing_stage_names_the_governing_pack(self, canonical_certificate):
+        # At horizon 10, pack 2 ends at p = 0.271 and pack 3 at p = 0.391.
+        traj = simulate(PARAMS, GROWTHS, State(s=10.0, x=np.array([0.01] * 3)), 10.0)
+        stage_1, stage_2 = check_induction_properties(traj, canonical_certificate, ID_TO_COL, 0.3)
+        m = stage_1.measured
+        assert not stage_1.passed and not stage_2.passed
+        assert m["p_final_pack_2"] < 0.3 <= m["p_final_max"]
+        assert m["p_final_max_pack"] == 3 and stage_2.measured["p_final_pack_3"] == m["p_final_max"]
+        assert re.findall(r"pack (\d+) final proportion", stage_1.detail) == ["3"]
+        start = int(np.searchsorted(traj.times, m["entry_time"]))
+        slope_3, _ = fit_log_decay(traj.times[start:], traj.states[start:, 3] / traj.states[start:, 1])
+        if m["slope_pack_2"] >= slope_3:
+            assert (m["slope_max"], m["slope_max_pack"]) == (m["slope_pack_2"], 2)
+        else:
+            assert (m["slope_max"], m["slope_max_pack"]) == (pytest.approx(slope_3, rel=1e-9), 3)
 
 
 class TestFinalConvergence:

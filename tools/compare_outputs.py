@@ -19,9 +19,11 @@ byte for byte.
 
 Exit status: 0 when the trees agree everywhere, 1 with one line per
 difference, 2 on a usage error.  A JSON report that differs only in its
-``slope_pack_*`` values is marked as such with its largest relative
-difference, and a last line gives the count of such reports and the
-largest difference over all of them; these still count as differences.
+decay slopes (``slope_pack_*`` and ``slope_max`` values) is marked as such
+with its largest relative difference, and a last line gives the count of
+such reports and the largest difference over all of them.  A JSON report
+whose values are all equal is marked as differing only in formatting.  Both
+still count as differences.
 """
 
 from __future__ import annotations
@@ -106,11 +108,12 @@ def _files(top: Path) -> dict[str, Path]:
 
 
 def slope_only_difference(a: bytes, b: bytes) -> float | None:
-    """Largest relative difference if two reports differ only in ``slope_pack_*`` numbers.
+    """Largest relative difference if two reports differ only in decay slopes.
 
     Returns None when the files are not JSON or differ anywhere else.
-    Decay slopes depend on summation order, so a change that regroups the
-    fit moves them in their last bits and nothing else.
+    Decay slopes (``slope_pack_*`` and ``slope_max``) depend on summation
+    order, so a change that regroups the fit moves them in their last bits
+    and nothing else.
     """
     try:
         x, y = json.loads(a), json.loads(b)
@@ -120,7 +123,7 @@ def slope_only_difference(a: bytes, b: bytes) -> float | None:
 
     def same(u, v, key: str) -> bool:
         nonlocal worst
-        if key.startswith("slope_pack_") and all(type(w) in (int, float) for w in (u, v)):
+        if (key.startswith("slope_pack_") or key == "slope_max") and all(type(w) in (int, float) for w in (u, v)):
             if u != v:
                 worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
             return True
@@ -139,7 +142,8 @@ def compare(parent: Path, change: Path) -> tuple[list[str], list[float]]:
     """One line per file that is missing on one side or differs in its bytes.
 
     Also returns the relative slope differences of the reports that differ
-    only in their ``slope_pack_*`` values.
+    only in their decay slopes; a report whose JSON values are all equal is
+    marked as differing only in formatting and is not counted among them.
     """
     a, b = _files(parent), _files(change)
     diffs = [f"only in parent: {k}" for k in sorted(a.keys() - b.keys())]
@@ -152,9 +156,11 @@ def compare(parent: Path, change: Path) -> tuple[list[str], list[float]]:
         rel = slope_only_difference(old, new) if k.endswith(".json") else None
         if rel is None:
             diffs.append(f"differs: {k}")
+        elif rel == 0.0:
+            diffs.append(f"differs: {k} (only in formatting, the JSON values are equal)")
         else:
             slopes.append(rel)
-            diffs.append(f"differs: {k} (only slope_pack_* values, max relative difference {rel:.3g})")
+            diffs.append(f"differs: {k} (only decay slopes, max relative difference {rel:.3g})")
     return diffs, slopes
 
 
@@ -195,8 +201,8 @@ def main(argv=None) -> int:
     print(f"{len(manifest)} runs, {n_files} parent files, {len(diffs)} differences")
     if slopes:
         print(
-            f"{len(slopes)} of the differences are reports that differ only in slope_pack_* "
-            f"values, max relative difference {max(slopes):.3g}"
+            f"{len(slopes)} of the differences are reports that differ only in decay slopes, "
+            f"max relative difference {max(slopes):.3g}"
         )
     return 1 if diffs else 0
 
