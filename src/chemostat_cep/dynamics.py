@@ -81,8 +81,8 @@ def predicted_limit(params: ChemostatParams, ordered: OrderedSpecies) -> State:
 def vector_field(
     params: ChemostatParams,
     growths: Sequence[GrowthFunction],
-) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Unvalidated f(t, y) with y = [s, x_1..x_n] for the integrator hot loop.
+) -> Callable[..., np.ndarray]:
+    """Unvalidated f(t, y, out=None) with y = [s, x_1..x_n] for the integrator hot loop.
 
     Growth laws are evaluated with the substrate clamped at zero so that
     intermediate stage values with tiny negative substrate stay legal.  The
@@ -92,8 +92,10 @@ def vector_field(
     (a Hill law needs the scalar ``pow``, since a vectorised pow loop may
     round differently).  Consumption is summed sequentially from 0, as a
     per-species loop would, so every call returns the same bits as one.
-    Each call returns a new array; the closure reuses its work buffers, so
-    one closure must not be called from two threads at once.
+    Given ``out``, a float array of y's shape, the call writes the derivative
+    there and returns ``out``; without it, each call returns a new array.
+    The closure reuses its work buffers, so one closure must not be called
+    from two threads at once.
     """
     d = params.d
     s_in = params.s_in
@@ -111,7 +113,7 @@ def vector_field(
     terms = work[0]
     out_row = work[1]
 
-    def f(t: float, y: np.ndarray) -> np.ndarray:
+    def f(t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         s = y.item(0)
         sc = s if s > 0.0 else 0.0
         np.multiply(mu_max, sc, out=mu)
@@ -121,8 +123,11 @@ def vector_field(
             mu[i] = rate(sc)
         np.subtract(mu, d, out=dx)
         np.multiply(rows, y[1:], out=rows)
-        dy = out_row.copy()
-        dy[0] = d * (s_in - s) - np.add.accumulate(terms)[-1]
-        return dy
+        if out is None:
+            out = out_row.copy()
+        else:
+            out[:] = out_row
+        out[0] = d * (s_in - s) - np.add.accumulate(terms)[-1]
+        return out
 
     return f

@@ -121,13 +121,22 @@ class Trajectory:
         return State(s=float(y[0]), x=y[1:])
 
 
-def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray, rel_tol: float, abs_tol: float) -> float:
-    """RMS of err / (abs_tol + rel_tol * max(|y0|, |y1|)), in place.
+def _error_norm(
+    err: np.ndarray,
+    y0: np.ndarray,
+    y1: np.ndarray,
+    rel_tol: float,
+    abs_tol: float,
+    q: np.ndarray,
+    q1: np.ndarray,
+) -> float:
+    """RMS of err / (abs_tol + rel_tol * max(|y0|, |y1|)) in the buffers q, q1.
 
     ``np.add.reduce(q) / q.size`` is the sum and division of ``np.mean``.
     """
-    q = np.abs(y0)
-    np.maximum(q, np.abs(y1), out=q)
+    np.abs(y0, out=q)
+    np.abs(y1, out=q1)
+    np.maximum(q, q1, out=q)
     q *= rel_tol
     q += abs_tol
     np.divide(err, q, out=q)
@@ -194,9 +203,15 @@ def simulate(
     y = np.concatenate(([x0.s], x0.x)).astype(float)
     t = 0.0
     # K[0] holds the derivative at the current state (first-same-as-last).
+    # Every stage writes its derivative into its own row of K through
+    # ``out``, and the views of K that the stages read are sliced once.
     K = np.empty((7, y.size))
-    K[0] = f(t, y)
+    f(t, y, out=K[0])
     n_evals = 1
+    stages = [(a_row, K[: i + 1], K[i + 1], _C[i + 1]) for i, a_row in enumerate(_A)]
+    K_b = K[:6]
+    K_ends = K[::6]  # rows 0 and 6, the derivatives at both ends of a step
+    stage, err_vec, q, q1 = np.empty((4, y.size))
 
     # Below this step size the explicit pair cannot make useful progress on
     # the requested horizon; treat it as stiffness (or divergence when the
@@ -211,7 +226,10 @@ def simulate(
 
     step_times = [0.0]
     step_states = [y]
-    # Interpolant coefficients, one (5, dim) block per accepted step; the
+    step_sizes = []
+    # Raw rows of the interpolant, one (5, dim) block per accepted step:
+    # row 1 the pre-clip end state, rows 2 and 3 the end derivatives, row 4
+    # _D @ K.  The coefficients are finished in place after the loop.  The
     # buffer doubles when full and is cut to the step count at the end.
     conts = np.empty((64, 5, y.size))
 
@@ -232,12 +250,20 @@ def simulate(
             if n_accepted + n_rejected >= _MAX_STEPS:
                 raise StiffnessError(t, y, f"step budget of {_MAX_STEPS} exhausted")
 
-            for i, a_row in enumerate(_A):
-                K[i + 1] = f(t + _C[i + 1] * h, y + h * (a_row @ K[: i + 1]))
-            y_new = y + h * (_B @ K[:6])
-            K[6] = f(t + h, y_new)
+            # stage = y + h * (a_row @ K[:i+1]), in place and in that order
+            for a_row, K_a, K_i, c_i in stages:
+                np.dot(a_row, K_a, out=stage)
+                stage *= h
+                stage += y
+                f(t + c_i * h, stage, out=K_i)
+            y_new = np.dot(_B, K_b)
+            y_new *= h
+            y_new += y
+            f(t + h, y_new, out=K[6])
             n_evals += 6
-            err = _error_norm(h * (_E @ K), y, y_new, rel_tol, abs_tol)
+            np.dot(_E, K, out=err_vec)
+            err_vec *= h
+            err = _error_norm(err_vec, y, y_new, rel_tol, abs_tol, q, q1)
 
             if not np.isfinite(y_new).all() or not math.isfinite(err):
                 # overflow inside the trial step: reject as hard as possible
@@ -246,28 +272,24 @@ def simulate(
                 continue
 
             if err <= 1.0:
-                # Accept: build the interpolant before clipping, then clip.
+                # Accept: keep the interpolant's raw rows, then clip.
                 if n_accepted == conts.shape[0]:
                     # only the previous step's view ``c`` refers to the
                     # buffer, and it is never read again, so it may move
                     conts.resize((2 * n_accepted,) + conts.shape[1:], refcheck=False)
                 c = conts[n_accepted]
-                c[0] = y
-                np.subtract(y_new, y, out=c[1])  # ydiff
-                np.multiply(h, K[0], out=c[2])
-                c[2] -= c[1]  # bspl = h K[0] - ydiff
-                np.multiply(h, K[6], out=c[3])
-                np.subtract(c[1], c[3], out=c[3])
-                c[3] -= c[2]  # ydiff - h K[6] - bspl
-                np.multiply(h, _D @ K, out=c[4])
+                c[1] = y_new
+                c[2:4] = K_ends
+                np.dot(_D, K, out=c[4])
+                step_sizes.append(h)
 
                 t = t + h
-                low = float(y_new.min())
+                low = float(np.minimum.reduce(y_new))
                 if low < min_preclip:
                     min_preclip = low
                 if low < 0.0:
                     y = np.maximum(y_new, 0.0)
-                    K[0] = f(t, y)
+                    f(t, y, out=K[0])
                     n_evals += 1
                 else:
                     y = y_new
@@ -287,6 +309,7 @@ def simulate(
     conts.resize((n_accepted,) + conts.shape[1:], refcheck=False)
     step_times_arr = np.array(step_times)
     step_states_arr = np.array(step_states)
+    _finish_coeffs(conts, step_states_arr[:-1], np.array(step_sizes)[:, None])
 
     n_dense = max(1, math.ceil(horizon / dense_dt))
     times = np.linspace(0.0, horizon, n_dense + 1)
@@ -314,6 +337,26 @@ def simulate(
         step_states=step_states_arr,
         step_coeffs=conts,
     )
+
+
+def _finish_coeffs(conts: np.ndarray, y0: np.ndarray, h: np.ndarray) -> None:
+    """Turn the raw rows of every step into its interpolant coefficients.
+
+    ``conts[k]`` holds [-, y_new, K0, K6, D K] of step k (y_new before
+    clipping), ``y0[k]`` its start state and ``h[k]`` its size.  The rows
+    become [y0, ydiff, h K0 - ydiff, ydiff - h K6 - (h K0 - ydiff), h D K]
+    with ydiff = y_new - y0, by the elementwise operations of a per-step
+    build in the same order, so every coefficient has the same bits.
+    """
+    c1, c2, c3, c4 = (conts[:, r] for r in range(1, 5))
+    c1 -= y0  # ydiff
+    c2 *= h
+    c2 -= c1  # bspl = h K0 - ydiff
+    c3 *= h
+    np.subtract(c1, c3, out=c3)
+    c3 -= c2  # ydiff - h K6 - bspl
+    c4 *= h
+    conts[:, 0] = y0
 
 
 def _dense_states(times, step_times, step_states, step_conts) -> np.ndarray:

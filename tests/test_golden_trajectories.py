@@ -5,8 +5,11 @@ mixed-law scenarios, the sha256 of the raw bytes of ``states``,
 ``step_times``, ``step_states`` and ``step_coeffs`` and the full
 ``IntegratorStats``.  The mixed scenarios cover the law kinds the Monod-only
 goldens of ``test_golden.py`` lack: a Table winner and an unreachable Hill
-at n = 5, and a Monod/Hill/Table mix at n = 20.  Any change to the right-hand
-side or to the step loop that moves a single bit shows up here.
+at n = 5, and a Monod/Hill/Table mix at n = 20.  The clipped case, a fast
+Monod species at loose tolerances, undershoots zero on accepted steps, so it
+pins the clip branch and the pre-clip state stored in the interpolant.  Any
+change to the right-hand side or to the step loop that moves a single bit
+shows up here.
 
 The integrator is deterministic on a fixed platform, but the last bits of
 ``pow`` and of the numpy loops may differ between CPUs and libraries, so the
@@ -74,11 +77,18 @@ def cases() -> dict:
         "canonical": (sc.params, sc.growths, sc.initial, sc.horizon),
         "mixed_5": mixed(5, 5, "table", unreachable_hill=True),
         "mixed_20": mixed(20, 20, "monod", unreachable_hill=False),
+        "clipped": clipped(),
     }
 
 
-def capture(params, growths, x0, horizon) -> dict:
-    traj = simulate(params, growths, x0, horizon)
+def clipped():
+    """One fast Monod species at loose tolerances: accepted steps undershoot."""
+    params = ChemostatParams(d=1.0, s_in=10.0)
+    return params, [Monod(mu_max=20.0, k=0.01)], State(s=10.0, x=[100.0]), 0.05, 1e-2, 1e-4
+
+
+def capture(params, growths, x0, horizon, rel_tol=1e-8, abs_tol=1e-10) -> dict:
+    traj = simulate(params, growths, x0, horizon, rel_tol, abs_tol)
     out = {name: hashlib.sha256(getattr(traj, name).tobytes()).hexdigest() for name in ARRAYS}
     out["shapes"] = {name: list(getattr(traj, name).shape) for name in ARRAYS}
     out["meta"] = dataclasses.asdict(traj.meta)

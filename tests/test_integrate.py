@@ -55,6 +55,15 @@ class TestSimulate:
         assert canonical_trajectory.meta.min_component_preclip >= -canonical_trajectory.meta.abs_tol
         assert np.min(canonical_trajectory.states) >= 0.0
 
+    def test_clip_branch_records_undershoot_beyond_abs_tol(self):
+        # any negative component is clipped, not only undershoots within
+        # abs_tol; the worst one is recorded before the clip
+        traj = simulate(
+            PARAMS, [Monod(20.0, 0.01)], State(s=10.0, x=np.array([100.0])), 0.05, rel_tol=1e-2, abs_tol=1e-4
+        )
+        assert traj.meta.min_component_preclip < -traj.meta.abs_tol
+        assert np.min(traj.step_states) >= 0.0 and np.min(traj.states) >= 0.0
+
     def test_tolerance_convergence(self):
         coarse = simulate(PARAMS, GROWTHS, X0, 80.0, rel_tol=1e-8, abs_tol=1e-10)
         fine = simulate(PARAMS, GROWTHS, X0, 80.0, rel_tol=5e-9, abs_tol=5e-11)
@@ -109,9 +118,9 @@ class TestRhsCount:
         def counting_factory(*fargs):
             f = factory(*fargs)
 
-            def counted(t, y):
+            def counted(t, y, out=None):
                 calls[0] += 1
-                return f(t, y)
+                return f(t, y, out=out)
 
             return counted
 

@@ -768,12 +768,16 @@ class TestVectorField:
         gs, y = inputs
         params = ChemostatParams(d=d, s_in=s_in)
         f = vector_field(params, gs)
+        out = np.full_like(y, np.nan)
         with np.errstate(all="ignore"):
             want = _field_reference(params, gs, y)
             got = f(0.0, y)
             again = f(1.0, y.copy())
+            written = f(2.0, y, out=out)
         assert np.array_equal(_bits(got), _bits(want)), (got, want)
         assert np.array_equal(_bits(again), _bits(want))
+        assert written is out
+        assert np.array_equal(_bits(out), _bits(want))
 
     def test_each_call_returns_a_new_array(self):
         f = vector_field(ChemostatParams(1.0, 10.0), [g for _, g in MIXED])
