@@ -22,6 +22,8 @@ import numpy as np
 from .errors import CertificateError, ParameterError, WashoutError
 from .growth import GrowthFunction, Hill, Monod, OrderedSpecies, Table, rate_matrix
 
+GRID_N = 2048  # grid intervals per margin interval
+
 _DELTA_MIN_REL = 1e-9  # extension floor relative to the smallest break-even level
 
 # Slack on the row selection's comparison of two computed rates: far above
@@ -244,7 +246,7 @@ def separation_margins(
     i: int,
     s_in: float,
     *,
-    grid_n: int = 2048,
+    grid_n: int = GRID_N,
     s_plus_limit: float | None = None,
     rows: np.ndarray | None = None,
 ) -> Boundary:
@@ -355,7 +357,7 @@ def build_certificate(
     d: float,
     s_in: float,
     *,
-    grid_n: int = 2048,
+    grid_n: int = GRID_N,
 ) -> Certificate:
     """Assemble the full certificate for an ordered species list.
 

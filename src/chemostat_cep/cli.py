@@ -18,10 +18,14 @@ import numpy as np
 
 from . import certificate as certificate_mod
 from .errors import CertificateError, ChemostatError, InputError, WashoutError
-from .growth import order_species
+from .growth import order_species, rate_matrix
 from .integrate import Trajectory, simulate
-from .scenario import _MAX_GRID_N, Scenario, parse_scenario
+from .scenario import Scenario, parse_scenario
 from .verify import run_report
+
+# Cap on `curves --points`: larger grids end in numpy's "Maximum allowed size
+# exceeded" error or exhaust memory.
+_MAX_GRID_N = 2**24
 
 
 # --------------------------------------------------------------------------
@@ -79,7 +83,7 @@ def write_growth_curves_csv(scenario: Scenario, out: IO[str], *, s_max: float | 
         out.write("# lambda_%s = %.17g\n" % (sid, lam_by_id[sid]))
     out.write(",".join(["s"] + [f"mu_{sid}" for sid, _ in scenario.species]) + "\n")
     grid = np.linspace(0.0, s_max, points + 1)
-    _write_rows(out, [grid] + [g(grid) for _, g in scenario.species])
+    _write_rows(out, [grid, rate_matrix(scenario.growths, grid).T])
 
 
 def _open_out(path: str | None):
@@ -109,7 +113,6 @@ def cmd_simulate(scenario: Scenario, out_csv: str | None) -> int:
         scenario.horizon,
         rel_tol=scenario.tolerances.rel_tol,
         abs_tol=scenario.tolerances.abs_tol,
-        dense_dt=scenario.options.dense_dt,
     )
     _emit(out_csv, lambda fh: write_trajectory_csv(traj, fh))
     return 0
@@ -118,12 +121,7 @@ def cmd_simulate(scenario: Scenario, out_csv: str | None) -> int:
 def cmd_certificate(scenario: Scenario, out: str | None, as_json: bool = False) -> int:
     ordered = order_species(scenario.species, scenario.params.d, scenario.params.s_in)
     try:
-        cert = certificate_mod.build_certificate(
-            ordered,
-            scenario.params.d,
-            scenario.params.s_in,
-            grid_n=scenario.options.grid_n,
-        )
+        cert = certificate_mod.build_certificate(ordered, scenario.params.d, scenario.params.s_in)
     except WashoutError as exc:
         _emit(out, lambda fh: fh.write(f"status: refused\nreason: {exc}\n"))
         return 1

@@ -5,9 +5,10 @@ proportional-integral step controller and the standard quartic continuous
 extension.  The integration is fully deterministic: identical inputs produce
 bit-identical trajectories on a fixed platform.
 
-Negative undershoots of accepted states are clipped to zero, since the
-positive orthant is invariant for the model; the worst pre-clip component is
-recorded in the integrator statistics.
+A step that would end more than the absolute tolerance below zero is
+rejected; smaller undershoots of accepted states are clipped to zero, since
+the positive orthant is invariant for the model.  The worst pre-clip
+component is recorded in the integrator statistics.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ _FAC_GROW_MAX = 0.1     # new step no larger than 10 h
 _MAX_STEPS = 5_000_000  # safety net against livelock on hostile inputs
 
 _B_ZERO = 1e-12  # biomass floor below which proportions are undefined
+
+DENSE_INTERVALS = 2000  # dense output intervals over the horizon by default
 
 
 @dataclass(frozen=True)
@@ -184,8 +187,8 @@ def simulate(
     """Integrate the chemostat from ``x0`` over [0, horizon].
 
     Dense output is emitted on a uniform grid with spacing at most
-    ``dense_dt`` (default horizon/2000), including both endpoints.  Raises
-    :class:`StiffnessError` on step-size underflow and
+    ``dense_dt`` (default horizon / ``DENSE_INTERVALS``), including both
+    endpoints.  Raises :class:`StiffnessError` on step-size underflow and
     :class:`DivergenceError` if the state leaves the finite range.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
@@ -195,7 +198,7 @@ def simulate(
     if len(growths) != x0.n:
         raise ParameterError("growth law count must match species count")
     if dense_dt is None:
-        dense_dt = horizon / 2000.0
+        dense_dt = horizon / DENSE_INTERVALS
     if not (math.isfinite(dense_dt) and dense_dt > 0.0):
         raise ParameterError(f"dense_dt must be finite and > 0, got {dense_dt!r}")
 
@@ -265,8 +268,11 @@ def simulate(
             err_vec *= h
             err = _error_norm(err_vec, y, y_new, rel_tol, abs_tol, q, q1)
 
-            if not np.isfinite(y_new).all() or not math.isfinite(err):
-                # overflow inside the trial step: reject as hard as possible
+            low = float(np.minimum.reduce(y_new))
+            overflow = not np.isfinite(y_new).all() or not math.isfinite(err)
+            if overflow or (err <= 1.0 and low < -abs_tol):
+                # Overflow inside the trial step, or an undershoot that the
+                # clip would turn into added mass: reject as hard as possible.
                 n_rejected += 1
                 h = h / _FAC_SHRINK_MAX
                 continue
@@ -284,7 +290,6 @@ def simulate(
                 step_sizes.append(h)
 
                 t = t + h
-                low = float(np.minimum.reduce(y_new))
                 if low < min_preclip:
                     min_preclip = low
                 if low < 0.0:

@@ -16,42 +16,23 @@ from typing import Iterable
 import numpy as np
 import yaml
 
+from .certificate import GRID_N
 from .dynamics import ChemostatParams, State
 from .errors import ChemostatError, InputError
 from .growth import EQ_TOL, PROBE_FACTOR, ROOT_TOL, GrowthFunction, Hill, Monod, Table
+from .verify import EPS_FINAL, EPS_FLOOR, EPS_MASS, EPS_P, EPS_WASHOUT
 
 # libyaml's composer when PyYAML was built with it; its nodes carry the same
 # tags, values and line marks as the pure-Python one's.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-# Caps on sample counts.  A run holds several (intervals + 1) x (n + 1)
-# float arrays, so 10**7 dense intervals already take gigabytes for a few
-# species, and each margin grid is a (laws x (grid_n + 1)) rate matrix.
-# Far larger counts end in numpy's "Maximum allowed size exceeded" error
-# or exhaust memory, so the parser refuses them.
-_MAX_DENSE_INTERVALS = 10**7
-_MAX_GRID_N = 2**24
-
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances a scenario may override."""
+    """The integrator tolerances, the only numerical settings a scenario sets."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    eps_p: float = 1e-4
-    eps_final: float = 1e-3
-
-
-@dataclass(frozen=True)
-class Options:
-    """Secondary knobs: grid size, sampling and claim thresholds."""
-
-    grid_n: int = 2048
-    dense_dt: float | None = None
-    eps_mass: float = 1e-6
-    eps_washout: float = 1e-4
-    eps_floor: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -63,7 +44,6 @@ class Scenario:
     initial: State
     horizon: float
     tolerances: Tolerances = field(default_factory=Tolerances)
-    options: Options = field(default_factory=Options)
 
     @property
     def growths(self) -> tuple[GrowthFunction, ...]:
@@ -80,10 +60,15 @@ class Scenario:
             ],
             "initial": [self.initial.s, list(map(float, self.initial.x))],
             "horizon": self.horizon,
-            "tolerances": vars(self.tolerances),
-            # Former scenario keys, now constants; kept so digests stay stable.
+            # Former scenario keys, now constants, are hashed under their old
+            # names so digests stay stable.
+            "tolerances": {**vars(self.tolerances), "eps_p": EPS_P, "eps_final": EPS_FINAL},
             "options": {
-                **vars(self.options),
+                "grid_n": GRID_N,
+                "dense_dt": None,  # the library default, horizon / DENSE_INTERVALS
+                "eps_mass": EPS_MASS,
+                "eps_washout": EPS_WASHOUT,
+                "eps_floor": EPS_FLOOR,
                 "eq_tol": EQ_TOL,
                 "root_tol": ROOT_TOL,
                 "probe_factor": PROBE_FACTOR,
@@ -135,13 +120,6 @@ def _float(node, key: str) -> float:
     if not math.isfinite(v):
         raise _fail(key, node, f"expected a finite number, got {node.value!r}")
     return v
-
-
-def _int(node, key: str) -> int:
-    v = _float(node, key)
-    if v != int(v):
-        raise _fail(key, node, f"expected an integer, got {node.value!r}")
-    return int(v)
 
 
 def _str(node, key: str) -> str:
@@ -229,7 +207,7 @@ def parse_scenario(path: str) -> Scenario:
     top = _mapping(root, "scenario")
     _reject_unknown(
         top,
-        ("params", "species", "initial", "horizon", "tolerances", "options"),
+        ("params", "species", "initial", "horizon", "tolerances"),
         "",
         root,
     )
@@ -294,40 +272,13 @@ def parse_scenario(path: str) -> Scenario:
     tols = Tolerances()
     if "tolerances" in top:
         tm = _mapping(top["tolerances"], "tolerances")
-        allowed = ("rel_tol", "abs_tol", "eps_p", "eps_final")
+        allowed = ("rel_tol", "abs_tol")
         _reject_unknown(tm, allowed, "tolerances", top["tolerances"])
         values = {k: _float(tm[k], f"tolerances.{k}") for k in allowed if k in tm}
-        for k in ("rel_tol", "abs_tol"):
-            if k in values and not 0.0 < values[k] < 1.0:
+        for k, v in values.items():
+            if not 0.0 < v < 1.0:
                 raise _fail(f"tolerances.{k}", tm[k], "must lie in (0, 1)")
-        for k in ("eps_p", "eps_final"):
-            if k in values and values[k] <= 0.0:
-                raise _fail(f"tolerances.{k}", tm[k], "must be > 0")
         tols = Tolerances(**values)
-
-    opts = Options()
-    if "options" in top:
-        om = _mapping(top["options"], "options")
-        allowed = ("grid_n", "dense_dt", "eps_mass", "eps_washout", "eps_floor")
-        _reject_unknown(om, allowed, "options", top["options"])
-        values: dict = {}
-        if "grid_n" in om:
-            values["grid_n"] = _int(om["grid_n"], "options.grid_n")
-            if not 8 <= values["grid_n"] <= _MAX_GRID_N:
-                raise _fail("options.grid_n", om["grid_n"], f"must lie in [8, {_MAX_GRID_N}]")
-        for k in allowed[1:]:
-            if k in om:
-                values[k] = _float(om[k], f"options.{k}")
-                if values[k] <= 0.0:
-                    raise _fail(f"options.{k}", om[k], "must be > 0")
-        # horizon / dense_dt may overflow to inf, which the comparison also refuses
-        if "dense_dt" in values and horizon / values["dense_dt"] > _MAX_DENSE_INTERVALS:
-            raise _fail(
-                "options.dense_dt",
-                om["dense_dt"],
-                f"gives more than {_MAX_DENSE_INTERVALS} dense intervals over the horizon {horizon:g}",
-            )
-        opts = Options(**values)
 
     return Scenario(
         params=params,
@@ -335,5 +286,4 @@ def parse_scenario(path: str) -> Scenario:
         initial=initial,
         horizon=horizon,
         tolerances=tols,
-        options=opts,
     )

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .certificate import Certificate, build_certificate
 from .dynamics import ChemostatParams, State, predicted_limit
-from .errors import CertificateError, ChemostatError, WashoutError
-from .growth import GrowthFunction, OrderedSpecies, order_species, pack_species
+from .errors import CertificateError, ChemostatError, ModelError, WashoutError
+from .growth import GrowthFunction, OrderedSpecies, order_species, pack_species, rate_matrix
 from .integrate import (
     Trajectory,
     _B_ZERO,
@@ -26,7 +26,16 @@ from .integrate import (
     scan_persistent_entry,
     simulate,
 )
-from .scenario import Scenario
+
+if TYPE_CHECKING:  # scenario hashes the thresholds below, so it imports this module
+    from .scenario import Scenario
+
+# Claim thresholds of run_report.
+EPS_MASS = 1e-6  # mass-relaxation band
+EPS_WASHOUT = 1e-4  # final density of a washed-out species
+EPS_FLOOR = 1e-3  # biomass floor after the burn-in
+EPS_P = 1e-4  # final proportion of every losing pack
+EPS_FINAL = 1e-3  # final-state error
 
 _RATIO_FLOOR = 1e-300  # discard ratio samples below this before taking logs
 _MIN_FIT_SAMPLES = 8
@@ -386,7 +395,8 @@ def check_substrate_frame(
     x = traj.states[sl, 1:]
     s_a = s[sl]
     b_a = b[sl]
-    mu = np.column_stack([g(s_a) for g in growths])
+    # C order, as a column stack of the rows, keeps einsum's summation order
+    mu = np.ascontiguousarray(rate_matrix(growths, s_a).T)
     mubar = np.einsum("ij,ij->i", traj.channels.p[sl], mu)
     sdot = params.d * (params.s_in - s_a) - np.einsum("ij,ij->i", mu, x)
     phi_lo = (cert.d_minus - mubar) * b_a
@@ -554,15 +564,19 @@ def check_final_convergence(traj: Trajectory, predicted: State, eps: float) -> C
 def run_report(scenario: Scenario) -> VerificationReport:
     """Simulate a scenario once and evaluate every applicable claim.
 
-    Simulation and certificate failures become failed report entries rather
-    than exceptions, so a report is always produced for a parseable scenario.
+    Laws that break the model's hypotheses (a table whose rates do not
+    increase strictly), simulation and certificate failures become failed
+    report entries rather than exceptions, so a report is always produced.
     """
     params = scenario.params
-    opts = scenario.options
     tols = scenario.tolerances
     growths = [g for _, g in scenario.species]
 
-    ordered_full = order_species(scenario.species, params.d, params.s_in)
+    try:
+        ordered_full = order_species(scenario.species, params.d, params.s_in)
+    except ModelError as exc:
+        claim = ClaimResult("model_hypotheses", True, False, {}, {}, str(exc))
+        return VerificationReport(scenario.digest(), None, (claim,), False)
     lam_by_id = {rec.id: rec.lam for rec in ordered_full.records}
     id_to_column = {sid: 1 + k for k, (sid, _) in enumerate(scenario.species)}
 
@@ -576,7 +590,6 @@ def run_report(scenario: Scenario) -> VerificationReport:
             scenario.horizon,
             rel_tol=tols.rel_tol,
             abs_tol=tols.abs_tol,
-            dense_dt=opts.dense_dt,
         )
     except ChemostatError as exc:
         claims.append(
@@ -584,9 +597,9 @@ def run_report(scenario: Scenario) -> VerificationReport:
         )
         return VerificationReport(scenario.digest(), None, tuple(claims), False)
 
-    claims.append(check_mass_convergence(traj, params, opts.eps_mass))
-    claims.append(check_washout_species(traj, ordered_full, params.s_in, opts.eps_washout))
-    claims.append(check_biomass_floor(traj, ordered_full, params, opts.eps_floor))
+    claims.append(check_mass_convergence(traj, params, EPS_MASS))
+    claims.append(check_washout_species(traj, ordered_full, params.s_in, EPS_WASHOUT))
+    claims.append(check_biomass_floor(traj, ordered_full, params, EPS_FLOOR))
 
     active = [
         (sid, g)
@@ -599,9 +612,7 @@ def run_report(scenario: Scenario) -> VerificationReport:
     if viable:
         ordered_active = pack_species(active, [lam_by_id[sid] for sid, _ in active])
         try:
-            cert = build_certificate(
-                ordered_active, params.d, params.s_in, grid_n=opts.grid_n
-            )
+            cert = build_certificate(ordered_active, params.d, params.s_in)
             cert_summary = cert.to_dict()
         except WashoutError as exc:  # unreachable when viable, kept for safety
             cert_summary = {"status": "washout", "detail": str(exc)}
@@ -626,7 +637,7 @@ def run_report(scenario: Scenario) -> VerificationReport:
 
     if cert is not None and not cert.degenerate:
         claims.append(check_substrate_frame(traj, cert, growths, params))
-        claims.extend(check_induction_properties(traj, cert, id_to_column, tols.eps_p))
+        claims.extend(check_induction_properties(traj, cert, id_to_column, EPS_P))
     else:
         why = (
             "degenerate certificate"
@@ -636,7 +647,7 @@ def run_report(scenario: Scenario) -> VerificationReport:
         claims.append(_not_applicable("substrate_frame", why))
         claims.append(_not_applicable("exclusion_stage_1", why))
 
-    claims.append(check_final_convergence(traj, predicted, tols.eps_final))
+    claims.append(check_final_convergence(traj, predicted, EPS_FINAL))
 
     overall = all(c.passed for c in claims if c.applicable)
     return VerificationReport(scenario.digest(), cert_summary, tuple(claims), overall)

@@ -12,7 +12,7 @@ from chemostat_cep import ChemostatParams, Monod, State, order_species, simulate
 from chemostat_cep.certificate import _pack_gap, build_certificate
 from chemostat_cep.errors import CertificateError, ParameterError
 from chemostat_cep.growth import OrderedSpecies
-from chemostat_cep.scenario import Options, Scenario, Tolerances
+from chemostat_cep.scenario import Scenario, Tolerances
 
 CANONICAL_SPECIES = (
     ("sp1", Monod(mu_max=3.0, k=1.0)),
@@ -37,7 +37,6 @@ def make_scenario(
         initial=State(s=s0, x=np.array(x, dtype=float)),
         horizon=horizon,
         tolerances=kw.pop("tolerances", Tolerances()),
-        options=kw.pop("options", Options()),
         **kw,
     )
 

@@ -100,6 +100,17 @@ class TestParseScenario:
         assert needle in str(exc.value)
         assert "line" in str(exc.value)
 
+    def test_readme_schema_block_parses(self, tmp_path):
+        # The documented schema is a valid scenario, so docs and parser agree.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Scenario file format", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "schema.yaml"
+        path.write_text(block)
+        sc = parse_scenario(str(path))
+        assert [g.kind for g in sc.growths] == ["monod", "hill", "table"]
+        assert (sc.tolerances.rel_tol, sc.tolerances.abs_tol) == (1e-8, 1e-10)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             parse_scenario(str(tmp_path / "nope.yaml"))
@@ -285,7 +296,6 @@ def _reference_trajectory_csv(traj) -> str:
 
 def _reference_growth_curves_csv(scenario, s_max=None, points=512) -> str:
     out = io.StringIO()
-    opt = scenario.options
     ordered = order_species(scenario.species, scenario.params.d, scenario.params.s_in)
     lam_by_id = {rec.id: rec.lam for rec in ordered.records}
     if s_max is None:
@@ -548,8 +558,6 @@ class TestTableHypotheses:
 # --------------------------------------------------------------------------
 # Malformed input: exit 2 with the key (or flag) and line, never a traceback.
 
-_LAST_TOLERANCE_LINE = "  abs_tol: 1.0e-10\n"
-
 
 @pytest.mark.parametrize(
     "old, new, key, line",
@@ -560,10 +568,7 @@ _LAST_TOLERANCE_LINE = "  abs_tol: 1.0e-10\n"
         ("s_in: 10.0", "s_in: -inf", "params.s_in", 3),
         ("horizon: 80.0", "horizon: nan", "horizon", 14),
         ("mu_max: 3.0", "mu_max: inf", "species[0].growth.mu_max", 6),
-        (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "  eps_p: nan\n", "tolerances.eps_p", 18),
-        (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "options:\n  grid_n: inf\n", "options.grid_n", 19),
-        (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "options:\n  grid_n: nan\n", "options.grid_n", 19),
-        (_LAST_TOLERANCE_LINE, _LAST_TOLERANCE_LINE + "options:\n  dense_dt: nan\n", "options.dense_dt", 19),
+        ("abs_tol: 1.0e-10", "abs_tol: nan", "tolerances.abs_tol", 17),
     ],
 )
 def test_non_finite_numbers_exit_2(old, new, key, line, tmp_path, capsys):
@@ -576,56 +581,27 @@ def test_non_finite_numbers_exit_2(old, new, key, line, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value",
-    [("eq_tol", "1.0e-9"), ("root_tol", "1.0e-12"), ("probe_factor", "1.0e6"), ("persistence_grace", "0.0")],
+    "parent, key, value",
+    [("options", "eq_tol", "1.0e-9"), ("options", "root_tol", "1.0e-12"), ("options", "probe_factor", "1.0e6"),
+     ("options", "persistence_grace", "0.0"), ("options", "grid_n", "2048"), ("options", "dense_dt", "0.04"),
+     ("options", "eps_mass", "1.0e-6"), ("options", "eps_washout", "1.0e-4"), ("options", "eps_floor", "1.0e-3"),
+     ("tolerances", "eps_p", "1.0e-4"), ("tolerances", "eps_final", "1.0e-3")],
 )
-def test_removed_option_keys_exit_2(key, value, tmp_path, capsys):
+def test_removed_option_keys_exit_2(parent, key, value, tmp_path, capsys):
+    # CANONICAL_YAML ends inside its tolerances block.  The options block went
+    # with its last key, so the block itself is the unknown key.
+    if parent == "tolerances":
+        addition, message = f"  {key}: {value}\n", f"tolerances.{key}: unknown key (line 18)"
+    else:
+        addition, message = f"options:\n  {key}: {value}\n", "options: unknown key (line 19)"
     path = tmp_path / "removed.yaml"
-    path.write_text(CANONICAL_YAML + f"options:\n  {key}: {value}\n")
+    path.write_text(CANONICAL_YAML + addition)
     assert main(["verify", str(path)]) == 2
-    assert f"input error: options.{key}: unknown key (line 19)" in capsys.readouterr().err
+    assert f"input error: {message}" in capsys.readouterr().err
 
 
 def _refuse_to_run(*args, **kwargs):
     raise AssertionError("a command ran on a scenario the parser should refuse")
-
-
-@pytest.mark.parametrize(
-    "horizon, dense_dt, line, ok",
-    [
-        ("horizon: 80.0\n", "8.0e-6", 19, True),  # exactly 10**7 intervals
-        ("horizon: 80.0\n", "7.9e-6", 19, False),
-        ("horizon: 80.0\n", "1.0e-300", 19, False),  # the quotient is near the float maximum
-        ("", "1.0e-5", 18, True),  # default horizon 100 / dilution
-        ("", "9.9e-6", 18, False),
-    ],
-)
-def test_dense_interval_cap(horizon, dense_dt, line, ok, tmp_path, capsys, monkeypatch):
-    # Only parsed: no run comes near the cap, whatever the parser does.
-    monkeypatch.setattr(cli, "cmd_simulate", _refuse_to_run)
-    path = tmp_path / "dense.yaml"
-    text = CANONICAL_YAML.replace("horizon: 80.0\n", horizon) + f"options:\n  dense_dt: {dense_dt}\n"
-    path.write_text(text)
-    if ok:
-        assert parse_scenario(str(path)).options.dense_dt == float(dense_dt)
-        return
-    assert main(["simulate", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "input error: options.dense_dt: gives more than 10000000 dense intervals" in err, err
-    assert f"(line {line})" in err
-
-
-@pytest.mark.parametrize("grid_n, ok", [("16777216", True), ("16777217", False), ("1.0e30", False)])
-def test_grid_size_cap(grid_n, ok, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "cmd_certificate", _refuse_to_run)
-    path = tmp_path / "grid.yaml"
-    path.write_text(CANONICAL_YAML + f"options:\n  grid_n: {grid_n}\n")
-    if ok:
-        assert parse_scenario(str(path)).options.grid_n == 2**24
-        return
-    assert main(["certificate", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "input error: options.grid_n: must lie in [8, 16777216] (line 19)" in err, err
 
 
 def test_default_horizon_must_be_finite(tmp_path, capsys):
@@ -693,10 +669,7 @@ VALID_DOC = {
     ],
     "initial": {"s": 10.0, "x": [0.01, 0.01, 0.01]},
     "horizon": 80.0,
-    "tolerances": {"rel_tol": 1e-8, "abs_tol": 1e-10, "eps_p": 1e-4, "eps_final": 1e-3},
-    "options": {
-        "grid_n": 2048, "dense_dt": 0.04, "eps_mass": 1e-6, "eps_washout": 1e-4, "eps_floor": 1e-3,
-    },
+    "tolerances": {"rel_tol": 1e-8, "abs_tol": 1e-10},
 }
 
 

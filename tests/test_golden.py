@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from chemostat_cep import ChemostatParams, Monod, State, build_certificate, order_species
-from chemostat_cep.scenario import Options, Scenario, Tolerances, parse_scenario
+from chemostat_cep.scenario import Scenario, Tolerances, parse_scenario
 from chemostat_cep.verify import run_report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,7 +54,6 @@ def monod_30() -> Scenario:
         initial=State(s=10.0, x=x),
         horizon=80.0,
         tolerances=Tolerances(),
-        options=Options(),
     )
 
 
@@ -67,10 +66,9 @@ def scenarios() -> dict[str, Scenario]:
 
 
 def capture(sc: Scenario) -> dict:
-    opts = sc.options
     active = [(sid, g) for (sid, g), xi in zip(sc.species, sc.initial.x) if xi > 0.0]
     ordered = order_species(active, sc.params.d, sc.params.s_in)
-    cert = build_certificate(ordered, sc.params.d, sc.params.s_in, grid_n=opts.grid_n)
+    cert = build_certificate(ordered, sc.params.d, sc.params.s_in)
     report = run_report(sc).to_dict()
     return {
         "certificate_text": cert.to_text(),

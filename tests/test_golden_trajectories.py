@@ -6,8 +6,8 @@ mixed-law scenarios, the sha256 of the raw bytes of ``states``,
 ``IntegratorStats``.  The mixed scenarios cover the law kinds the Monod-only
 goldens of ``test_golden.py`` lack: a Table winner and an unreachable Hill
 at n = 5, and a Monod/Hill/Table mix at n = 20.  The clipped case, a fast
-Monod species at loose tolerances, undershoots zero on accepted steps, so it
-pins the clip branch and the pre-clip state stored in the interpolant.  Any
+Monod species at loose tolerances, has trial steps that the error norm
+accepts but that end far below zero, so it pins their rejection.  Any
 change to the right-hand side or to the step loop that moves a single bit
 shows up here.
 
@@ -82,7 +82,7 @@ def cases() -> dict:
 
 
 def clipped():
-    """One fast Monod species at loose tolerances: accepted steps undershoot."""
+    """One fast Monod species at loose tolerances: trial steps undershoot."""
     params = ChemostatParams(d=1.0, s_in=10.0)
     return params, [Monod(mu_max=20.0, k=0.01)], State(s=10.0, x=[100.0]), 0.05, 1e-2, 1e-4
 

@@ -55,14 +55,17 @@ class TestSimulate:
         assert canonical_trajectory.meta.min_component_preclip >= -canonical_trajectory.meta.abs_tol
         assert np.min(canonical_trajectory.states) >= 0.0
 
-    def test_clip_branch_records_undershoot_beyond_abs_tol(self):
-        # any negative component is clipped, not only undershoots within
-        # abs_tol; the worst one is recorded before the clip
+    def test_undershoot_beyond_abs_tol_is_rejected(self):
+        # At these tolerances the substrate ends up to 8.17 below zero on
+        # steps the error norm accepts; clipping them lifted the mass at the
+        # horizon to 113.08.  Such steps are rejected instead.
         traj = simulate(
             PARAMS, [Monod(20.0, 0.01)], State(s=10.0, x=np.array([100.0])), 0.05, rel_tol=1e-2, abs_tol=1e-4
         )
-        assert traj.meta.min_component_preclip < -traj.meta.abs_tol
+        assert traj.meta.min_component_preclip >= -traj.meta.abs_tol
         assert np.min(traj.step_states) >= 0.0 and np.min(traj.states) >= 0.0
+        m = traj.channels.m
+        assert abs(m[-1] - mass_closed_form(float(m[0]), PARAMS, 0.05)) <= 1e-6
 
     def test_tolerance_convergence(self):
         coarse = simulate(PARAMS, GROWTHS, X0, 80.0, rel_tol=1e-8, abs_tol=1e-10)

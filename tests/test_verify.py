@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from chemostat_cep import ChemostatParams, Monod, State, build_certificate, order_species, run_report, simulate
+from chemostat_cep import ChemostatParams, Monod, State, Table, build_certificate, order_species, run_report, simulate
 from chemostat_cep.verify import (
     check_biomass_floor,
     check_final_convergence,
@@ -289,6 +289,18 @@ class TestRunReport:
         assert not by_id["substrate_frame"].applicable
         assert by_id["final_state"].passed
         assert report.overall_pass
+
+    def test_table_that_does_not_increase_fails_the_hypotheses_claim(self):
+        # the parser refuses this law; a library caller gets a failed claim,
+        # not the ModelError of break_even
+        dip = Table(((0.0, 0.0), (1.0, 0.5), (2.0, 0.4), (10.0, 3.0)))
+        species = (CANONICAL_SPECIES[0], ("dip", dip))
+        report = run_report(make_scenario(species=species, x=(0.01, 0.01)))
+        assert not report.overall_pass
+        (claim,) = report.claims
+        assert (claim.claim_id, claim.applicable, claim.passed) == ("model_hypotheses", True, False)
+        assert "not strictly increasing" in claim.detail
+        assert report.to_dict()["claims"][0]["id"] == "model_hypotheses"
 
     def test_text_rendering(self):
         report = run_report(make_scenario(horizon=30.0))
