@@ -563,11 +563,14 @@ class TestTableHypotheses:
     "old, new, key, line",
     [
         ("x: [0.01, 0.01, 0.01]", "x: [nan, 0.01, 0.01]", "initial.x[0]", 13),
+        ("x: [0.01, 0.01, 0.01]", "x: [0.01, 0.01, inf]", "initial.x[2]", 13),
         ("  s: 10.0\n", "  s: inf\n", "initial.s", 12),
         ("dilution: 1.0", "dilution: inf", "params.dilution", 2),
         ("s_in: 10.0", "s_in: -inf", "params.s_in", 3),
         ("horizon: 80.0", "horizon: nan", "horizon", 14),
         ("mu_max: 3.0", "mu_max: inf", "species[0].growth.mu_max", 6),
+        ("k: 2.0", "k: -inf", "species[1].growth.k", 8),
+        ("rel_tol: 1.0e-8", "rel_tol: inf", "tolerances.rel_tol", 16),
         ("abs_tol: 1.0e-10", "abs_tol: nan", "tolerances.abs_tol", 17),
     ],
 )
@@ -581,23 +584,27 @@ def test_non_finite_numbers_exit_2(old, new, key, line, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "parent, key, value",
-    [("options", "eq_tol", "1.0e-9"), ("options", "root_tol", "1.0e-12"), ("options", "probe_factor", "1.0e6"),
-     ("options", "persistence_grace", "0.0"), ("options", "grid_n", "2048"), ("options", "dense_dt", "0.04"),
-     ("options", "eps_mass", "1.0e-6"), ("options", "eps_washout", "1.0e-4"), ("options", "eps_floor", "1.0e-3"),
-     ("tolerances", "eps_p", "1.0e-4"), ("tolerances", "eps_final", "1.0e-3")],
+    "key, value",
+    [("eq_tol", "1.0e-9"), ("root_tol", "1.0e-12"), ("probe_factor", "1.0e6"), ("persistence_grace", "0.0"),
+     ("grid_n", "2048"), ("dense_dt", "0.04"), ("eps_mass", "1.0e-6"), ("eps_washout", "1.0e-4"),
+     ("eps_floor", "1.0e-3")],
 )
-def test_removed_option_keys_exit_2(parent, key, value, tmp_path, capsys):
-    # CANONICAL_YAML ends inside its tolerances block.  The options block went
-    # with its last key, so the block itself is the unknown key.
-    if parent == "tolerances":
-        addition, message = f"  {key}: {value}\n", f"tolerances.{key}: unknown key (line 18)"
-    else:
-        addition, message = f"options:\n  {key}: {value}\n", "options: unknown key (line 19)"
+def test_removed_option_keys_exit_2(key, value, tmp_path, capsys):
+    # The options block went with its last key, so the block itself is the
+    # unknown key.
     path = tmp_path / "removed.yaml"
-    path.write_text(CANONICAL_YAML + addition)
+    path.write_text(CANONICAL_YAML + f"options:\n  {key}: {value}\n")
     assert main(["verify", str(path)]) == 2
-    assert f"input error: {message}" in capsys.readouterr().err
+    assert "input error: options: unknown key (line 19)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("eps_p", "1.0e-4"), ("eps_final", "1.0e-3")])
+def test_removed_tolerance_keys_exit_2(key, value, tmp_path, capsys):
+    # CANONICAL_YAML ends inside its tolerances block.
+    path = tmp_path / "removed.yaml"
+    path.write_text(CANONICAL_YAML + f"  {key}: {value}\n")
+    assert main(["verify", str(path)]) == 2
+    assert f"input error: tolerances.{key}: unknown key (line 18)" in capsys.readouterr().err
 
 
 def _refuse_to_run(*args, **kwargs):
