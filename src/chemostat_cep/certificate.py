@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, ParameterError, WashoutError
-from .growth import GrowthFunction, Hill, Monod, OrderedSpecies, Table, rate_matrix
+from .growth import Hill, Monod, OrderedSpecies, Table, rate_matrix
 
 GRID_N = 2048  # grid intervals per margin interval
 
@@ -198,22 +198,19 @@ def _margins(lam_lo: float, lam_hi_eff: float, delta: float) -> tuple[float, flo
     return lam_lo - min(delta, 0.5 * lam_lo), lam_hi_eff + delta
 
 
-def _monotone(g: GrowthFunction) -> bool:
-    """Whether the law is known to be non-decreasing on [0, inf)."""
-    return type(g) in (Monod, Hill) or (type(g) is Table and g.nodes_strictly_increasing)
-
-
 def _envelope_rows(ordered: OrderedSpecies, s_in: float, grid_n: int) -> list[np.ndarray]:
     """Per boundary, the slower-pack record positions that can set the maximum.
 
     Every margin grid of boundary i lies in its widest interval [L, R], the
     margins at the starting extension: the shrink loop and the nesting
     limit only move them inward.  Let M be the largest rate at L among the
-    slower laws known to be non-decreasing.  Such a law whose rate at R is
-    below M (with a rounding allowance) lies below the law attaining M at
-    every grid point, so it never sets the maximum of the slower rows and is
-    left out.  Every other law, the one attaining M, and any row whose
-    comparison is NaN are kept.  All ends come from one ``rate_matrix`` call.
+    slower laws of the built-in types, which their constructors make
+    increasing.  Such a law whose rate at R is below M (with a rounding
+    allowance) lies below the law attaining M at every grid point, so it
+    never sets the maximum of the slower rows and is left out.  Every other
+    law (a ``GrowthFunction`` subclass of the caller's), the one attaining M,
+    and any row whose comparison is NaN are kept.  All ends come from one
+    ``rate_matrix`` call.
     """
     n_bounds = ordered.n_packs - 1
     ends, steps = [], []
@@ -224,10 +221,10 @@ def _envelope_rows(ordered: OrderedSpecies, s_in: float, grid_n: int) -> list[np
     laws = [rec.growth for rec in ordered.records]
     rates = rate_matrix(laws, ends)  # column 2i is L, column 2i + 1 is R
     # (record, boundary) masks: the record is in a slower pack, and its law
-    # is known to be non-decreasing.
+    # is of a built-in type, increasing by construction.
     splits = [ordered.packs[i + 1][0] for i in range(n_bounds)]
     slower = np.arange(ordered.n)[:, None] >= np.array(splits)
-    monotone = np.array([_monotone(g) for g in laws])[:, None]
+    monotone = np.array([type(g) in (Monod, Hill, Table) for g in laws])[:, None]
     left = np.where(slower & monotone, rates[:, 0::2], -np.inf)
     cols = np.arange(n_bounds)
     top = np.argmax(left, axis=0)  # the first NaN, if any

@@ -15,10 +15,6 @@ class DomainError(ChemostatError, ValueError):
     """An evaluation was requested outside the mathematical domain."""
 
 
-class ModelError(ChemostatError):
-    """Model data violates a structural assumption, e.g. monotonicity."""
-
-
 class CertificateError(ChemostatError):
     """A certificate constant could not be constructed or is non-positive."""
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ModelError, ParameterError
+from .errors import DomainError, ParameterError
 
 # Bisection runs until the bracket cannot be split further, so this cap is a
 # safety net, not a tolerance (float64 exhausts in ~1100 halvings worst case).
@@ -151,11 +151,10 @@ class Table(GrowthFunction):
     """Piecewise-linear law through ordered (s, mu) nodes.
 
     Inside the node range the law interpolates linearly; beyond the last node
-    it continues with the final chord's slope so a strictly increasing table
-    stays strictly increasing on all of [0, inf).  Nodes only need strictly
-    increasing substrate values at construction; the scenario parser checks
-    the zero-growth origin and strictly increasing rates, and
-    :func:`break_even` refuses tables whose rates do not increase strictly.
+    it continues with the final chord's slope, so the law is strictly
+    increasing on all of [0, inf).  Construction enforces the paper's
+    hypotheses: the first node is (0, 0), so mu(0) = 0, and both substrate
+    values and rates increase strictly from node to node.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -174,10 +173,10 @@ class Table(GrowthFunction):
             raise ParameterError("table nodes must be finite")
         if any(b <= a for a, b in zip(ss, ss[1:])):
             raise ParameterError("table substrate nodes must be strictly increasing")
-        if ss[0] < 0.0:
-            raise ParameterError("table substrate nodes must be >= 0")
-        if any(b < 0.0 for _, b in pts):
-            raise ParameterError("table rates must be >= 0")
+        if pts[0] != (0.0, 0.0):
+            raise ParameterError(f"table first node must be (0, 0), so that mu(0) = 0, got {pts[0]!r}")
+        if any(b[1] <= a[1] for a, b in zip(pts, pts[1:])):
+            raise ParameterError("table node rates must increase strictly")
 
     @cached_property
     def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -196,13 +195,7 @@ class Table(GrowthFunction):
     @cached_property
     def _tail_slope(self) -> float:
         s, mu = self._nodes
-        slope = (mu[-1] - mu[-2]) / (s[-1] - s[-2])
-        return max(float(slope), 0.0)
-
-    @property
-    def nodes_strictly_increasing(self) -> bool:
-        _, mu = self._nodes
-        return bool(np.all(np.diff(mu) > 0.0))
+        return float((mu[-1] - mu[-2]) / (s[-1] - s[-2]))
 
     def _rate(self, s: np.ndarray) -> np.ndarray:
         xs, ys = self._nodes
@@ -214,13 +207,12 @@ class Table(GrowthFunction):
 
     def _rate_scalar(self, s: float) -> float:
         # np.interp's arithmetic without its array wrapper: the node value
-        # at a node, y_0 below the first node, the chord formula in between.
+        # at a node, the chord formula in between.  The first node is s = 0,
+        # so every s >= 0 lies at or above it.
         xs, ys, slopes = self._segments
         if not s <= xs[-1]:  # NaN lands here too and stays NaN
             return ys[-1] + self._tail_slope * (s - xs[-1])
         j = bisect_right(xs, s) - 1
-        if j < 0:
-            return ys[0]
         if s == xs[j]:
             return ys[j]
         return slopes[j] * (s - xs[j]) + ys[j]
@@ -270,15 +262,14 @@ def break_even(g: GrowthFunction, d: float, *, s_probe_max: float = 1e6) -> floa
     until it is narrower than both ``ROOT_TOL`` times its midpoint and
     ``_BISECT_WIDTH_CAP``, or cannot be split further.
 
-    Raises :class:`ParameterError` for d <= 0 and :class:`ModelError` for
-    tabulated laws whose node rates are not strictly increasing.
+    Every built-in law is increasing with mu(0) = 0 by construction, so the
+    bracket holds one crossing.  Raises :class:`ParameterError` for d <= 0
+    or a probe bound that is not finite and > 0.
     """
     if not (isinstance(d, (int, float)) and math.isfinite(d) and d > 0.0):
         raise ParameterError(f"removal rate must be finite and > 0, got {d!r}")
     if not (math.isfinite(s_probe_max) and s_probe_max > 0.0):
         raise ParameterError(f"probe bound must be finite and > 0, got {s_probe_max!r}")
-    if isinstance(g, Table) and not g.nodes_strictly_increasing:
-        raise ModelError("table rates are not strictly increasing; bracket is unreliable")
 
     # Every probe is a finite float >= 0 made here, so the law's array path
     # runs without the domain check of ``g(...)``; it gives the same bits.

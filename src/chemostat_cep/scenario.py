@@ -173,14 +173,13 @@ def _growth_from_node(node, key: str) -> GrowthFunction:
                         _float(pair[1], f"{key}.points[{i}][1]"),
                     )
                 )
-            table = Table(points=tuple(pts))
-            # The paper's hypotheses, which Table itself leaves to callers.
-            if pts[0] != (0.0, 0.0):
+            # Table refuses these too; checked here first to name the node.
+            if pts and pts[0] != (0.0, 0.0):
                 raise _fail(f"{key}.points[0]", p_nodes[0], "first node must be [0, 0], so that mu(0) = 0")
             for i in range(1, len(pts)):
                 if not pts[i][1] > pts[i - 1][1]:
                     raise _fail(f"{key}.points[{i}]", p_nodes[i], "node rates must increase strictly")
-            return table
+            return Table(points=tuple(pts))
     except ChemostatError as exc:
         if isinstance(exc, InputError):
             raise
@@ -221,6 +220,8 @@ def parse_scenario(path: str) -> Scenario:
         raise _fail("params.dilution", pm["dilution"], "must be > 0")
     if s_in <= 0.0:
         raise _fail("params.s_in", pm["s_in"], "must be > 0")
+    if not math.isfinite(PROBE_FACTOR * s_in):
+        raise _fail("params.s_in", pm["s_in"], f"too large for the break-even probe bound {PROBE_FACTOR:g} * s_in")
     params = ChemostatParams(d=d, s_in=s_in)
 
     species_node = _require(top, "species", "", root)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificate import Certificate, build_certificate
 from .dynamics import ChemostatParams, State, predicted_limit
-from .errors import CertificateError, ChemostatError, ModelError, WashoutError
+from .errors import CertificateError, ChemostatError, WashoutError
 from .growth import GrowthFunction, OrderedSpecies, order_species, pack_species, rate_matrix
 from .integrate import (
     Trajectory,
@@ -564,19 +564,17 @@ def check_final_convergence(traj: Trajectory, predicted: State, eps: float) -> C
 def run_report(scenario: Scenario) -> VerificationReport:
     """Simulate a scenario once and evaluate every applicable claim.
 
-    Laws that break the model's hypotheses (a table whose rates do not
-    increase strictly), simulation and certificate failures become failed
-    report entries rather than exceptions, so a report is always produced.
+    The law constructors enforce the paper's hypotheses mu(0) = 0 and
+    increasing laws; a scenario without a viable species present initially
+    takes the washout path.  Simulation and certificate failures become
+    failed report entries rather than exceptions, so a report is always
+    produced.
     """
     params = scenario.params
     tols = scenario.tolerances
     growths = [g for _, g in scenario.species]
 
-    try:
-        ordered_full = order_species(scenario.species, params.d, params.s_in)
-    except ModelError as exc:
-        claim = ClaimResult("model_hypotheses", True, False, {}, {}, str(exc))
-        return VerificationReport(scenario.digest(), None, (claim,), False)
+    ordered_full = order_species(scenario.species, params.d, params.s_in)
     lam_by_id = {rec.id: rec.lam for rec in ordered_full.records}
     id_to_column = {sid: 1 + k for k, (sid, _) in enumerate(scenario.species)}
 

@@ -618,6 +618,17 @@ def test_default_horizon_must_be_finite(tmp_path, capsys):
     assert "input error: params.dilution: too small for the default horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "certificate", "curves"])
+def test_probe_bound_must_be_finite(command, tmp_path, capsys):
+    # PROBE_FACTOR * s_in would overflow to inf, which break_even refuses
+    path = tmp_path / "huge.yaml"
+    path.write_text(CANONICAL_YAML.replace("s_in: 10.0", "s_in: 1e303"))
+    assert main([command, str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "input error: params.s_in: too large for the break-even probe bound" in err, err
+    assert "(line 3)" in err
+
+
 TWO_MONOD_YAML = """\
 params: {dilution: 1.0, s_in: 10.0}
 species:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemostat_cep import Hill, Monod, Table, order_species
-from chemostat_cep.errors import DomainError, ModelError, ParameterError
+from chemostat_cep.errors import DomainError, ParameterError
 from chemostat_cep.growth import ROOT_TOL, break_even, rate_matrix
 
 
@@ -54,6 +54,11 @@ class TestEvaluation:
             lambda: Table(((0.0, 0.0),)),
             lambda: Table(((1.0, 0.1), (1.0, 0.2))),
             lambda: Table(((0.0, 0.0), (1.0, -0.2))),
+            # mu(0) = 0.5
+            lambda: Table(((0.0, 0.5), (10.0, 3.0))),
+            lambda: Table(((0.5, 0.0), (2.0, 1.0))),
+            lambda: Table(((0.0, 0.0), (1.0, 0.5), (2.0, 0.4), (10.0, 3.0))),
+            lambda: Table(((0.0, 0.0), (1.0, 0.5), (2.0, 0.5))),
         ],
     )
     def test_bad_parameters_rejected(self, build):
@@ -116,9 +121,9 @@ class TestBreakEven:
             break_even(Monod(3.0, 1.0), -1.0)
 
     def test_non_monotone_table_rejected(self):
-        g = Table(((0.0, 0.0), (1.0, 0.5), (2.0, 0.4)))
-        with pytest.raises(ModelError):
-            break_even(g, 0.3)
+        # refused at construction, so break_even never sees such a law
+        with pytest.raises(ParameterError, match="node rates must increase strictly"):
+            Table(((0.0, 0.0), (1.0, 0.5), (2.0, 0.4)))
 
     def test_probe_bound_respected(self):
         # root sits at 1e5, probe stops at 1e3

@@ -67,6 +67,21 @@ class TestSimulate:
         m = traj.channels.m
         assert abs(m[-1] - mass_closed_form(float(m[0]), PARAMS, 0.05)) <= 1e-6
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="clipping undershoots within abs_tol adds mass on every accepted step "
+        "(FOUND in CHANGES.md: integrate.simulate still lets clipping within abs_tol add mass)",
+    )
+    def test_clipping_within_abs_tol_keeps_the_mass(self):
+        # The clipped golden case at rel_tol 1e-3: 2513 accepted steps with
+        # pre-clip minima down to -9.27e-5, each clipped to 0, leave the mass
+        # 0.090 above its closed form (4.3e-14 at rel_tol 1e-2).
+        traj = simulate(
+            PARAMS, [Monod(20.0, 0.01)], State(s=10.0, x=np.array([100.0])), 0.05, rel_tol=1e-3, abs_tol=1e-4
+        )
+        m = traj.channels.m
+        assert abs(m[-1] - mass_closed_form(float(m[0]), PARAMS, 0.05)) <= 1e-8 * PARAMS.s_in
+
     def test_tolerance_convergence(self):
         coarse = simulate(PARAMS, GROWTHS, X0, 80.0, rel_tol=1e-8, abs_tol=1e-10)
         fine = simulate(PARAMS, GROWTHS, X0, 80.0, rel_tol=5e-9, abs_tol=5e-11)
