@@ -97,7 +97,12 @@ class Monod(GrowthFunction):
 
 @dataclass(frozen=True)
 class Hill(GrowthFunction):
-    """mu(s) = mu_max * s**p / (k**p + s**p) with exponent p >= 1."""
+    """mu(s) = mu_max * s**p / (k**p + s**p) with exponent p >= 1.
+
+    Both paths evaluate the law as mu_max * u / (1 + u) for s <= k and as
+    mu_max / (1 + u) above k, with u = (min(s, k) / max(s, k))**p.  Since
+    u lies in [0, 1], no power overflows, however steep the law.
+    """
 
     mu_max: float
     k: float
@@ -113,37 +118,15 @@ class Hill(GrowthFunction):
         if not (math.isfinite(self.p) and self.p >= 1.0):
             raise ParameterError(f"hill exponent must be finite and >= 1, got {self.p!r}")
 
-    @cached_property
-    def _k_pow(self) -> float:
-        try:
-            return self.k**self.p
-        except OverflowError:  # a float power raises where np.power gives inf
-            return math.inf
-
-    def _saturated(self, s):
-        """mu_max / (1 + (k/s)**p), the law where the direct form overflows; 0 at s = 0."""
-        with np.errstate(over="ignore", divide="ignore"):
-            return self.mu_max / (1.0 + np.power(self.k / np.asarray(s, dtype=float), self.p))
-
     def _rate(self, s: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            sp = np.power(s, self.p)
-            num, den = self.mu_max * sp, self._k_pow + sp
-            out = num / den
-        over = np.isinf(num) | np.isinf(den)
-        if over.any():
-            out = np.where(over, self._saturated(s), out)
-        return out
+        u = np.power(np.minimum(s, self.k) / np.maximum(s, self.k), self.p)
+        return self.mu_max * np.where(s <= self.k, u, 1.0) / (1.0 + u)
 
     def _rate_scalar(self, s: float) -> float:
-        try:
-            sp = s**self.p
-        except OverflowError:  # a float power raises where np.power gives inf
-            sp = math.inf
-        num, den = self.mu_max * sp, self._k_pow + sp
-        if num < math.inf and den < math.inf:
-            return num / den
-        return float(self._saturated(s))
+        if s <= self.k:
+            u = (s / self.k) ** self.p
+            return self.mu_max * u / (1.0 + u)
+        return self.mu_max / (1.0 + (self.k / s) ** self.p)
 
 
 @dataclass(frozen=True)
@@ -192,17 +175,13 @@ class Table(GrowthFunction):
         slopes = [(ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1)]
         return xs, ys, slopes
 
-    @cached_property
-    def _tail_slope(self) -> float:
-        s, mu = self._nodes
-        return float((mu[-1] - mu[-2]) / (s[-1] - s[-2]))
-
     def _rate(self, s: np.ndarray) -> np.ndarray:
         xs, ys = self._nodes
         out = np.interp(s, xs, ys)
         tail = s > xs[-1]
         if np.any(tail):
-            out = np.where(tail, ys[-1] + self._tail_slope * (s - xs[-1]), out)
+            tail_slope = self._segments[2][-1]
+            out = np.where(tail, ys[-1] + tail_slope * (s - xs[-1]), out)
         return out
 
     def _rate_scalar(self, s: float) -> float:
@@ -211,7 +190,7 @@ class Table(GrowthFunction):
         # so every s >= 0 lies at or above it.
         xs, ys, slopes = self._segments
         if not s <= xs[-1]:  # NaN lands here too and stays NaN
-            return ys[-1] + self._tail_slope * (s - xs[-1])
+            return ys[-1] + slopes[-1] * (s - xs[-1])
         j = bisect_right(xs, s) - 1
         if s == xs[j]:
             return ys[j]
@@ -271,9 +250,10 @@ def break_even(g: GrowthFunction, d: float, *, s_probe_max: float = 1e6) -> floa
     if not (math.isfinite(s_probe_max) and s_probe_max > 0.0):
         raise ParameterError(f"probe bound must be finite and > 0, got {s_probe_max!r}")
 
-    # Every probe is a finite float >= 0 made here, so the law's array path
-    # runs without the domain check of ``g(...)``; it gives the same bits.
-    rate = g._rate
+    # Every probe is a finite float >= 0 made here, so the probes go straight
+    # to the scalar rate the right-hand side evaluates: the level is the root
+    # of the same mu the trajectory relaxes to.
+    rate = g._rate_scalar
     hi = min(1.0, s_probe_max)
     while rate(hi) <= d:
         if hi >= s_probe_max:

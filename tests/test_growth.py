@@ -69,6 +69,17 @@ class TestEvaluation:
 # Steep Hill laws whose powers overflow: s**600 above s = 3.26 for the first,
 # k**600 itself for the second.
 OVERFLOWING_HILLS = [Hill(2.0, 2.8, 600.0), Hill(2.0, 10.0, 600.0)]
+
+
+def _hill_form_bound(p):
+    """Relative distance allowed between Hill's evaluated form and the direct form.
+
+    The power raises the rounding of s / k to the p-th power, which gives
+    p / 2 ulps; the remaining operations of both forms add a few more.
+    """
+    return (p / 2.0 + 6.0) * np.finfo(float).eps
+
+
 OVERFLOW_LEVELS = [0.0, 1e-300, 1.0, 2.79, 2.8, 3.3, 9.99, 10.0, 10.01, 50.0, 1e6, 1e300]
 
 
@@ -86,14 +97,36 @@ class TestHillOverflow:
             assert np.all(np.diff(rates) >= 0.0)
         assert g(3.3) == g.rate_unchecked(3.3)
 
-    def test_non_overflowing_rates_keep_their_bits(self):
+    def test_non_overflowing_rates_match_the_direct_form(self):
         g = OVERFLOWING_HILLS[0]
-        s = np.linspace(0.0, 3.2, 321)  # 3.2**600 < 1e300: no overflow anywhere
+        s = np.linspace(0.0, 3.2, 321)  # 3.2**600 < 1e300: the direct form is finite
         sp = np.power(s, g.p)
-        assert np.array_equal(g(s), g.mu_max * sp / (g.k**g.p + sp))
-        assert [g.rate_unchecked(v) for v in s.tolist()] == [
-            g.mu_max * v**g.p / (g.k**g.p + v**g.p) for v in s.tolist()
-        ]
+        direct = g.mu_max * sp / (g.k**g.p + sp)
+        array = g(s)
+        scalar = np.array([g.rate_unchecked(v) for v in s.tolist()])
+        # Compared where every intermediate of both forms is a normal float.
+        normal = direct >= 1e-300
+        assert np.count_nonzero(normal) > 200
+        bound = _hill_form_bound(g.p)
+        assert np.all(np.abs(array - direct)[normal] <= bound * direct[normal])
+        assert np.all(np.abs(scalar - array)[normal] <= 1e-15 * array[normal])
+
+    @given(
+        mu_max=st.floats(0.5, 5.0),
+        k=st.floats(0.1, 10.0),
+        p=st.floats(1.0, 4.0),
+        s=st.floats(0.0, 20.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_moderate_exponents_match_the_direct_form(self, mu_max, k, p, s):
+        g = Hill(mu_max, k, p)
+        sp = s**p
+        direct = mu_max * sp / (k**p + sp)
+        if direct >= 1e-300:  # every intermediate of both forms is a normal float
+            array, scalar = g(s), g.rate_unchecked(s)
+            assert abs(array - direct) <= _hill_form_bound(p) * direct
+            assert abs(scalar - direct) <= _hill_form_bound(p) * direct
+            assert abs(scalar - array) <= 1e-15 * array
 
     @pytest.mark.parametrize("g", OVERFLOWING_HILLS)
     def test_break_even_finite(self, g):
