@@ -322,24 +322,27 @@ def gamma_bounds(
             f"first pack already grows at rate {mu1:g} >= removal rate at s={s1_minus:g}"
         )
 
-    gamma_plus = math.inf
-    skipped = []
-    for i in range(1, ordered.n_packs):
-        if not math.isfinite(ordered.pack_lambda(i)):
-            skipped.append(i)
-            continue
-        excess = rates[: ordered.packs[i][0], i] - d
-        short = np.flatnonzero(excess <= 0.0)
-        if short.size:
-            j = next(j for j, pack in enumerate(ordered.packs) if short[0] <= pack[-1])
-            raise CertificateError(
-                f"pack {j + 1} does not outgrow the removal rate at "
-                f"s={margins[i - 1][1]:g} (needed below pack {i + 1})"
-            )
-        gamma_plus = min(gamma_plus, float(np.min(excess)))
+    # Column c of ``excess`` holds every law at the upper margin below pack
+    # index c + 1, and ``lower`` keeps the records of the packs below that
+    # pack (none for a skipped pack): one masked minimum over them all.
+    higher = range(1, ordered.n_packs)
+    skipped = tuple(i for i in higher if not math.isfinite(ordered.pack_lambda(i)))
+    split = [0 if i in skipped else ordered.packs[i][0] for i in higher]
+    lower = np.arange(ordered.n)[:, None] < np.array(split)
+    excess = rates[:, 1:] - d
+    gamma_plus = float(np.min(excess, where=lower, initial=math.inf))
+    if gamma_plus <= 0.0:
+        short = lower & (excess <= 0.0)
+        c = int(np.argmax(short.any(axis=0)))
+        k = int(np.argmax(short[:, c]))
+        j = next(j for j, pack in enumerate(ordered.packs) if k <= pack[-1])
+        raise CertificateError(
+            f"pack {j + 1} does not outgrow the removal rate at "
+            f"s={margins[c][1]:g} (needed below pack {c + 2})"
+        )
     if not math.isfinite(gamma_plus):
         raise CertificateError("no finite pack above the first; gamma_plus undefined")
-    return gamma_minus, gamma_plus, tuple(skipped)
+    return gamma_minus, gamma_plus, skipped
 
 
 def dilution_bounds(gamma_minus: float, gamma_plus: float, d: float) -> tuple[float, float]:

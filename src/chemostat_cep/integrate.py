@@ -374,7 +374,9 @@ def _dense_states(times, step_times, step_states, step_conts) -> np.ndarray:
     undershoots are clipped to zero.
     """
     k = np.searchsorted(step_times, times, side="right") - 1
-    np.clip(k, 0, len(step_times) - 2, out=k)
+    # np.maximum/np.minimum rather than np.clip, whose Python wrapper costs
+    # more than the rest of a bisection round's evaluation
+    np.minimum(np.maximum(k, 0, out=k), len(step_times) - 2, out=k)
     t0 = step_times[k]
     theta = ((times - t0) / (step_times[k + 1] - t0))[:, None]
     rest = 1.0 - theta
@@ -425,19 +427,30 @@ class EntryRecord:
     excursions: int
 
 
-def scan_persistent_entry(inside: np.ndarray) -> tuple[int | None, int]:
+def scan_persistent_entry(inside: np.ndarray) -> tuple:
     """Locate the persistent entry on sampled membership values.
 
     Returns (index of the first sample of the persistent tail, number of
     exits after the first entry).  The tail runs from the sample after the
     last outside one (0 if none is outside) to the end; the index is None
-    when the last sample is outside.
+    when the last sample is outside.  For 2-D ``inside`` every row is one
+    series (series x samples, so each row's reductions run over contiguous
+    memory), all scanned at once, and the result is (list of indices or
+    None, list of exit counts).
     """
-    exits = int(np.count_nonzero(inside[:-1] & ~inside[1:]))
-    if not inside[-1]:
-        return None, exits
-    outside = np.flatnonzero(~inside)
-    return (int(outside[-1]) + 1 if outside.size else 0), exits
+    one = inside.ndim == 1
+    if one:
+        inside = inside[None, :]
+    outside = ~inside
+    exits = (inside[:, :-1] & outside[:, 1:]).sum(axis=1).tolist()
+    # the last outside sample, counted from the end (0 when none is outside)
+    from_end = outside[:, ::-1].argmax(axis=1).tolist()
+    n = inside.shape[1]
+    idx = [
+        None if out_last else (n - k if k else 0)
+        for out_last, k in zip(outside[:, -1].tolist(), from_end)
+    ]
+    return (idx[0], exits[0]) if one else (idx, exits)
 
 
 def persistent_entries(
@@ -445,7 +458,8 @@ def persistent_entries(
 ) -> list[EntryRecord]:
     """Persistent entries of the substrate channel into closed intervals.
 
-    Each entry is located on the dense samples and then refined by bisecting
+    Each entry is located on the dense samples, every interval's membership
+    from one (intervals x samples) comparison, and then refined by bisecting
     the continuous extension across the bracketing spacing.  The brackets of
     all intervals are bisected in lockstep, one evaluation of the substrate
     interpolant per round at every unfinished midpoint.  Persistence is
@@ -453,19 +467,18 @@ def persistent_entries(
     """
     s = trajectory.states[:, 0]
     t = trajectory.times
-    scans = []  # (lo, hi, entry index, excursions)
-    for interval in intervals:
-        lo, hi = float(interval[0]), float(interval[1])
-        if not lo < hi:
-            raise ParameterError(f"interval must satisfy lo < hi, got {interval!r}")
-        scans.append((lo, hi, *scan_persistent_entry((s >= lo) & (s <= hi))))
+    bounds = np.array(intervals, dtype=float).reshape(len(intervals), 2)
+    bad = np.flatnonzero(~(bounds[:, 0] < bounds[:, 1]))
+    if bad.size:
+        raise ParameterError(f"interval must satisfy lo < hi, got {intervals[int(bad[0])]!r}")
+    idx, exits = scan_persistent_entry((s >= bounds[:, :1]) & (s <= bounds[:, 1:]))
 
     # Bracket [t_out, t_in] of every entry past the first sample.
-    refine = [k for k, (_, _, idx, _) in enumerate(scans) if idx]
-    lows = np.array([scans[k][0] for k in refine])
-    highs = np.array([scans[k][1] for k in refine])
-    t_in_idx = [scans[k][2] for k in refine]
-    t_out = t[[idx - 1 for idx in t_in_idx]]
+    refine = [k for k, i in enumerate(idx) if i]
+    lows = bounds[refine, 0]
+    highs = bounds[refine, 1]
+    t_in_idx = [idx[k] for k in refine]
+    t_out = t[[i - 1 for i in t_in_idx]]
     t_in = t[t_in_idx]
     tol = max(1e-12, 1e-9 * trajectory.horizon)
     active = np.flatnonzero(t_in - t_out > tol)
@@ -479,12 +492,12 @@ def persistent_entries(
         t_out[active[~inside]] = mid[~inside]
         active = active[t_in[active] - t_out[active] > tol]
 
-    entry_times: list[float | None] = [None if idx is None else 0.0 for _, _, idx, _ in scans]
+    entry_times: list[float | None] = [None if i is None else 0.0 for i in idx]
     for pos, k in enumerate(refine):
         entry_times[k] = float(t_in[pos])
     return [
         EntryRecord((lo, hi), entry_time, excursions)
-        for (lo, hi, _, excursions), entry_time in zip(scans, entry_times)
+        for (lo, hi), entry_time, excursions in zip(bounds.tolist(), entry_times, exits)
     ]
 
 

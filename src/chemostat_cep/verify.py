@@ -19,6 +19,7 @@ from .dynamics import ChemostatParams, State, predicted_limit
 from .errors import CertificateError, ChemostatError, WashoutError
 from .growth import GrowthFunction, OrderedSpecies, order_species, pack_species, rate_matrix
 from .integrate import (
+    EntryRecord,
     Trajectory,
     _B_ZERO,
     first_persistent_entry,  # noqa: F401  (perfbench/tracing.py patches this name here)
@@ -130,21 +131,26 @@ def fit_log_decay(
     """
     one = np.ndim(v) == 1
     buf = np.array(v, dtype=float)
-    slopes, n = fit_log_decay_tails(t, buf[:, None] if one else buf, [0])[0]
+    slopes, used = fit_log_decay_tails(t, buf[:, None] if one else buf, [0])
+    fittable = (used[0] >= _MIN_FIT_SAMPLES).tolist()
+    fitted = [s if ok else None for s, ok in zip(slopes[0].tolist(), fittable)]
     if one:
-        return slopes[0], int(n[0])
-    return slopes, n
+        return fitted[0], int(used[0, 0])
+    return fitted, used[0]
 
 
 def fit_log_decay_tails(
     t: np.ndarray,
     v: np.ndarray,
     starts: Sequence[int | None],
-) -> list[tuple[list[float | None], np.ndarray] | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Decay slopes of every column of ``v`` on the tail from every start.
 
-    Returns, per start, what 2-D ``fit_log_decay`` returns on
-    ``t[start:], v[start:]``, and None for a None start.  ``v`` (samples x
+    Returns (slopes, used), both (starts x columns): row k holds, per
+    column, the slope of log v over ``t[starts[k]:]`` and the number of
+    usable samples it rests on.  A slope is fitted only where ``used`` is
+    at least ``_MIN_FIT_SAMPLES`` and is NaN elsewhere, so a fitted NaN is
+    told apart by ``used``; a None start uses no sample.  ``v`` (samples x
     columns, float) is the work buffer: its rows from the first start on are
     overwritten.
 
@@ -157,9 +163,10 @@ def fit_log_decay_tails(
     badly on short tails at the end of long horizons.
     """
     t = np.asarray(t, dtype=float)
+    shape = (len(starts), v.shape[1])
     cuts = sorted({s for s in starts if s is not None})
     if not cuts:
-        return [None] * len(starts)
+        return np.full(shape, np.nan), np.zeros(shape, dtype=np.intp)
     block = v[cuts[0]:]
     mask = np.isfinite(block)
     mask &= block > _RATIO_FLOOR
@@ -181,17 +188,18 @@ def fit_log_decay_tails(
         acc = seg if acc is None else _merge_moments(seg, acc)
         tails[a] = acc
 
-    out: list[tuple[list[float | None], np.ndarray] | None] = []
-    for start in starts:
-        if start is None:
-            out.append(None)
-            continue
-        n, _, _, s_tt, s_ty = tails[start]
-        slopes: list[float | None] = [None] * n.size
-        for j in np.flatnonzero(n >= _MIN_FIT_SAMPLES):
-            slopes[j] = float(s_ty[j] / s_tt[j])
-        out.append((slopes, n))
-    return out
+    rows = [k for k, s in enumerate(starts) if s is not None]
+    picked = [tails[starts[k]] for k in rows]
+    used = np.zeros(shape, dtype=np.intp)
+    used[rows] = [m[0] for m in picked]
+    slopes = np.full(shape, np.nan)
+    slopes[rows] = np.divide(
+        [m[4] for m in picked],
+        [m[3] for m in picked],
+        out=slopes[rows],
+        where=used[rows] >= _MIN_FIT_SAMPLES,
+    )
+    return slopes, used
 
 
 def _segment_moments(t: np.ndarray, y: np.ndarray, mask: np.ndarray) -> tuple:
@@ -429,109 +437,157 @@ def check_induction_properties(
     species must fall at least at rate nu less a slack of 0.1 nu, and its
     final proportion must end below eps_p.
 
-    Stage i measures its entry, the slope and final proportion of pack
-    i + 1 (the pack it newly excludes), and the governing values over every
-    pack above i: ``slope_max`` and ``p_final_max`` with their packs (see
-    ``_governing``).  Slopes are None without an entry.  So a stage reports
-    eight values, and each pack's final proportion appears in one stage.
+    Every stage fits every pack's ratio on the tail from its entry, in one
+    pass (``fit_log_decay_tails``), and ``_stage_claims`` reads the verdicts
+    off the (stages x packs) slopes.
     """
     if cert.degenerate:
         return [_not_applicable("exclusion_stage_1", "degenerate certificate")]
-    nu = cert.nu
-    slope_threshold = -nu + 0.1 * nu
 
     entries = persistent_entries(traj, cert.intervals)
-    ref_col = id_to_column[cert.packs[0].ids[0]]
-    x_ref = traj.states[:, ref_col]
     t = traj.times
-    order_slack = 2e-9 * traj.horizon
+    x_ref = traj.states[:, id_to_column[cert.packs[0].ids[0]]]
 
-    # Column j - 1 holds pack j's summed density over the lead species, for
-    # every pack above the first; each stage fits the tail from its entry.
+    # Column c holds pack c + 2's summed density over the lead species, for
+    # every pack above the first, and p_final[c] its final proportion.  One
+    # ``take`` reads every pack's first member, in the C order that the
+    # fits' sums run in; a pack with more members is then summed as before.
+    # (``np.add.reduceat`` over all members is slower at every n, and adds
+    # a0 + (a1 + a2) where the sum adds (a0 + a1) + a2.)
     cols = [[id_to_column[sid] for sid in pack.ids] for pack in cert.packs[1:]]
-    ratios = np.empty((t.size, len(cols)))
+    ratios = traj.states.take([pack_cols[0] for pack_cols in cols], axis=1)
+    p_final = traj.channels.p[-1, [pack_cols[0] - 1 for pack_cols in cols]]
     for c, pack_cols in enumerate(cols):
-        ratios[:, c] = traj.states[:, pack_cols].sum(axis=1)
+        if len(pack_cols) > 1:
+            ratios[:, c] = traj.states[:, pack_cols].sum(axis=1)
+            p_final[c] = np.sum(traj.channels.p[-1, [k - 1 for k in pack_cols]])
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(ratios, x_ref[:, None], out=ratios)
     ratios[x_ref <= 0.0] = np.nan
-    p_final_by_pack = [
-        float(np.sum(traj.channels.p[-1, [c - 1 for c in pack_cols]])) for pack_cols in cols
-    ]
 
-    starts = [
-        None if rec.entry_time is None else int(np.searchsorted(t, rec.entry_time, side="left"))
-        for rec in entries
-    ]
-    fits = fit_log_decay_tails(t, ratios, starts)
+    times = [rec.entry_time for rec in entries]
+    found = np.searchsorted(t, [math.inf if e is None else e for e in times], side="left").tolist()
+    starts = [None if e is None else k for e, k in zip(times, found)]
+    slopes, used = fit_log_decay_tails(t, ratios, starts)
+    return _stage_claims(
+        entries, slopes, used >= _MIN_FIT_SAMPLES, p_final, cert.nu, eps_p, 2e-9 * traj.horizon
+    )
 
+
+def _stage_claims(
+    entries: Sequence[EntryRecord],
+    slopes: np.ndarray,
+    fittable: np.ndarray,
+    p_final: np.ndarray,
+    nu: float,
+    eps_p: float,
+    order_slack: float,
+) -> list[ClaimResult]:
+    """One claim per stage from its entry and the (stages x packs) fits.
+
+    Row i of ``slopes`` and ``fittable`` is stage i's fit from its entry,
+    column c is pack c + 2, and ``p_final[c]`` that pack's final
+    proportion; stage i checks the packs c >= i.  A slope counts only where
+    it is fittable and the stage has an entry; otherwise the pair passes
+    when the pack's final proportion is below eps_p (its ratio fell under
+    the log floor: extinct).
+
+    Stage i measures its entry, the slope and final proportion of pack
+    i + 2 (the pack it newly excludes), and the governing values over every
+    pack it checks: ``slope_max`` and ``p_final_max`` with their packs (see
+    ``_governing``).  So a stage reports eight values, and each pack's final
+    proportion appears in one stage.  Only failing or unfittable pairs write
+    a detail.
+    """
+    m = len(entries)
+    slope_threshold = -nu + 0.1 * nu
+    times = [rec.entry_time for rec in entries]
+    packs = np.arange(m)
+    upper = packs >= packs[:, None]
+    checked = packs >= np.array([m if e is None else i for i, e in enumerate(times)])[:, None]
+    fitted = fittable & checked
+    p_list = p_final.tolist()
+    prop_list = [math.isfinite(p) and p < eps_p for p in p_list]
+
+    stage_ok = [e is not None for e in times]
+    details: list[list[str]] = [[] for _ in range(m)]
+    for i, e in enumerate(times):
+        if e is None:
+            details[i].append("no persistent entry into the absorbing interval")
+        elif i + 1 < m and times[i + 1] is not None and e < times[i + 1] - order_slack:
+            details[i].append("entered the smaller interval earlier than the larger one")
+            stage_ok[i] = False
+    # A checked pair passes silently when its slope is fitted and both its
+    # decay and its final proportion pass.  The others, few in practice,
+    # write their details; without a fitted slope a pair rests on its final
+    # proportion alone.
+    quiet = fitted & (slopes <= slope_threshold) & np.array(prop_list)
+    rows, cols = np.nonzero(checked & ~quiet)
+    for i, c in zip(rows.tolist(), cols.tolist()):
+        prop = prop_list[c]
+        if not fitted[i, c]:
+            why = "ratio below the log floor; extinct" if prop else "ratio unfittable"
+            details[i].append(f"pack {c + 2} {why}")
+        elif not slopes[i, c] <= slope_threshold:
+            details[i].append(f"pack {c + 2} decay rate {float(slopes[i, c]):.4g} above {slope_threshold:.4g}")
+            stage_ok[i] = False
+        if not prop:
+            details[i].append(f"pack {c + 2} final proportion {p_list[c]:.4g} >= {eps_p:g}")
+            stage_ok[i] = False
+
+    slope_max, slope_pack = _governing(slopes, fitted)
+    p_max, p_pack = _governing(p_final, upper)
     results = []
     for i, rec in enumerate(entries):
-        measured: dict = {
+        measured = {
             "entry_time": rec.entry_time,
             "excursions": rec.excursions,
+            f"slope_pack_{i + 2}": float(slopes[i, i]) if fitted[i, i] else None,
+            f"p_final_pack_{i + 2}": p_list[i],
+            "slope_max": slope_max[i],
+            "slope_max_pack": None if slope_pack[i] is None else slope_pack[i] + 2,
+            "p_final_max": p_max[i],
+            "p_final_max_pack": p_pack[i] + 2,
         }
-        details = []
-        ok = rec.entry_time is not None
-        if not ok:
-            details.append("no persistent entry into the absorbing interval")
-        if i + 1 < len(entries) and rec.entry_time is not None:
-            nxt = entries[i + 1].entry_time
-            if nxt is not None and rec.entry_time < nxt - order_slack:
-                ok = False
-                details.append("entered the smaller interval earlier than the larger one")
-
-        slopes = [None] * (len(cols) - i) if fits[i] is None else fits[i][0][i:]
-        p_finals = p_final_by_pack[i:]
-        measured[f"slope_pack_{i + 2}"] = slopes[0]
-        measured[f"p_final_pack_{i + 2}"] = p_finals[0]
-        measured["slope_max"], measured["slope_max_pack"] = _governing(slopes, i + 2)
-        measured["p_final_max"], measured["p_final_max_pack"] = _governing(p_finals, i + 2)
-
-        if rec.entry_time is not None:
-            for j, (slope, p_final) in enumerate(zip(slopes, p_finals), start=i + 1):
-                prop_ok = math.isfinite(p_final) and p_final < eps_p
-                if slope is None:
-                    decay_ok = prop_ok
-                    if prop_ok:
-                        details.append(f"pack {j + 1} ratio below the log floor; extinct")
-                    else:
-                        details.append(f"pack {j + 1} ratio unfittable")
-                else:
-                    decay_ok = slope <= slope_threshold
-                    if not decay_ok:
-                        details.append(
-                            f"pack {j + 1} decay rate {slope:.4g} above {slope_threshold:.4g}"
-                        )
-                if not prop_ok:
-                    details.append(f"pack {j + 1} final proportion {p_final:.4g} >= {eps_p:g}")
-                ok = ok and decay_ok and prop_ok
-
         results.append(
             ClaimResult(
                 f"exclusion_stage_{i + 1}",
                 True,
-                ok,
+                stage_ok[i],
                 measured,
                 {"nu": nu, "slope_threshold": slope_threshold, "eps_p": eps_p},
-                "; ".join(details),
+                "; ".join(details[i]),
             )
         )
     return results
 
 
-def _governing(values: Sequence[float | None], first_pack: int) -> tuple[float | None, int | None]:
-    """The value that governs a stage among its packs' values, and its pack.
+def _governing(
+    values: np.ndarray, valid: np.ndarray
+) -> tuple[list[float | None], list[int | None]]:
+    """Per row, the value that governs among the valid entries, and its column.
 
-    ``values[k]`` belongs to pack ``first_pack + k``.  None values are
-    skipped; the first non-finite value governs, otherwise the largest one,
-    and ties go to the lowest pack.  (None, None) when every value is None.
+    ``values`` is a matrix or a row broadcast over every row of ``valid``.
+    Invalid entries (a None value) are skipped; the first non-finite value
+    governs, otherwise the largest one, and ties go to the lowest column.
+    (None, None) for a row without a valid entry.
+
+    One argmax per matrix: the key is -inf at invalid entries, +inf at NaN
+    and +inf values, and the value elsewhere, so its first largest entry is
+    the first NaN or +inf value and otherwise the largest value.  A leading
+    -inf, the only non-finite value the key does not lift, governs its row.
     """
-    best, pack = None, None
-    for j, v in enumerate(values, start=first_pack):
-        if v is not None and (pack is None or (math.isfinite(best) and not v <= best)):
-            best, pack = v, j
-    return best, pack
+    vals = np.where(valid, values, -np.inf)
+    cols = np.where(vals < np.inf, vals, np.inf).argmax(axis=1).tolist()
+    out: tuple[list, list] = ([], [])
+    for i, (c, first) in enumerate(zip(cols, valid.argmax(axis=1).tolist())):
+        if not valid[i, first]:
+            c = None
+        elif vals[i, first] == -math.inf:
+            c = first
+        out[0].append(None if c is None else float(vals[i, c]))
+        out[1].append(c)
+    return out
 
 
 def check_final_convergence(traj: Trajectory, predicted: State, eps: float) -> ClaimResult:

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chemostat_cep import ChemostatParams, Monod, State, integrate, simulate
-from chemostat_cep.errors import DomainError, ParameterError
+from chemostat_cep import ChemostatParams, Monod, State, integrate, parse_scenario, simulate
+from chemostat_cep.errors import DomainError, ParameterError, StiffnessError
 from chemostat_cep.integrate import _initial_step, first_persistent_entry, scan_persistent_entry
 
 from conftest import CANONICAL_SPECIES, mass_closed_form
 
+ROOT = Path(__file__).resolve().parent.parent
 PARAMS = ChemostatParams(d=1.0, s_in=10.0)
 GROWTHS = [g for _, g in CANONICAL_SPECIES]
 X0 = State(s=10.0, x=np.array([0.01, 0.01, 0.01]))
@@ -81,6 +84,23 @@ class TestSimulate:
         )
         m = traj.channels.m
         assert abs(m[-1] - mass_closed_form(float(m[0]), PARAMS, 0.05)) <= 1e-8 * PARAMS.s_in
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=StiffnessError,
+        reason="the step size underflows at t = 12.66 when s_in is large against the laws' k "
+        "(FOUND in CHANGES.md: integrate.simulate fails with step size underflow on admissible scenarios)",
+    )
+    def test_large_inflow_concentration_integrates(self, tmp_path):
+        # The canonical scenario at s_in = 1e20 is admissible input.
+        text = (ROOT / "scenarios" / "canonical.yaml").read_text(encoding="utf-8")
+        path = tmp_path / "large_inflow.yaml"
+        path.write_text(text.replace("s_in: 10.0", "s_in: 1.0e20"), encoding="utf-8")
+        sc = parse_scenario(str(path))
+        assert sc.params.s_in == 1e20
+        tols = sc.tolerances
+        traj = simulate(sc.params, sc.growths, sc.initial, sc.horizon, rel_tol=tols.rel_tol, abs_tol=tols.abs_tol)
+        assert traj.horizon == sc.horizon
 
     def test_tolerance_convergence(self):
         coarse = simulate(PARAMS, GROWTHS, X0, 80.0, rel_tol=1e-8, abs_tol=1e-10)

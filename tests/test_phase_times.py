@@ -1,0 +1,37 @@
+"""Smoke test of ``tools/phase_times.py`` on a few scenarios of one pool."""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))  # the tool imports its helpers from compare_outputs
+_spec = importlib.util.spec_from_file_location("phase_times", ROOT / "tools" / "phase_times.py")
+phase_times = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(phase_times)
+
+
+def test_one_round_times_every_phase_of_both_trees(capsys):
+    src = str(ROOT / "src")
+    assert phase_times.main([src, src, "--workload", "sweep-small", "--seed", "1", "--rounds", "1"], limit=3) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"sweep-small seed 1: 3 certified scenarios, min of 1 rounds x {phase_times.CALLS} calls"
+    scenarios, phases = lines[2:5], lines[6:]
+    assert [row.split()[0] for row in scenarios] == ["0", "1", "2"]
+    for row in scenarios:  # pool index, n, then parent / change per phase
+        cells = row.split()[2:]
+        assert len(cells) == 3 * len(phase_times.PHASES) and all(float(c) > 0.0 for c in cells[::3] + cells[2::3])
+    rows = {line.split()[0]: line.split() for line in phases}
+    assert sorted(rows) == sorted(phase_times.PHASES)
+    for cells in rows.values():
+        assert float(cells[1]) > 0.0 and float(cells[2]) > 0.0 and cells[4].endswith("/3")
+
+
+def test_simulate_workloads_and_missing_trees_are_refused(tmp_path, capsys):
+    src = str(ROOT / "src")
+    assert phase_times.main([src, src, "--workload", "export-mixed", "--seed", "1"]) == 2
+    assert phase_times.main([str(tmp_path), src, "--workload", "sweep-small", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "builds no certificate" in err and f"no chemostat_cep package under {tmp_path}" in err

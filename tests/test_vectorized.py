@@ -1,14 +1,15 @@
 """Array evaluations along the species axis against their scalar references.
 
 ``rate_matrix``, the batched ``fit_log_decay``, the merged-moment tail fits,
-the one-rule persistent-entry scan, the lockstep entry bisection,
-dense output, the certificate's pack gaps and self-check and the
-integrator's right-hand side each replace a per-species, per-stage or
-per-sample loop; these properties pin them to the loop they replace.  The
-table row of the right-hand side and the break-even bisection drop numpy
-wrappers, and are pinned to the wrapped calls.  The certificate's margin
-grids evaluate only the slower laws that can set the envelope, and are
-pinned to the grids that evaluate every law.
+the one-rule persistent-entry scan and its all-intervals form, the lockstep
+entry bisection, the array stage verdicts and governing values, dense
+output, the certificate's pack gaps, ``gamma_bounds`` and self-check and the
+integrator's right-hand side each replace a per-species, per-stage,
+per-pair or per-sample loop; these properties pin them to the loop they
+replace.  The table row of the right-hand side and the break-even bisection
+drop numpy wrappers, and are pinned to the wrapped calls.  The certificate's
+margin grids evaluate only the slower laws that can set the envelope, and
+are pinned to the grids that evaluate every law.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ from chemostat_cep.certificate import (
     separation_margins,
 )
 from chemostat_cep.dynamics import vector_field
-from chemostat_cep.errors import CertificateError, DomainError
+from chemostat_cep.errors import CertificateError, DomainError, ParameterError
 from chemostat_cep.growth import break_even, pack_species, rate_matrix
 from chemostat_cep.integrate import EntryRecord, persistent_entries, scan_persistent_entry
-from chemostat_cep.verify import fit_log_decay, fit_log_decay_tails
+from chemostat_cep.verify import ClaimResult, _governing, _stage_claims, fit_log_decay, fit_log_decay_tails
 
 from conftest import CANONICAL_SPECIES, compute_nu
 
@@ -222,12 +223,22 @@ def tail_fit_inputs(draw):
     return t, v, list(starts)
 
 
+def _tail_fits(t, v, starts):
+    """Per start, (slopes with None where unfittable, samples used), or None."""
+    slopes, used = fit_log_decay_tails(t, v, starts)
+    assert slopes.shape == used.shape == (len(starts), v.shape[1])
+    return [
+        None if start is None else ([x if n >= 8 else None for x, n in zip(slopes[k].tolist(), used[k])], used[k])
+        for k, start in enumerate(starts)
+    ]
+
+
 class TestMergedTailFits:
     @given(tail_fit_inputs())
     @settings(max_examples=150, deadline=None)
     def test_every_tail_matches_a_two_pass_fit_of_that_tail(self, inputs):
         t, v, starts = inputs
-        fits = fit_log_decay_tails(t, v.copy(), starts)
+        fits = _tail_fits(t, v.copy(), starts)
         assert len(fits) == len(starts)
         for start, fit in zip(starts, fits):
             if start is None:
@@ -251,7 +262,7 @@ class TestMergedTailFits:
         t = np.linspace(0.0, 80.0, 2001)
         v = np.exp(45.0 - 0.05 * t[:, None] + rng.normal(0.0, 0.1, (2001, 4)))
         starts = list(range(1985, 1994))
-        for start, (slopes, _) in zip(starts, fit_log_decay_tails(t, v.copy(), starts)):
+        for start, (slopes, _) in zip(starts, _tail_fits(t, v.copy(), starts)):
             ref, _ = _tail_fit_reference(t[start:], v[start:].copy())
             assert slopes == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -259,13 +270,18 @@ class TestMergedTailFits:
         t = np.linspace(0.0, 10.0, 40)
         v = np.exp(-np.outer(t, [0.5, 1.0]))
         v[30:, 1] = np.nan  # 30 usable samples, then none
-        fits = fit_log_decay_tails(t, v, [0, 25, 30, 40, None])
-        assert [s is None for s in fits[0][0]] == [False, False]
-        assert [s is None for s in fits[1][0]] == [False, True]  # 5 usable
-        assert fits[2][1].tolist() == [10, 0]
-        assert fits[3][0] == [None, None] and fits[3][1].tolist() == [0, 0]
-        assert fits[4] is None
-        assert fits[0][0][0] == pytest.approx(-0.5, rel=1e-12)
+        slopes, used = fit_log_decay_tails(t, v, [0, 25, 30, 40, None])
+        assert used.tolist() == [[40, 30], [15, 5], [10, 0], [0, 0], [0, 0]]
+        # unfittable slopes are NaN; the used counts tell them apart
+        assert np.isnan(slopes[1:, 1]).all() and np.isnan(slopes[3:]).all()
+        assert np.isfinite(slopes[:3, 0]).all() and np.isfinite(slopes[0, 1])
+        assert slopes[0, 0] == pytest.approx(-0.5, rel=1e-12)
+
+    def test_no_start_gives_no_fit(self):
+        v = np.ones((10, 3))
+        slopes, used = fit_log_decay_tails(np.arange(10.0), v, [None, None])
+        assert used.tolist() == [[0, 0, 0]] * 2 and np.isnan(slopes).all()
+        assert np.array_equal(v, np.ones((10, 3)))
 
     def test_values_are_overwritten_with_their_logs(self):
         t = np.linspace(0.0, 1.0, 10)
@@ -273,6 +289,148 @@ class TestMergedTailFits:
         fit_log_decay_tails(t, v, [4])
         assert np.array_equal(v[:4, 0], np.exp(-t[:4]))  # rows before the first start untouched
         assert np.all(np.isfinite(v[4:]))
+
+
+def _governing_reference(values, first_pack):
+    """The governing value of a stage and its pack, one pack at a time:
+    None values are skipped, the first non-finite value governs, otherwise
+    the largest one, and ties go to the lowest pack."""
+    best, pack = None, None
+    for j, v in enumerate(values, start=first_pack):
+        if v is not None and (pack is None or (math.isfinite(best) and not v <= best)):
+            best, pack = v, j
+    return best, pack
+
+
+def _stage_claims_reference(entries, slopes, fittable, p_final, nu, eps_p, order_slack):
+    """The per-stage, per-pair loop that ``_stage_claims`` replaced."""
+    slope_threshold = -nu + 0.1 * nu
+    p_final_by_pack = [float(p) for p in p_final]
+    results = []
+    for i, rec in enumerate(entries):
+        measured = {"entry_time": rec.entry_time, "excursions": rec.excursions}
+        details = []
+        ok = rec.entry_time is not None
+        if not ok:
+            details.append("no persistent entry into the absorbing interval")
+        if i + 1 < len(entries) and rec.entry_time is not None:
+            nxt = entries[i + 1].entry_time
+            if nxt is not None and rec.entry_time < nxt - order_slack:
+                ok = False
+                details.append("entered the smaller interval earlier than the larger one")
+
+        if rec.entry_time is None:
+            stage_slopes = [None] * (len(entries) - i)
+        else:
+            stage_slopes = [float(slopes[i, c]) if fittable[i, c] else None for c in range(i, len(entries))]
+        p_finals = p_final_by_pack[i:]
+        measured[f"slope_pack_{i + 2}"] = stage_slopes[0]
+        measured[f"p_final_pack_{i + 2}"] = p_finals[0]
+        measured["slope_max"], measured["slope_max_pack"] = _governing_reference(stage_slopes, i + 2)
+        measured["p_final_max"], measured["p_final_max_pack"] = _governing_reference(p_finals, i + 2)
+
+        if rec.entry_time is not None:
+            for j, (slope, p) in enumerate(zip(stage_slopes, p_finals), start=i + 1):
+                prop_ok = math.isfinite(p) and p < eps_p
+                if slope is None:
+                    decay_ok = prop_ok
+                    if prop_ok:
+                        details.append(f"pack {j + 1} ratio below the log floor; extinct")
+                    else:
+                        details.append(f"pack {j + 1} ratio unfittable")
+                else:
+                    decay_ok = slope <= slope_threshold
+                    if not decay_ok:
+                        details.append(f"pack {j + 1} decay rate {slope:.4g} above {slope_threshold:.4g}")
+                if not prop_ok:
+                    details.append(f"pack {j + 1} final proportion {p:.4g} >= {eps_p:g}")
+                ok = ok and decay_ok and prop_ok
+
+        results.append(
+            ClaimResult(
+                f"exclusion_stage_{i + 1}",
+                True,
+                ok,
+                measured,
+                {"nu": nu, "slope_threshold": slope_threshold, "eps_p": eps_p},
+                "; ".join(details),
+            )
+        )
+    return results
+
+
+def _same_value(a, b) -> bool:
+    """Equal values of the same type, None told apart from NaN."""
+    if a is None or b is None:
+        return a is b
+    if type(a) is not type(b):
+        return False
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+# Slopes around the threshold -0.45 of nu = 0.5, repeated for ties, and the
+# non-finite values a degenerate fit can give; proportions around eps_p.
+_slope_values = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.45, -0.3, 0.0]),
+    st.floats(min_value=-2.0, max_value=1.0),
+)
+_p_values = st.one_of(
+    st.sampled_from([math.nan, math.inf, 0.0, 1e-5, 1e-4, 0.3]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_entry_times = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.0, 2.0 + 1e-10]), st.floats(0.0, 10.0))
+
+
+@st.composite
+def stage_inputs(draw):
+    """Entries, (stages x packs) slopes and fittable flags, final proportions."""
+    m = draw(st.integers(min_value=1, max_value=7))
+    entries = [
+        EntryRecord((0.1, 1.0 + k), draw(_entry_times), draw(st.integers(0, 3))) for k in range(m)
+    ]
+    slopes = np.array(draw(st.lists(_slope_values, min_size=m * m, max_size=m * m))).reshape(m, m)
+    fittable = np.array(draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))).reshape(m, m)
+    p_final = np.array(draw(st.lists(_p_values, min_size=m, max_size=m)))
+    nu = draw(st.sampled_from([0.5, 0.05]))
+    order_slack = draw(st.sampled_from([0.0, 1e-9]))
+    return entries, slopes, fittable, p_final, nu, 1e-4, order_slack
+
+
+class TestStageClaims:
+    @given(stage_inputs())
+    @settings(max_examples=400, deadline=None)
+    @example(  # an entry-order violation, a stage without entry, NaN and inf values
+        (
+            [EntryRecord((0.1, 1.0), 1.0, 0), EntryRecord((0.1, 2.0), 2.0, 1), EntryRecord((0.1, 3.0), None, 0)],
+            np.array([[-1.0, math.nan, -1.0], [math.inf, -1.0, -1.0], [-1.0, -1.0, -1.0]]),
+            np.array([[True, True, False], [True, False, True], [True, True, True]]),
+            np.array([1e-5, math.nan, math.inf]),
+            0.5,
+            1e-4,
+            1e-9,
+        )
+    )
+    def test_matches_the_per_pair_loop(self, inputs):
+        got = _stage_claims(*inputs)
+        want = _stage_claims_reference(*inputs)
+        assert [c.claim_id for c in got] == [c.claim_id for c in want]
+        for g, w in zip(got, want):
+            assert (g.applicable, g.passed, g.detail) == (w.applicable, w.passed, w.detail), w.claim_id
+            assert list(g.measured) == list(w.measured) and list(g.thresholds) == list(w.thresholds)
+            for key in w.measured:
+                assert _same_value(g.measured[key], w.measured[key]), (w.claim_id, key)
+            assert g.thresholds == w.thresholds
+
+    @given(st.lists(st.one_of(st.none(), _slope_values), min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    @example([None, -math.inf, 0.5, math.nan])  # a leading -inf governs
+    @example([None, -math.inf])
+    def test_governing_matches_the_per_pack_loop(self, values):
+        row = np.array([[math.nan if v is None else v for v in values]])
+        best, col = _governing(row, np.array([[v is not None for v in values]]))
+        want_best, want_pack = _governing_reference(values, 2)
+        assert (None if col[0] is None else col[0] + 2) == want_pack
+        assert _same_value(best[0], None if want_best is None else float(want_best))
 
 
 def _runs_reference(inside):
@@ -441,6 +599,45 @@ class TestPersistentEntries:
 
     def test_empty_interval_list(self, canonical_trajectory):
         assert persistent_entries(canonical_trajectory, []) == []
+
+    def test_nested_disjoint_and_unfinished_intervals(self, canonical_trajectory, canonical_certificate):
+        traj = canonical_trajectory
+        s_end = float(traj.states[-1, 0])
+        nested = list(canonical_certificate.intervals)
+        disjoint = [(100.0, 200.0), (1.0, 5.0), (0.0, 0.5 * s_end)]  # the last one excludes the final sample
+        intervals = nested + disjoint + nested[:1]
+        got = persistent_entries(traj, intervals)
+        assert got == [_entry_reference(traj, iv) for iv in intervals]
+        assert got[-1] == got[0] and got[-2].entry_time is None and got[-4].entry_time is None
+
+    def test_reversed_interval_is_named(self, canonical_trajectory):
+        with pytest.raises(ParameterError, match=r"lo < hi, got \(2\.0, 1\.0\)"):
+            persistent_entries(canonical_trajectory, [(0.0, 1.0), (2.0, 1.0), (3.0, 3.0)])
+
+
+@st.composite
+def membership_rows(draw):
+    """Rows of one length: random, all inside, all outside, ending outside."""
+    n = draw(st.integers(min_value=1, max_value=120))
+    row = st.one_of(
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.just([True] * n),
+        st.just([False] * n),
+        st.lists(st.booleans(), min_size=n - 1, max_size=n - 1).map(lambda b: b + [False]),
+    )
+    return draw(st.lists(row, min_size=0, max_size=8)), n
+
+
+class TestPersistentScanRows:
+    @given(membership_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_matches_its_own_scan(self, rows_n):
+        rows, n = rows_n
+        inside = np.array(rows, dtype=bool).reshape(len(rows), n)
+        idx, exits = scan_persistent_entry(inside)
+        assert list(zip(idx, exits)) == [scan_persistent_entry(row) for row in inside]
+        times = np.arange(1.0, n + 1.0)
+        assert [(i, x, i is not None) for i, x in zip(idx, exits)] == [_scan_reference(times, row) for row in inside]
 
 
 def _pack_growths(ordered, i):
@@ -698,6 +895,60 @@ class TestEnvelopeRows:
         custom = next(k for k, rec in enumerate(ordered.records) if rec.id == "c")
         assert all(custom in r for r in _envelope_rows(ordered, 10.0, 2048)[:2])
         _assert_certificate_matches_every_row(ordered)
+
+
+def _gamma_bounds_reference(ordered, margins, d):
+    """The per-pack loop that ``gamma_bounds`` replaced."""
+    rates = rate_matrix([rec.growth for rec in ordered.records], [margins[0][0]] + [hi for _, hi in margins])
+    mu1 = float(np.max(rates[: len(ordered.packs[0]), 0]))
+    gamma_minus = d - mu1
+    if gamma_minus <= 0.0:
+        raise CertificateError(f"first pack already grows at rate {mu1:g} >= removal rate at s={margins[0][0]:g}")
+    gamma_plus = math.inf
+    skipped = []
+    for i in range(1, ordered.n_packs):
+        if not math.isfinite(ordered.pack_lambda(i)):
+            skipped.append(i)
+            continue
+        excess = rates[: ordered.packs[i][0], i] - d
+        short = np.flatnonzero(excess <= 0.0)
+        if short.size:
+            j = next(j for j, pack in enumerate(ordered.packs) if short[0] <= pack[-1])
+            raise CertificateError(
+                f"pack {j + 1} does not outgrow the removal rate at "
+                f"s={margins[i - 1][1]:g} (needed below pack {i + 1})"
+            )
+        gamma_plus = min(gamma_plus, float(np.min(excess)))
+    if not math.isfinite(gamma_plus):
+        raise CertificateError("no finite pack above the first; gamma_plus undefined")
+    return gamma_minus, gamma_plus, tuple(skipped)
+
+
+class TestGammaBounds:
+    @given(certificate_species(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_gamma_bounds_match_the_per_pack_loop(self, species, data):
+        # Upper margins anywhere around the levels: some packs fall short,
+        # and the first one to do so names itself as the loop did.
+        ordered = order_species(species, 1.0, 10.0)
+        k = ordered.n_packs - 1
+        lows = data.draw(st.lists(st.floats(min_value=0.01, max_value=0.4), min_size=k, max_size=k))
+        highs = data.draw(st.lists(st.floats(min_value=0.2, max_value=12.0), min_size=k, max_size=k))
+        margins = tuple(zip(lows, highs))
+        assert _outcome(lambda: gamma_bounds(ordered, margins, 1.0)) == _outcome(
+            lambda: _gamma_bounds_reference(ordered, margins, 1.0)
+        )
+
+    @pytest.mark.parametrize("case", sorted(ENVELOPE_CASES))
+    def test_gamma_bounds_on_certificate_margins(self, case):
+        ordered = order_species(ENVELOPE_CASES[case], 1.0, 10.0)
+        cert = build_certificate(ordered, 1.0, 10.0)
+        margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
+        got = gamma_bounds(ordered, margins, 1.0)
+        assert got == _gamma_bounds_reference(ordered, margins, 1.0)
+        assert got[2] == cert.gamma_plus_skipped
+        # packs with an infinite level, as in two of the cases, are skipped
+        assert got[2] == tuple(i for i in range(ordered.n_packs) if math.isinf(ordered.pack_lambda(i)))
 
 
 class TestPackSpecies:

@@ -149,6 +149,21 @@ class TestInduction:
         assert len(results) == 1
         assert results[0].passed
 
+    def test_tied_pack_is_the_sum_of_its_members(self):
+        # Nine species share one law, so pack 2 has nine members: its ratio
+        # and final proportion are their sums, not its first member's.
+        species = (("a", Monod(3, 1)),) + tuple((f"b{k}", Monod(4, 2)) for k in range(9))
+        x = np.array([0.01] + [0.001 * (k + 1) for k in range(9)])
+        traj = simulate(PARAMS, [g for _, g in species], State(s=10.0, x=x), 40.0)
+        cert = build_certificate(order_species(species, 1.0, 10.0), 1.0, 10.0)
+        assert [len(pack.ids) for pack in cert.packs] == [1, 9]
+        (stage,) = check_induction_properties(traj, cert, {sid: 1 + k for k, (sid, _) in enumerate(species)}, 1e-4)
+        members = list(range(2, 11))
+        assert stage.measured["p_final_pack_2"] == float(np.sum(traj.channels.p[-1, [c - 1 for c in members]]))
+        start = int(np.searchsorted(traj.times, stage.measured["entry_time"]))
+        ratio = traj.states[start:, members].sum(axis=1) / traj.states[start:, 1]
+        assert stage.measured["slope_pack_2"] == fit_log_decay(traj.times[start:], ratio)[0]
+
     def test_corrupted_nu_fails(self, canonical_trajectory, canonical_certificate):
         bad = dataclasses.replace(canonical_certificate, nu=50.0 * canonical_certificate.nu)
         results = check_induction_properties(canonical_trajectory, bad, ID_TO_COL, 1e-4)
@@ -219,7 +234,9 @@ class TestStageLayout:
         ],
     )
     def test_governing_rule(self, values, want):
-        got = _governing(values, 2)
+        row = np.array([[math.nan if v is None else v for v in values]])
+        best, col = _governing(row, np.array([[v is not None for v in values]]))
+        got = (best[0], None if col[0] is None else col[0] + 2)
         assert got[1] == want[1]
         assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
 

@@ -41,7 +41,8 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _load_workloads():
+def load_workloads():
+    """``perfbench/workloads.py``, imported read-only."""
     if "workloads" not in sys.modules:
         spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
         module = importlib.util.module_from_spec(spec)
@@ -50,9 +51,47 @@ def _load_workloads():
     return sys.modules["workloads"]
 
 
+def missing_tree(*srcs: Path) -> bool:
+    """Report every ``src`` without a ``chemostat_cep`` package; True if any."""
+    missing = [src for src in srcs if not (src / "chemostat_cep" / "__init__.py").is_file()]
+    for src in missing:
+        print(f"no chemostat_cep package under {src}", file=sys.stderr)
+    return bool(missing)
+
+
+def worker_env() -> dict[str, str]:
+    """The environment of a worker: no package settings, no PYTHONPATH, one thread."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CHEMOSTAT_CEP_")}
+    env.update({var: "1" for var in THREAD_VARS})
+    env.pop("PYTHONPATH", None)
+    return env
+
+
+def worker_argv(script: str, src: Path, *paths: Path) -> list[str]:
+    """The command line that runs ``script``'s worker on the tree ``src``."""
+    return [sys.executable, script, "--worker", str(src.resolve()), *map(str, paths)]
+
+
+def import_tree(src: Path) -> None:
+    """Put ``src`` first on the path and refuse any other ``chemostat_cep``."""
+    sys.path.insert(0, str(src))
+    import chemostat_cep
+
+    if Path(chemostat_cep.__file__).resolve().parent != src / "chemostat_cep":
+        sys.exit(f"imported {chemostat_cep.__file__}, not the package under {src}")
+
+
+def run_script(worker, main) -> int:
+    """Run ``worker(SRC, *PATHS)`` for ``--worker SRC PATHS...``, else ``main()``."""
+    if sys.argv[1:2] == ["--worker"]:
+        worker(*(Path(arg) for arg in sys.argv[2:]))
+        return 0
+    return main()
+
+
 def write_inputs(inputs: Path, seeds) -> list[dict]:
     """Write every pool's YAML files; returns the run manifest."""
-    workloads = _load_workloads()
+    workloads = load_workloads()
     manifest = []
     for name in workloads.NAMES:
         for seed in seeds:
@@ -83,11 +122,8 @@ def worker(src: Path, manifest_path: Path, out: Path) -> None:
     import contextlib
     import io
 
-    sys.path.insert(0, str(src))
+    import_tree(src)
     from chemostat_cep import cli
-
-    if Path(cli.__file__).resolve().parent != src / "chemostat_cep":
-        sys.exit(f"imported {cli.__file__}, not the package under {src}")
 
     for run in json.loads(manifest_path.read_text()):
         dest = out / run["stem"]
@@ -170,24 +206,16 @@ def main(argv=None) -> int:
     ap.add_argument("change_src", type=Path)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = ap.parse_args(argv)
-    for src in (args.parent_src, args.change_src):
-        if not (src / "chemostat_cep" / "__init__.py").is_file():
-            print(f"no chemostat_cep package under {src}", file=sys.stderr)
-            return 2
+    if missing_tree(args.parent_src, args.change_src):
+        return 2
 
-    env = {k: v for k, v in os.environ.items() if not k.startswith("CHEMOSTAT_CEP_")}
-    env.update({var: "1" for var in THREAD_VARS})
-    env.pop("PYTHONPATH", None)
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         tmp = Path(tmp)
         manifest = write_inputs(tmp / "inputs", args.seeds)
         (tmp / "manifest.json").write_text(json.dumps(manifest))
         outs = {side: tmp / side for side in ("parent", "change")}
         procs = [
-            subprocess.Popen(
-                [sys.executable, __file__, "--worker", str(src.resolve()), str(tmp / "manifest.json"), str(outs[side])],
-                env=env,
-            )
+            subprocess.Popen(worker_argv(__file__, src, tmp / "manifest.json", outs[side]), env=worker_env())
             for side, src in (("parent", args.parent_src), ("change", args.change_src))
         ]
         codes = [p.wait() for p in procs]
@@ -208,7 +236,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--worker"]:
-        worker(Path(sys.argv[2]), Path(sys.argv[3]), Path(sys.argv[4]))
-        sys.exit(0)
-    sys.exit(main())
+    sys.exit(run_script(worker, main))
