@@ -78,6 +78,15 @@ def predicted_limit(params: ChemostatParams, ordered: OrderedSpecies) -> State:
     return State(s=params.s_in, x=x)
 
 
+# Laws from which the right-hand side takes its array body.  Below this
+# count a derivative in Python floats costs less than the array body's fixed
+# numpy calls even when every law is Monod, the kind the array body
+# evaluates cheapest; with Hill and table laws the plain floats stay cheaper
+# for longer (measured per call on a 2-core x86-64 VM: 27 Monod laws 8.9 us
+# either way, 28 Monod laws 9.1 us against 8.9 us).
+_ARRAY_FIELD_MIN_LAWS = 28
+
+
 def vector_field(
     params: ChemostatParams,
     growths: Sequence[GrowthFunction],
@@ -85,28 +94,57 @@ def vector_field(
     """Unvalidated f(t, y, out=None) with y = [s, x_1..x_n] for the integrator hot loop.
 
     Growth laws are evaluated with the substrate clamped at zero so that
-    intermediate stage values with tiny negative substrate stay legal.  The
-    rates of all Monod laws come from one array expression over their
-    parameters, with the operations of ``Monod._rate_scalar`` in the same
-    order; every other law overwrites its own entry through its scalar path
-    (a Hill law needs the scalar ``pow``, since a vectorised pow loop may
-    round differently).  Consumption is summed sequentially from 0, as a
-    per-species loop would, so every call returns the same bits as one.
+    intermediate stage values with tiny negative substrate stay legal.
+    Every call returns the bits of a per-species loop: each law's rate,
+    dx_i = (mu_i - d) x_i, and the consumption summed left to right from 0.
+    With fewer than ``_ARRAY_FIELD_MIN_LAWS`` laws the closure does exactly
+    that in Python floats, each rate through the law's ``_rate_scalar``; the
+    sum is an explicit loop because the built-in ``sum`` of floats is
+    compensated from Python 3.12 on.  With more laws, the rates of all Monod
+    laws come from one array expression over their parameters, with the
+    operations of ``Monod._rate_scalar`` in the same order, and every other
+    law overwrites its own entry through its scalar path (a Hill law needs
+    the scalar ``pow``, since a vectorised pow loop may round differently).
     Given ``out``, a float array of y's shape, the call writes the derivative
-    there and returns ``out``; without it, each call returns a new array.
-    The closure reuses its work buffers, so one closure must not be called
-    from two threads at once.
+    there and returns ``out``; without it, each call returns a new array.  A
+    y whose length is not 1 + the number of laws raises ``ValueError``.  The
+    array body reuses its work buffers, so one such closure must not be
+    called from two threads at once.
     """
     d = params.d
     s_in = params.s_in
     laws = tuple(growths)
+    n = len(laws)
+    size = n + 1
+    if n < _ARRAY_FIELD_MIN_LAWS:
+        rates = [g._rate_scalar for g in laws]
+
+        def f_floats(t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            v = y.tolist()  # the derivative overwrites it entry by entry
+            if len(v) != size:
+                raise ValueError(f"state has {len(v)} entries, expected {size}")
+            s = v[0]
+            sc = s if s > 0.0 else 0.0
+            total = 0.0
+            for i, rate in enumerate(rates, 1):
+                x_i = v[i]
+                mu = rate(sc)
+                v[i] = (mu - d) * x_i
+                total += mu * x_i
+            v[0] = d * (s_in - s) - total
+            if out is None:
+                return np.array(v)
+            out[...] = v
+            return out
+
+        return f_floats
+
     is_monod, mu_max, k_half = monod_arrays(laws)
     scalar_rows = [(i, g._rate_scalar) for i, (g, m) in enumerate(zip(laws, is_monod)) if not m]
-    n = len(laws)
     den = np.empty(n)
     # Row 0 is 0.0 (the start of the running consumption sum) and then the
     # terms mu_i x_i; row 1 is a free slot and then dx_i = (mu_i - d) x_i.
-    work = np.zeros((2, n + 1))
+    work = np.zeros((2, size))
     rows = work[:, 1:]
     mu = work[0, 1:]
     dx = work[1, 1:]
@@ -114,6 +152,8 @@ def vector_field(
     out_row = work[1]
 
     def f(t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if len(y) != size:  # y[1:] of length 1 would broadcast over the laws
+            raise ValueError(f"state has {len(y)} entries, expected {size}")
         s = y.item(0)
         sc = s if s > 0.0 else 0.0
         np.multiply(mu_max, sc, out=mu)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from chemostat_cep import ChemostatParams, Monod, State, order_species, simulate
-from chemostat_cep.dynamics import predicted_limit, vector_field
+from chemostat_cep.dynamics import _ARRAY_FIELD_MIN_LAWS, predicted_limit, vector_field
 from chemostat_cep.errors import ChemostatError, DomainError, ParameterError
 from chemostat_cep.growth import GrowthFunction
 from chemostat_cep.integrate import _derive_channel_arrays
@@ -281,7 +281,11 @@ class TestLogRatioLaw:
             expected = np.array([g(s_mid) - GROWTHS[0](s_mid) for g in GROWTHS[1:]])
             np.testing.assert_allclose(fd, expected, atol=5e-6)
 
-    def test_vector_field_clamps_substrate(self):
-        f = vector_field(PARAMS, GROWTHS)
-        dy = f(0.0, np.array([-1e-12, 1.0, 1.0, 1.0]))
+    @pytest.mark.parametrize("n", [len(GROWTHS), _ARRAY_FIELD_MIN_LAWS])  # plain-float and array body
+    def test_vector_field_clamps_substrate(self, n):
+        growths = [GROWTHS[k % len(GROWTHS)] for k in range(n)]
+        dy = vector_field(PARAMS, growths)(0.0, np.concatenate(([-1e-12], np.ones(n))))
         assert np.all(np.isfinite(dy))
+        # every rate is taken at s = 0, where mu(0) = 0
+        assert np.array_equal(dy[1:], np.full(n, -PARAMS.d))
+        assert dy[0] == PARAMS.d * (PARAMS.s_in + 1e-12)

@@ -9,7 +9,9 @@ at n = 5, and a Monod/Hill/Table mix at n = 20.  The clipped case, a fast
 Monod species at loose tolerances, has trial steps that the error norm
 accepts but that end far below zero, so it pins their rejection.  Any
 change to the right-hand side or to the step loop that moves a single bit
-shows up here.
+shows up here.  The right-hand side has a plain-float body for few laws
+and an array body for many; every case also runs with each body forced,
+so both are pinned to the same bytes.
 
 The integrator is deterministic on a fixed platform, but the last bits of
 ``pow`` and of the numpy loops may differ between CPUs and libraries, so the
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chemostat_cep import ChemostatParams, Hill, Monod, State, Table, simulate
+from chemostat_cep import ChemostatParams, Hill, Monod, State, Table, dynamics, simulate
 from chemostat_cep.scenario import parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,14 +97,26 @@ def capture(params, growths, x0, horizon, rel_tol=1e-8, abs_tol=1e-10) -> dict:
     return out
 
 
-@pytest.mark.parametrize("name", sorted(cases()))
-def test_trajectory_bytes_are_pinned(name):
+def _assert_pinned(name):
     want = json.loads(GOLDEN.read_text())[name]
     got = capture(*cases()[name])
     assert got["meta"] == want["meta"]
     assert got["shapes"] == want["shapes"]
     for array in ARRAYS:
         assert got[array] == want[array], array
+
+
+@pytest.mark.parametrize("name", sorted(cases()))
+def test_trajectory_bytes_are_pinned(name):
+    _assert_pinned(name)
+
+
+@pytest.mark.parametrize("min_laws", [0, sys.maxsize], ids=["array_body", "float_body"])
+@pytest.mark.parametrize("name", sorted(cases()))
+def test_both_rhs_bodies_give_the_pinned_bytes(monkeypatch, name, min_laws):
+    """Each case runs one body by its law count; the other must give the same bytes."""
+    monkeypatch.setattr(dynamics, "_ARRAY_FIELD_MIN_LAWS", min_laws)
+    _assert_pinned(name)
 
 
 if __name__ == "__main__":

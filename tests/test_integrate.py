@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemostat_cep import ChemostatParams, Monod, State, integrate, parse_scenario, simulate
+from chemostat_cep.dynamics import _ARRAY_FIELD_MIN_LAWS
 from chemostat_cep.errors import DomainError, ParameterError, StiffnessError
 from chemostat_cep.integrate import _initial_step, first_persistent_entry, scan_persistent_entry
 
@@ -172,6 +173,12 @@ class TestRhsCount:
             (GROWTHS, [0.01, 0.01, 0.01], 80.0),
             ([Monod(3, 1)], [0.0], 10.0),
             ([Monod(3, 1), Monod(1, 1)], [0.5, 2.0], 25.0),
+            # enough laws for the array body; the cases above take plain floats
+            (
+                [Monod(3.0 + 0.05 * k, 1.0 + 0.02 * k) for k in range(_ARRAY_FIELD_MIN_LAWS)],
+                [0.01] * _ARRAY_FIELD_MIN_LAWS,
+                20.0,
+            ),
         ],
     )
     def test_reported_count_equals_calls(self, monkeypatch, growths, x, horizon):

@@ -3,13 +3,13 @@
 ``rate_matrix``, the batched ``fit_log_decay``, the merged-moment tail fits,
 the one-rule persistent-entry scan and its all-intervals form, the lockstep
 entry bisection, the array stage verdicts and governing values, dense
-output, the certificate's pack gaps, ``gamma_bounds`` and self-check and the
-integrator's right-hand side each replace a per-species, per-stage,
-per-pair or per-sample loop; these properties pin them to the loop they
-replace.  The table row of the right-hand side and the break-even bisection
-drop numpy wrappers, and are pinned to the wrapped calls.  The certificate's
-margin grids evaluate only the slower laws that can set the envelope, and
-are pinned to the grids that evaluate every law.
+output, the certificate's pack gaps, ``gamma_bounds`` and self-check and
+both bodies of the integrator's right-hand side each replace a per-species,
+per-stage, per-pair or per-sample loop; these properties pin them to the
+loop they replace.  The table row of the right-hand side and the
+break-even bisection drop numpy wrappers, and are pinned to the wrapped
+calls.  The certificate's margin grids evaluate only the slower laws that
+can set the envelope, and are pinned to the grids that evaluate every law.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from chemostat_cep.certificate import (
     recheck_certificate,
     separation_margins,
 )
-from chemostat_cep.dynamics import vector_field
+from chemostat_cep.dynamics import _ARRAY_FIELD_MIN_LAWS, vector_field
 from chemostat_cep.errors import CertificateError, DomainError, ParameterError
 from chemostat_cep.growth import break_even, pack_species, rate_matrix
 from chemostat_cep.integrate import EntryRecord, persistent_entries, scan_persistent_entry
@@ -990,56 +990,81 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-many_laws = st.lists(st.one_of(monods, hills, tables()), min_size=1, max_size=120)
-special_substrates = st.sampled_from(
-    [0.0, -0.0, -1e-300, -1e-12, -1e-9, 1e-300, 1e150, 1e300, math.inf, -math.inf, math.nan]
-)
+SPECIAL_SUBSTRATES = [0.0, -0.0, -1e-300, -1e-12, -1e-9, 1e-300, 1e150, 1e300, math.inf, -math.inf, math.nan]
+special_substrates = st.sampled_from(SPECIAL_SUBSTRATES)
+# Law counts on both sides of the choice between the plain-float body and
+# the array body, at the choice and far above it.
+FIELD_LAW_COUNTS = (1, _ARRAY_FIELD_MIN_LAWS - 1, _ARRAY_FIELD_MIN_LAWS, 100)
 
 
 @st.composite
-def field_inputs(draw):
-    """Laws, a state vector and a substrate at the edges the stages can reach.
+def field_inputs(draw, n):
+    """n laws, a state vector and a substrate at the edges the stages can reach.
 
     The substrate is drawn from tiny undershoots, zero, table nodes, points
     beyond the last node, huge values and non-finite trial-stage values;
     densities may be negative, as in a trial stage.
     """
-    gs = draw(many_laws)
+    gs = draw(st.lists(st.one_of(monods, hills, tables()), min_size=n, max_size=n))
     nodes = [a for g in gs if isinstance(g, Table) for a, _ in g.points]
     candidates = [special_substrates, st.floats(min_value=0.0, max_value=1e3)]
     if nodes:
         candidates.append(st.sampled_from(nodes))
         candidates.append(st.sampled_from(nodes).map(lambda a: 1.5 * a + 1.0))
     s = draw(st.one_of(*candidates))
-    x = draw(st.lists(st.floats(min_value=-1.0, max_value=50.0), min_size=len(gs), max_size=len(gs)))
+    x = draw(st.lists(st.floats(min_value=-1.0, max_value=50.0), min_size=n, max_size=n))
     return gs, np.array([s] + x)
 
 
-class TestVectorField:
-    @given(field_inputs(), st.floats(min_value=0.1, max_value=5.0), st.floats(min_value=0.5, max_value=50.0))
-    @settings(max_examples=300, deadline=None)
-    def test_bitwise_equal_to_per_species_loop(self, inputs, d, s_in):
-        gs, y = inputs
-        params = ChemostatParams(d=d, s_in=s_in)
-        f = vector_field(params, gs)
-        out = np.full_like(y, np.nan)
-        with np.errstate(all="ignore"):
-            want = _field_reference(params, gs, y)
-            got = f(0.0, y)
-            again = f(1.0, y.copy())
-            written = f(2.0, y, out=out)
-        assert np.array_equal(_bits(got), _bits(want)), (got, want)
-        assert np.array_equal(_bits(again), _bits(want))
-        assert written is out
-        assert np.array_equal(_bits(out), _bits(want))
+def _mixed_laws(n):
+    """n laws cycling through the Monod, Hill and table laws of ``MIXED``."""
+    return [MIXED[k % len(MIXED)][1] for k in range(n)]
 
-    def test_each_call_returns_a_new_array(self):
-        f = vector_field(ChemostatParams(1.0, 10.0), [g for _, g in MIXED])
-        y = np.linspace(1.0, 2.0, len(MIXED) + 1)
+
+def _assert_field_matches_reference(params, gs, y):
+    f = vector_field(params, gs)
+    out = np.full_like(y, np.nan)
+    with np.errstate(all="ignore"):
+        want = _field_reference(params, gs, y)
+        got = f(0.0, y)
+        again = f(1.0, y.copy())
+        written = f(2.0, y, out=out)
+    assert np.array_equal(_bits(got), _bits(want)), (got, want)
+    assert np.array_equal(_bits(again), _bits(want))
+    assert written is out
+    assert np.array_equal(_bits(out), _bits(want))
+
+
+class TestVectorField:
+    @pytest.mark.parametrize("n", FIELD_LAW_COUNTS)
+    @given(data=st.data(), d=st.floats(min_value=0.1, max_value=5.0), s_in=st.floats(min_value=0.5, max_value=50.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_per_species_loop(self, n, data, d, s_in):
+        gs, y = data.draw(field_inputs(n))
+        _assert_field_matches_reference(ChemostatParams(d=d, s_in=s_in), gs, y)
+
+    @pytest.mark.parametrize("n", FIELD_LAW_COUNTS)
+    @pytest.mark.parametrize("s", SPECIAL_SUBSTRATES)
+    def test_special_substrates_with_negative_densities(self, n, s):
+        x = np.linspace(-1.0, 3.0, n) if n > 1 else np.array([-0.5])
+        _assert_field_matches_reference(ChemostatParams(1.3, 10.0), _mixed_laws(n), np.concatenate(([s], x)))
+
+    @pytest.mark.parametrize("n", [_ARRAY_FIELD_MIN_LAWS - 1, _ARRAY_FIELD_MIN_LAWS])
+    def test_each_call_returns_a_new_array(self, n):
+        f = vector_field(ChemostatParams(1.0, 10.0), _mixed_laws(n))
+        y = np.linspace(1.0, 2.0, n + 1)
         a = f(0.0, y)
         b = f(0.0, 2.0 * y)
         assert a is not b and not np.shares_memory(a, b)
         assert np.array_equal(a, f(0.0, y))
+
+    @pytest.mark.parametrize("n", FIELD_LAW_COUNTS)
+    def test_state_of_the_wrong_length_raises(self, n):
+        f = vector_field(ChemostatParams(1.0, 10.0), _mixed_laws(n))
+        # a single density would broadcast over every law in an array expression
+        for size in {1, 2, n, n + 2} - {n + 1}:
+            with pytest.raises(ValueError, match=f"state has {size} entries, expected {n + 1}"):
+                f(0.0, np.linspace(1.0, 2.0, size), out=np.empty(size))
 
 
 class TestTableScalarRow:

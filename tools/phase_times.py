@@ -16,6 +16,7 @@ alternating between rounds, so a slow spell of a shared host falls on both
 trees alike.  A request times ``CALLS`` calls after an untimed one and
 answers with the fastest.  The phases:
 
+- ``simulate`` of the scenario with its tolerances
 - ``check_induction_properties`` on the scenario's trajectory and certificate
 - ``persistent_entries`` on the certificate's absorbing intervals
 - ``build_certificate`` on the species present initially
@@ -41,7 +42,7 @@ from time import perf_counter
 
 from compare_outputs import import_tree, load_workloads, missing_tree, run_script, worker_argv, worker_env
 
-PHASES = ("induction", "entries", "certificate", "gamma")
+PHASES = ("simulate", "induction", "entries", "certificate", "gamma")
 CALLS = 3  # timed calls per request
 
 
@@ -72,9 +73,13 @@ def worker(src: Path, paths_file: Path) -> None:
         sc = scenario.parse_scenario(path)
         params, tols = sc.params, sc.tolerances
         growths = [g for _, g in sc.species]
-        traj = integrate.simulate(
-            params, growths, sc.initial, sc.horizon, rel_tol=tols.rel_tol, abs_tol=tols.abs_tol
-        )
+
+        def simulate():
+            return integrate.simulate(
+                params, growths, sc.initial, sc.horizon, rel_tol=tols.rel_tol, abs_tol=tols.abs_tol
+            )
+
+        traj = simulate()
         levels = {rec.id: rec.lam for rec in order_species(sc.species, params.d, params.s_in).records}
         active = [(sid, g) for (sid, g), x in zip(sc.species, sc.initial.x) if x > 0.0]
         ordered = pack_species(active, [levels[sid] for sid, _ in active])
@@ -88,6 +93,7 @@ def worker(src: Path, paths_file: Path) -> None:
         margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
         return {
             "n": len(active),
+            "simulate": simulate,
             "induction": lambda: verify.check_induction_properties(traj, cert, columns, verify.EPS_P),
             "entries": lambda: integrate.persistent_entries(traj, cert.intervals),
             "certificate": lambda: certificate.build_certificate(ordered, params.d, params.s_in),
