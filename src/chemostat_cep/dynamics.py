@@ -78,12 +78,13 @@ def predicted_limit(params: ChemostatParams, ordered: OrderedSpecies) -> State:
     return State(s=params.s_in, x=x)
 
 
-# Laws from which the right-hand side takes its array body.  Below this
-# count a derivative in Python floats costs less than the array body's fixed
-# numpy calls even when every law is Monod, the kind the array body
-# evaluates cheapest; with Hill and table laws the plain floats stay cheaper
-# for longer (measured per call on a 2-core x86-64 VM: 27 Monod laws 8.9 us
-# either way, 28 Monod laws 9.1 us against 8.9 us).
+# Monod laws from which the right-hand side takes its array body.  Only
+# Monod rates are vectorised there; a Hill or table law goes through its
+# scalar path in both bodies, at about the same cost (0.03-0.05 us more per
+# law in plain floats).  Measured per call on a 2-core x86-64 VM: 27 Monod
+# laws 7.5 us as arrays against 7.7 us in floats, 28 Monod laws 7.7 against
+# 8.0 us; 28 laws cycling Monod, Hill and table 9.6 against 7.4 us, 40 such
+# laws 12.6 against 10.6 us.
 _ARRAY_FIELD_MIN_LAWS = 28
 
 
@@ -97,14 +98,15 @@ def vector_field(
     intermediate stage values with tiny negative substrate stay legal.
     Every call returns the bits of a per-species loop: each law's rate,
     dx_i = (mu_i - d) x_i, and the consumption summed left to right from 0.
-    With fewer than ``_ARRAY_FIELD_MIN_LAWS`` laws the closure does exactly
-    that in Python floats, each rate through the law's ``_rate_scalar``; the
-    sum is an explicit loop because the built-in ``sum`` of floats is
-    compensated from Python 3.12 on.  With more laws, the rates of all Monod
-    laws come from one array expression over their parameters, with the
-    operations of ``Monod._rate_scalar`` in the same order, and every other
-    law overwrites its own entry through its scalar path (a Hill law needs
-    the scalar ``pow``, since a vectorised pow loop may round differently).
+    With fewer than ``_ARRAY_FIELD_MIN_LAWS`` Monod laws the closure does
+    exactly that in Python floats, each rate through the law's
+    ``_rate_scalar``; the sum is an explicit loop because the built-in
+    ``sum`` of floats is compensated from Python 3.12 on.  With more Monod
+    laws, their rates come from one array expression over their parameters,
+    with the operations of ``Monod._rate_scalar`` in the same order, and
+    every other law overwrites its own entry through its scalar path (a
+    Hill law needs the scalar ``pow``, since a vectorised pow loop may round
+    differently).
     Given ``out``, a float array of y's shape, the call writes the derivative
     there and returns ``out``; without it, each call returns a new array.  A
     y whose length is not 1 + the number of laws raises ``ValueError``.  The
@@ -116,7 +118,8 @@ def vector_field(
     laws = tuple(growths)
     n = len(laws)
     size = n + 1
-    if n < _ARRAY_FIELD_MIN_LAWS:
+    is_monod, mu_max, k_half = monod_arrays(laws)
+    if sum(is_monod) < _ARRAY_FIELD_MIN_LAWS:
         rates = [g._rate_scalar for g in laws]
 
         def f_floats(t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -139,7 +142,6 @@ def vector_field(
 
         return f_floats
 
-    is_monod, mu_max, k_half = monod_arrays(laws)
     scalar_rows = [(i, g._rate_scalar) for i, (g, m) in enumerate(zip(laws, is_monod)) if not m]
     den = np.empty(n)
     # Row 0 is 0.0 (the start of the running consumption sum) and then the

@@ -57,6 +57,7 @@ _MAX_STEPS = 5_000_000  # safety net against livelock on hostile inputs
 _B_ZERO = 1e-12  # biomass floor below which proportions are undefined
 
 DENSE_INTERVALS = 2000  # dense output intervals over the horizon by default
+ENTRY_TOL = 1e-9  # stage entries are refined to this times the horizon (and 1e-12)
 
 
 @dataclass(frozen=True)
@@ -122,29 +123,6 @@ class Trajectory:
         t = min(max(t, 0.0), horizon)
         y = _dense_states(np.array([t]), self.step_times, self.step_states, self.step_coeffs)[0]
         return State(s=float(y[0]), x=y[1:])
-
-
-def _error_norm(
-    err: np.ndarray,
-    y0: np.ndarray,
-    y1: np.ndarray,
-    rel_tol: float,
-    abs_tol: float,
-    q: np.ndarray,
-    q1: np.ndarray,
-) -> float:
-    """RMS of err / (abs_tol + rel_tol * max(|y0|, |y1|)) in the buffers q, q1.
-
-    ``np.add.reduce(q) / q.size`` is the sum and division of ``np.mean``.
-    """
-    np.abs(y0, out=q)
-    np.abs(y1, out=q1)
-    np.maximum(q, q1, out=q)
-    q *= rel_tol
-    q += abs_tol
-    np.divide(err, q, out=q)
-    q *= q
-    return math.sqrt(np.add.reduce(q) / q.size)
 
 
 def _initial_step(f, t0, y0, f0, horizon, rel_tol, abs_tol) -> tuple[float, int]:
@@ -214,7 +192,8 @@ def simulate(
     stages = [(a_row, K[: i + 1], K[i + 1], _C[i + 1]) for i, a_row in enumerate(_A)]
     K_b = K[:6]
     K_ends = K[::6]  # rows 0 and 6, the derivatives at both ends of a step
-    stage, err_vec, q, q1 = np.empty((4, y.size))
+    stage, err_vec, q, abs_new = np.empty((4, y.size))
+    abs_y = np.abs(y)  # |y| of the current state, kept across rejected steps
 
     # Below this step size the explicit pair cannot make useful progress on
     # the requested horizon; treat it as stiffness (or divergence when the
@@ -266,11 +245,22 @@ def simulate(
             n_evals += 6
             np.dot(_E, K, out=err_vec)
             err_vec *= h
-            err = _error_norm(err_vec, y, y_new, rel_tol, abs_tol, q, q1)
+            # err = RMS of err_vec / (abs_tol + rel_tol max(|y|, |y_new|));
+            # ``np.add.reduce(q) / q.size`` is the sum and division of ``np.mean``
+            np.abs(y_new, out=abs_new)
+            np.maximum(abs_y, abs_new, out=q)
+            q *= rel_tol
+            q += abs_tol
+            np.divide(err_vec, q, out=q)
+            q *= q
+            err = math.sqrt(np.add.reduce(q) / q.size)
 
             low = float(np.minimum.reduce(y_new))
-            overflow = not np.isfinite(y_new).all() or not math.isfinite(err)
-            if overflow or (err <= 1.0 and low < -abs_tol):
+            # Both RHS bodies give a non-finite derivative component j when
+            # component j of the state is non-finite, and E[6] K[6] carries
+            # it into err_vec[j]; so a non-finite y_new makes err non-finite
+            # (inf or NaN), and no reduction over y_new is needed.
+            if not math.isfinite(err) or not math.isfinite(low) or (err <= 1.0 and low < -abs_tol):
                 # Overflow inside the trial step, or an undershoot that the
                 # clip would turn into added mass: reject as hard as possible.
                 n_rejected += 1
@@ -294,10 +284,12 @@ def simulate(
                     min_preclip = low
                 if low < 0.0:
                     y = np.maximum(y_new, 0.0)
+                    np.abs(y, out=abs_y)
                     f(t, y, out=K[0])
                     n_evals += 1
                 else:
                     y = y_new
+                    abs_y, abs_new = abs_new, abs_y
                     K[0] = K[6]
                 step_times.append(t)
                 step_states.append(y)
@@ -375,7 +367,7 @@ def _dense_states(times, step_times, step_states, step_conts) -> np.ndarray:
     """
     k = np.searchsorted(step_times, times, side="right") - 1
     # np.maximum/np.minimum rather than np.clip, whose Python wrapper costs
-    # more than the rest of a bisection round's evaluation
+    # more than the rest of an entry refinement round's evaluation
     np.minimum(np.maximum(k, 0, out=k), len(step_times) - 2, out=k)
     t0 = step_times[k]
     theta = ((times - t0) / (step_times[k + 1] - t0))[:, None]
@@ -459,10 +451,20 @@ def persistent_entries(
     """Persistent entries of the substrate channel into closed intervals.
 
     Each entry is located on the dense samples, every interval's membership
-    from one (intervals x samples) comparison, and then refined by bisecting
-    the continuous extension across the bracketing spacing.  The brackets of
-    all intervals are bisected in lockstep, one evaluation of the substrate
-    interpolant per round at every unfinished midpoint.  Persistence is
+    from one (intervals x samples) comparison, and then refined on the
+    continuous extension across the bracketing spacing until the bracket,
+    an outside end and an inside end, is at most ``ENTRY_TOL`` times the
+    horizon wide (and 1e-12); the entry time is its inside end.  A round
+    aims at the zero of the signed depth min(s - lo, hi - s), positive
+    inside, by regula falsi between the ends, where the depth at an end
+    kept for a second round running is halved (the Illinois rule).  It aims
+    at the midpoint instead when that point is not inside the bracket or
+    when three rounds have not halved the bracket.  The substrate is then
+    evaluated a quarter of the tolerance either side of the aim, so a zero
+    within that distance closes the bracket at once; otherwise the point
+    next to the zero replaces the end on its side.  All brackets are
+    refined in lockstep, one evaluation of the substrate interpolant per
+    round at both points of every unfinished bracket.  Persistence is
     always relative to the finite horizon.
     """
     s = trajectory.states[:, 0]
@@ -473,28 +475,65 @@ def persistent_entries(
         raise ParameterError(f"interval must satisfy lo < hi, got {intervals[int(bad[0])]!r}")
     idx, exits = scan_persistent_entry((s >= bounds[:, :1]) & (s <= bounds[:, 1:]))
 
-    # Bracket [t_out, t_in] of every entry past the first sample.
-    refine = [k for k, i in enumerate(idx) if i]
-    lows = bounds[refine, 0]
-    highs = bounds[refine, 1]
-    t_in_idx = [idx[k] for k in refine]
-    t_out = t[[i - 1 for i in t_in_idx]]
-    t_in = t[t_in_idx]
-    tol = max(1e-12, 1e-9 * trajectory.horizon)
-    active = np.flatnonzero(t_in - t_out > tol)
-    while active.size:
-        mid = 0.5 * (t_out[active] + t_in[active])
-        sm = _dense_states(
-            mid, trajectory.step_times, trajectory.step_states[:, :1], trajectory.step_coeffs[:, :, :1]
-        )[:, 0]
-        inside = (lows[active] <= sm) & (sm <= highs[active])
-        t_in[active[inside]] = mid[inside]
-        t_out[active[~inside]] = mid[~inside]
-        active = active[t_in[active] - t_out[active] > tol]
-
     entry_times: list[float | None] = [None if i is None else 0.0 for i in idx]
-    for pos, k in enumerate(refine):
-        entry_times[k] = float(t_in[pos])
+    # One column per bracket still open, ``pos`` its interval.  Row 0 of x
+    # is the outside end and row 3 the inside end, rows 1 and 2 hold the
+    # points of a round, and g the signed depths at all four.
+    pos = np.array([k for k, i in enumerate(idx) if i], dtype=int)
+    i_b = [idx[k] for k in pos.tolist()]
+    i_a = [i - 1 for i in i_b]
+    lows, highs = bounds[pos].T
+    x = np.empty((4, pos.size))
+    g = np.empty_like(x)
+    x[0], x[3] = t[i_a], t[i_b]
+    g[0] = np.minimum(s[i_a] - lows, highs - s[i_a])
+    g[3] = np.minimum(s[i_b] - lows, highs - s[i_b])
+    tol = max(1e-12, ENTRY_TOL * trajectory.horizon)
+    delta = 0.25 * tol
+    width = x[3] - x[0]
+    ref = width  # the width at the last halving
+    stale = np.zeros(pos.size, dtype=int)  # rounds since
+    prev_j = np.ones(pos.size, dtype=int)  # j of the last round (below), 1 before any
+    cols = np.arange(pos.size)
+    step_times, step_states, step_coeffs = (
+        trajectory.step_times, trajectory.step_states[:, :1], trajectory.step_coeffs[:, :, :1]
+    )
+    while pos.size:
+        done = width <= tol
+        if done.any():
+            for k, entry in zip(pos[done].tolist(), x[3, done].tolist()):
+                entry_times[k] = entry
+            open_ = ~done
+            pos, lows, highs, width, ref, stale, prev_j = (
+                v[open_] for v in (pos, lows, highs, width, ref, stale, prev_j)
+            )
+            x, g = x[:, open_], g[:, open_]
+            cols = cols[: pos.size]
+            continue
+        a, b, ga, gb = x[0], x[3], g[0], g[3]
+        aim = b - gb * (b - a) / (gb - ga)
+        aim = np.where((a < aim) & (aim < b) & (stale < 3), aim, 0.5 * (a + b))
+        # the bracket is wider than 4 delta, so both points lie inside it
+        np.minimum(np.maximum(aim, a + 2 * delta, out=aim), b - 2 * delta, out=aim)
+        np.subtract(aim, delta, out=x[1])
+        np.add(aim, delta, out=x[2])
+        sx = _dense_states(x[1:3].ravel(), step_times, step_states, step_coeffs)[:, 0].reshape(2, -1)
+        np.minimum(sx - lows, highs - sx, out=g[1:3])
+        # The later outside point is the new outside end, row j, and the
+        # point after it the new inside end.  An end kept for the second
+        # round running (j = 0 twice: a, j = 2 twice: b) has its depth
+        # halved, the Illinois rule.
+        j = 2 - (g[2] >= 0.0) * (1 + (g[1] >= 0.0))
+        j1 = j + 1
+        x[0], x[3] = x[j, cols], x[j1, cols]
+        g[0], g[3] = g[j, cols], g[j1, cols]
+        g[j * 3 // 2, cols] *= np.where(j == prev_j, 0.5, 1.0)
+        prev_j = j
+        width = x[3] - x[0]
+        halved = width <= 0.5 * ref
+        ref = np.where(halved, width, ref)
+        stale = np.where(halved, 0, stale + 1)
+
     return [
         EntryRecord((lo, hi), entry_time, excursions)
         for (lo, hi), entry_time, excursions in zip(bounds.tolist(), entry_times, exits)

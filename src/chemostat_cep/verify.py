@@ -19,6 +19,7 @@ from .dynamics import ChemostatParams, State, predicted_limit
 from .errors import CertificateError, ChemostatError, WashoutError
 from .growth import GrowthFunction, OrderedSpecies, order_species, pack_species, rate_matrix
 from .integrate import (
+    ENTRY_TOL,
     EntryRecord,
     Trajectory,
     _B_ZERO,
@@ -469,8 +470,10 @@ def check_induction_properties(
     found = np.searchsorted(t, [math.inf if e is None else e for e in times], side="left").tolist()
     starts = [None if e is None else k for e, k in zip(times, found)]
     slopes, used = fit_log_decay_tails(t, ratios, starts)
+    # each entry time lies up to one entry tolerance after its crossing, so
+    # two entries are out of order only beyond two
     return _stage_claims(
-        entries, slopes, used >= _MIN_FIT_SAMPLES, p_final, cert.nu, eps_p, 2e-9 * traj.horizon
+        entries, slopes, used >= _MIN_FIT_SAMPLES, p_final, cert.nu, eps_p, 2 * ENTRY_TOL * traj.horizon
     )
 
 

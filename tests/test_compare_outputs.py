@@ -64,28 +64,71 @@ class TestSlopeOnlyDifference:
         assert compare_outputs.slope_only_difference(_report(), other) is None
 
 
+class TestEntryOnlyDifference:
+    def test_entry_times_only_give_the_largest_difference(self):
+        assert compare_outputs.entry_only_difference(_report(), _report(entry=3.0 + 5e-8)) == pytest.approx(5e-8)
+
+    def test_identical_reports_differ_by_zero(self):
+        assert compare_outputs.entry_only_difference(_report(), _report()) == 0.0
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            _report(entry=3.1, slope2=-0.4),
+            _report(entry=None),
+            _report(detail="no persistent entry into the absorbing interval"),
+            b"not json",
+        ],
+    )
+    def test_any_other_difference_is_not_entry_only(self, other):
+        assert compare_outputs.entry_only_difference(_report(), other) is None
+
+    def test_printed_entry_times(self):
+        text = b"exclusion_stage_1  PASS    entry_time=2.83048, excursions=0\noverall: PASS\n"
+        assert compare_outputs.entry_only_text(text, text.replace(b"2.83048", b"2.83049"))
+        assert compare_outputs.entry_only_text(text, text.replace(b"2.83048", b"none"))
+        assert not compare_outputs.entry_only_text(text, text.replace(b"excursions=0", b"excursions=1"))
+        assert not compare_outputs.entry_only_text(text, text.replace(b"PASS", b"FAIL"))
+
+
 class TestCompare:
     def test_labels(self, tmp_path):
         parent, change = tmp_path / "parent", tmp_path / "change"
+        text = b"exclusion_stage_1  PASS    entry_time=2.83048, excursions=0\n"
         files = {
             "same.json": (_report(), _report()),
             "formatting.json": (_report(), json.dumps(json.loads(_report()), indent=2).encode()),
             "slopes.json": (_report(), _report(slope2=-0.5 * (1 + 2e-15))),
-            "other.json": (_report(), _report(entry=4.0)),
+            "run/entries.json": (_report(), _report(entry=3.0 + 4e-8)),
+            "run/stdout": (text, text.replace(b"2.83048", b"2.83049")),
+            "other.json": (_report(), _report(entry=4.0, slope2=-0.4)),
             "stdout": (b"a", b"b"),
         }
         for name, (old, new) in files.items():
             for top, data in ((parent, old), (change, new)):
-                top.mkdir(exist_ok=True)
+                (top / name).parent.mkdir(parents=True, exist_ok=True)
                 (top / name).write_bytes(data)
-        diffs, slopes = compare_outputs.compare(parent, change)
+        diffs, slopes, entries = compare_outputs.compare(parent, change, {"run": 40.0})
         assert diffs == [
             "differs: formatting.json (only in formatting, the JSON values are equal)",
             "differs: other.json",
+            "differs: run/entries.json (only entry times, max difference 1e-09 x horizon)",
+            "differs: run/stdout (only printed entry times)",
             "differs: slopes.json (only decay slopes, max relative difference 2e-15)",
             "differs: stdout",
         ]
         assert slopes == [pytest.approx(2e-15, rel=1e-3)]
+        assert entries == [pytest.approx(1e-9, rel=1e-6)]
+
+    def test_entry_times_without_a_horizon_are_not_labelled(self, tmp_path):
+        for top, entry in ((tmp_path / "parent", 3.0), (tmp_path / "change", 3.0 + 4e-8)):
+            top.mkdir()
+            (top / "report.json").write_bytes(_report(entry=entry))
+        assert compare_outputs.compare(tmp_path / "parent", tmp_path / "change", {}) == (
+            ["differs: report.json"],
+            [],
+            [],
+        )
 
 
 class TestManifest:
@@ -96,6 +139,13 @@ class TestManifest:
         assert verify and [run["argv"][1] for run in certificate] == verify
         assert all(run["argv"][2:] == ["--json"] for run in certificate)
         assert len({run["stem"] for run in manifest}) == len(manifest)
+
+    def test_verify_runs_carry_their_horizon(self, tmp_path):
+        manifest = compare_outputs.write_inputs(tmp_path, [1])
+        horizons = [run["horizon"] for run in manifest if run["argv"][0] == "verify"]
+        assert horizons and all(h > 0.0 for h in horizons)
+        assert horizons[0] == 80.0  # the canonical scenario sets its horizon
+        assert all("horizon" not in run for run in manifest if run["argv"][0] != "verify")
 
     def test_simulate_pools_also_run_curves(self, tmp_path):
         manifest = compare_outputs.write_inputs(tmp_path, [1])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chemostat_cep import ChemostatParams, Monod, State, integrate, parse_scenario, simulate
+from chemostat_cep import ChemostatParams, Monod, State, dynamics, integrate, parse_scenario, simulate
 from chemostat_cep.dynamics import _ARRAY_FIELD_MIN_LAWS
 from chemostat_cep.errors import DomainError, ParameterError, StiffnessError
 from chemostat_cep.integrate import _initial_step, first_persistent_entry, scan_persistent_entry
@@ -146,6 +147,56 @@ class TestSimulate:
         assert exc.value.t >= 0.0
 
 
+@pytest.mark.parametrize("min_laws", [0, sys.maxsize], ids=["array_body", "float_body"])
+class TestNonFiniteTrialStep:
+    """A trial step whose end state is not finite is rejected.
+
+    ``simulate`` checks only the error norm and the end state's minimum;
+    the premise is that each RHS body gives a non-finite derivative
+    component wherever the state's component is non-finite, which the
+    error estimate then carries.
+    """
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("j", [0, 2], ids=["s", "x_2"])
+    def test_rhs_keeps_the_component_non_finite(self, monkeypatch, min_laws, j, value):
+        monkeypatch.setattr(dynamics, "_ARRAY_FIELD_MIN_LAWS", min_laws)
+        y = np.array([2.0, 0.5, 0.5, 0.5])
+        y[j] = value
+        with np.errstate(over="ignore", invalid="ignore"):
+            dy = dynamics.vector_field(PARAMS, GROWTHS)(0.0, y)
+        assert not np.isfinite(dy[j])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("j", [0, 2], ids=["s", "x_2"])
+    def test_step_is_rejected(self, monkeypatch, min_laws, j, value):
+        monkeypatch.setattr(dynamics, "_ARRAY_FIELD_MIN_LAWS", min_laws)
+        factory = integrate.vector_field
+        injected = []
+
+        def injecting_factory(*args):
+            f = factory(*args)
+            last_t = [None]
+
+            def g(t, y, out=None):
+                # The end state of a trial step is evaluated right after the
+                # last stage, at the same time; corrupt the first one in place.
+                if t == last_t[0] and not injected:
+                    y[j] = value
+                    injected.append(t)
+                last_t[0] = t
+                return f(t, y, out=out)
+
+            return g
+
+        monkeypatch.setattr(integrate, "vector_field", injecting_factory)
+        traj = simulate(PARAMS, GROWTHS, X0, 5.0)
+        assert injected and injected[0] > 0.0
+        assert traj.meta.steps_rejected >= 1
+        assert np.isfinite(traj.step_states).all() and np.isfinite(traj.step_coeffs).all()
+        assert traj.step_times[1] < injected[0]  # the corrupted step was not taken
+
+
 class TestRhsCount:
     """``IntegratorStats.rhs_evals`` counts the RHS calls actually made."""
 
@@ -276,6 +327,16 @@ class TestPersistentEntry:
         # and just before the entry it was outside
         before = canonical_trajectory.sample(rec.entry_time - 0.05).s
         assert not (lo <= before <= hi)
+
+    def test_entries_take_few_interpolant_rounds(self, monkeypatch, canonical_trajectory, canonical_certificate):
+        # Bisecting the brackets to the entry tolerance took 19 rounds, one
+        # interpolant evaluation each; the secant rounds need about 5.
+        calls = []
+        dense = integrate._dense_states
+        monkeypatch.setattr(integrate, "_dense_states", lambda *args: calls.append(1) or dense(*args))
+        entries = integrate.persistent_entries(canonical_trajectory, canonical_certificate.intervals)
+        assert all(rec.entry_time > 0.0 for rec in entries)
+        assert 1 <= len(calls) <= 8
 
     def test_disjoint_interval_absent(self, canonical_trajectory):
         rec = first_persistent_entry(canonical_trajectory, (100.0, 200.0))

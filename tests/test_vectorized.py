@@ -2,7 +2,7 @@
 
 ``rate_matrix``, the batched ``fit_log_decay``, the merged-moment tail fits,
 the one-rule persistent-entry scan and its all-intervals form, the lockstep
-entry bisection, the array stage verdicts and governing values, dense
+entry refinement, the array stage verdicts and governing values, dense
 output, the certificate's pack gaps, ``gamma_bounds`` and self-check and
 both bodies of the integrator's right-hand side each replace a per-species,
 per-stage, per-pair or per-sample loop; these properties pin them to the
@@ -15,6 +15,7 @@ can set the envelope, and are pinned to the grids that evaluate every law.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from chemostat_cep import (
     simulate,
 )
 from chemostat_cep import certificate as certificate_mod
+from chemostat_cep import dynamics
 from chemostat_cep.certificate import (
     _ROUNDING_ALLOWANCE,
     _envelope_rows,
@@ -46,7 +48,7 @@ from chemostat_cep.certificate import (
 from chemostat_cep.dynamics import _ARRAY_FIELD_MIN_LAWS, vector_field
 from chemostat_cep.errors import CertificateError, DomainError, ParameterError
 from chemostat_cep.growth import break_even, pack_species, rate_matrix
-from chemostat_cep.integrate import EntryRecord, persistent_entries, scan_persistent_entry
+from chemostat_cep.integrate import ENTRY_TOL, EntryRecord, persistent_entries, scan_persistent_entry
 from chemostat_cep.verify import ClaimResult, _governing, _stage_claims, fit_log_decay, fit_log_decay_tails
 
 from conftest import CANONICAL_SPECIES, compute_nu
@@ -556,7 +558,7 @@ def _entry_reference(traj, interval):
     if idx == 0:
         return EntryRecord((lo, hi), 0.0, excursions)
     t_out, t_in = float(t[idx - 1]), float(t[idx])
-    tol = max(1e-12, 1e-9 * traj.horizon)
+    tol = max(1e-12, ENTRY_TOL * traj.horizon)
     while t_in - t_out > tol:
         mid = 0.5 * (t_out + t_in)
         if lo <= traj.sample(mid).s <= hi:
@@ -566,15 +568,34 @@ def _entry_reference(traj, interval):
     return EntryRecord((lo, hi), t_in, excursions)
 
 
+def _assert_entries_agree(traj, intervals, got):
+    """Each entry against ``_entry_reference``.
+
+    The scan's results agree exactly, and a refined entry time lies inside
+    its interval and within the entry tolerance of the bisected one: both
+    are the inside end of a bracket of at most that width.
+    """
+    tol = max(1e-12, ENTRY_TOL * traj.horizon)
+    assert len(got) == len(intervals)
+    for rec, (lo, hi) in zip(got, intervals):
+        want = _entry_reference(traj, (lo, hi))
+        assert (rec.interval, rec.excursions) == (want.interval, want.excursions)
+        if want.entry_time is None or want.entry_time == 0.0:
+            assert rec.entry_time == want.entry_time
+        else:
+            assert abs(rec.entry_time - want.entry_time) <= tol
+            assert lo <= traj.sample(rec.entry_time).s <= hi
+
+
 class TestPersistentEntries:
-    def test_canonical_intervals_match_per_interval_bisection(
+    def test_canonical_intervals_agree_with_per_interval_bisection(
         self, canonical_trajectory, canonical_certificate
     ):
         traj = canonical_trajectory
         # the certificate's stages, one holding from t = 0, one never entered
         intervals = list(canonical_certificate.intervals) + [(0.0, 11.0), (100.0, 200.0)]
         got = persistent_entries(traj, intervals)
-        assert got == [_entry_reference(traj, iv) for iv in intervals]
+        _assert_entries_agree(traj, intervals, got)
         assert got[-2].entry_time == 0.0 and got[-1].entry_time is None
 
     @given(
@@ -589,13 +610,12 @@ class TestPersistentEntries:
         ),
     )
     @settings(max_examples=15, deadline=None)
-    def test_random_runs_match_per_interval_bisection(self, mu2, k2, s0, horizon, ivs):
+    def test_random_runs_agree_with_per_interval_bisection(self, mu2, k2, s0, horizon, ivs):
         growths = [Monod(3.0, 1.0), Monod(mu2, k2)]
         x0 = State(s=s0, x=np.array([0.05, 0.05]))
         traj = simulate(ChemostatParams(1.0, 10.0), growths, x0, horizon)
         intervals = [(lo, lo + w) for lo, w in ivs]
-        got = persistent_entries(traj, intervals)
-        assert got == [_entry_reference(traj, iv) for iv in intervals]
+        _assert_entries_agree(traj, intervals, persistent_entries(traj, intervals))
 
     def test_empty_interval_list(self, canonical_trajectory):
         assert persistent_entries(canonical_trajectory, []) == []
@@ -607,7 +627,7 @@ class TestPersistentEntries:
         disjoint = [(100.0, 200.0), (1.0, 5.0), (0.0, 0.5 * s_end)]  # the last one excludes the final sample
         intervals = nested + disjoint + nested[:1]
         got = persistent_entries(traj, intervals)
-        assert got == [_entry_reference(traj, iv) for iv in intervals]
+        _assert_entries_agree(traj, intervals, got)
         assert got[-1] == got[0] and got[-2].entry_time is None and got[-4].entry_time is None
 
     def test_reversed_interval_is_named(self, canonical_trajectory):
@@ -993,7 +1013,8 @@ def _bits(a):
 SPECIAL_SUBSTRATES = [0.0, -0.0, -1e-300, -1e-12, -1e-9, 1e-300, 1e150, 1e300, math.inf, -math.inf, math.nan]
 special_substrates = st.sampled_from(SPECIAL_SUBSTRATES)
 # Law counts on both sides of the choice between the plain-float body and
-# the array body, at the choice and far above it.
+# the array body, at the choice and far above it.  Every check runs both
+# bodies, each forced through ``_ARRAY_FIELD_MIN_LAWS`` (``_fields``).
 FIELD_LAW_COUNTS = (1, _ARRAY_FIELD_MIN_LAWS - 1, _ARRAY_FIELD_MIN_LAWS, 100)
 
 
@@ -1021,18 +1042,30 @@ def _mixed_laws(n):
     return [MIXED[k % len(MIXED)][1] for k in range(n)]
 
 
+def _fields(params, gs):
+    """The array body and the plain-float body of ``vector_field(params, gs)``."""
+    fields = []
+    for min_laws in (0, sys.maxsize):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "_ARRAY_FIELD_MIN_LAWS", min_laws)
+            fields.append(vector_field(params, gs))
+    assert [f.__name__ for f in fields] == ["f", "f_floats"]
+    return fields
+
+
 def _assert_field_matches_reference(params, gs, y):
-    f = vector_field(params, gs)
-    out = np.full_like(y, np.nan)
     with np.errstate(all="ignore"):
         want = _field_reference(params, gs, y)
-        got = f(0.0, y)
-        again = f(1.0, y.copy())
-        written = f(2.0, y, out=out)
-    assert np.array_equal(_bits(got), _bits(want)), (got, want)
-    assert np.array_equal(_bits(again), _bits(want))
-    assert written is out
-    assert np.array_equal(_bits(out), _bits(want))
+    for f in _fields(params, gs):
+        out = np.full_like(y, np.nan)
+        with np.errstate(all="ignore"):
+            got = f(0.0, y)
+            again = f(1.0, y.copy())
+            written = f(2.0, y, out=out)
+        assert np.array_equal(_bits(got), _bits(want)), (f.__name__, got, want)
+        assert np.array_equal(_bits(again), _bits(want))
+        assert written is out
+        assert np.array_equal(_bits(out), _bits(want))
 
 
 class TestVectorField:
@@ -1051,20 +1084,28 @@ class TestVectorField:
 
     @pytest.mark.parametrize("n", [_ARRAY_FIELD_MIN_LAWS - 1, _ARRAY_FIELD_MIN_LAWS])
     def test_each_call_returns_a_new_array(self, n):
-        f = vector_field(ChemostatParams(1.0, 10.0), _mixed_laws(n))
-        y = np.linspace(1.0, 2.0, n + 1)
-        a = f(0.0, y)
-        b = f(0.0, 2.0 * y)
-        assert a is not b and not np.shares_memory(a, b)
-        assert np.array_equal(a, f(0.0, y))
+        for f in _fields(ChemostatParams(1.0, 10.0), _mixed_laws(n)):
+            y = np.linspace(1.0, 2.0, n + 1)
+            a = f(0.0, y)
+            b = f(0.0, 2.0 * y)
+            assert a is not b and not np.shares_memory(a, b)
+            assert np.array_equal(a, f(0.0, y))
 
     @pytest.mark.parametrize("n", FIELD_LAW_COUNTS)
     def test_state_of_the_wrong_length_raises(self, n):
-        f = vector_field(ChemostatParams(1.0, 10.0), _mixed_laws(n))
-        # a single density would broadcast over every law in an array expression
-        for size in {1, 2, n, n + 2} - {n + 1}:
-            with pytest.raises(ValueError, match=f"state has {size} entries, expected {n + 1}"):
-                f(0.0, np.linspace(1.0, 2.0, size), out=np.empty(size))
+        for f in _fields(ChemostatParams(1.0, 10.0), _mixed_laws(n)):
+            # a single density would broadcast over every law in an array expression
+            for size in {1, 2, n, n + 2} - {n + 1}:
+                with pytest.raises(ValueError, match=f"state has {size} entries, expected {n + 1}"):
+                    f(0.0, np.linspace(1.0, 2.0, size), out=np.empty(size))
+
+    @pytest.mark.parametrize("n_monod, n_other", [(0, 100), (27, 0), (27, 60), (28, 0), (28, 60)])
+    def test_body_is_chosen_by_the_monod_count(self, n_monod, n_other):
+        # Hill and table laws cost the same per law in both bodies, so only
+        # the Monod laws count towards the array body
+        gs = [Monod(1.0 + 0.1 * k, 0.5) for k in range(n_monod)] + [Hill(2.0, 1.5, 2.0)] * n_other
+        f = vector_field(ChemostatParams(1.0, 10.0), gs)
+        assert f.__name__ == ("f" if n_monod >= _ARRAY_FIELD_MIN_LAWS else "f_floats")
 
 
 class TestTableScalarRow:

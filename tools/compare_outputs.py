@@ -22,8 +22,11 @@ difference, 2 on a usage error.  A JSON report that differs only in its
 decay slopes (``slope_pack_*`` and ``slope_max`` values) is marked as such
 with its largest relative difference, and a last line gives the count of
 such reports and the largest difference over all of them.  A JSON report
-whose values are all equal is marked as differing only in formatting.  Both
-still count as differences.
+that differs only in its ``entry_time`` values is marked likewise, with its
+largest difference over the scenario's horizon, and so is a verify stdout
+whose lines differ only in their printed ``entry_time=`` values.  A JSON
+report whose values are all equal is marked as differing only in
+formatting.  All of them still count as differences.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import argparse
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -108,8 +112,11 @@ def write_inputs(inputs: Path, seeds) -> list[dict]:
                 path = inputs / f"{stem}.yaml"
                 path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_text(workloads.to_yaml(sc), encoding="utf-8")
-                manifest.append({"argv": [wl.command, str(path)], "stem": stem, "output": wl.output})
+                run = {"argv": [wl.command, str(path)], "stem": stem, "output": wl.output}
+                manifest.append(run)
                 if wl.command == "verify":
+                    # the horizon as the scenario parser defaults it
+                    run["horizon"] = sc.get("horizon", 100.0 / sc["d"])
                     manifest.append(
                         {
                             "argv": ["certificate", str(path), "--json"],
@@ -150,13 +157,12 @@ def _files(top: Path) -> dict[str, Path]:
     return {str(p.relative_to(top)): p for p in sorted(top.rglob("*")) if p.is_file()}
 
 
-def slope_only_difference(a: bytes, b: bytes) -> float | None:
-    """Largest relative difference if two reports differ only in decay slopes.
+def _only_difference(a: bytes, b: bytes, movable, measure) -> float | None:
+    """Largest ``measure(u, v)`` if two JSON files differ only at ``movable`` keys.
 
-    Returns None when the files are not JSON or differ anywhere else.
-    Decay slopes (``slope_pack_*`` and ``slope_max``) depend on summation
-    order, so a change that regroups the fit moves them in their last bits
-    and nothing else.
+    Returns None when the files are not JSON or differ anywhere else, and
+    0.0 when their values are all equal.  At a key where ``movable(key)``
+    holds, two numbers may differ.
     """
     try:
         x, y = json.loads(a), json.loads(b)
@@ -166,9 +172,9 @@ def slope_only_difference(a: bytes, b: bytes) -> float | None:
 
     def same(u, v, key: str) -> bool:
         nonlocal worst
-        if (key.startswith("slope_pack_") or key == "slope_max") and all(type(w) in (int, float) for w in (u, v)):
+        if movable(key) and all(type(w) in (int, float) for w in (u, v)):
             if u != v:
-                worst = max(worst, abs(u - v) / max(abs(u), abs(v)))
+                worst = max(worst, measure(u, v))
             return True
         if type(u) is not type(v):
             return False
@@ -181,30 +187,77 @@ def slope_only_difference(a: bytes, b: bytes) -> float | None:
     return worst if same(x, y, "") else None
 
 
-def compare(parent: Path, change: Path) -> tuple[list[str], list[float]]:
+def slope_only_difference(a: bytes, b: bytes) -> float | None:
+    """Largest relative difference if two reports differ only in decay slopes.
+
+    Returns None when the files are not JSON or differ anywhere else.
+    Decay slopes (``slope_pack_*`` and ``slope_max``) depend on summation
+    order, so a change that regroups the fit moves them in their last bits
+    and nothing else.
+    """
+    return _only_difference(
+        a,
+        b,
+        lambda key: key.startswith("slope_pack_") or key == "slope_max",
+        lambda u, v: abs(u - v) / max(abs(u), abs(v)),
+    )
+
+
+def entry_only_difference(a: bytes, b: bytes) -> float | None:
+    """Largest absolute difference if two reports differ only in entry times.
+
+    Returns None when the files are not JSON or differ anywhere else.  A
+    change to how the stage entries are refined moves the ``entry_time``
+    values within the entry tolerance and nothing else.
+    """
+    return _only_difference(a, b, lambda key: key == "entry_time", lambda u, v: abs(u - v))
+
+
+_PRINTED_ENTRY = re.compile(rb"entry_time=[^,\s]+")
+
+
+def entry_only_text(a: bytes, b: bytes) -> bool:
+    """Whether two verify texts differ only in their printed ``entry_time=`` values."""
+    return _PRINTED_ENTRY.sub(b"entry_time=", a) == _PRINTED_ENTRY.sub(b"entry_time=", b)
+
+
+def compare(
+    parent: Path, change: Path, horizons: dict[str, float]
+) -> tuple[list[str], list[float], list[float]]:
     """One line per file that is missing on one side or differs in its bytes.
 
     Also returns the relative slope differences of the reports that differ
-    only in their decay slopes; a report whose JSON values are all equal is
-    marked as differing only in formatting and is not counted among them.
+    only in their decay slopes, and the entry-time differences over the
+    horizon of those that differ only in their entry times; ``horizons``
+    maps a run's directory (relative to ``parent``) to its scenario's
+    horizon.  A report whose JSON values are all equal is marked as
+    differing only in formatting and is counted in neither list.
     """
     a, b = _files(parent), _files(change)
     diffs = [f"only in parent: {k}" for k in sorted(a.keys() - b.keys())]
     diffs += [f"only in change: {k}" for k in sorted(b.keys() - a.keys())]
-    slopes = []
+    slopes, entries = [], []
     for k in sorted(a.keys() & b.keys()):
         old, new = a[k].read_bytes(), b[k].read_bytes()
         if old == new:
             continue
-        rel = slope_only_difference(old, new) if k.endswith(".json") else None
-        if rel is None:
-            diffs.append(f"differs: {k}")
-        elif rel == 0.0:
+        stem = str(Path(k).parent)
+        json_file = k.endswith(".json")
+        rel = slope_only_difference(old, new) if json_file else None
+        entry = entry_only_difference(old, new) if json_file and rel is None and stem in horizons else None
+        if rel == 0.0:
             diffs.append(f"differs: {k} (only in formatting, the JSON values are equal)")
-        else:
+        elif rel is not None:
             slopes.append(rel)
             diffs.append(f"differs: {k} (only decay slopes, max relative difference {rel:.3g})")
-    return diffs, slopes
+        elif entry is not None:
+            entries.append(entry / horizons[stem])
+            diffs.append(f"differs: {k} (only entry times, max difference {entries[-1]:.3g} x horizon)")
+        elif Path(k).name == "stdout" and entry_only_text(old, new):
+            diffs.append(f"differs: {k} (only printed entry times)")
+        else:
+            diffs.append(f"differs: {k}")
+    return diffs, slopes, entries
 
 
 def main(argv=None) -> int:
@@ -229,7 +282,8 @@ def main(argv=None) -> int:
         if any(codes):
             print(f"worker exit codes (parent, change): {codes}", file=sys.stderr)
             return 1
-        diffs, slopes = compare(outs["parent"], outs["change"])
+        horizons = {run["stem"]: run["horizon"] for run in manifest if "horizon" in run}
+        diffs, slopes, entries = compare(outs["parent"], outs["change"], horizons)
         n_files = len(_files(outs["parent"]))
     for line in diffs:
         print(line)
@@ -238,6 +292,11 @@ def main(argv=None) -> int:
         print(
             f"{len(slopes)} of the differences are reports that differ only in decay slopes, "
             f"max relative difference {max(slopes):.3g}"
+        )
+    if entries:
+        print(
+            f"{len(entries)} of the differences are reports that differ only in entry times, "
+            f"max difference {max(entries):.3g} x horizon"
         )
     return 1 if diffs else 0
 
