@@ -453,7 +453,7 @@ def build_certificate(
     )
     # The self-check's grids are the final margin grids just evaluated, so
     # it reads their minima instead of evaluating them again.
-    problems = _certificate_problems(cert, ordered, [b.gap_min for b in boundaries])
+    problems = _certificate_problems(cert, [b.gap_min for b in boundaries])
     if problems:
         raise CertificateError("certificate failed self-check: " + "; ".join(problems))
     return cert
@@ -469,8 +469,9 @@ def recheck_certificate(
 
     Returns a list of violation descriptions (empty when the certificate
     holds).  Every boundary's grid of ``grid_n * grid_factor`` intervals is
-    evaluated afresh, so this also checks certificates built elsewhere;
-    ``build_certificate`` makes the same checks on its final margin grids.
+    evaluated afresh and the rate gaps and dilution bounds are recomputed,
+    so this also checks certificates built elsewhere; ``build_certificate``
+    makes the margin checks on its final margin grids.
     """
     if cert.degenerate:
         return []
@@ -479,13 +480,31 @@ def recheck_certificate(
         float(np.min(_pack_gap(ordered, i, np.linspace(b.s_minus, b.s_plus, grid_n + 1))))
         for i, b in enumerate(cert.boundaries)
     ]
-    return _certificate_problems(cert, ordered, gap_mins)
+    problems = _certificate_problems(cert, gap_mins)
+
+    # gamma_bounds also checks that every lower-pack law outgrows the removal
+    # rate at each higher boundary's upper margin, the chain gamma_plus needs.
+    margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
+    try:
+        gamma_minus, gamma_plus, skipped = gamma_bounds(ordered, margins, cert.d)
+    except CertificateError as exc:
+        return problems + [str(exc)]
+    if abs(gamma_minus - cert.gamma_minus) > 1e-12 * max(1.0, abs(cert.gamma_minus)):
+        problems.append("gamma_minus does not match its recomputation")
+    if abs(gamma_plus - cert.gamma_plus) > 1e-12 * max(1.0, abs(cert.gamma_plus)):
+        problems.append("gamma_plus does not match its recomputation")
+    if skipped != cert.gamma_plus_skipped:
+        problems.append("gamma_plus pack exclusions do not match")
+    d_minus, d_plus = dilution_bounds(gamma_minus, gamma_plus, cert.d)
+    if abs(d_minus - cert.d_minus) > 1e-12 or abs(d_plus - cert.d_plus) > 1e-12:
+        problems.append("dilution bounds do not match their recomputation")
+    if not 0.0 < cert.d_minus < cert.d < cert.d_plus:
+        problems.append("dilution bounds do not straddle the removal rate")
+    return problems
 
 
-def _certificate_problems(
-    cert: Certificate, ordered: OrderedSpecies, gap_mins: list[float]
-) -> list[str]:
-    """Every certificate inequality, given each boundary's minimum grid gap."""
+def _certificate_problems(cert: Certificate, gap_mins: list[float]) -> list[str]:
+    """The margin inequalities, given each boundary's minimum grid gap."""
     problems: list[str] = []
     prev_plus = None
     for i, (b, gap_min) in enumerate(zip(cert.boundaries, gap_mins)):
@@ -501,25 +520,4 @@ def _certificate_problems(
                 f"boundary {i + 1}: domination gap {gap_min:g} does not "
                 f"exceed nu {cert.nu:g} on the refined grid"
             )
-
-    # gamma_bounds also checks that every lower-pack law outgrows the removal
-    # rate at each higher boundary's upper margin, the chain gamma_plus needs.
-    margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
-    try:
-        gamma_minus, gamma_plus, skipped = gamma_bounds(ordered, margins, cert.d)
-    except CertificateError as exc:
-        problems.append(str(exc))
-        return problems
-    if abs(gamma_minus - cert.gamma_minus) > 1e-12 * max(1.0, abs(cert.gamma_minus)):
-        problems.append("gamma_minus does not match its recomputation")
-    if abs(gamma_plus - cert.gamma_plus) > 1e-12 * max(1.0, abs(cert.gamma_plus)):
-        problems.append("gamma_plus does not match its recomputation")
-    if skipped != cert.gamma_plus_skipped:
-        problems.append("gamma_plus pack exclusions do not match")
-    d_minus, d_plus = dilution_bounds(gamma_minus, gamma_plus, cert.d)
-    if abs(d_minus - cert.d_minus) > 1e-12 or abs(d_plus - cert.d_plus) > 1e-12:
-        problems.append("dilution bounds do not match their recomputation")
-    if not 0.0 < cert.d_minus < cert.d < cert.d_plus:
-        problems.append("dilution bounds do not straddle the removal rate")
-
     return problems

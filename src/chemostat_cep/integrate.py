@@ -58,6 +58,7 @@ _B_ZERO = 1e-12  # biomass floor below which proportions are undefined
 
 DENSE_INTERVALS = 2000  # dense output intervals over the horizon by default
 ENTRY_TOL = 1e-9  # stage entries are refined to this times the horizon (and 1e-12)
+_ENTRY_CUTS = 16  # equal parts a stage-entry bracket is cut into per refinement round
 
 
 @dataclass(frozen=True)
@@ -367,7 +368,8 @@ def _dense_states(times, step_times, step_states, step_conts) -> np.ndarray:
     """
     k = np.searchsorted(step_times, times, side="right") - 1
     # np.maximum/np.minimum rather than np.clip, whose Python wrapper costs
-    # more than the rest of an entry refinement round's evaluation
+    # about 6 us more per call, a sixth of an entry refinement round's
+    # evaluation at a few stages
     np.minimum(np.maximum(k, 0, out=k), len(step_times) - 2, out=k)
     t0 = step_times[k]
     theta = ((times - t0) / (step_times[k + 1] - t0))[:, None]
@@ -410,8 +412,10 @@ class EntryRecord:
     """Persistent-entry report for one interval.
 
     ``entry_time`` is the infimum of times from which the tracked value stays
-    in the interval up to the horizon; None when no such time exists.
-    ``excursions`` counts exits after the first entry.
+    in the interval up to the horizon, as seen on the samples and cut points
+    of ``persistent_entries``: the inside end of a bracket at most the entry
+    tolerance wide; None when the last sample is outside.  ``excursions``
+    counts exits after the first entry on the dense samples.
     """
 
     interval: tuple[float, float]
@@ -452,20 +456,14 @@ def persistent_entries(
 
     Each entry is located on the dense samples, every interval's membership
     from one (intervals x samples) comparison, and then refined on the
-    continuous extension across the bracketing spacing until the bracket,
-    an outside end and an inside end, is at most ``ENTRY_TOL`` times the
-    horizon wide (and 1e-12); the entry time is its inside end.  A round
-    aims at the zero of the signed depth min(s - lo, hi - s), positive
-    inside, by regula falsi between the ends, where the depth at an end
-    kept for a second round running is halved (the Illinois rule).  It aims
-    at the midpoint instead when that point is not inside the bracket or
-    when three rounds have not halved the bracket.  The substrate is then
-    evaluated a quarter of the tolerance either side of the aim, so a zero
-    within that distance closes the bracket at once; otherwise the point
-    next to the zero replaces the end on its side.  All brackets are
-    refined in lockstep, one evaluation of the substrate interpolant per
-    round at both points of every unfinished bracket.  Persistence is
-    always relative to the finite horizon.
+    continuous extension by the same rule at finer resolution: each round
+    cuts every bracket, an outside end and an inside end, into
+    ``_ENTRY_CUTS`` equal parts and keeps the part after the last outside
+    cut point, until the brackets are at most ``ENTRY_TOL`` times the
+    horizon wide (and 1e-12); the entry time is the inside end.  All
+    brackets are cut in lockstep, one evaluation of the substrate
+    interpolant per round.  An excursion shorter than one cut can still be
+    missed.  Persistence is always relative to the finite horizon.
     """
     s = trajectory.states[:, 0]
     t = trajectory.times
@@ -476,63 +474,33 @@ def persistent_entries(
     idx, exits = scan_persistent_entry((s >= bounds[:, :1]) & (s <= bounds[:, 1:]))
 
     entry_times: list[float | None] = [None if i is None else 0.0 for i in idx]
-    # One column per bracket still open, ``pos`` its interval.  Row 0 of x
-    # is the outside end and row 3 the inside end, rows 1 and 2 hold the
-    # points of a round, and g the signed depths at all four.
-    pos = np.array([k for k, i in enumerate(idx) if i], dtype=int)
-    i_b = [idx[k] for k in pos.tolist()]
-    i_a = [i - 1 for i in i_b]
-    lows, highs = bounds[pos].T
-    x = np.empty((4, pos.size))
-    g = np.empty_like(x)
-    x[0], x[3] = t[i_a], t[i_b]
-    g[0] = np.minimum(s[i_a] - lows, highs - s[i_a])
-    g[3] = np.minimum(s[i_b] - lows, highs - s[i_b])
-    tol = max(1e-12, ENTRY_TOL * trajectory.horizon)
-    delta = 0.25 * tol
-    width = x[3] - x[0]
-    ref = width  # the width at the last halving
-    stale = np.zeros(pos.size, dtype=int)  # rounds since
-    prev_j = np.ones(pos.size, dtype=int)  # j of the last round (below), 1 before any
-    cols = np.arange(pos.size)
-    step_times, step_states, step_coeffs = (
-        trajectory.step_times, trajectory.step_states[:, :1], trajectory.step_coeffs[:, :, :1]
-    )
-    while pos.size:
-        done = width <= tol
-        if done.any():
-            for k, entry in zip(pos[done].tolist(), x[3, done].tolist()):
-                entry_times[k] = entry
-            open_ = ~done
-            pos, lows, highs, width, ref, stale, prev_j = (
-                v[open_] for v in (pos, lows, highs, width, ref, stale, prev_j)
-            )
-            x, g = x[:, open_], g[:, open_]
-            cols = cols[: pos.size]
-            continue
-        a, b, ga, gb = x[0], x[3], g[0], g[3]
-        aim = b - gb * (b - a) / (gb - ga)
-        aim = np.where((a < aim) & (aim < b) & (stale < 3), aim, 0.5 * (a + b))
-        # the bracket is wider than 4 delta, so both points lie inside it
-        np.minimum(np.maximum(aim, a + 2 * delta, out=aim), b - 2 * delta, out=aim)
-        np.subtract(aim, delta, out=x[1])
-        np.add(aim, delta, out=x[2])
-        sx = _dense_states(x[1:3].ravel(), step_times, step_states, step_coeffs)[:, 0].reshape(2, -1)
-        np.minimum(sx - lows, highs - sx, out=g[1:3])
-        # The later outside point is the new outside end, row j, and the
-        # point after it the new inside end.  An end kept for the second
-        # round running (j = 0 twice: a, j = 2 twice: b) has its depth
-        # halved, the Illinois rule.
-        j = 2 - (g[2] >= 0.0) * (1 + (g[1] >= 0.0))
-        j1 = j + 1
-        x[0], x[3] = x[j, cols], x[j1, cols]
-        g[0], g[3] = g[j, cols], g[j1, cols]
-        g[j * 3 // 2, cols] *= np.where(j == prev_j, 0.5, 1.0)
-        prev_j = j
-        width = x[3] - x[0]
-        halved = width <= 0.5 * ref
-        ref = np.where(halved, width, ref)
-        stale = np.where(halved, 0, stale + 1)
+    # One row per bracket [a, b], ``lows`` and ``highs`` its interval; the dense
+    # brackets are one spacing wide each, so all reach the tolerance in the
+    # same round.
+    pos = [k for k, i in enumerate(idx) if i]
+    if pos:
+        i_b = [idx[k] for k in pos]
+        a, b = t[[i - 1 for i in i_b]], t[i_b]
+        lows, highs = bounds[pos, :1], bounds[pos, 1:]
+        tol = max(1e-12, ENTRY_TOL * trajectory.horizon)
+        frac = np.arange(_ENTRY_CUTS + 1) / _ENTRY_CUTS
+        rows = np.arange(len(pos))
+        step_times, step_states, step_coeffs = (
+            trajectory.step_times, trajectory.step_states[:, :1], trajectory.step_coeffs[:, :, :1]
+        )
+        while np.max(b - a) > tol:
+            cuts = a[:, None] + (b - a)[:, None] * frac
+            cuts[:, -1] = b
+            sx = _dense_states(cuts.ravel(), step_times, step_states, step_coeffs).reshape(cuts.shape)
+            outside = ~((sx >= lows) & (sx <= highs))
+            outside[:, 0] = True
+            outside[:, -1] = False
+            # the scan's rule: keep the part after the last outside point
+            # (``from_end`` in ``scan_persistent_entry``)
+            k = _ENTRY_CUTS - outside[:, ::-1].argmax(axis=1)
+            a, b = cuts[rows, k], cuts[rows, k + 1]
+        for i, entry in zip(pos, b.tolist()):
+            entry_times[i] = entry
 
     return [
         EntryRecord((lo, hi), entry_time, excursions)

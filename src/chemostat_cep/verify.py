@@ -19,7 +19,6 @@ from .dynamics import ChemostatParams, State, predicted_limit
 from .errors import CertificateError, ChemostatError, WashoutError
 from .growth import GrowthFunction, OrderedSpecies, order_species, pack_species, rate_matrix
 from .integrate import (
-    ENTRY_TOL,
     EntryRecord,
     Trajectory,
     _B_ZERO,
@@ -470,11 +469,7 @@ def check_induction_properties(
     found = np.searchsorted(t, [math.inf if e is None else e for e in times], side="left").tolist()
     starts = [None if e is None else k for e, k in zip(times, found)]
     slopes, used = fit_log_decay_tails(t, ratios, starts)
-    # each entry time lies up to one entry tolerance after its crossing, so
-    # two entries are out of order only beyond two
-    return _stage_claims(
-        entries, slopes, used >= _MIN_FIT_SAMPLES, p_final, cert.nu, eps_p, 2 * ENTRY_TOL * traj.horizon
-    )
+    return _stage_claims(entries, slopes, used >= _MIN_FIT_SAMPLES, p_final, cert.nu, eps_p)
 
 
 def _stage_claims(
@@ -484,7 +479,6 @@ def _stage_claims(
     p_final: np.ndarray,
     nu: float,
     eps_p: float,
-    order_slack: float,
 ) -> list[ClaimResult]:
     """One claim per stage from its entry and the (stages x packs) fits.
 
@@ -517,7 +511,7 @@ def _stage_claims(
     for i, e in enumerate(times):
         if e is None:
             details[i].append("no persistent entry into the absorbing interval")
-        elif i + 1 < m and times[i + 1] is not None and e < times[i + 1] - order_slack:
+        elif i + 1 < m and times[i + 1] is not None and e < times[i + 1]:
             details[i].append("entered the smaller interval earlier than the larger one")
             stage_ok[i] = False
     # A checked pair passes silently when its slope is fitted and both its

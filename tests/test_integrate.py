@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -329,14 +330,18 @@ class TestPersistentEntry:
         assert not (lo <= before <= hi)
 
     def test_entries_take_few_interpolant_rounds(self, monkeypatch, canonical_trajectory, canonical_certificate):
-        # Bisecting the brackets to the entry tolerance took 19 rounds, one
-        # interpolant evaluation each; the secant rounds need about 5.
+        # Each round cuts every bracket, one dense spacing wide at first,
+        # into _ENTRY_CUTS parts with one interpolant evaluation, until the
+        # entry tolerance: 5 rounds on canonical, where bisection took 19.
         calls = []
         dense = integrate._dense_states
         monkeypatch.setattr(integrate, "_dense_states", lambda *args: calls.append(1) or dense(*args))
         entries = integrate.persistent_entries(canonical_trajectory, canonical_certificate.intervals)
         assert all(rec.entry_time > 0.0 for rec in entries)
-        assert 1 <= len(calls) <= 8
+        traj = canonical_trajectory
+        spacing = traj.meta.dense_dt
+        tol = max(1e-12, integrate.ENTRY_TOL * traj.horizon)
+        assert len(calls) == math.ceil(math.log(spacing / tol) / math.log(integrate._ENTRY_CUTS)) == 5
 
     def test_disjoint_interval_absent(self, canonical_trajectory):
         rec = first_persistent_entry(canonical_trajectory, (100.0, 200.0))

@@ -48,7 +48,16 @@ from chemostat_cep.certificate import (
 from chemostat_cep.dynamics import _ARRAY_FIELD_MIN_LAWS, vector_field
 from chemostat_cep.errors import CertificateError, DomainError, ParameterError
 from chemostat_cep.growth import break_even, pack_species, rate_matrix
-from chemostat_cep.integrate import ENTRY_TOL, EntryRecord, persistent_entries, scan_persistent_entry
+from chemostat_cep.integrate import (
+    ENTRY_TOL,
+    Channels,
+    EntryRecord,
+    IntegratorStats,
+    Trajectory,
+    _dense_states,
+    persistent_entries,
+    scan_persistent_entry,
+)
 from chemostat_cep.verify import ClaimResult, _governing, _stage_claims, fit_log_decay, fit_log_decay_tails
 
 from conftest import CANONICAL_SPECIES, compute_nu
@@ -304,7 +313,7 @@ def _governing_reference(values, first_pack):
     return best, pack
 
 
-def _stage_claims_reference(entries, slopes, fittable, p_final, nu, eps_p, order_slack):
+def _stage_claims_reference(entries, slopes, fittable, p_final, nu, eps_p):
     """The per-stage, per-pair loop that ``_stage_claims`` replaced."""
     slope_threshold = -nu + 0.1 * nu
     p_final_by_pack = [float(p) for p in p_final]
@@ -317,7 +326,7 @@ def _stage_claims_reference(entries, slopes, fittable, p_final, nu, eps_p, order
             details.append("no persistent entry into the absorbing interval")
         if i + 1 < len(entries) and rec.entry_time is not None:
             nxt = entries[i + 1].entry_time
-            if nxt is not None and rec.entry_time < nxt - order_slack:
+            if nxt is not None and rec.entry_time < nxt:
                 ok = False
                 details.append("entered the smaller interval earlier than the larger one")
 
@@ -394,8 +403,7 @@ def stage_inputs(draw):
     fittable = np.array(draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))).reshape(m, m)
     p_final = np.array(draw(st.lists(_p_values, min_size=m, max_size=m)))
     nu = draw(st.sampled_from([0.5, 0.05]))
-    order_slack = draw(st.sampled_from([0.0, 1e-9]))
-    return entries, slopes, fittable, p_final, nu, 1e-4, order_slack
+    return entries, slopes, fittable, p_final, nu, 1e-4
 
 
 class TestStageClaims:
@@ -409,7 +417,6 @@ class TestStageClaims:
             np.array([1e-5, math.nan, math.inf]),
             0.5,
             1e-4,
-            1e-9,
         )
     )
     def test_matches_the_per_pair_loop(self, inputs):
@@ -619,6 +626,71 @@ class TestPersistentEntries:
 
     def test_empty_interval_list(self, canonical_trajectory):
         assert persistent_entries(canonical_trajectory, []) == []
+
+    def test_entry_is_the_last_crossing(self):
+        # One step on [0, 2] whose substrate is the quartic
+        # s = 1 - 10 theta (theta - 0.55)(theta - 0.85)(theta - 0.9): the
+        # dense samples at t = 0, 1, 2 read 1, 1.035 and 0.9325, so [0.5, 1]
+        # is bracketed by (1, 2), where s enters at t = 1.1, leaves on
+        # (1.7, 1.8) and enters for good at t = 1.8.
+        theta = np.linspace(0.0, 1.0, 5)
+        s_of = 1.0 - 10.0 * theta * (theta - 0.55) * (theta - 0.85) * (theta - 0.9)
+        rest = 1.0 - theta
+        basis = np.column_stack(
+            [np.ones(5), theta, theta * rest, theta**2 * rest, (theta * rest) ** 2]
+        )
+        coeffs = np.linalg.solve(basis, s_of).reshape(1, 5, 1)
+        step_times = np.array([0.0, 2.0])
+        step_states = np.array([[s_of[0]], [s_of[-1]]])
+        times = np.array([0.0, 1.0, 2.0])
+        states = _dense_states(times, step_times, step_states, coeffs)
+        empty = np.empty((3, 0))
+        traj = Trajectory(
+            times=times,
+            states=states,
+            channels=Channels(b=np.zeros(3), p=empty, m=states[:, 0], r=None),
+            meta=IntegratorStats(0, 0, 0, 1e-8, 1e-10, 1.0, 2.0, 0.0),
+            step_times=step_times,
+            step_states=step_states,
+            step_coeffs=coeffs,
+        )
+        assert np.allclose(states[:, 0], [1.0, 1.035, 0.9325])
+        (rec,) = persistent_entries(traj, [(0.5, 1.0)])
+        tol = max(1e-12, ENTRY_TOL * traj.horizon)
+        assert abs(rec.entry_time - 1.8) <= tol
+
+    @given(
+        st.floats(min_value=1.2, max_value=6.0),
+        st.floats(min_value=0.1, max_value=4.0),
+        st.floats(min_value=0.0, max_value=12.0),
+        st.floats(min_value=0.5, max_value=30.0),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.lists(
+            st.one_of(st.integers(min_value=1, max_value=4), st.floats(min_value=1e-3, max_value=4.0)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_nested_intervals_enter_in_order(self, mu2, k2, s0, horizon, lo, widenings):
+        # Intervals sharing lo, each wider than the last by a few ulps
+        # (an int) or by a width (a float): every point inside one is inside
+        # the next, so the entries never increase, exactly.
+        growths = [Monod(3.0, 1.0), Monod(mu2, k2)]
+        x0 = State(s=s0, x=np.array([0.05, 0.05]))
+        traj = simulate(ChemostatParams(1.0, 10.0), growths, x0, horizon)
+        hi = lo + 0.1
+        intervals = [(lo, hi)]
+        for w in widenings:
+            if isinstance(w, int):
+                for _ in range(w):
+                    hi = float(np.nextafter(hi, math.inf))
+            else:
+                hi += w
+            intervals.append((lo, hi))
+        times = [rec.entry_time for rec in persistent_entries(traj, intervals)]
+        for narrow, wide in zip(times, times[1:]):
+            assert narrow is None or (wide is not None and narrow >= wide)
 
     def test_nested_disjoint_and_unfinished_intervals(self, canonical_trajectory, canonical_certificate):
         traj = canonical_trajectory
