@@ -76,7 +76,6 @@ class Certificate:
     d_minus: float | None
     d_plus: float | None
     gamma_plus_skipped: tuple[int, ...]
-    grid_n: int
     notes: tuple[str, ...]
 
     @property
@@ -119,7 +118,7 @@ class Certificate:
         if self.gamma_plus_skipped:
             skipped = ",".join(str(i + 1) for i in self.gamma_plus_skipped)
             lines.append(f"gamma_plus_skipped_packs: {skipped}")
-        lines.append(f"grid_n: {self.grid_n}")
+        lines.append(f"grid_n: {GRID_N}")
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines) + "\n"
@@ -153,7 +152,7 @@ class Certificate:
             "d_plus": self.d_plus,
             "gamma_plus_skipped_packs": [i + 1 for i in self.gamma_plus_skipped],
             "intervals": [list(iv) for iv in self.intervals],
-            "grid_n": self.grid_n,
+            "grid_n": GRID_N,
             "notes": list(self.notes),
         }
 
@@ -198,7 +197,7 @@ def _margins(lam_lo: float, lam_hi_eff: float, delta: float) -> tuple[float, flo
     return lam_lo - min(delta, 0.5 * lam_lo), lam_hi_eff + delta
 
 
-def _envelope_rows(ordered: OrderedSpecies, s_in: float, grid_n: int) -> list[np.ndarray]:
+def _envelope_rows(ordered: OrderedSpecies, s_in: float) -> list[np.ndarray]:
     """Per boundary, the slower-pack record positions that can set the maximum.
 
     Every margin grid of boundary i lies in its widest interval [L, R], the
@@ -217,7 +216,7 @@ def _envelope_rows(ordered: OrderedSpecies, s_in: float, grid_n: int) -> list[np
     for i in range(n_bounds):
         lam_lo, lam_hi_eff, _ = _boundary_levels(ordered, i, s_in)
         ends += _margins(lam_lo, lam_hi_eff, 0.5 * (lam_hi_eff - lam_lo))
-        steps.append((lam_hi_eff - lam_lo) / grid_n)  # no grid step is smaller
+        steps.append((lam_hi_eff - lam_lo) / GRID_N)  # no grid step is smaller
     laws = [rec.growth for rec in ordered.records]
     rates = rate_matrix(laws, ends)  # column 2i is L, column 2i + 1 is R
     # (record, boundary) masks: the record is in a slower pack, and its law
@@ -243,7 +242,6 @@ def separation_margins(
     i: int,
     s_in: float,
     *,
-    grid_n: int = GRID_N,
     s_plus_limit: float | None = None,
     rows: np.ndarray | None = None,
 ) -> Boundary:
@@ -274,7 +272,7 @@ def separation_margins(
         s_minus, s_plus = _margins(lam_lo, lam_hi_eff, delta)
         if s_plus_limit is not None and s_plus >= s_plus_limit:
             s_plus = lam_hi_eff + 0.5 * (s_plus_limit - lam_hi_eff)
-        grid = np.linspace(s_minus, s_plus, grid_n + 1)
+        grid = np.linspace(s_minus, s_plus, GRID_N + 1)
         gap_min = float(np.min(_pack_gap(ordered, i, grid, rows)))
         if gap_min > 0.0:
             return Boundary(
@@ -356,8 +354,6 @@ def build_certificate(
     ordered: OrderedSpecies,
     d: float,
     s_in: float,
-    *,
-    grid_n: int = GRID_N,
 ) -> Certificate:
     """Assemble the full certificate for an ordered species list.
 
@@ -399,7 +395,6 @@ def build_certificate(
             d_minus=None,
             d_plus=None,
             gamma_plus_skipped=(),
-            grid_n=grid_n,
             notes=tuple(notes),
         )
 
@@ -407,12 +402,10 @@ def build_certificate(
     # the one above so the absorbing intervals come out nested.
     # Each grid evaluates only the slower laws that can set its maximum.
     boundaries: list[Boundary] = [None] * (ordered.n_packs - 1)  # type: ignore[list-item]
-    rows = _envelope_rows(ordered, s_in, grid_n)
+    rows = _envelope_rows(ordered, s_in)
     limit = None
     for i in range(ordered.n_packs - 2, -1, -1):
-        b = separation_margins(
-            ordered, i, s_in, grid_n=grid_n, s_plus_limit=limit, rows=rows[i]
-        )
+        b = separation_margins(ordered, i, s_in, s_plus_limit=limit, rows=rows[i])
         boundaries[i] = b
         limit = b.s_plus
         if b.capped:
@@ -448,7 +441,6 @@ def build_certificate(
         d_minus=d_minus,
         d_plus=d_plus,
         gamma_plus_skipped=skipped,
-        grid_n=grid_n,
         notes=tuple(notes),
     )
     # The self-check's grids are the final margin grids just evaluated, so
@@ -468,14 +460,14 @@ def recheck_certificate(
     """Re-verify every certificate inequality on a refined grid.
 
     Returns a list of violation descriptions (empty when the certificate
-    holds).  Every boundary's grid of ``grid_n * grid_factor`` intervals is
+    holds).  Every boundary's grid of ``GRID_N * grid_factor`` intervals is
     evaluated afresh and the rate gaps and dilution bounds are recomputed,
     so this also checks certificates built elsewhere; ``build_certificate``
     makes the margin checks on its final margin grids.
     """
     if cert.degenerate:
         return []
-    grid_n = cert.grid_n * grid_factor
+    grid_n = GRID_N * grid_factor
     gap_mins = [
         float(np.min(_pack_gap(ordered, i, np.linspace(b.s_minus, b.s_plus, grid_n + 1))))
         for i, b in enumerate(cert.boundaries)

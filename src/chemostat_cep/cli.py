@@ -55,7 +55,8 @@ def _write_rows(out: IO[str], columns: Sequence[np.ndarray]) -> None:
 def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:
     """Write the dense trajectory with derived channels as CSV.
 
-    Column layout: t, s, x1..xn, b, p1..pn, m, and r2..rn when n >= 2.
+    Column layout: t, s, x1..xn, b, p1..pn, m, and r2..rn when n >= 2,
+    the ratios x_i / x_1 (empty throughout when species 1 starts absent).
     Values use 17 significant digits so a re-read reproduces the floats
     exactly; undefined channel entries are left empty.
     """
@@ -66,8 +67,14 @@ def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:
         header += [f"r{i}" for i in range(2, n + 1)]
     out.write(",".join(header) + "\n")
 
+    x = traj.states[:, 1:]
+    if n >= 2 and x[0, 0] > 0.0:
+        # the ratio overflows to inf where the lead density underflows
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = np.where(x[:, :1] > 0.0, x[:, 1:] / x[:, :1], np.nan)
+    else:
+        r = np.full((traj.times.size, n - 1), np.nan)
     ch = traj.channels
-    r = ch.r if ch.r is not None else np.full((traj.times.size, n - 1), np.nan)
     _write_rows(out, [traj.times, traj.states, ch.b, ch.p, ch.m, r])
 
 

@@ -56,7 +56,7 @@ _MAX_STEPS = 5_000_000  # safety net against livelock on hostile inputs
 
 _B_ZERO = 1e-12  # biomass floor below which proportions are undefined
 
-DENSE_INTERVALS = 2000  # dense output intervals over the horizon by default
+DENSE_INTERVALS = 2000  # dense output intervals over the horizon
 ENTRY_TOL = 1e-9  # stage entries are refined to this times the horizon (and 1e-12)
 _ENTRY_CUTS = 16  # equal parts a stage-entry bracket is cut into per refinement round
 
@@ -80,14 +80,11 @@ class Channels:
     """Derived channels sampled on the dense grid.
 
     Proportions are NaN wherever the biomass is below the definedness floor.
-    The ratio block covers species 2..n and is None for single-species runs
-    or when the first species starts absent.
     """
 
     b: np.ndarray
     p: np.ndarray
     m: np.ndarray
-    r: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -161,13 +158,12 @@ def simulate(
     horizon: float,
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
-    dense_dt: float | None = None,
 ) -> Trajectory:
     """Integrate the chemostat from ``x0`` over [0, horizon].
 
     Dense output is emitted on a uniform grid with spacing at most
-    ``dense_dt`` (default horizon / ``DENSE_INTERVALS``), including both
-    endpoints.  Raises :class:`StiffnessError` on step-size underflow and
+    horizon / ``DENSE_INTERVALS``, including both endpoints.  Raises
+    :class:`StiffnessError` on step-size underflow and
     :class:`DivergenceError` if the state leaves the finite range.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
@@ -176,10 +172,9 @@ def simulate(
         raise ParameterError("tolerances must lie in (0, 1)")
     if len(growths) != x0.n:
         raise ParameterError("growth law count must match species count")
-    if dense_dt is None:
-        dense_dt = horizon / DENSE_INTERVALS
-    if not (math.isfinite(dense_dt) and dense_dt > 0.0):
-        raise ParameterError(f"dense_dt must be finite and > 0, got {dense_dt!r}")
+    dense_dt = horizon / DENSE_INTERVALS
+    if not dense_dt > 0.0:
+        raise ParameterError(f"horizon {horizon!r} too small for {DENSE_INTERVALS} dense intervals")
 
     f = vector_field(params, growths)
     y = np.concatenate(([x0.s], x0.x)).astype(float)
@@ -309,6 +304,8 @@ def simulate(
     step_states_arr = np.array(step_states)
     _finish_coeffs(conts, step_states_arr[:-1], np.array(step_sizes)[:, None])
 
+    # not the bare constant: the rounding of horizon / dense_dt gives 2001
+    # intervals for some horizons, and the dense grid keeps them
     n_dense = max(1, math.ceil(horizon / dense_dt))
     times = np.linspace(0.0, horizon, n_dense + 1)
     states = _dense_states(times, step_times_arr, step_states_arr, conts)
@@ -323,7 +320,7 @@ def simulate(
         first_step=first_step,
         min_component_preclip=min_preclip,
     )
-    channels = _derive_channel_arrays(states, x0)
+    channels = _derive_channel_arrays(states)
     for arr in (times, states, step_times_arr, step_states_arr, conts):
         arr.setflags(write=False)
     return Trajectory(
@@ -389,22 +386,15 @@ def _dense_states(times, step_times, step_states, step_conts) -> np.ndarray:
     return out
 
 
-def _derive_channel_arrays(states: np.ndarray, x0: State) -> Channels:
+def _derive_channel_arrays(states: np.ndarray) -> Channels:
     x = states[:, 1:]
     b = x.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(b[:, None] >= _B_ZERO, x / b[:, None], np.nan)
     m = states[:, 0] + b
-    r = None
-    if x.shape[1] >= 2 and x0.x[0] > 0.0:
-        # the ratio may overflow to inf when the lead density underflows;
-        # downstream consumers mask non-finite samples
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = np.where(x[:, :1] > 0.0, x[:, 1:] / x[:, :1], np.nan)
-        r.setflags(write=False)
     for arr in (b, p, m):
         arr.setflags(write=False)
-    return Channels(b=b, p=p, m=m, r=r)
+    return Channels(b=b, p=p, m=m)
 
 
 @dataclass(frozen=True)

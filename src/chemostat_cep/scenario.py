@@ -7,8 +7,6 @@ error can name the offending key and line.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -16,11 +14,9 @@ from typing import Iterable
 import numpy as np
 import yaml
 
-from .certificate import GRID_N
 from .dynamics import ChemostatParams, State
 from .errors import ChemostatError, InputError
-from .growth import EQ_TOL, PROBE_FACTOR, ROOT_TOL, GrowthFunction, Hill, Monod, Table
-from .verify import EPS_FINAL, EPS_FLOOR, EPS_MASS, EPS_P, EPS_WASHOUT
+from .growth import PROBE_FACTOR, GrowthFunction, Hill, Monod, Table
 
 # libyaml's composer when PyYAML was built with it; its nodes carry the same
 # tags, values and line marks as the pure-Python one's.
@@ -48,35 +44,6 @@ class Scenario:
     @property
     def growths(self) -> tuple[GrowthFunction, ...]:
         return tuple(g for _, g in self.species)
-
-    def digest(self) -> str:
-        """Stable content hash of everything that affects the run."""
-        payload = {
-            "d": self.params.d,
-            "s_in": self.params.s_in,
-            "species": [
-                [sid, g.kind, sorted((k, v) for k, v in vars(g).items() if not k.startswith("_"))]
-                for sid, g in self.species
-            ],
-            "initial": [self.initial.s, list(map(float, self.initial.x))],
-            "horizon": self.horizon,
-            # Former scenario keys, now constants, are hashed under their old
-            # names so digests stay stable.
-            "tolerances": {**vars(self.tolerances), "eps_p": EPS_P, "eps_final": EPS_FINAL},
-            "options": {
-                "grid_n": GRID_N,
-                "dense_dt": None,  # the library default, horizon / DENSE_INTERVALS
-                "eps_mass": EPS_MASS,
-                "eps_washout": EPS_WASHOUT,
-                "eps_floor": EPS_FLOOR,
-                "eq_tol": EQ_TOL,
-                "root_tol": ROOT_TOL,
-                "probe_factor": PROBE_FACTOR,
-                "persistence_grace": 0.0,
-            },
-        }
-        blob = json.dumps(payload, sort_keys=True, default=str).encode()
-        return hashlib.sha256(blob).hexdigest()
 
 
 # --------------------------------------------------------------------------

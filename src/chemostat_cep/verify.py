@@ -8,16 +8,27 @@ aggregates the applicable claims; its overall verdict is their conjunction.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .certificate import Certificate, build_certificate
+from .certificate import GRID_N, Certificate, build_certificate
 from .dynamics import ChemostatParams, State, predicted_limit
-from .errors import CertificateError, ChemostatError, WashoutError
-from .growth import GrowthFunction, OrderedSpecies, order_species, pack_species, rate_matrix
+from .errors import CertificateError, ChemostatError
+from .growth import (
+    EQ_TOL,
+    PROBE_FACTOR,
+    ROOT_TOL,
+    GrowthFunction,
+    OrderedSpecies,
+    order_species,
+    pack_species,
+    rate_matrix,
+)
 from .integrate import (
     EntryRecord,
     Trajectory,
@@ -27,11 +38,9 @@ from .integrate import (
     scan_persistent_entry,
     simulate,
 )
+from .scenario import Scenario
 
-if TYPE_CHECKING:  # scenario hashes the thresholds below, so it imports this module
-    from .scenario import Scenario
-
-# Claim thresholds of run_report.
+# Claim thresholds; each check reads its own when it runs.
 EPS_MASS = 1e-6  # mass-relaxation band
 EPS_WASHOUT = 1e-4  # final density of a washed-out species
 EPS_FLOOR = 1e-3  # biomass floor after the burn-in
@@ -243,10 +252,8 @@ def _merge_moments(a: tuple, b: tuple) -> tuple:
     )
 
 
-def check_mass_convergence(
-    traj: Trajectory, params: ChemostatParams, eps: float
-) -> ClaimResult:
-    """Total mass reaches and keeps an eps-band around s_in.
+def check_mass_convergence(traj: Trajectory, params: ChemostatParams) -> ClaimResult:
+    """Total mass reaches and keeps an ``EPS_MASS``-band around s_in.
 
     The entry time is predicted from the exact exponential relaxation of the
     mass balance and compared against the trajectory's persistent entry into
@@ -255,7 +262,7 @@ def check_mass_convergence(
     t = traj.times
     m = traj.channels.m
     dev0 = abs(float(m[0]) - params.s_in)
-    t_pred = math.log(dev0 / eps) / params.d if dev0 > eps else 0.0
+    t_pred = math.log(dev0 / EPS_MASS) / params.d if dev0 > EPS_MASS else 0.0
 
     after = t >= t_pred - 1e-12
     if not np.any(after):
@@ -264,17 +271,17 @@ def check_mass_convergence(
             True,
             False,
             {"predicted_entry": t_pred, "horizon": traj.horizon},
-            {"eps": eps},
+            {"eps": EPS_MASS},
             "predicted entry time lies beyond the horizon",
         )
     resid = float(np.max(np.abs(m[after] - params.s_in)))
 
-    inside = np.abs(m - params.s_in) <= eps
+    inside = np.abs(m - params.s_in) <= EPS_MASS
     entry_idx, _ = scan_persistent_entry(inside)
     empirical = float(t[entry_idx]) if entry_idx is not None else None
     time_tol = max(0.05 * t_pred, 2.0 * traj.meta.dense_dt)
     ok_time = empirical is not None and abs(empirical - t_pred) <= time_tol
-    passed = resid <= eps and ok_time
+    passed = resid <= EPS_MASS and ok_time
     return ClaimResult(
         "mass_convergence",
         True,
@@ -285,17 +292,15 @@ def check_mass_convergence(
             "empirical_entry": empirical,
             "max_residual_after_entry": resid,
         },
-        {"eps": eps, "entry_time_tol": time_tol},
+        {"eps": EPS_MASS, "entry_time_tol": time_tol},
     )
 
 
-def check_washout_species(
-    traj: Trajectory, ordered: OrderedSpecies, s_in: float, eps: float
-) -> ClaimResult:
+def check_washout_species(traj: Trajectory, ordered: OrderedSpecies, s_in: float) -> ClaimResult:
     """Species whose break-even level is at or above s_in die out.
 
-    Each such density must end below eps and be non-increasing (within
-    integrator noise) over the final tenth of the samples.
+    Each such density must end below ``EPS_WASHOUT`` and be non-increasing
+    (within integrator noise) over the final tenth of the samples.
     """
     targets = [
         (rec.id, ordered.permutation[pos])
@@ -318,7 +323,7 @@ def check_washout_species(
         if increase.size and float(np.max(increase)) > 0.0:
             monotone_ok = False
             worst_increase = max(worst_increase, float(np.max(np.diff(tail))))
-    passed = worst_final < eps and monotone_ok
+    passed = worst_final < EPS_WASHOUT and monotone_ok
     return ClaimResult(
         "washout_extinction",
         True,
@@ -328,17 +333,12 @@ def check_washout_species(
             "worst_final_density": worst_final,
             "worst_tail_increase": worst_increase,
         },
-        {"eps": eps},
+        {"eps": EPS_WASHOUT},
     )
 
 
-def check_biomass_floor(
-    traj: Trajectory,
-    ordered: OrderedSpecies,
-    params: ChemostatParams,
-    eps_floor: float,
-) -> ClaimResult:
-    """Total biomass stays above a positive floor after a burn-in.
+def check_biomass_floor(traj: Trajectory, ordered: OrderedSpecies, params: ChemostatParams) -> ClaimResult:
+    """Total biomass stays above the floor ``EPS_FLOOR`` after a burn-in.
 
     Applicable only when some initially present species has a break-even
     level below s_in; the burn-in is the first tenth of the horizon.
@@ -358,9 +358,9 @@ def check_biomass_floor(
     return ClaimResult(
         "biomass_floor",
         True,
-        floor >= eps_floor,
+        floor >= EPS_FLOOR,
         {"floor": floor, "burn_in": t_burn},
-        {"eps_floor": eps_floor},
+        {"eps_floor": EPS_FLOOR},
     )
 
 
@@ -427,7 +427,6 @@ def check_induction_properties(
     traj: Trajectory,
     cert: Certificate,
     id_to_column: Mapping[str, int],
-    eps_p: float,
 ) -> list[ClaimResult]:
     """Per-stage absorbing-interval entries and ratio decay.
 
@@ -435,7 +434,7 @@ def check_induction_properties(
     good, no earlier than the next (wider) stage's entry, and every pack
     above i to decay: the log of its summed density ratio against the lead
     species must fall at least at rate nu less a slack of 0.1 nu, and its
-    final proportion must end below eps_p.
+    final proportion must end below ``EPS_P``.
 
     Every stage fits every pack's ratio on the tail from its entry, in one
     pass (``fit_log_decay_tails``), and ``_stage_claims`` reads the verdicts
@@ -469,7 +468,7 @@ def check_induction_properties(
     found = np.searchsorted(t, [math.inf if e is None else e for e in times], side="left").tolist()
     starts = [None if e is None else k for e, k in zip(times, found)]
     slopes, used = fit_log_decay_tails(t, ratios, starts)
-    return _stage_claims(entries, slopes, used >= _MIN_FIT_SAMPLES, p_final, cert.nu, eps_p)
+    return _stage_claims(entries, slopes, used >= _MIN_FIT_SAMPLES, p_final, cert.nu)
 
 
 def _stage_claims(
@@ -478,7 +477,6 @@ def _stage_claims(
     fittable: np.ndarray,
     p_final: np.ndarray,
     nu: float,
-    eps_p: float,
 ) -> list[ClaimResult]:
     """One claim per stage from its entry and the (stages x packs) fits.
 
@@ -486,7 +484,7 @@ def _stage_claims(
     column c is pack c + 2, and ``p_final[c]`` that pack's final
     proportion; stage i checks the packs c >= i.  A slope counts only where
     it is fittable and the stage has an entry; otherwise the pair passes
-    when the pack's final proportion is below eps_p (its ratio fell under
+    when the pack's final proportion is below ``EPS_P`` (its ratio fell under
     the log floor: extinct).
 
     Stage i measures its entry, the slope and final proportion of pack
@@ -504,7 +502,7 @@ def _stage_claims(
     checked = packs >= np.array([m if e is None else i for i, e in enumerate(times)])[:, None]
     fitted = fittable & checked
     p_list = p_final.tolist()
-    prop_list = [math.isfinite(p) and p < eps_p for p in p_list]
+    prop_list = [math.isfinite(p) and p < EPS_P for p in p_list]
 
     stage_ok = [e is not None for e in times]
     details: list[list[str]] = [[] for _ in range(m)]
@@ -529,7 +527,7 @@ def _stage_claims(
             details[i].append(f"pack {c + 2} decay rate {float(slopes[i, c]):.4g} above {slope_threshold:.4g}")
             stage_ok[i] = False
         if not prop:
-            details[i].append(f"pack {c + 2} final proportion {p_list[c]:.4g} >= {eps_p:g}")
+            details[i].append(f"pack {c + 2} final proportion {p_list[c]:.4g} >= {EPS_P:g}")
             stage_ok[i] = False
 
     slope_max, slope_pack = _governing(slopes, fitted)
@@ -552,7 +550,7 @@ def _stage_claims(
                 True,
                 stage_ok[i],
                 measured,
-                {"nu": nu, "slope_threshold": slope_threshold, "eps_p": eps_p},
+                {"nu": nu, "slope_threshold": slope_threshold, "eps_p": EPS_P},
                 "; ".join(details[i]),
             )
         )
@@ -587,11 +585,11 @@ def _governing(
     return out
 
 
-def check_final_convergence(traj: Trajectory, predicted: State, eps: float) -> ClaimResult:
-    """Final state matches the predicted limit within eps.
+def check_final_convergence(traj: Trajectory, predicted: State) -> ClaimResult:
+    """Final state matches the predicted limit within ``EPS_FINAL``.
 
     The winner pack is compared by its summed density (only the pack total
-    is predicted); every other density must end at or below eps.
+    is predicted); every other density must end at or below ``EPS_FINAL``.
     """
     s_final = float(traj.states[-1, 0])
     x_final = traj.states[-1, 1:]
@@ -600,7 +598,7 @@ def check_final_convergence(traj: Trajectory, predicted: State, eps: float) -> C
     pack_err = abs(float(np.sum(x_final[winner])) - float(np.sum(predicted.x[winner])))
     others = x_final[~winner]
     others_max = float(np.max(others)) if others.size else 0.0
-    passed = s_err <= eps and pack_err <= eps and others_max <= eps
+    passed = s_err <= EPS_FINAL and pack_err <= EPS_FINAL and others_max <= EPS_FINAL
     return ClaimResult(
         "final_state",
         True,
@@ -610,7 +608,7 @@ def check_final_convergence(traj: Trajectory, predicted: State, eps: float) -> C
             "winner_pack_error": pack_err,
             "max_loser_density": others_max,
         },
-        {"eps": eps},
+        {"eps": EPS_FINAL},
     )
 
 
@@ -632,7 +630,6 @@ def run_report(scenario: Scenario) -> VerificationReport:
     id_to_column = {sid: 1 + k for k, (sid, _) in enumerate(scenario.species)}
 
     claims: list[ClaimResult] = []
-    cert_summary: dict | None = None
     try:
         traj = simulate(
             params,
@@ -646,11 +643,11 @@ def run_report(scenario: Scenario) -> VerificationReport:
         claims.append(
             ClaimResult("simulation", True, False, {}, {}, f"integration failed: {exc}")
         )
-        return VerificationReport(scenario.digest(), None, tuple(claims), False)
+        return VerificationReport(scenario_digest(scenario), None, tuple(claims), False)
 
-    claims.append(check_mass_convergence(traj, params, EPS_MASS))
-    claims.append(check_washout_species(traj, ordered_full, params.s_in, EPS_WASHOUT))
-    claims.append(check_biomass_floor(traj, ordered_full, params, EPS_FLOOR))
+    claims.append(check_mass_convergence(traj, params))
+    claims.append(check_washout_species(traj, ordered_full, params.s_in))
+    claims.append(check_biomass_floor(traj, ordered_full, params))
 
     active = [
         (sid, g)
@@ -665,9 +662,7 @@ def run_report(scenario: Scenario) -> VerificationReport:
         try:
             cert = build_certificate(ordered_active, params.d, params.s_in)
             cert_summary = cert.to_dict()
-        except WashoutError as exc:  # unreachable when viable, kept for safety
-            cert_summary = {"status": "washout", "detail": str(exc)}
-        except CertificateError as exc:
+        except CertificateError as exc:  # never WashoutError: a viable species is present
             cert_summary = {"status": "error", "detail": str(exc)}
             claims.append(
                 ClaimResult(
@@ -688,17 +683,43 @@ def run_report(scenario: Scenario) -> VerificationReport:
 
     if cert is not None and not cert.degenerate:
         claims.append(check_substrate_frame(traj, cert, growths, params))
-        claims.extend(check_induction_properties(traj, cert, id_to_column, EPS_P))
+        claims.extend(check_induction_properties(traj, cert, id_to_column))
     else:
-        why = (
-            "degenerate certificate"
-            if cert is not None
-            else (cert_summary or {}).get("detail", "no certificate")
-        )
+        why = "degenerate certificate" if cert is not None else cert_summary["detail"]
         claims.append(_not_applicable("substrate_frame", why))
         claims.append(_not_applicable("exclusion_stage_1", why))
 
-    claims.append(check_final_convergence(traj, predicted, EPS_FINAL))
+    claims.append(check_final_convergence(traj, predicted))
 
     overall = all(c.passed for c in claims if c.applicable)
-    return VerificationReport(scenario.digest(), cert_summary, tuple(claims), overall)
+    return VerificationReport(scenario_digest(scenario), cert_summary, tuple(claims), overall)
+
+
+def scenario_digest(scenario: Scenario) -> str:
+    """Stable content hash of everything that affects a scenario's run."""
+    payload = {
+        "d": scenario.params.d,
+        "s_in": scenario.params.s_in,
+        "species": [
+            [sid, g.kind, sorted((k, v) for k, v in vars(g).items() if not k.startswith("_"))]
+            for sid, g in scenario.species
+        ],
+        "initial": [scenario.initial.s, list(map(float, scenario.initial.x))],
+        "horizon": scenario.horizon,
+        # Former scenario keys, now constants, are hashed under their old
+        # names so digests stay stable.
+        "tolerances": {**vars(scenario.tolerances), "eps_p": EPS_P, "eps_final": EPS_FINAL},
+        "options": {
+            "grid_n": GRID_N,
+            "dense_dt": None,  # horizon / DENSE_INTERVALS
+            "eps_mass": EPS_MASS,
+            "eps_washout": EPS_WASHOUT,
+            "eps_floor": EPS_FLOOR,
+            "eq_tol": EQ_TOL,
+            "root_tol": ROOT_TOL,
+            "probe_factor": PROBE_FACTOR,
+            "persistence_grace": 0.0,
+        },
+    }
+    blob = json.dumps(payload, sort_keys=True, default=str).encode()
+    return hashlib.sha256(blob).hexdigest()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from chemostat_cep import ChemostatParams, Monod, State, order_species, simulate
+from chemostat_cep import certificate as certificate_mod
 from chemostat_cep.certificate import _pack_gap, build_certificate
 from chemostat_cep.errors import CertificateError, ParameterError
 from chemostat_cep.growth import OrderedSpecies
@@ -80,16 +81,16 @@ def mass_closed_form(m0: float, params: ChemostatParams, t) -> float | np.ndarra
 def compute_nu(
     ordered: OrderedSpecies,
     margins: tuple[tuple[float, float], ...],
-    grid_n: int = 2048,
 ) -> float:
-    """Uniform domination margin: half the smallest grid gap over all boundaries."""
+    """Uniform domination margin: half the smallest gap over all boundaries,
+    on grids of ``GRID_N`` intervals."""
     if ordered.n_packs < 2:
         raise ParameterError("need at least two packs for a domination margin")
     if len(margins) != ordered.n_packs - 1:
         raise ParameterError("one margin pair per boundary is required")
     worst = math.inf
     for i, (s_minus, s_plus) in enumerate(margins):
-        grid = np.linspace(s_minus, s_plus, grid_n + 1)
+        grid = np.linspace(s_minus, s_plus, certificate_mod.GRID_N + 1)
         worst = min(worst, float(np.min(_pack_gap(ordered, i, grid))))
     if worst <= 0.0:
         raise CertificateError(f"non-positive domination gap {worst:g} on margins")

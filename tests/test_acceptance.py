@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from chemostat_cep import ChemostatParams, Monod, State, build_certificate, order_species, run_report, simulate
+from chemostat_cep import verify
 from chemostat_cep.certificate import recheck_certificate
 from chemostat_cep.growth import break_even
 from chemostat_cep.integrate import first_persistent_entry
@@ -114,7 +115,7 @@ def test_c06_substrate_frame(canonical_trajectory, canonical_certificate):
 def test_c07_staged_exclusion(canonical_trajectory, canonical_certificate):
     with criterion("C7 entry ordering, ratio decay, final proportions"):
         cert = canonical_certificate
-        results = check_induction_properties(canonical_trajectory, cert, ID_TO_COL, 1e-4)
+        results = check_induction_properties(canonical_trajectory, cert, ID_TO_COL)
         assert all(r.passed for r in results)
         t1 = results[0].measured["entry_time"]
         t2 = results[1].measured["entry_time"]
@@ -133,7 +134,7 @@ def test_c08_washout_species_added(canonical_trajectory):
         traj = simulate(PARAMS, growths, State(s=10.0, x=np.array([0.01] * 4)), 80.0)
         assert traj.states[-1, 4] < 1e-4
         ordered = order_species(species, 1.0, 10.0)
-        assert check_washout_species(traj, ordered, 10.0, 1e-4).passed
+        assert check_washout_species(traj, ordered, 10.0).passed
         # the three-species outcome is undisturbed beyond 1e-4
         base = canonical_trajectory.states[-1]
         assert float(np.max(np.abs(traj.states[-1, :4] - base))) < 1e-4
@@ -159,33 +160,37 @@ def test_c09_identical_level_packing():
         assert slope <= -cert.nu + 0.1 * cert.nu
 
 
-def test_c10_negative_controls(canonical_trajectory, canonical_ordered, canonical_certificate):
+def test_c10_negative_controls(canonical_trajectory, canonical_ordered, canonical_certificate, monkeypatch):
     with criterion("C10 corrupted constants and thresholds all flip to fail"):
         traj = canonical_trajectory
         cert = canonical_certificate
         flips = []
 
         # 1. mass-law prediction with a wrong removal rate
-        flips.append(check_mass_convergence(traj, ChemostatParams(2.0, 10.0), 1e-6))
+        flips.append(check_mass_convergence(traj, ChemostatParams(2.0, 10.0)))
         # 2. mass threshold far below integrator accuracy
-        flips.append(check_mass_convergence(traj, PARAMS, 1e-16))
+        monkeypatch.setattr(verify, "EPS_MASS", 1e-16)
+        flips.append(check_mass_convergence(traj, PARAMS))
         # 3. washout threshold below the reachable density floor
         species = CANONICAL_SPECIES + (("slow", Monod(1.0, 1.0)),)
         trajw = simulate(PARAMS, [g for _, g in species], State(s=10.0, x=np.array([0.01] * 4)), 80.0)
         ord4 = order_species(species, 1.0, 10.0)
-        flips.append(check_washout_species(trajw, ord4, 10.0, 1e-300))
+        monkeypatch.setattr(verify, "EPS_WASHOUT", 1e-300)
+        flips.append(check_washout_species(trajw, ord4, 10.0))
         # 4. biomass floor above the physically possible level
-        flips.append(check_biomass_floor(traj, canonical_ordered, PARAMS, 2.0 * PARAMS.s_in))
+        monkeypatch.setattr(verify, "EPS_FLOOR", 2.0 * PARAMS.s_in)
+        flips.append(check_biomass_floor(traj, canonical_ordered, PARAMS))
         # 5. frame rail pushed below the limit of the mass ratio
         bad_frame = dataclasses.replace(cert, d_plus=cert.d - cert.gamma_minus / 4.0)
         flips.append(check_substrate_frame(traj, bad_frame, GROWTHS, PARAMS))
         # 6. inflated domination margin makes the decay requirement unmeetable
         bad_nu = dataclasses.replace(cert, nu=50.0 * cert.nu)
-        stage = check_induction_properties(traj, bad_nu, ID_TO_COL, 1e-4)
+        stage = check_induction_properties(traj, bad_nu, ID_TO_COL)
         flips.append(min(stage, key=lambda c: c.passed))
         # 7. final-state tolerance below the integrator's resolution
         predicted = State(s=LAM[0], x=np.array([9.5, 0.0, 0.0]))
-        flips.append(check_final_convergence(traj, predicted, 1e-13))
+        monkeypatch.setattr(verify, "EPS_FINAL", 1e-13)
+        flips.append(check_final_convergence(traj, predicted))
 
         assert len(flips) >= 6
         for claim in flips:

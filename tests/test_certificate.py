@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from chemostat_cep import Monod, build_certificate, order_species
+from chemostat_cep import certificate as certificate_mod
 from chemostat_cep.certificate import (
     dilution_bounds,
     gamma_bounds,
@@ -223,9 +224,11 @@ class TestBuildCertificate:
         assert d["status"] == "ok"
         assert len(d["intervals"]) == 2
 
-    def test_random_monod_families_always_certify(self):
+    def test_random_monod_families_always_certify(self, monkeypatch):
         # any strictly ordered Monod family below the inflow level must
-        # produce a certificate that survives a finer recheck
+        # produce a certificate that survives a finer recheck, also on
+        # coarser margin grids
+        monkeypatch.setattr(certificate_mod, "GRID_N", 512)
         rng = np.random.default_rng(42)
         built = 0
         for _ in range(25):
@@ -240,7 +243,7 @@ class TestBuildCertificate:
             finite = sum(
                 1 for i in range(ordered.n_packs) if math.isfinite(ordered.pack_lambda(i))
             )
-            cert = build_certificate(ordered, 1.0, 10.0, grid_n=512)
+            cert = build_certificate(ordered, 1.0, 10.0)
             if finite < 2:
                 assert cert.degenerate
                 continue

@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chemostat_cep import Hill, InputError, Monod, Scenario, State, Table, order_species, parse_scenario, simulate
-from chemostat_cep import cli
+from chemostat_cep import cli, integrate
 from chemostat_cep import scenario as scenario_mod
 from chemostat_cep.cli import main, write_trajectory_csv
+from chemostat_cep.verify import scenario_digest
 
 from conftest import make_scenario
 
@@ -118,9 +119,9 @@ class TestParseScenario:
     def test_digest_is_stable_and_sensitive(self, canonical_file):
         a = parse_scenario(canonical_file)
         b = parse_scenario(canonical_file)
-        assert a.digest() == b.digest()
+        assert scenario_digest(a) == scenario_digest(b)
         c = make_scenario(horizon=81.0)
-        assert c.digest() != a.digest()
+        assert scenario_digest(c) != scenario_digest(a)
 
     @pytest.mark.parametrize(
         "name, digest",
@@ -132,7 +133,7 @@ class TestParseScenario:
     def test_digest_of_stored_scenarios_is_pinned(self, name, digest):
         # Reports carry the digest, so a payload change alters every report.
         path = Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.yaml"
-        assert parse_scenario(str(path)).digest() == digest
+        assert scenario_digest(parse_scenario(str(path))) == digest
 
 
 def _wide_yaml(n=100):
@@ -214,26 +215,27 @@ class TestTrajectoryCsv:
         assert float(row[0]) == canonical_trajectory.times[k]
         assert float(row[1]) == canonical_trajectory.states[k, 0]
         assert float(row[5]) == canonical_trajectory.channels.b[k]
-        assert float(row[10]) == canonical_trajectory.channels.r[k, 0]
+        assert float(row[10]) == canonical_trajectory.states[k, 2] / canonical_trajectory.states[k, 1]
 
-    def test_every_cell_roundtrips(self):
+    def test_every_cell_roundtrips(self, monkeypatch):
         # shorter run, but every numeric cell must reproduce its float
+        monkeypatch.setattr(integrate, "DENSE_INTERVALS", 100)
         traj = simulate(
             make_scenario().params,
             [Monod(3, 1), Monod(4, 2)],
             State(s=10.0, x=np.array([0.02, 0.01])),
             5.0,
-            dense_dt=0.05,
         )
         buf = io.StringIO()
         write_trajectory_csv(traj, buf)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        assert len(rows) - 1 == 101
         ch = traj.channels
         for k, row in enumerate(rows[1:]):
             expected = [
                 traj.times[k], traj.states[k, 0], traj.states[k, 1],
                 traj.states[k, 2], ch.b[k], ch.p[k, 0], ch.p[k, 1],
-                ch.m[k], ch.r[k, 0],
+                ch.m[k], traj.states[k, 2] / traj.states[k, 1],
             ]
             for cell, value in zip(row, expected):
                 assert float(cell) == value
@@ -259,6 +261,17 @@ class TestTrajectoryCsv:
         assert all(row[p1] == "" for row in rows[1:])
         assert all(row[r2] == "" for row in rows[1:])
 
+    def test_ratios_empty_without_lead_species(self):
+        # species 1 starts absent: no ratio is written, although x2 grows
+        traj = simulate(
+            make_scenario().params, [Monod(3, 1), Monod(4, 2)], State(s=10.0, x=np.array([0.0, 0.01])), 5.0
+        )
+        buf = io.StringIO()
+        write_trajectory_csv(traj, buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
+        r2 = rows[0].index("r2")
+        assert traj.states[-1, 2] > 0.01 and all(row[r2] == "" for row in rows[1:])
+
 
 # --------------------------------------------------------------------------
 # The per-cell writers that the block writers replaced, kept as oracles.
@@ -279,17 +292,16 @@ def _reference_trajectory_csv(traj) -> str:
         header += [f"r{i}" for i in range(2, n + 1)]
     out.write(",".join(header) + "\n")
     ch = traj.channels
+    lead_present = traj.states[0, 1] > 0.0
     for k in range(traj.times.size):
         row = [_cell(traj.times[k]), _cell(traj.states[k, 0])]
         row += [_cell(v) for v in traj.states[k, 1:]]
         row.append(_cell(ch.b[k]))
         row += [_cell(v) for v in ch.p[k]]
         row.append(_cell(ch.m[k]))
-        if n >= 2:
-            if ch.r is None:
-                row += [""] * (n - 1)
-            else:
-                row += [_cell(v) for v in ch.r[k]]
+        lead = traj.states[k, 1]
+        with np.errstate(over="ignore"):  # x_i / x_1 overflows where x_1 underflows
+            row += [_cell(v / lead) if lead_present and lead > 0.0 else "" for v in traj.states[k, 2:]]
         out.write(",".join(row) + "\n")
     return out.getvalue()
 
@@ -327,9 +339,9 @@ TRAJECTORY_CASES = {
 }
 
 
-def _trajectory_case(name, **kw):
+def _trajectory_case(name):
     laws, x0, s0, horizon = TRAJECTORY_CASES[name]
-    return simulate(_UNIT, laws, State(s=s0, x=np.array(x0)), horizon, **kw)
+    return simulate(_UNIT, laws, State(s=s0, x=np.array(x0)), horizon)
 
 
 class TestCsvByteIdentity:
@@ -347,11 +359,13 @@ class TestCsvByteIdentity:
         assert self._written(traj) == _reference_trajectory_csv(traj)
 
     def test_cases_reach_the_special_cells(self):
-        assert _trajectory_case("lead absent").channels.r is None
+        assert _trajectory_case("lead absent").states[0, 1] == 0.0
         assert np.all(np.isnan(_trajectory_case("no biomass").channels.p))
         assert np.isnan(_trajectory_case("one species washing out").channels.p[-1, 0])
-        r = _trajectory_case("lead washout").channels.r
-        assert np.isinf(r).sum() > 100 and not np.isnan(r).any()
+        x = _trajectory_case("lead washout").states[:, 1:]
+        with np.errstate(over="ignore"):
+            r = x[:, 1:] / x[:, :1]
+        assert np.isinf(r).sum() > 100 and np.all(x[:, 0] > 0.0)
 
     @pytest.mark.parametrize("block_rows", [1, 7, 256, 2001, 4096])
     def test_block_boundaries(self, canonical_trajectory, block_rows, monkeypatch):
@@ -360,8 +374,9 @@ class TestCsvByteIdentity:
         assert self._written(canonical_trajectory) == _reference_trajectory_csv(canonical_trajectory)
 
     @pytest.mark.parametrize("rows", [255, 256, 257, 512, 513])
-    def test_row_counts_around_the_block_size(self, rows):
-        traj = _trajectory_case("hill/table mix", dense_dt=40.0 / (rows - 1))  # horizon 40
+    def test_row_counts_around_the_block_size(self, rows, monkeypatch):
+        monkeypatch.setattr(integrate, "DENSE_INTERVALS", rows - 1)
+        traj = _trajectory_case("hill/table mix")
         assert traj.times.size == rows
         assert self._written(traj) == _reference_trajectory_csv(traj)
 

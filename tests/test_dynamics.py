@@ -107,7 +107,7 @@ def from_transformed(tstate: TransformedState) -> State:
 
 def _channels(state: State):
     """The simulator's derived channels of a single state."""
-    return _derive_channel_arrays(np.concatenate(([state.s], state.x))[None, :], state)
+    return _derive_channel_arrays(np.concatenate(([state.s], state.x))[None, :])
 
 
 def _random_positive_states(n_species, count, seed):
@@ -215,14 +215,10 @@ class TestChartMaps:
 
 
 class TestDerivedChannels:
-    def test_mass_and_ratios(self):
+    def test_mass_and_proportions(self):
         ch = _channels(State(s=1.0, x=np.array([2.0, 4.0, 1.0])))
-        assert ch.m[0] == 8.0
-        np.testing.assert_allclose(ch.r[0], [2.0, 0.5])
-
-    def test_ratios_undefined_without_lead_species(self):
-        ch = _channels(State(s=1.0, x=np.array([0.0, 4.0])))
-        assert ch.r is None
+        assert ch.m[0] == 8.0 and ch.b[0] == 7.0
+        np.testing.assert_allclose(ch.p[0], [2.0 / 7.0, 4.0 / 7.0, 1.0 / 7.0])
 
 
 class TestPredictedLimit:
@@ -274,8 +270,7 @@ class TestLogRatioLaw:
         )
         h = 1e-4
         for t in (1.0, 3.0, 7.5, 15.0):
-            fwd = _channels(traj.sample(t + h)).r[0]
-            bwd = _channels(traj.sample(t - h)).r[0]
+            fwd, bwd = (x[1:] / x[0] for x in (traj.sample(t + h).x, traj.sample(t - h).x))
             fd = (np.log(fwd) - np.log(bwd)) / (2 * h)
             s_mid = traj.sample(t).s
             expected = np.array([g(s_mid) - GROWTHS[0](s_mid) for g in GROWTHS[1:]])

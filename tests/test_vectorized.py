@@ -36,8 +36,9 @@ from chemostat_cep import (
     simulate,
 )
 from chemostat_cep import certificate as certificate_mod
-from chemostat_cep import dynamics
+from chemostat_cep import dynamics, integrate
 from chemostat_cep.certificate import (
+    GRID_N,
     _ROUNDING_ALLOWANCE,
     _envelope_rows,
     _pack_gap,
@@ -58,7 +59,7 @@ from chemostat_cep.integrate import (
     persistent_entries,
     scan_persistent_entry,
 )
-from chemostat_cep.verify import ClaimResult, _governing, _stage_claims, fit_log_decay, fit_log_decay_tails
+from chemostat_cep.verify import EPS_P, ClaimResult, _governing, _stage_claims, fit_log_decay, fit_log_decay_tails
 
 from conftest import CANONICAL_SPECIES, compute_nu
 
@@ -403,7 +404,7 @@ def stage_inputs(draw):
     fittable = np.array(draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))).reshape(m, m)
     p_final = np.array(draw(st.lists(_p_values, min_size=m, max_size=m)))
     nu = draw(st.sampled_from([0.5, 0.05]))
-    return entries, slopes, fittable, p_final, nu, 1e-4
+    return entries, slopes, fittable, p_final, nu
 
 
 class TestStageClaims:
@@ -416,12 +417,11 @@ class TestStageClaims:
             np.array([[True, True, False], [True, False, True], [True, True, True]]),
             np.array([1e-5, math.nan, math.inf]),
             0.5,
-            1e-4,
         )
     )
     def test_matches_the_per_pair_loop(self, inputs):
         got = _stage_claims(*inputs)
-        want = _stage_claims_reference(*inputs)
+        want = _stage_claims_reference(*inputs, EPS_P)
         assert [c.claim_id for c in got] == [c.claim_id for c in want]
         for g, w in zip(got, want):
             assert (g.applicable, g.passed, g.detail) == (w.applicable, w.passed, w.detail), w.claim_id
@@ -544,13 +544,15 @@ class TestDenseStates:
         st.floats(min_value=0.0, max_value=12.0),
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=0.5, max_value=30.0),
-        st.sampled_from([None, 0.05, 0.37]),
+        st.sampled_from([integrate.DENSE_INTERVALS, 200, 25]),
     )
     @settings(max_examples=15, deadline=None)
-    def test_random_runs_dense_grid_equals_sample(self, mu2, k2, s0, x1, horizon, dense_dt):
+    def test_random_runs_dense_grid_equals_sample(self, mu2, k2, s0, x1, horizon, intervals):
         growths = [Monod(3.0, 1.0), Monod(mu2, k2)]
         x0 = State(s=s0, x=np.array([0.05, x1]))
-        traj = simulate(ChemostatParams(1.0, 10.0), growths, x0, horizon, dense_dt=dense_dt)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrate, "DENSE_INTERVALS", intervals)
+            traj = simulate(ChemostatParams(1.0, 10.0), growths, x0, horizon)
         _assert_dense_equals_sample(traj)
 
 
@@ -648,7 +650,7 @@ class TestPersistentEntries:
         traj = Trajectory(
             times=times,
             states=states,
-            channels=Channels(b=np.zeros(3), p=empty, m=states[:, 0], r=None),
+            channels=Channels(b=np.zeros(3), p=empty, m=states[:, 0]),
             meta=IntegratorStats(0, 0, 0, 1e-8, 1e-10, 1.0, 2.0, 0.0),
             step_times=step_times,
             step_states=step_states,
@@ -761,7 +763,7 @@ class TestCertificateArrays:
         ordered = order_species(MIXED, 1.0, 10.0)
         cert = build_certificate(ordered, 1.0, 10.0)
         margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
-        assert cert.nu == compute_nu(ordered, margins, grid_n=cert.grid_n)
+        assert cert.nu == compute_nu(ordered, margins)
 
     def test_gamma_bounds_match_scalar_loop(self):
         ordered = order_species(MIXED, 1.0, 10.0)
@@ -816,7 +818,7 @@ class TestCertificateSelfCheck:
         assert not cert.degenerate
         assert recheck_certificate(cert, ordered, grid_factor=1) == []
         for i, b in enumerate(cert.boundaries):
-            grid = np.linspace(b.s_minus, b.s_plus, cert.grid_n + 1)
+            grid = np.linspace(b.s_minus, b.s_plus, GRID_N + 1)
             assert b.gap_min == float(np.min(_pack_gap(ordered, i, grid)))
 
 
@@ -878,29 +880,29 @@ def _outcome(fn):
         return str(exc)
 
 
-def _assert_certificate_matches_every_row(ordered, d=1.0, s_in=10.0, grid_n=2048):
+def _assert_certificate_matches_every_row(ordered, d=1.0, s_in=10.0):
     """build_certificate against the same construction with every slower row."""
-    got = _outcome(lambda: build_certificate(ordered, d, s_in, grid_n=grid_n))
+    got = _outcome(lambda: build_certificate(ordered, d, s_in))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certificate_mod, "_envelope_rows", lambda o, s, n: [None] * (o.n_packs - 1))
-        want = _outcome(lambda: build_certificate(ordered, d, s_in, grid_n=grid_n))
+        mp.setattr(certificate_mod, "_envelope_rows", lambda o, s: [None] * (o.n_packs - 1))
+        want = _outcome(lambda: build_certificate(ordered, d, s_in))
     assert got == want
     if isinstance(got, str):
         return None
-    rows = _envelope_rows(ordered, s_in, grid_n)
+    rows = _envelope_rows(ordered, s_in)
     limit = None
     for i in reversed(range(len(got.boundaries))):
         b = got.boundaries[i]
-        ref = separation_margins(ordered, i, s_in, grid_n=grid_n, s_plus_limit=limit)
+        ref = separation_margins(ordered, i, s_in, s_plus_limit=limit)
         assert (b.s_minus, b.s_plus, b.delta, b.gap_min) == (ref.s_minus, ref.s_plus, ref.delta, ref.gap_min)
-        grid = np.linspace(b.s_minus, b.s_plus, grid_n + 1)
+        grid = np.linspace(b.s_minus, b.s_plus, GRID_N + 1)
         every = _pack_gap(ordered, i, grid)
         assert np.array_equal(_pack_gap(ordered, i, grid, rows[i]), every)
         assert b.gap_min == float(np.min(every))
         limit = ref.s_plus
     if not got.degenerate:
         margins = tuple((b.s_minus, b.s_plus) for b in got.boundaries)
-        assert got.nu == compute_nu(ordered, margins, grid_n=grid_n)
+        assert got.nu == compute_nu(ordered, margins)
     return got
 
 
@@ -948,7 +950,7 @@ class TestEnvelopeRows:
         assert not cert.degenerate
         b0 = cert.boundaries[0]
         if case == "overtaking":
-            grid = np.linspace(b0.s_minus, b0.s_plus, cert.grid_n + 1)
+            grid = np.linspace(b0.s_minus, b0.s_plus, GRID_N + 1)
             assert set(np.argmax(_slower_rates(ordered, 0, grid), axis=0)) == {0, 1}
         elif case == "multi-species packs":
             assert all(len(p.ids) == 3 for p in cert.packs)
@@ -959,7 +961,7 @@ class TestEnvelopeRows:
         elif case == "zero at the left end":
             assert b0.s_minus < 0.26 and _slower_rates(ordered, 0, b0.s_minus).max() == 0.0
         elif case == "subnormal rates":
-            assert _envelope_rows(ordered, 10.0, cert.grid_n)[-1].size == 2
+            assert _envelope_rows(ordered, 10.0)[-1].size == 2
 
     @given(mu_maxes, mu_maxes, st.floats(min_value=1.05, max_value=3.0))
     @settings(max_examples=40, deadline=None)
@@ -972,7 +974,7 @@ class TestEnvelopeRows:
         lams = rng.permutation(np.linspace(0.5, 6.5, 100) + rng.uniform(0.0, 0.05, 100))
         species = tuple((f"m{k}", _monod_at(float(lam), float(rng.uniform(1.2, 6.0)))) for k, lam in enumerate(lams))
         ordered = order_species(species, 1.0, 10.0)
-        rows = _envelope_rows(ordered, 10.0, 2048)
+        rows = _envelope_rows(ordered, 10.0)
         kept = sum(r.size for r in rows)
         slower = sum(ordered.n - ordered.packs[i + 1][0] for i in range(ordered.n_packs - 1))
         assert slower == 4950 and kept < 0.2 * slower
@@ -985,7 +987,7 @@ class TestEnvelopeRows:
         species = (("a", Monod(3.0, 1.0)), ("b", _monod_at(2.0, 5.0)), ("c", Custom(1.5, 1.5)), ("d", _monod_at(4.0, 1.2)))
         ordered = order_species(species, 1.0, 10.0)
         custom = next(k for k, rec in enumerate(ordered.records) if rec.id == "c")
-        assert all(custom in r for r in _envelope_rows(ordered, 10.0, 2048)[:2])
+        assert all(custom in r for r in _envelope_rows(ordered, 10.0)[:2])
         _assert_certificate_matches_every_row(ordered)
 
 

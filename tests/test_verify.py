@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from chemostat_cep import ChemostatParams, Monod, State, Table, build_certificate, order_species, run_report, simulate
+from chemostat_cep import verify
 from chemostat_cep.errors import ParameterError
 from chemostat_cep.verify import (
     check_biomass_floor,
@@ -45,32 +46,32 @@ def washout_added_trajectory():
 class TestMassConvergence:
     def test_equilibrium_start(self):
         traj = simulate(PARAMS, [Monod(3, 1)], State(s=9.9, x=np.array([0.1])), 20.0)
-        res = check_mass_convergence(traj, PARAMS, 1e-6)
+        res = check_mass_convergence(traj, PARAMS)
         assert res.passed
         assert res.measured["predicted_entry"] == 0.0
         assert res.measured["empirical_entry"] == 0.0
 
     def test_canonical(self, canonical_trajectory):
-        res = check_mass_convergence(canonical_trajectory, PARAMS, 1e-6)
+        res = check_mass_convergence(canonical_trajectory, PARAMS)
         assert res.passed
         pred = res.measured["predicted_entry"]
         emp = res.measured["empirical_entry"]
         assert abs(emp - pred) <= 0.05 * pred
 
     def test_sabotaged_prediction_fails(self, canonical_trajectory):
-        res = check_mass_convergence(canonical_trajectory, ChemostatParams(2.0, 10.0), 1e-6)
+        res = check_mass_convergence(canonical_trajectory, ChemostatParams(2.0, 10.0))
         assert not res.passed
 
 
 class TestWashoutSpecies:
     def test_added_slow_species_dies(self, washout_added_trajectory):
         traj, ordered = washout_added_trajectory
-        res = check_washout_species(traj, ordered, 10.0, 1e-4)
+        res = check_washout_species(traj, ordered, 10.0)
         assert res.passed
         assert res.measured["worst_final_density"] < 1e-4
 
     def test_not_applicable_without_washout_species(self, canonical_trajectory, canonical_ordered):
-        res = check_washout_species(canonical_trajectory, canonical_ordered, 10.0, 1e-4)
+        res = check_washout_species(canonical_trajectory, canonical_ordered, 10.0)
         assert not res.applicable
 
     def test_vacuous_when_starting_absent(self):
@@ -82,13 +83,13 @@ class TestWashoutSpecies:
             40.0,
         )
         ordered = order_species(species, 1.0, 10.0)
-        res = check_washout_species(traj, ordered, 10.0, 1e-4)
+        res = check_washout_species(traj, ordered, 10.0)
         assert res.passed
 
 
 class TestBiomassFloor:
     def test_canonical(self, canonical_trajectory, canonical_ordered):
-        res = check_biomass_floor(canonical_trajectory, canonical_ordered, PARAMS, 1e-3)
+        res = check_biomass_floor(canonical_trajectory, canonical_ordered, PARAMS)
         assert res.passed
         assert res.measured["floor"] > 9.0
 
@@ -96,13 +97,13 @@ class TestBiomassFloor:
         params = ChemostatParams(d=1.0, s_in=0.4)
         traj = simulate(params, GROWTHS, State(s=0.4, x=np.array([0.01] * 3)), 10.0)
         ordered = order_species(CANONICAL_SPECIES, 1.0, params.s_in)
-        res = check_biomass_floor(traj, ordered, params, 1e-3)
+        res = check_biomass_floor(traj, ordered, params)
         assert not res.applicable
 
     def test_tiny_inoculum_still_grows(self):
         traj = simulate(PARAMS, GROWTHS, State(s=10.0, x=np.array([1e-8] * 3)), 80.0)
         ordered = order_species(CANONICAL_SPECIES, 1.0, 10.0)
-        res = check_biomass_floor(traj, ordered, PARAMS, 1e-3)
+        res = check_biomass_floor(traj, ordered, PARAMS)
         assert res.passed
 
 
@@ -129,9 +130,7 @@ class TestSubstrateFrame:
 
 class TestInduction:
     def test_canonical_stages(self, canonical_trajectory, canonical_certificate):
-        results = check_induction_properties(
-            canonical_trajectory, canonical_certificate, ID_TO_COL, 1e-4
-        )
+        results = check_induction_properties(canonical_trajectory, canonical_certificate, ID_TO_COL)
         assert [r.claim_id for r in results] == ["exclusion_stage_1", "exclusion_stage_2"]
         assert all(r.passed for r in results)
         t1 = results[0].measured["entry_time"]
@@ -145,7 +144,7 @@ class TestInduction:
         traj = simulate(PARAMS, [g for _, g in pair], State(s=10.0, x=np.array([0.01, 0.01])), 80.0)
         ordered = order_species(pair, 1.0, 10.0)
         cert = build_certificate(ordered, 1.0, 10.0)
-        results = check_induction_properties(traj, cert, {"a": 1, "b": 2}, 1e-4)
+        results = check_induction_properties(traj, cert, {"a": 1, "b": 2})
         assert len(results) == 1
         assert results[0].passed
 
@@ -157,7 +156,7 @@ class TestInduction:
         traj = simulate(PARAMS, [g for _, g in species], State(s=10.0, x=x), 40.0)
         cert = build_certificate(order_species(species, 1.0, 10.0), 1.0, 10.0)
         assert [len(pack.ids) for pack in cert.packs] == [1, 9]
-        (stage,) = check_induction_properties(traj, cert, {sid: 1 + k for k, (sid, _) in enumerate(species)}, 1e-4)
+        (stage,) = check_induction_properties(traj, cert, {sid: 1 + k for k, (sid, _) in enumerate(species)})
         members = list(range(2, 11))
         assert stage.measured["p_final_pack_2"] == float(np.sum(traj.channels.p[-1, [c - 1 for c in members]]))
         start = int(np.searchsorted(traj.times, stage.measured["entry_time"]))
@@ -166,7 +165,7 @@ class TestInduction:
 
     def test_corrupted_nu_fails(self, canonical_trajectory, canonical_certificate):
         bad = dataclasses.replace(canonical_certificate, nu=50.0 * canonical_certificate.nu)
-        results = check_induction_properties(canonical_trajectory, bad, ID_TO_COL, 1e-4)
+        results = check_induction_properties(canonical_trajectory, bad, ID_TO_COL)
         assert not all(r.passed for r in results)
 
 
@@ -240,10 +239,11 @@ class TestStageLayout:
         assert got[1] == want[1]
         assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
 
-    def test_failing_stage_names_the_governing_pack(self, canonical_certificate):
+    def test_failing_stage_names_the_governing_pack(self, canonical_certificate, monkeypatch):
         # At horizon 10, pack 2 ends at p = 0.271 and pack 3 at p = 0.391.
+        monkeypatch.setattr(verify, "EPS_P", 0.3)
         traj = simulate(PARAMS, GROWTHS, State(s=10.0, x=np.array([0.01] * 3)), 10.0)
-        stage_1, stage_2 = check_induction_properties(traj, canonical_certificate, ID_TO_COL, 0.3)
+        stage_1, stage_2 = check_induction_properties(traj, canonical_certificate, ID_TO_COL)
         m = stage_1.measured
         assert not stage_1.passed and not stage_2.passed
         assert m["p_final_pack_2"] < 0.3 <= m["p_final_max"]
@@ -260,12 +260,12 @@ class TestStageLayout:
 class TestFinalConvergence:
     def test_canonical(self, canonical_trajectory):
         predicted = State(s=LAM[0], x=np.array([9.5, 0.0, 0.0]))
-        res = check_final_convergence(canonical_trajectory, predicted, 1e-3)
+        res = check_final_convergence(canonical_trajectory, predicted)
         assert res.passed
 
     def test_wrong_prediction_fails(self, canonical_trajectory):
         predicted = State(s=LAM[1], x=np.array([0.0, 10.0 - LAM[1], 0.0]))
-        res = check_final_convergence(canonical_trajectory, predicted, 1e-3)
+        res = check_final_convergence(canonical_trajectory, predicted)
         assert not res.passed
 
 
