@@ -5,10 +5,11 @@ proportional-integral step controller and the standard quartic continuous
 extension.  The integration is fully deterministic: identical inputs produce
 bit-identical trajectories on a fixed platform.
 
-A step that would end more than the absolute tolerance below zero is
-rejected; smaller undershoots of accepted states are clipped to zero, since
-the positive orthant is invariant for the model.  The worst pre-clip
-component is recorded in the integrator statistics.
+The positive orthant is invariant for the model, so a step that would end
+with any component below zero is rejected, however small the undershoot.
+An accepted state is never altered (clipping it would add mass): every step
+starts exactly where the previous one ended, so the mass follows the linear
+law m' = d (s_in - m) through the pair's own stability polynomial alone.
 """
 
 from __future__ import annotations
@@ -63,7 +64,11 @@ _ENTRY_CUTS = 16  # equal parts a stage-entry bracket is cut into per refinement
 
 @dataclass(frozen=True)
 class IntegratorStats:
-    """Step counts and controls actually used by one integration."""
+    """Step counts and controls actually used by one integration.
+
+    Every trial step, accepted or rejected, makes six RHS evaluations, so
+    ``rhs_evals`` is 1 + (0 or 1 for the first-step guess) + 6 per trial.
+    """
 
     steps_accepted: int
     steps_rejected: int
@@ -72,7 +77,6 @@ class IntegratorStats:
     abs_tol: float
     dense_dt: float
     first_step: float
-    min_component_preclip: float
 
 
 @dataclass(frozen=True)
@@ -177,14 +181,13 @@ def simulate(
         raise ParameterError(f"horizon {horizon!r} too small for {DENSE_INTERVALS} dense intervals")
 
     f = vector_field(params, growths)
-    y = np.concatenate(([x0.s], x0.x)).astype(float)
+    y0 = y = np.concatenate(([x0.s], x0.x)).astype(float)
     t = 0.0
     # K[0] holds the derivative at the current state (first-same-as-last).
     # Every stage writes its derivative into its own row of K through
     # ``out``, and the views of K that the stages read are sliced once.
     K = np.empty((7, y.size))
     f(t, y, out=K[0])
-    n_evals = 1
     stages = [(a_row, K[: i + 1], K[i + 1], _C[i + 1]) for i, a_row in enumerate(_A)]
     K_b = K[:6]
     K_ends = K[::6]  # rows 0 and 6, the derivatives at both ends of a step
@@ -196,25 +199,22 @@ def simulate(
     # state has already left any physical scale).
     min_step = 1e-14 * horizon
     h, used = _initial_step(f, t, y, K[0], horizon, rel_tol, abs_tol)
-    n_evals += used
     # The guess falls below that limit for a state near zero with a large
     # derivative (s0 = 1e-12, no biomass); the controller corrects it.
     h = max(h, min_step)
     first_step = h
 
     step_times = [0.0]
-    step_states = [y]
     step_sizes = []
     # Raw rows of the interpolant, one (5, dim) block per accepted step:
-    # row 1 the pre-clip end state, rows 2 and 3 the end derivatives, row 4
-    # _D @ K.  The coefficients are finished in place after the loop.  The
-    # buffer doubles when full and is cut to the step count at the end.
+    # row 1 the end state, rows 2 and 3 the end derivatives, row 4 _D @ K.
+    # The coefficients are finished in place after the loop.  The buffer
+    # doubles when full and is cut to the step count at the end.
     conts = np.empty((64, 5, y.size))
 
     n_accepted = 0
     n_rejected = 0
     fac_old = 1e-4
-    min_preclip = float(np.min(y))
 
     with np.errstate(over="ignore", invalid="ignore"):
         while t < horizon:
@@ -238,7 +238,6 @@ def simulate(
             y_new *= h
             y_new += y
             f(t + h, y_new, out=K[6])
-            n_evals += 6
             np.dot(_E, K, out=err_vec)
             err_vec *= h
             # err = RMS of err_vec / (abs_tol + rel_tol max(|y|, |y_new|));
@@ -256,15 +255,15 @@ def simulate(
             # component j of the state is non-finite, and E[6] K[6] carries
             # it into err_vec[j]; so a non-finite y_new makes err non-finite
             # (inf or NaN), and no reduction over y_new is needed.
-            if not math.isfinite(err) or not math.isfinite(low) or (err <= 1.0 and low < -abs_tol):
-                # Overflow inside the trial step, or an undershoot that the
-                # clip would turn into added mass: reject as hard as possible.
+            if not math.isfinite(err) or not math.isfinite(low) or (err <= 1.0 and low < 0.0):
+                # Overflow inside the trial step, or an end state outside the
+                # positive orthant: reject as hard as possible.
                 n_rejected += 1
                 h = h / _FAC_SHRINK_MAX
                 continue
 
             if err <= 1.0:
-                # Accept: keep the interpolant's raw rows, then clip.
+                # Accept: keep the interpolant's raw rows.
                 if n_accepted == conts.shape[0]:
                     # only the previous step's view ``c`` refers to the
                     # buffer, and it is never read again, so it may move
@@ -276,19 +275,10 @@ def simulate(
                 step_sizes.append(h)
 
                 t = t + h
-                if low < min_preclip:
-                    min_preclip = low
-                if low < 0.0:
-                    y = np.maximum(y_new, 0.0)
-                    np.abs(y, out=abs_y)
-                    f(t, y, out=K[0])
-                    n_evals += 1
-                else:
-                    y = y_new
-                    abs_y, abs_new = abs_new, abs_y
-                    K[0] = K[6]
+                y = y_new
+                abs_y, abs_new = abs_new, abs_y
+                K[0] = K[6]
                 step_times.append(t)
-                step_states.append(y)
                 n_accepted += 1
 
                 fac = (err**_EXPO) / (fac_old**_BETA)
@@ -301,7 +291,9 @@ def simulate(
 
     conts.resize((n_accepted,) + conts.shape[1:], refcheck=False)
     step_times_arr = np.array(step_times)
-    step_states_arr = np.array(step_states)
+    # each step starts at the previous one's end row, which _finish_coeffs
+    # overwrites, so the states are taken first
+    step_states_arr = np.concatenate((y0[None], conts[:, 1]))
     _finish_coeffs(conts, step_states_arr[:-1], np.array(step_sizes)[:, None])
 
     # not the bare constant: the rounding of horizon / dense_dt gives 2001
@@ -313,12 +305,11 @@ def simulate(
     meta = IntegratorStats(
         steps_accepted=n_accepted,
         steps_rejected=n_rejected,
-        rhs_evals=n_evals,
+        rhs_evals=1 + used + 6 * (n_accepted + n_rejected),
         rel_tol=rel_tol,
         abs_tol=abs_tol,
         dense_dt=horizon / n_dense,
         first_step=first_step,
-        min_component_preclip=min_preclip,
     )
     channels = _derive_channel_arrays(states)
     for arr in (times, states, step_times_arr, step_states_arr, conts):
@@ -337,11 +328,12 @@ def simulate(
 def _finish_coeffs(conts: np.ndarray, y0: np.ndarray, h: np.ndarray) -> None:
     """Turn the raw rows of every step into its interpolant coefficients.
 
-    ``conts[k]`` holds [-, y_new, K0, K6, D K] of step k (y_new before
-    clipping), ``y0[k]`` its start state and ``h[k]`` its size.  The rows
-    become [y0, ydiff, h K0 - ydiff, ydiff - h K6 - (h K0 - ydiff), h D K]
-    with ydiff = y_new - y0, by the elementwise operations of a per-step
-    build in the same order, so every coefficient has the same bits.
+    ``conts[k]`` holds [-, y_new, K0, K6, D K] of step k, ``y0[k]`` its
+    start state (the y_new of step k - 1, or the initial state) and ``h[k]``
+    its size.  The rows become
+    [y0, ydiff, h K0 - ydiff, ydiff - h K6 - (h K0 - ydiff), h D K] with
+    ydiff = y_new - y0, by the elementwise operations of a per-step build in
+    the same order, so every coefficient has the same bits.
     """
     c1, c2, c3, c4 = (conts[:, r] for r in range(1, 5))
     c1 -= y0  # ydiff

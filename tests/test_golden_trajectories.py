@@ -21,6 +21,9 @@ Regenerate (only when a change is meant to move the trajectories, and say
 why)::
 
     PYTHONPATH=src python tests/test_golden_trajectories.py --write
+
+which prints every hash, shape and statistic that moved against the stored
+file.
 """
 
 from __future__ import annotations
@@ -119,9 +122,29 @@ def test_both_rhs_bodies_give_the_pinned_bytes(monkeypatch, name, min_laws):
     _assert_pinned(name)
 
 
+def moved(stored: dict | None, fresh: dict) -> list[str]:
+    """One line per array hash, shape or statistic that differs."""
+    if stored is None:
+        return ["new case"]
+    lines = [f"{name}: {stored[name][:12]} -> {fresh[name][:12]}" for name in ARRAYS if stored[name] != fresh[name]]
+    for group in ("shapes", "meta"):
+        want, got = stored[group], fresh[group]
+        for key in sorted(want.keys() | got.keys()):
+            if want.get(key, "absent") != got.get(key, "absent"):
+                lines.append(f"{group}.{key}: {want.get(key, 'absent')!r} -> {got.get(key, 'absent')!r}")
+    return lines
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden_trajectories.py --write")
-    data = {name: capture(*case) for name, case in cases().items()}
+    stored = json.loads(GOLDEN.read_text())
+    data = {}
+    for name, case in cases().items():
+        data[name] = capture(*case)
+        lines = moved(stored.get(name), data[name])
+        print(f"{name}: {len(lines)} moved")
+        for line in lines:
+            print(f"  {line}")
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

@@ -651,7 +651,7 @@ class TestPersistentEntries:
             times=times,
             states=states,
             channels=Channels(b=np.zeros(3), p=empty, m=states[:, 0]),
-            meta=IntegratorStats(0, 0, 0, 1e-8, 1e-10, 1.0, 2.0, 0.0),
+            meta=IntegratorStats(0, 0, 0, 1e-8, 1e-10, 1.0, 2.0),
             step_times=step_times,
             step_states=step_states,
             step_coeffs=coeffs,
