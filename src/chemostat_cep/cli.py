@@ -19,7 +19,7 @@ import numpy as np
 from . import certificate as certificate_mod
 from .errors import CertificateError, ChemostatError, InputError, WashoutError
 from .growth import order_species, rate_matrix
-from .integrate import Trajectory, simulate
+from .integrate import Trajectory, per_biomass, simulate
 from .scenario import Scenario, parse_scenario
 from .verify import run_report
 
@@ -55,8 +55,10 @@ def _write_rows(out: IO[str], columns: Sequence[np.ndarray]) -> None:
 def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:
     """Write the dense trajectory with derived channels as CSV.
 
-    Column layout: t, s, x1..xn, b, p1..pn, m, and r2..rn when n >= 2,
-    the ratios x_i / x_1 (empty throughout when species 1 starts absent).
+    Column layout: t, s, x1..xn, b, p1..pn, m, and r2..rn when n >= 2.
+    The proportions x_i / b (empty below the biomass floor) and the ratios
+    x_i / x_1 (empty throughout when species 1 starts absent) are formed
+    here from the states.
     Values use 17 significant digits so a re-read reproduces the floats
     exactly; undefined channel entries are left empty.
     """
@@ -75,7 +77,7 @@ def write_trajectory_csv(traj: Trajectory, out: IO[str]) -> None:
     else:
         r = np.full((traj.times.size, n - 1), np.nan)
     ch = traj.channels
-    _write_rows(out, [traj.times, traj.states, ch.b, ch.p, ch.m, r])
+    _write_rows(out, [traj.times, traj.states, ch.b, per_biomass(x, ch.b[:, None]), ch.m, r])
 
 
 def write_growth_curves_csv(scenario: Scenario, out: IO[str], *, s_max: float | None = None, points: int = 512) -> None:

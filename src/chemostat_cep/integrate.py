@@ -81,13 +81,12 @@ class IntegratorStats:
 
 @dataclass(frozen=True)
 class Channels:
-    """Derived channels sampled on the dense grid.
+    """Total biomass ``b`` and total mass ``m`` on the dense grid.
 
-    Proportions are NaN wherever the biomass is below the definedness floor.
+    Proportions are formed from the states by their readers (``per_biomass``).
     """
 
     b: np.ndarray
-    p: np.ndarray
     m: np.ndarray
 
 
@@ -379,14 +378,21 @@ def _dense_states(times, step_times, step_states, step_conts) -> np.ndarray:
 
 
 def _derive_channel_arrays(states: np.ndarray) -> Channels:
-    x = states[:, 1:]
-    b = x.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.where(b[:, None] >= _B_ZERO, x / b[:, None], np.nan)
+    b = states[:, 1:].sum(axis=1)
     m = states[:, 0] + b
-    for arr in (b, p, m):
+    for arr in (b, m):
         arr.setflags(write=False)
-    return Channels(b=b, p=p, m=m)
+    return Channels(b=b, m=m)
+
+
+def per_biomass(values, b):
+    """``values / b`` where the biomass ``b`` is at least ``_B_ZERO``, NaN elsewhere.
+
+    ``b`` broadcasts against ``values``: the proportions of the rows of
+    ``x`` are ``per_biomass(x, b[:, None])``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(b >= _B_ZERO, values / b, np.nan)
 
 
 @dataclass(frozen=True)

@@ -95,3 +95,36 @@ def compute_nu(
     if worst <= 0.0:
         raise CertificateError(f"non-positive domination gap {worst:g} on margins")
     return 0.5 * worst
+
+
+def frame_reference(traj, cert, growths, params) -> tuple[bool, float | None, int | None]:
+    """The substrate frame in its derivative form, from each law's own ``__call__``.
+
+    The frame time is the first sample after the last one where
+    z = d (s_in - s) / b is undefined (b below 1e-12) or outside
+    [d_minus, d_plus].  From it on, every sampled s' = d (s_in - s) - sum mu_i x_i
+    must lie between the rails (d_minus - mu_bar) b and (d_plus - mu_bar) b,
+    with mu_bar = sum p_i mu_i, up to the slack
+    100 rel_tol (1 + s_in) (1 + d).  Returns (frame established, frame time,
+    count of samples off the rails); the last two are None when the last
+    sample is outside.
+    """
+    s = traj.states[:, 0]
+    x = traj.states[:, 1:]
+    b = x.sum(axis=1)
+    outside = [
+        k
+        for k, (sk, bk) in enumerate(zip(s.tolist(), b.tolist()))
+        if not (bk >= 1e-12 and cert.d_minus <= params.d * (params.s_in - sk) / bk <= cert.d_plus)
+    ]
+    if outside and outside[-1] == s.size - 1:
+        return False, None, None
+    start = outside[-1] + 1 if outside else 0
+    s, x, b = s[start:], x[start:], b[start:]
+    mu = np.column_stack([g(s) for g in growths])
+    mubar = (x / b[:, None] * mu).sum(axis=1)
+    sdot = params.d * (params.s_in - s) - (mu * x).sum(axis=1)
+    slack = 100.0 * traj.meta.rel_tol * (1.0 + params.s_in) * (1.0 + params.d)
+    low = (cert.d_minus - mubar) * b - slack
+    high = (cert.d_plus - mubar) * b + slack
+    return True, float(traj.times[start]), int(np.count_nonzero((sdot < low) | (sdot > high)))

@@ -234,7 +234,7 @@ class TestTrajectoryCsv:
         for k, row in enumerate(rows[1:]):
             expected = [
                 traj.times[k], traj.states[k, 0], traj.states[k, 1],
-                traj.states[k, 2], ch.b[k], ch.p[k, 0], ch.p[k, 1],
+                traj.states[k, 2], ch.b[k], traj.states[k, 1] / ch.b[k], traj.states[k, 2] / ch.b[k],
                 ch.m[k], traj.states[k, 2] / traj.states[k, 1],
             ]
             for cell, value in zip(row, expected):
@@ -297,7 +297,7 @@ def _reference_trajectory_csv(traj) -> str:
         row = [_cell(traj.times[k]), _cell(traj.states[k, 0])]
         row += [_cell(v) for v in traj.states[k, 1:]]
         row.append(_cell(ch.b[k]))
-        row += [_cell(v) for v in ch.p[k]]
+        row += [_cell(v / ch.b[k]) if ch.b[k] >= 1e-12 else "" for v in traj.states[k, 1:]]
         row.append(_cell(ch.m[k]))
         lead = traj.states[k, 1]
         with np.errstate(over="ignore"):  # x_i / x_1 overflows where x_1 underflows
@@ -360,8 +360,9 @@ class TestCsvByteIdentity:
 
     def test_cases_reach_the_special_cells(self):
         assert _trajectory_case("lead absent").states[0, 1] == 0.0
-        assert np.all(np.isnan(_trajectory_case("no biomass").channels.p))
-        assert np.isnan(_trajectory_case("one species washing out").channels.p[-1, 0])
+        # proportions are empty below the biomass floor 1e-12
+        assert np.all(_trajectory_case("no biomass").states[:, 1:].sum(axis=1) < 1e-12)
+        assert _trajectory_case("one species washing out").states[-1, 1] < 1e-12
         x = _trajectory_case("lead washout").states[:, 1:]
         with np.errstate(over="ignore"):
             r = x[:, 1:] / x[:, :1]

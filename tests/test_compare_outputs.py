@@ -91,6 +91,47 @@ class TestEntryOnlyDifference:
         assert not compare_outputs.entry_only_text(text, text.replace(b"PASS", b"FAIL"))
 
 
+def _frame_report(**extra):
+    measured = {"frame_time": 1.5, **extra}
+    return json.dumps({"claims": [{"id": "substrate_frame", "measured": measured, "thresholds": {"d_minus": 0.9}}]}).encode()
+
+
+class TestRemovedKeys:
+    def test_deleted_keys_are_named_once(self):
+        old = json.dumps(
+            {"claims": [{"measured": {"a": 1, "violations": 0}}, {"measured": {"violations": 0, "slack": 1e-5}}]}
+        ).encode()
+        new = json.dumps({"claims": [{"measured": {"a": 1}}, {"measured": {}}]}).encode()
+        assert compare_outputs.removed_keys(old, new) == ["slack", "violations"]
+
+    def test_identical_reports_remove_nothing(self):
+        assert compare_outputs.removed_keys(_frame_report(), _frame_report()) == []
+
+    @pytest.mark.parametrize(
+        "new",
+        [
+            _frame_report(violations=0, extra=1),  # a key added
+            json.dumps({"claims": [{"id": "substrate_frame", "measured": {"frame_time": 1.6}}]}).encode(),
+            json.dumps({"claims": []}).encode(),
+            b"not json",
+        ],
+    )
+    def test_any_other_difference_is_not_a_removal(self, new):
+        assert compare_outputs.removed_keys(_frame_report(violations=0), new) is None
+
+    def test_removed_items_in_text(self):
+        old = b"substrate_frame  PASS    frame_time=1.5, violations=0, worst_violation=0\noverall: PASS\n"
+        new = b"substrate_frame  PASS    frame_time=1.5\noverall: PASS\n"
+        assert compare_outputs.removed_items_text(old, new) == ["violations=0", "worst_violation=0"]
+        assert compare_outputs.removed_items_text(old, old) == []
+        assert compare_outputs.removed_items_text(old, new.replace(b"1.5", b"1.6")) is None
+        assert compare_outputs.removed_items_text(old, new.replace(b"PASS", b"FAIL", 1)) is None
+        assert compare_outputs.removed_items_text(new, old) is None  # items added
+        assert compare_outputs.removed_items_text(old, new.replace(b"\noverall: PASS", b"")) is None
+        # an item that is not key=value is not removable
+        assert compare_outputs.removed_items_text(b"x  FAIL    pack 2, pack 3\n", b"x  FAIL    pack 2\n") is None
+
+
 class TestCompare:
     def test_labels(self, tmp_path):
         parent, change = tmp_path / "parent", tmp_path / "change"
@@ -103,6 +144,11 @@ class TestCompare:
             "run/stdout": (text, text.replace(b"2.83048", b"2.83049")),
             "other.json": (_report(), _report(entry=4.0, slope2=-0.4)),
             "stdout": (b"a", b"b"),
+            "frame/report.json": (_frame_report(violations=0, worst_violation=0.0), _frame_report()),
+            "frame/stdout": (
+                b"substrate_frame  PASS    frame_time=1.5, violations=0, worst_violation=0\n",
+                b"substrate_frame  PASS    frame_time=1.5\n",
+            ),
         }
         for name, (old, new) in files.items():
             for top, data in ((parent, old), (change, new)):
@@ -111,6 +157,8 @@ class TestCompare:
         diffs, slopes, entries = compare_outputs.compare(parent, change, {"run": 40.0})
         assert diffs == [
             "differs: formatting.json (only in formatting, the JSON values are equal)",
+            "differs: frame/report.json (only removed keys violations, worst_violation)",
+            "differs: frame/stdout (only removed items violations=0, worst_violation=0)",
             "differs: other.json",
             "differs: run/entries.json (only entry times, max difference 1e-09 x horizon)",
             "differs: run/stdout (only printed entry times)",

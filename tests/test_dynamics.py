@@ -13,7 +13,7 @@ from chemostat_cep import ChemostatParams, Monod, State, order_species, simulate
 from chemostat_cep.dynamics import _ARRAY_FIELD_MIN_LAWS, predicted_limit, vector_field
 from chemostat_cep.errors import ChemostatError, DomainError, ParameterError
 from chemostat_cep.growth import GrowthFunction
-from chemostat_cep.integrate import _derive_channel_arrays
+from chemostat_cep.integrate import _derive_channel_arrays, per_biomass
 
 from conftest import CANONICAL_SPECIES, LAM, mass_closed_form
 
@@ -216,9 +216,14 @@ class TestChartMaps:
 
 class TestDerivedChannels:
     def test_mass_and_proportions(self):
-        ch = _channels(State(s=1.0, x=np.array([2.0, 4.0, 1.0])))
+        x = np.array([2.0, 4.0, 1.0])
+        ch = _channels(State(s=1.0, x=x))
         assert ch.m[0] == 8.0 and ch.b[0] == 7.0
-        np.testing.assert_allclose(ch.p[0], [2.0 / 7.0, 4.0 / 7.0, 1.0 / 7.0])
+        np.testing.assert_allclose(per_biomass(x, ch.b[0]), [2.0 / 7.0, 4.0 / 7.0, 1.0 / 7.0])
+        # undefined below the biomass floor 1e-12, and at zero biomass
+        tiny = np.array([[4e-13, 5e-13], [0.0, 0.0], [1e-12, 0.0]])
+        p = per_biomass(tiny, tiny.sum(axis=1)[:, None])
+        assert np.all(np.isnan(p[:2])) and p[2].tolist() == [1.0, 0.0]
 
 
 class TestPredictedLimit:

@@ -646,11 +646,10 @@ class TestPersistentEntries:
         step_states = np.array([[s_of[0]], [s_of[-1]]])
         times = np.array([0.0, 1.0, 2.0])
         states = _dense_states(times, step_times, step_states, coeffs)
-        empty = np.empty((3, 0))
         traj = Trajectory(
             times=times,
             states=states,
-            channels=Channels(b=np.zeros(3), p=empty, m=states[:, 0]),
+            channels=Channels(b=np.zeros(3), m=states[:, 0]),
             meta=IntegratorStats(0, 0, 0, 1e-8, 1e-10, 1.0, 2.0),
             step_times=step_times,
             step_states=step_states,

@@ -5,11 +5,25 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chemostat_cep import ChemostatParams, Monod, State, Table, build_certificate, order_species, run_report, simulate
+from chemostat_cep import (
+    ChemostatParams,
+    Hill,
+    Monod,
+    State,
+    Table,
+    build_certificate,
+    order_species,
+    parse_scenario,
+    run_report,
+    simulate,
+)
 from chemostat_cep import verify
 from chemostat_cep.errors import ParameterError
 from chemostat_cep.verify import (
@@ -23,7 +37,9 @@ from chemostat_cep.verify import (
     _governing,
 )
 
-from conftest import CANONICAL_SPECIES, LAM, make_scenario
+from conftest import CANONICAL_SPECIES, LAM, frame_reference, make_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 PARAMS = ChemostatParams(d=1.0, s_in=10.0)
 GROWTHS = [g for _, g in CANONICAL_SPECIES]
@@ -107,25 +123,73 @@ class TestBiomassFloor:
         assert res.passed
 
 
+def _assert_frame_matches_reference(traj, cert, growths, params):
+    """The check agrees with the derivative form (``conftest.frame_reference``)."""
+    res = check_substrate_frame(traj, cert, params)
+    established, frame_time, violations = frame_reference(traj, cert, growths, params)
+    assert res.passed == established
+    if established:
+        assert res.measured == {"frame_time": frame_time}
+        assert violations == 0
+    else:
+        assert res.detail == "frame never established before the horizon"
+    assert res.thresholds == {"d_minus": cert.d_minus, "d_plus": cert.d_plus}
+    return res
+
+
 class TestSubstrateFrame:
     def test_canonical(self, canonical_trajectory, canonical_certificate):
-        res = check_substrate_frame(canonical_trajectory, canonical_certificate, GROWTHS, PARAMS)
+        res = _assert_frame_matches_reference(canonical_trajectory, canonical_certificate, GROWTHS, PARAMS)
         assert res.passed
-        assert res.measured["violations"] == 0
         assert res.measured["frame_time"] < 2.0
+
+    def test_with_washout(self):
+        sc = parse_scenario(str(ROOT / "scenarios" / "with_washout.yaml"))
+        traj = simulate(sc.params, sc.growths, sc.initial, sc.horizon, sc.tolerances.rel_tol, sc.tolerances.abs_tol)
+        present = [sp for sp, xi in zip(sc.species, sc.initial.x) if xi > 0.0]
+        cert = build_certificate(order_species(present, sc.params.d, sc.params.s_in), sc.params.d, sc.params.s_in)
+        assert _assert_frame_matches_reference(traj, cert, sc.growths, sc.params).passed
 
     def test_balanced_start_framed_immediately(self, canonical_certificate):
         # initial mass equal to s_in keeps the mass ratio pinned at one
         traj = simulate(PARAMS, GROWTHS, State(s=9.97, x=np.array([0.01] * 3)), 40.0)
-        res = check_substrate_frame(traj, canonical_certificate, GROWTHS, PARAMS)
+        res = _assert_frame_matches_reference(traj, canonical_certificate, GROWTHS, PARAMS)
         assert res.passed
         assert res.measured["frame_time"] == 0.0
 
     def test_shifted_rail_fails(self, canonical_trajectory, canonical_certificate):
         cert = canonical_certificate
         bad = dataclasses.replace(cert, d_plus=cert.d - cert.gamma_minus / 4.0)
-        res = check_substrate_frame(canonical_trajectory, bad, GROWTHS, PARAMS)
+        res = _assert_frame_matches_reference(canonical_trajectory, bad, GROWTHS, PARAMS)
         assert not res.passed
+
+    @given(
+        kinds=st.lists(st.sampled_from(["monod", "hill", "table"]), min_size=2, max_size=5),
+        lam0=st.floats(0.5, 2.0),
+        gaps=st.lists(st.floats(0.3, 1.5), min_size=5, max_size=5),
+        mu_max=st.lists(st.floats(1.5, 5.0), min_size=5, max_size=5),
+        hill_p=st.floats(1.0, 3.0),
+        x0=st.lists(st.floats(0.005, 0.05), min_size=5, max_size=5),
+        s0=st.floats(0.0, 10.0),
+    )
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    def test_mixed_laws_match_the_derivative_form(self, kinds, lam0, gaps, mu_max, hill_p, x0, s0):
+        species = []
+        lam = lam0
+        for i, kind in enumerate(kinds):
+            top = mu_max[i]
+            if kind == "monod":
+                g = Monod(top, lam * (top - 1.0))
+            elif kind == "hill":
+                g = Hill(top, lam * (top - 1.0) ** (1.0 / hill_p), hill_p)
+            else:
+                g = Table(((0.0, 0.0), (lam, 1.0), (2.0 * lam + 5.0, top + 1.0)))
+            species.append((f"sp{i}", g))
+            lam += gaps[i]
+        growths = [g for _, g in species]
+        traj = simulate(PARAMS, growths, State(s=s0, x=np.array(x0[: len(kinds)])), 40.0)
+        cert = build_certificate(order_species(species, 1.0, 10.0), 1.0, 10.0)
+        _assert_frame_matches_reference(traj, cert, growths, PARAMS)
 
 
 class TestInduction:
@@ -158,7 +222,8 @@ class TestInduction:
         assert [len(pack.ids) for pack in cert.packs] == [1, 9]
         (stage,) = check_induction_properties(traj, cert, {sid: 1 + k for k, (sid, _) in enumerate(species)})
         members = list(range(2, 11))
-        assert stage.measured["p_final_pack_2"] == float(np.sum(traj.channels.p[-1, [c - 1 for c in members]]))
+        x_final = traj.states[-1, 1:]
+        assert stage.measured["p_final_pack_2"] == float(np.sum(x_final[[c - 1 for c in members]] / x_final.sum()))
         start = int(np.searchsorted(traj.times, stage.measured["entry_time"]))
         ratio = traj.states[start:, members].sum(axis=1) / traj.states[start:, 1]
         assert stage.measured["slope_pack_2"] == fit_log_decay(traj.times[start:], ratio)[0]

@@ -26,7 +26,10 @@ that differs only in its ``entry_time`` values is marked likewise, with its
 largest difference over the scenario's horizon, and so is a verify stdout
 whose lines differ only in their printed ``entry_time=`` values.  A JSON
 report whose values are all equal is marked as differing only in
-formatting.  All of them still count as differences.
+formatting.  A JSON report that equals the parent's with some keys deleted
+is marked with the deleted key names, and a verify stdout whose differing
+lines only lose ``key=value`` items is marked with those items.  All of
+them still count as differences.
 """
 
 from __future__ import annotations
@@ -221,6 +224,60 @@ def entry_only_text(a: bytes, b: bytes) -> bool:
     return _PRINTED_ENTRY.sub(b"entry_time=", a) == _PRINTED_ENTRY.sub(b"entry_time=", b)
 
 
+def removed_keys(a: bytes, b: bytes) -> list[str] | None:
+    """Sorted names of the keys deleted from ``a``, if that is all that makes ``b``.
+
+    Returns None when the files are not JSON or when ``b`` adds a key or
+    changes a value anywhere; a name deleted from several objects is listed
+    once.
+    """
+    try:
+        x, y = json.loads(a), json.loads(b)
+    except ValueError:
+        return None
+    removed = set()
+
+    def kept(u, v) -> bool:
+        if type(u) is not type(v):
+            return False
+        if isinstance(u, dict):
+            removed.update(u.keys() - v.keys())
+            return v.keys() <= u.keys() and all(kept(u[k], v[k]) for k in v)
+        if isinstance(u, list):
+            return len(u) == len(v) and all(kept(p, q) for p, q in zip(u, v))
+        return u == v
+
+    return sorted(removed) if kept(x, y) else None
+
+
+_ITEM = re.compile(rb"[A-Za-z_]\w*=\S+")
+
+
+def removed_items_text(a: bytes, b: bytes) -> list[str] | None:
+    """The ``key=value`` items ``b``'s lines lost, if that is how they differ from ``a``'s.
+
+    Lines are paired in order, and every differing line of ``b`` must be its
+    line of ``a`` with some of its ``, ``-separated ``key=value`` items taken
+    out.  Returns those items in order, each once; None otherwise.
+    """
+    old, new = a.split(b"\n"), b.split(b"\n")
+    if len(old) != len(new):
+        return None
+    removed: list[str] = []
+    for u, v in zip(old, new):
+        rest = v.split(b", ")
+        for item in u.split(b", "):
+            if rest and item == rest[0]:
+                rest.pop(0)
+            elif _ITEM.fullmatch(item):
+                removed.append(item.decode())
+            else:
+                return None
+        if rest:
+            return None
+    return list(dict.fromkeys(removed))
+
+
 def compare(
     parent: Path, change: Path, horizons: dict[str, float]
 ) -> tuple[list[str], list[float], list[float]]:
@@ -245,6 +302,7 @@ def compare(
         json_file = k.endswith(".json")
         rel = slope_only_difference(old, new) if json_file else None
         entry = entry_only_difference(old, new) if json_file and rel is None and stem in horizons else None
+        removed = removed_keys(old, new) if json_file and rel is None and entry is None else None
         if rel == 0.0:
             diffs.append(f"differs: {k} (only in formatting, the JSON values are equal)")
         elif rel is not None:
@@ -253,8 +311,12 @@ def compare(
         elif entry is not None:
             entries.append(entry / horizons[stem])
             diffs.append(f"differs: {k} (only entry times, max difference {entries[-1]:.3g} x horizon)")
+        elif removed:
+            diffs.append(f"differs: {k} (only removed keys {', '.join(removed)})")
         elif Path(k).name == "stdout" and entry_only_text(old, new):
             diffs.append(f"differs: {k} (only printed entry times)")
+        elif Path(k).name == "stdout" and (items := removed_items_text(old, new)):
+            diffs.append(f"differs: {k} (only removed items {', '.join(items)})")
         else:
             diffs.append(f"differs: {k}")
     return diffs, slopes, entries
