@@ -374,7 +374,7 @@ class TestCsvByteIdentity:
         monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
         assert self._written(canonical_trajectory) == _reference_trajectory_csv(canonical_trajectory)
 
-    @pytest.mark.parametrize("rows", [255, 256, 257, 512, 513])
+    @pytest.mark.parametrize("rows", [cli._BLOCK_ROWS + k for k in (-1, 0, 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1)])
     def test_row_counts_around_the_block_size(self, rows, monkeypatch):
         monkeypatch.setattr(integrate, "DENSE_INTERVALS", rows - 1)
         traj = _trajectory_case("hill/table mix")

@@ -22,16 +22,20 @@ def test_one_round_times_every_phase_of_both_trees(capsys):
     assert [row.split()[0] for row in scenarios] == ["0", "1", "2"]
     for row in scenarios:  # pool index, n, then parent / change per phase
         cells = row.split()[2:]
-        assert len(cells) == 3 * len(phase_times.PHASES) and all(float(c) > 0.0 for c in cells[::3] + cells[2::3])
+        assert len(cells) == 3 * len(phase_times.PHASES["verify"]) and all(float(c) > 0.0 for c in cells[::3] + cells[2::3])
     rows = {line.split()[0]: line.split() for line in phases}
-    assert sorted(rows) == sorted(phase_times.PHASES)
+    assert sorted(rows) == sorted(phase_times.PHASES["verify"])
     for cells in rows.values():
         assert float(cells[1]) > 0.0 and float(cells[2]) > 0.0 and cells[4].endswith("/3")
 
 
-def test_simulate_workloads_and_missing_trees_are_refused(tmp_path, capsys):
+def test_simulate_workloads_time_emission_and_missing_trees_are_refused(tmp_path, capsys):
     src = str(ROOT / "src")
-    assert phase_times.main([src, src, "--workload", "export-mixed", "--seed", "1"]) == 2
+    assert phase_times.main([src, src, "--workload", "export-mixed", "--seed", "1", "--rounds", "1"], limit=2) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"export-mixed seed 1: 2 scenarios, min of 1 rounds x {phase_times.CALLS} calls"
+    rows = {line.split()[0]: line.split() for line in lines[5:]}  # after 2 scenario rows and a header
+    assert sorted(rows) == ["emit", "simulate"]
+    assert all(float(cells[1]) > 0.0 and float(cells[2]) > 0.0 for cells in rows.values())
     assert phase_times.main([str(tmp_path), src, "--workload", "sweep-small", "--seed", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "builds no certificate" in err and f"no chemostat_cep package under {tmp_path}" in err
+    assert f"no chemostat_cep package under {tmp_path}" in capsys.readouterr().err

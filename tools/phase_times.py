@@ -1,4 +1,4 @@
-"""Per-phase timings of the verify path in two source trees.
+"""Per-phase timings of two source trees on one benchmark workload.
 
 Usage::
 
@@ -8,13 +8,16 @@ Usage::
 ``chemostat_cep`` package, as for ``tools/compare_outputs.py``.  The
 workload's scenario pool is generated with ``perfbench/workloads.py``
 (imported read-only).  Each tree runs in its own worker subprocess, which
-simulates and certifies every scenario once and then answers timing
-requests.  The two workers are driven in lockstep: for every scenario with
-a non-degenerate certificate, every phase and every one of ``--rounds``
-rounds, each worker times the phase in turn, the one that goes first
-alternating between rounds, so a slow spell of a shared host falls on both
-trees alike.  A request times ``CALLS`` calls after an untimed one and
-answers with the fastest.  The phases:
+simulates (and, for a verify workload, certifies) every scenario once and
+then answers timing requests.  The two workers are driven in lockstep: for
+every timed scenario, every phase and every one of ``--rounds`` rounds,
+each worker times the phase in turn, the one that goes first alternating
+between rounds, so a slow spell of a shared host falls on both trees
+alike.  A request times ``CALLS`` calls after an untimed one and answers
+with the fastest.
+
+The phases of a verify workload, timed on every scenario with a
+non-degenerate certificate:
 
 - ``simulate`` of the scenario with its tolerances
 - ``check_induction_properties`` on the scenario's trajectory and certificate
@@ -22,11 +25,16 @@ answers with the fastest.  The phases:
 - ``build_certificate`` on the species present initially
 - ``gamma_bounds`` on the certificate's margins
 
-The output has one row per certified scenario with each phase's
-min-of-N microseconds for both trees (N = ``--rounds`` x ``CALLS``), then
-one row per phase with the sums over scenarios, their ratio and the
-number of scenarios where the change is slower.  Only ``simulate``
-workloads are refused: they build no certificate.
+The phases of a simulate workload (export-mixed), timed on every scenario:
+
+- ``simulate`` as above
+- ``emit``: ``write_trajectory_csv`` of the scenario's trajectory into an
+  ``io.StringIO``
+
+The output has one row per timed scenario with each phase's min-of-N
+microseconds for both trees (N = ``--rounds`` x ``CALLS``), then one row
+per phase with the sums over scenarios, their ratio and the number of
+scenarios where the change is slower.
 
 Both trees run this one worker script, which calls the library as it is
 now.  A tree from before ``check_induction_properties`` lost its
@@ -37,6 +45,7 @@ now.  A tree from before ``check_induction_properties`` lost its
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import subprocess
@@ -47,7 +56,10 @@ from time import perf_counter
 
 from compare_outputs import import_tree, load_workloads, missing_tree, run_script, worker_argv, worker_env
 
-PHASES = ("simulate", "induction", "entries", "certificate", "gamma")
+PHASES = {
+    "verify": ("simulate", "induction", "entries", "certificate", "gamma"),
+    "simulate": ("simulate", "emit"),
+}
 CALLS = 3  # timed calls per request
 
 
@@ -62,17 +74,21 @@ def _timed(fn) -> float:
     return 1e6 * best
 
 
-def worker(src: Path, paths_file: Path) -> None:
-    """Serve phase timings of the scenarios in ``paths_file`` for the package under ``src``.
+def worker(src: Path, pool_file: Path) -> None:
+    """Serve phase timings of the scenarios in ``pool_file`` for the package under ``src``.
 
-    Prints one JSON line mapping the pool index of every certified scenario
-    to its number of species, then answers every ``INDEX PHASE`` line on
-    stdin with that phase's microseconds on that scenario.
+    ``pool_file`` holds the workload's command and its scenario paths.
+    Prints one JSON line mapping the pool index of every timed scenario to
+    its number of species, then answers every ``INDEX PHASE`` line on stdin
+    with that phase's microseconds on that scenario.
     """
     import_tree(src)
-    from chemostat_cep import certificate, integrate, scenario, verify
+    from chemostat_cep import certificate, cli, integrate, scenario, verify
     from chemostat_cep.errors import ChemostatError
     from chemostat_cep.growth import order_species, pack_species
+
+    pool = json.loads(pool_file.read_text())
+    command = pool["command"]
 
     def phases(path: str) -> dict | None:
         sc = scenario.parse_scenario(path)
@@ -85,6 +101,12 @@ def worker(src: Path, paths_file: Path) -> None:
             )
 
         traj = simulate()
+        if command == "simulate":
+            return {
+                "n": len(growths),
+                "simulate": simulate,
+                "emit": lambda: cli.write_trajectory_csv(traj, io.StringIO()),
+            }
         levels = {rec.id: rec.lam for rec in order_species(sc.species, params.d, params.s_in).records}
         active = [(sid, g) for (sid, g), x in zip(sc.species, sc.initial.x) if x > 0.0]
         ordered = pack_species(active, [levels[sid] for sid, _ in active])
@@ -105,7 +127,7 @@ def worker(src: Path, paths_file: Path) -> None:
             "gamma": lambda: certificate.gamma_bounds(ordered, margins, params.d),
         }
 
-    calls = {str(k): phases(path) for k, path in enumerate(json.loads(paths_file.read_text()))}
+    calls = {str(k): phases(path) for k, path in enumerate(pool["paths"])}
     calls = {k: fns for k, fns in calls.items() if fns is not None}
     print(json.dumps({k: fns["n"] for k, fns in calls.items()}), flush=True)
     for line in sys.stdin:
@@ -123,13 +145,13 @@ def _ask(proc: subprocess.Popen, request: str) -> str:
     return proc.stdout.readline()
 
 
-def _summary(sizes: dict, best: dict) -> list[str]:
-    lines = [f"{'scenario':8}  n  " + "  ".join(f"{ph + ' parent/change':>27}" for ph in PHASES)]
+def _summary(phases: tuple[str, ...], sizes: dict, best: dict) -> list[str]:
+    lines = [f"{'scenario':8}  n  " + "  ".join(f"{ph + ' parent/change':>27}" for ph in phases)]
     for k, n in sizes.items():
-        cells = [f"{best['parent'][k][ph]:12.1f} / {best['change'][k][ph]:12.1f}" for ph in PHASES]
+        cells = [f"{best['parent'][k][ph]:12.1f} / {best['change'][k][ph]:12.1f}" for ph in phases]
         lines.append(f"{k:>8} {n:2d}  " + "  ".join(cells))
     lines.append(f"{'phase':12} {'parent_us':>12} {'change_us':>12} {'ratio':>7}  change slower")
-    for ph in PHASES:
+    for ph in phases:
         a = sum(best["parent"][k][ph] for k in sizes)
         b = sum(best["change"][k][ph] for k in sizes)
         slower = sum(best["change"][k][ph] > best["parent"][k][ph] for k in sizes)
@@ -153,9 +175,7 @@ def main(argv=None, limit: int | None = None) -> int:
         print(f"--workload must be one of {', '.join(workloads.NAMES)} and --rounds at least 1", file=sys.stderr)
         return 2
     wl = workloads.build(args.workload, args.seed)
-    if wl.command != "verify":
-        print(f"workload {args.workload} runs {wl.command}, which builds no certificate", file=sys.stderr)
-        return 2
+    phases = PHASES[wl.command]
 
     with tempfile.TemporaryDirectory(prefix="phase-times-") as tmp:
         tmp = Path(tmp)
@@ -164,10 +184,10 @@ def main(argv=None, limit: int | None = None) -> int:
             path = tmp / f"scenario-{i:03d}.yaml"
             path.write_text(workloads.to_yaml(sc), encoding="utf-8")
             paths.append(str(path))
-        (tmp / "paths.json").write_text(json.dumps(paths))
+        (tmp / "pool.json").write_text(json.dumps({"command": wl.command, "paths": paths}))
         procs = {
             side: subprocess.Popen(
-                worker_argv(__file__, src, tmp / "paths.json"),
+                worker_argv(__file__, src, tmp / "pool.json"),
                 env=worker_env(),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
@@ -180,11 +200,11 @@ def main(argv=None, limit: int | None = None) -> int:
             if not all(replies.values()):
                 print(f"a worker exited before timing: {sorted(s for s, r in replies.items() if not r)}", file=sys.stderr)
                 return 1
-            certified = {side: json.loads(reply) for side, reply in replies.items()}
-            sizes = {k: n for k, n in certified["parent"].items() if k in certified["change"]}
+            served = {side: json.loads(reply) for side, reply in replies.items()}
+            sizes = {k: n for k, n in served["parent"].items() if k in served["change"]}
             best: dict = {side: {k: {} for k in sizes} for side in procs}
             for k in sizes:
-                for ph in PHASES:
+                for ph in phases:
                     for r in range(args.rounds):
                         for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
                             reply = _ask(procs[side], f"{k} {ph}")
@@ -196,11 +216,9 @@ def main(argv=None, limit: int | None = None) -> int:
             for proc in procs.values():
                 proc.stdin.close()
                 proc.wait()
-    print(
-        f"{args.workload} seed {args.seed}: {len(sizes)} certified scenarios, "
-        f"min of {args.rounds} rounds x {CALLS} calls"
-    )
-    print("\n".join(_summary(sizes, best)))
+    timed = "certified scenarios" if wl.command == "verify" else "scenarios"
+    print(f"{args.workload} seed {args.seed}: {len(sizes)} {timed}, min of {args.rounds} rounds x {CALLS} calls")
+    print("\n".join(_summary(phases, sizes, best)))
     return 0
 
 
