@@ -2,8 +2,10 @@
 
 The stepper is the classic Dormand-Prince 4(5) pair with a
 proportional-integral step controller and the standard quartic continuous
-extension.  The integration is fully deterministic: identical inputs produce
-bit-identical trajectories on a fixed platform.
+extension.  Each combination of a trial step, y + h (a . k), is one
+``np.dot`` (1, h a) . (y, k0..k6) of a row of the folded table against the
+stage matrix ``KY``.  Identical inputs give bit-identical trajectories on
+one platform and one BLAS kernel, which sets the order of those sums.
 
 The positive orthant is invariant for the model, so a step that would end
 with any component below zero is rejected, however small the undershoot.
@@ -27,14 +29,16 @@ from .growth import GrowthFunction
 # Dormand-Prince 4(5) tableau.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _A = (
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
 )
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Rows: five inner stages, end state, error; columns: weights of y (1 or 0), k0..k6.
+_TABLE = np.array([[1.0, *row, *(0.0,) * (7 - len(row))] for row in (*_A, _B)] + [[0.0, *_E]])
 
 # Weights of the quartic interpolant's top coefficient (stage combinations).
 _D = np.array([
@@ -180,24 +184,26 @@ def simulate(
         raise ParameterError(f"horizon {horizon!r} too small for {DENSE_INTERVALS} dense intervals")
 
     f = vector_field(params, growths)
-    y0 = y = np.concatenate(([x0.s], x0.x)).astype(float)
+    y0 = np.concatenate(([x0.s], x0.x)).astype(float)
     t = 0.0
-    # K[0] holds the derivative at the current state (first-same-as-last).
-    # Every stage writes its derivative into its own row of K through
-    # ``out``, and the views of K that the stages read are sliced once.
-    K = np.empty((7, y.size))
+    # KY = (y, k0..k6), k0 = f(y) carried over (first same as last); the
+    # folded table hT is _TABLE with columns 1-7 scaled by h.  Every
+    # combination reads its rows of hT and KY through views sliced once.
+    KY = np.vstack((y0, np.empty((7, y0.size))))
+    y, K = KY[0], KY[1:]
     f(t, y, out=K[0])
-    stages = [(a_row, K[: i + 1], K[i + 1], _C[i + 1]) for i, a_row in enumerate(_A)]
-    K_b = K[:6]
-    K_ends = K[::6]  # rows 0 and 6, the derivatives at both ends of a step
-    stage, err_vec, q, abs_new = np.empty((4, y.size))
-    abs_y = np.abs(y)  # |y| of the current state, kept across rejected steps
+    hT = _TABLE.copy()
+    h_cols, table_cols = hT[:, 1:], _TABLE[:, 1:]
+    stages = [(hT[i, : i + 2], KY[: i + 2], KY[i + 2], _C[i + 1]) for i in range(5)]
+    hB, KY_b, hE = hT[5, :7], KY[:7], hT[6, 1:]
+    stage, err_vec, q, scale_new = np.empty((4, y0.size))
+    scale = abs_tol + rel_tol * np.abs(y0)  # of the current state, kept across rejected steps
 
     # Below this step size the explicit pair cannot make useful progress on
     # the requested horizon; treat it as stiffness (or divergence when the
     # state has already left any physical scale).
     min_step = 1e-14 * horizon
-    h, used = _initial_step(f, t, y, K[0], horizon, rel_tol, abs_tol)
+    h, used = _initial_step(f, t, y0, K[0], horizon, rel_tol, abs_tol)
     # The guess falls below that limit for a state near zero with a large
     # derivative (s0 = 1e-12, no biomass); the controller corrects it.
     h = max(h, min_step)
@@ -206,10 +212,11 @@ def simulate(
     step_times = [0.0]
     step_sizes = []
     # Raw rows of the interpolant, one (5, dim) block per accepted step:
-    # row 1 the end state, rows 2 and 3 the end derivatives, row 4 _D @ K.
-    # The coefficients are finished in place after the loop.  The buffer
-    # doubles when full and is cut to the step count at the end.
-    conts = np.empty((64, 5, y.size))
+    # row 1 the end state (every trial writes its own), rows 2 and 3 the end
+    # derivatives, row 4 _D @ K, finished in place after the loop.  The
+    # buffer doubles when full and is cut to the step count at the end.
+    conts = np.empty((64, 5, y0.size))
+    y_new = conts[0, 1]
 
     n_accepted = 0
     n_rejected = 0
@@ -227,27 +234,22 @@ def simulate(
             if n_accepted + n_rejected >= _MAX_STEPS:
                 raise StiffnessError(t, y, f"step budget of {_MAX_STEPS} exhausted")
 
-            # stage = y + h * (a_row @ K[:i+1]), in place and in that order
-            for a_row, K_a, K_i, c_i in stages:
-                np.dot(a_row, K_a, out=stage)
-                stage *= h
-                stage += y
+            # stage = (1, h a_row) . (y, k0..k_i), in place
+            np.multiply(table_cols, h, out=h_cols)
+            for hT_i, KY_i, K_i, c_i in stages:
+                np.dot(hT_i, KY_i, out=stage)
                 f(t + c_i * h, stage, out=K_i)
-            y_new = np.dot(_B, K_b)
-            y_new *= h
-            y_new += y
+            np.dot(hB, KY_b, out=y_new)
             f(t + h, y_new, out=K[6])
-            np.dot(_E, K, out=err_vec)
-            err_vec *= h
-            # err = RMS of err_vec / (abs_tol + rel_tol max(|y|, |y_new|));
-            # ``np.add.reduce(q) / q.size`` is the sum and division of ``np.mean``
-            np.abs(y_new, out=abs_new)
-            np.maximum(abs_y, abs_new, out=q)
-            q *= rel_tol
-            q += abs_tol
+            np.dot(hE, K, out=err_vec)
+            # err = RMS of err_vec / max(scale, abs_tol + rel_tol |y_new|),
+            # which is err_vec / (abs_tol + rel_tol max(|y|, |y_new|))
+            np.abs(y_new, out=scale_new)
+            scale_new *= rel_tol
+            scale_new += abs_tol
+            np.maximum(scale, scale_new, out=q)
             np.divide(err_vec, q, out=q)
-            q *= q
-            err = math.sqrt(np.add.reduce(q) / q.size)
+            err = math.sqrt(np.dot(q, q) / q.size)
 
             low = float(np.minimum.reduce(y_new))
             # Both RHS bodies give a non-finite derivative component j when
@@ -262,23 +264,21 @@ def simulate(
                 continue
 
             if err <= 1.0:
-                # Accept: keep the interpolant's raw rows.
-                if n_accepted == conts.shape[0]:
-                    # only the previous step's view ``c`` refers to the
-                    # buffer, and it is never read again, so it may move
-                    conts.resize((2 * n_accepted,) + conts.shape[1:], refcheck=False)
+                # Accept: keep the raw rows; y_new and k6 (rows 1, 3) start the next step.
                 c = conts[n_accepted]
-                c[1] = y_new
-                c[2:4] = K_ends
+                c[2:4] = KY[1::6]
                 np.dot(_D, K, out=c[4])
+                KY[:2] = c[1:4:2]
                 step_sizes.append(h)
 
                 t = t + h
-                y = y_new
-                abs_y, abs_new = abs_new, abs_y
-                K[0] = K[6]
+                scale, scale_new = scale_new, scale
                 step_times.append(t)
                 n_accepted += 1
+                if n_accepted == conts.shape[0]:
+                    # only the stale views ``c`` and ``y_new`` point into it, so it may move
+                    conts.resize((2 * n_accepted,) + conts.shape[1:], refcheck=False)
+                y_new = conts[n_accepted, 1]
 
                 fac = (err**_EXPO) / (fac_old**_BETA)
                 fac = max(_FAC_GROW_MAX, min(_FAC_SHRINK_MAX, fac / _SAFETY))

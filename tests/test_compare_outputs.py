@@ -201,3 +201,44 @@ class TestManifest:
         curves = [run for run in manifest if run["argv"][0] == "curves"]
         assert simulate and [run["argv"][1:] for run in curves] == [[path] for path in simulate]
         assert all(run["output"] == "curves.csv" for run in curves)
+
+
+def _verify_run(top: Path, stem: str, code: str, report: dict | None) -> None:
+    run = top / stem
+    run.mkdir(parents=True)
+    (run / "exit_code").write_text(code)
+    if report is not None:
+        (run / "report.json").write_text(json.dumps(report))
+
+
+class TestVerdictSummary:
+    def test_counts_runs_whose_flags_agree_whatever_the_bytes(self, tmp_path):
+        parent, change = tmp_path / "parent", tmp_path / "change"
+        base = json.loads(_report())
+        base["claims"][0].update(applicable=True, **{"pass": True})
+        slopes = json.loads(json.dumps(base))
+        slopes["claims"][0]["measured"]["slope_pack_2"] = -0.6
+        flipped = json.loads(json.dumps(base))
+        flipped["claims"][0]["pass"] = False
+        not_applicable = json.loads(json.dumps(base))
+        not_applicable["claims"][0]["applicable"] = False
+        overall = dict(base, overall_pass=False)
+        sides = {
+            "same": (("0", base), ("0", base)),
+            "bytes": (("0", base), ("0", slopes)),
+            "pass": (("0", base), ("0", flipped)),
+            "applicable": (("0", base), ("0", not_applicable)),
+            "overall": (("0", base), ("0", overall)),
+            "exit": (("0", base), ("1", base)),
+            "crash": (("0", base), ("ValueError: boom", None)),
+        }
+        for stem, ((code_a, rep_a), (code_b, rep_b)) in sides.items():
+            _verify_run(parent, stem, code_a, rep_a)
+            _verify_run(change, stem, code_b, rep_b)
+        runs = [{"stem": stem, "output": "report.json"} for stem in sides]
+        assert compare_outputs.verdict_summary(parent, change, runs) == (
+            "verdicts: 2 of 7 verify runs agree in exit code, overall_pass and every claim's applicable "
+            "and pass; moved in pass, applicable, overall, exit, crash"
+        )
+        agreeing = compare_outputs.verdict_summary(parent, change, runs[:2])
+        assert agreeing.startswith("verdicts: 2 of 2 verify runs agree") and agreeing.endswith("applicable and pass")

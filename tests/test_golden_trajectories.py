@@ -14,8 +14,13 @@ and an array body for many; every case also runs with each body forced,
 so both are pinned to the same bytes.
 
 The integrator is deterministic on a fixed platform, but the last bits of
-``pow`` and of the numpy loops may differ between CPUs and libraries, so the
-hashes belong to the platform that wrote them.
+``pow`` and of the numpy loops may differ between CPUs and libraries, and
+every stage of a step is an ``np.dot``, whose summation order is chosen by
+the BLAS kernel: OpenBLAS, built DYNAMIC_ARCH, picks one per CPU.  So the
+hashes belong to the platform and the kernel that wrote them, SkylakeX;
+under ``OPENBLAS_CORETYPE=Haswell`` or ``Prescott`` all 12 cases here and
+the 3 of ``test_golden.py::test_measured_values_are_pinned`` fail (ROADMAP
+item 5).
 
 Regenerate (only when a change is meant to move the trajectories, and say
 why)::

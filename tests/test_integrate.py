@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,65 @@ class TestSimulate:
         with pytest.raises((StiffnessError, DivergenceError)) as exc:
             simulate(PARAMS, [Monod(1e300, 1.0)], State(s=10.0, x=np.array([0.1])), 10.0)
         assert exc.value.t >= 0.0
+
+
+# The Dormand-Prince 4(5) tableau as printed (Dormand & Prince 1980), exact.
+DP_A = (
+    (F(1, 5),),
+    (F(3, 40), F(9, 40)),
+    (F(44, 45), F(-56, 15), F(32, 9)),
+    (F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)),
+    (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)),
+)
+DP_B = (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84))
+DP_C = (F(1, 5), F(3, 10), F(4, 5), F(8, 9), F(1))  # the nodes of stages 1-5
+DP_D = (
+    F(-12715105075, 11282082432),
+    F(0),
+    F(87487479700, 32700410799),
+    F(-10690763975, 1880347072),
+    F(701980252875, 199316789632),
+    F(-1453857185, 822651844),
+    F(69997945, 29380423),
+)
+
+
+def reference_step(f, y: list[float], h: float) -> tuple[list[float], list[list[float]]]:
+    """One Dormand-Prince step from ``y`` by the textbook formula, in Python floats.
+
+    Stage i is y + h * sum_j a_ij k_j, with h outside the sum.  Returns the
+    end state and the interpolant coefficients [y, ydiff, h k0 - ydiff,
+    ydiff - h k6 - (h k0 - ydiff), h sum_j d_j k_j] with ydiff = y_new - y.
+    """
+
+    def comb(weights, k):
+        return [h * sum(float(w) * k_j[m] for w, k_j in zip(weights, k)) for m in range(len(y))]
+
+    k = [f(0.0, np.array(y)).tolist()]
+    for c, row in zip(DP_C, DP_A):
+        k.append(f(float(c) * h, np.array([u + v for u, v in zip(y, comb(row, k))])).tolist())
+    y_new = [u + v for u, v in zip(y, comb(DP_B, k))]
+    k.append(f(h, np.array(y_new)).tolist())
+    ydiff = [u - v for u, v in zip(y_new, y)]
+    bspl = [h * k0 - dy for k0, dy in zip(k[0], ydiff)]
+    top = [dy - h * k6 - b for dy, k6, b in zip(ydiff, k[6], bspl)]
+    return y_new, [y, ydiff, bspl, top, comb(DP_D, k)]
+
+
+class TestReferenceStep:
+    """The folded stage products against the textbook step formula."""
+
+    @pytest.mark.parametrize("case", ["canonical", "mixed_5"])
+    def test_first_step_matches_the_textbook_formula(self, case):
+        from test_golden_trajectories import cases
+
+        params, growths, x0, horizon = cases()[case]
+        traj = simulate(params, growths, x0, horizon)
+        y0 = traj.step_states[0].tolist()
+        y_new, coeffs = reference_step(dynamics.vector_field(params, growths), y0, float(traj.step_times[1]))
+        scale = max(map(abs, y0 + y_new))
+        assert np.max(np.abs(traj.step_states[1] - y_new)) <= 1e-14 * scale
+        assert np.max(np.abs(traj.step_coeffs[0] - np.array(coeffs))) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("min_laws", [0, sys.maxsize], ids=["array_body", "float_body"])

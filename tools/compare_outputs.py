@@ -30,6 +30,11 @@ formatting.  A JSON report that equals the parent's with some keys deleted
 is marked with the deleted key names, and a verify stdout whose differing
 lines only lose ``key=value`` items is marked with those items.  All of
 them still count as differences.
+
+A last line compares the verdicts of every ``verify`` run, whatever its
+bytes: the number of runs whose exit code, ``overall_pass`` and every
+claim's ``applicable`` and ``pass`` agree between the two trees, naming
+the runs where any of them moved.
 """
 
 from __future__ import annotations
@@ -322,6 +327,33 @@ def compare(
     return diffs, slopes, entries
 
 
+def verdict(run: Path, output: str) -> tuple:
+    """A verify run's exit code, ``overall_pass`` and every claim's (id, applicable, pass).
+
+    A run that wrote no report has ``overall_pass`` None and no claims.
+    """
+    code = (run / "exit_code").read_text()
+    if not (run / output).is_file():
+        return code, None, ()
+    report = json.loads((run / output).read_text())
+    claims = tuple((c["id"], c["applicable"], c["pass"]) for c in report["claims"])
+    return code, report["overall_pass"], claims
+
+
+def verdict_summary(parent: Path, change: Path, runs: list[dict]) -> str:
+    """One line: in how many of the verify ``runs`` the two trees' verdicts agree."""
+    moved = [
+        run["stem"]
+        for run in runs
+        if verdict(parent / run["stem"], run["output"]) != verdict(change / run["stem"], run["output"])
+    ]
+    line = (
+        f"verdicts: {len(runs) - len(moved)} of {len(runs)} verify runs agree in exit code, "
+        "overall_pass and every claim's applicable and pass"
+    )
+    return line + (f"; moved in {', '.join(moved)}" if moved else "")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_src", type=Path)
@@ -347,6 +379,8 @@ def main(argv=None) -> int:
         horizons = {run["stem"]: run["horizon"] for run in manifest if "horizon" in run}
         diffs, slopes, entries = compare(outs["parent"], outs["change"], horizons)
         n_files = len(_files(outs["parent"]))
+        verify_runs = [run for run in manifest if run["argv"][0] == "verify"]
+        verdicts = verdict_summary(outs["parent"], outs["change"], verify_runs)
     for line in diffs:
         print(line)
     print(f"{len(manifest)} runs, {n_files} parent files, {len(diffs)} differences")
@@ -360,6 +394,7 @@ def main(argv=None) -> int:
             f"{len(entries)} of the differences are reports that differ only in entry times, "
             f"max difference {max(entries):.3g} x horizon"
         )
+    print(verdicts)
     return 1 if diffs else 0
 
 

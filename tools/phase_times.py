@@ -31,10 +31,14 @@ The phases of a simulate workload (export-mixed), timed on every scenario:
 - ``emit``: ``write_trajectory_csv`` of the scenario's trajectory into an
   ``io.StringIO``
 
-The output has one row per timed scenario with each phase's min-of-N
-microseconds for both trees (N = ``--rounds`` x ``CALLS``), then one row
-per phase with the sums over scenarios, their ratio and the number of
-scenarios where the change is slower.
+The output has one row per timed scenario with its trial steps in each
+tree (``meta.steps_accepted + steps_rejected`` of its ``simulate``) and
+each phase's min-of-N microseconds for both trees (N = ``--rounds`` x
+``CALLS``), then one row per phase with the sums over scenarios, their
+ratio and the number of scenarios where the change is slower, and a last
+row with each tree's ``simulate`` microseconds per trial step: the trial
+count does not depend on the host, so it tells a faster step from fewer
+steps.
 
 Both trees run this one worker script, which calls the library as it is
 now.  A tree from before ``check_induction_properties`` lost its
@@ -79,8 +83,9 @@ def worker(src: Path, pool_file: Path) -> None:
 
     ``pool_file`` holds the workload's command and its scenario paths.
     Prints one JSON line mapping the pool index of every timed scenario to
-    its number of species, then answers every ``INDEX PHASE`` line on stdin
-    with that phase's microseconds on that scenario.
+    its number of species and its trial steps, then answers every
+    ``INDEX PHASE`` line on stdin with that phase's microseconds on that
+    scenario.
     """
     import_tree(src)
     from chemostat_cep import certificate, cli, integrate, scenario, verify
@@ -101,9 +106,11 @@ def worker(src: Path, pool_file: Path) -> None:
             )
 
         traj = simulate()
+        trials = traj.meta.steps_accepted + traj.meta.steps_rejected
         if command == "simulate":
             return {
                 "n": len(growths),
+                "trials": trials,
                 "simulate": simulate,
                 "emit": lambda: cli.write_trajectory_csv(traj, io.StringIO()),
             }
@@ -120,6 +127,7 @@ def worker(src: Path, pool_file: Path) -> None:
         margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
         return {
             "n": len(active),
+            "trials": trials,
             "simulate": simulate,
             "induction": lambda: verify.check_induction_properties(traj, cert, columns),
             "entries": lambda: integrate.persistent_entries(traj, cert.intervals),
@@ -129,7 +137,7 @@ def worker(src: Path, pool_file: Path) -> None:
 
     calls = {str(k): phases(path) for k, path in enumerate(pool["paths"])}
     calls = {k: fns for k, fns in calls.items() if fns is not None}
-    print(json.dumps({k: fns["n"] for k, fns in calls.items()}), flush=True)
+    print(json.dumps({k: [fns["n"], fns["trials"]] for k, fns in calls.items()}), flush=True)
     for line in sys.stdin:
         k, phase = line.split()
         print(_timed(calls[k][phase]), flush=True)
@@ -145,10 +153,12 @@ def _ask(proc: subprocess.Popen, request: str) -> str:
     return proc.stdout.readline()
 
 
-def _summary(phases: tuple[str, ...], sizes: dict, best: dict) -> list[str]:
-    lines = [f"{'scenario':8}  n  " + "  ".join(f"{ph + ' parent/change':>27}" for ph in phases)]
+def _summary(phases: tuple[str, ...], sizes: dict, trials: dict, best: dict) -> list[str]:
+    head = [f"{'trials parent/change':>20}"] + [f"{ph + ' parent/change':>27}" for ph in phases]
+    lines = [f"{'scenario':8}  n  " + "  ".join(head)]
     for k, n in sizes.items():
-        cells = [f"{best['parent'][k][ph]:12.1f} / {best['change'][k][ph]:12.1f}" for ph in phases]
+        cells = [f"{trials['parent'][k]:9d} / {trials['change'][k]:8d}"]
+        cells += [f"{best['parent'][k][ph]:12.1f} / {best['change'][k][ph]:12.1f}" for ph in phases]
         lines.append(f"{k:>8} {n:2d}  " + "  ".join(cells))
     lines.append(f"{'phase':12} {'parent_us':>12} {'change_us':>12} {'ratio':>7}  change slower")
     for ph in phases:
@@ -156,6 +166,8 @@ def _summary(phases: tuple[str, ...], sizes: dict, best: dict) -> list[str]:
         b = sum(best["change"][k][ph] for k in sizes)
         slower = sum(best["change"][k][ph] > best["parent"][k][ph] for k in sizes)
         lines.append(f"{ph:12} {a:12.1f} {b:12.1f} {b / a if a else float('nan'):7.3f}  {slower}/{len(sizes)}")
+    a, b = (sum(best[side][k]["simulate"] for k in sizes) / sum(trials[side].values()) for side in ("parent", "change"))
+    lines.append(f"{'us/trial':12} {a:12.2f} {b:12.2f} {b / a:7.3f}")
     return lines
 
 
@@ -201,7 +213,8 @@ def main(argv=None, limit: int | None = None) -> int:
                 print(f"a worker exited before timing: {sorted(s for s, r in replies.items() if not r)}", file=sys.stderr)
                 return 1
             served = {side: json.loads(reply) for side, reply in replies.items()}
-            sizes = {k: n for k, n in served["parent"].items() if k in served["change"]}
+            sizes = {k: n for k, (n, _) in served["parent"].items() if k in served["change"]}
+            trials = {side: {k: served[side][k][1] for k in sizes} for side in procs}
             best: dict = {side: {k: {} for k in sizes} for side in procs}
             for k in sizes:
                 for ph in phases:
@@ -218,7 +231,7 @@ def main(argv=None, limit: int | None = None) -> int:
                 proc.wait()
     timed = "certified scenarios" if wl.command == "verify" else "scenarios"
     print(f"{args.workload} seed {args.seed}: {len(sizes)} {timed}, min of {args.rounds} rounds x {CALLS} calls")
-    print("\n".join(_summary(phases, sizes, best)))
+    print("\n".join(_summary(phases, sizes, trials, best)))
     return 0
 
 
