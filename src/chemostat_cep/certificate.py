@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, ParameterError, WashoutError
-from .growth import Hill, Monod, OrderedSpecies, Table, rate_matrix
+from .growth import Hill, Monod, OrderedSpecies, Table, monod_arrays, rate_matrix, rate_rows
 
 GRID_N = 2048  # grid intervals per margin interval
 
@@ -157,16 +157,14 @@ class Certificate:
         }
 
 
-def _pack_gap(
-    ordered: OrderedSpecies, i: int, s_grid: np.ndarray, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """Domination gap of pack i over all packs above it, pointwise on a grid.
+def _gap_rows(ordered: OrderedSpecies, i: int, rows: np.ndarray | None = None) -> tuple:
+    """The laws the margin grids of boundary i evaluate, ready for ``_pack_gap``.
 
-    Pack-wise means the slowest member of pack i against the fastest member
-    of any higher pack, so a positive gap certifies every member pair.
-    ``rows`` lists the record positions of the slower packs to evaluate
-    (``None`` for all of them); leaving out rows that cannot set the maximum
-    (``_envelope_rows``) gives the same gap bitwise.
+    Returns (laws, count, monod): pack i's laws followed by the slower-pack
+    laws at the record positions ``rows`` (all of them for ``None``), how
+    many of them are pack i's, and their ``monod_arrays``.  Leaving out rows
+    that cannot set the maximum (``_envelope_rows``) gives the same gap
+    bitwise.
     """
     first = ordered.packs[i][0]
     split = ordered.packs[i + 1][0]
@@ -174,8 +172,21 @@ def _pack_gap(
         rows = range(split, ordered.n)
     laws = [rec.growth for rec in ordered.records[first:split]]
     laws += [ordered.records[k].growth for k in rows]
-    rates = rate_matrix(laws, s_grid)
-    return np.min(rates[: split - first], axis=0) - np.max(rates[split - first :], axis=0)
+    return laws, split - first, monod_arrays(laws)
+
+
+def _pack_gap(gap_rows: tuple, s_grid: np.ndarray) -> np.ndarray:
+    """Domination gap of pack i over all packs above it, pointwise on a grid.
+
+    ``gap_rows`` is ``_gap_rows(ordered, i, rows)``, and ``s_grid`` a 1-D
+    grid of finite levels > 0 (a ``linspace`` between two margins), which
+    is not validated again.  Pack-wise means the slowest member of pack i
+    against the fastest member of any higher pack, so a positive gap
+    certifies every member pair.
+    """
+    laws, count, monod = gap_rows
+    rates = rate_rows(laws, monod, s_grid)
+    return np.min(rates[:count], axis=0) - np.max(rates[count:], axis=0)
 
 
 def overshoot_cap(lam_lower: float, s_in: float) -> float:
@@ -252,7 +263,8 @@ def separation_margins(
     packs is positive on [s_i_minus, s_i_plus].  The lower margin never
     crosses zero and the upper one stays below ``s_plus_limit`` when given
     (used to keep absorbing intervals nested).  ``rows`` selects
-    the slower-pack records the grids evaluate, as in :func:`_pack_gap`.
+    the slower-pack records the grids evaluate, as in :func:`_gap_rows`,
+    whose laws are prepared once for every grid.
 
     Raises :class:`CertificateError` when no positive-gap extension exists
     down to the floor, which means the ordering data contradicts the growth
@@ -268,12 +280,13 @@ def separation_margins(
 
     delta = 0.5 * (lam_hi_eff - lam_lo)
     delta_min = _DELTA_MIN_REL * ordered.pack_lambda(0)
+    gap_rows = _gap_rows(ordered, i, rows)
     while True:
         s_minus, s_plus = _margins(lam_lo, lam_hi_eff, delta)
         if s_plus_limit is not None and s_plus >= s_plus_limit:
             s_plus = lam_hi_eff + 0.5 * (s_plus_limit - lam_hi_eff)
         grid = np.linspace(s_minus, s_plus, GRID_N + 1)
-        gap_min = float(np.min(_pack_gap(ordered, i, grid, rows)))
+        gap_min = float(np.min(_pack_gap(gap_rows, grid)))
         if gap_min > 0.0:
             return Boundary(
                 s_minus=s_minus,
@@ -469,7 +482,7 @@ def recheck_certificate(
         return []
     grid_n = GRID_N * grid_factor
     gap_mins = [
-        float(np.min(_pack_gap(ordered, i, np.linspace(b.s_minus, b.s_plus, grid_n + 1))))
+        float(np.min(_pack_gap(_gap_rows(ordered, i), np.linspace(b.s_minus, b.s_plus, grid_n + 1))))
         for i, b in enumerate(cert.boundaries)
     ]
     problems = _certificate_problems(cert, gap_mins)

@@ -107,11 +107,12 @@ def vector_field(
     every other law overwrites its own entry through its scalar path (a
     Hill law needs the scalar ``pow``, since a vectorised pow loop may round
     differently).
-    Given ``out``, a float array of y's shape, the call writes the derivative
-    there and returns ``out``; without it, each call returns a new array.  A
-    y whose length is not 1 + the number of laws raises ``ValueError``.  The
-    array body reuses its work buffers, so one such closure must not be
-    called from two threads at once.
+    Given ``out``, a float array of y's shape that does not share memory
+    with y, the call writes the derivative there and returns ``out``;
+    without it, each call returns a new array.  A y whose length is not
+    1 + the number of laws raises ``ValueError``.  The array body reuses its
+    work buffers, so one such closure must not be called from two threads
+    at once.
     """
     d = params.d
     s_in = params.s_in
@@ -144,14 +145,11 @@ def vector_field(
 
     scalar_rows = [(i, g._rate_scalar) for i, (g, m) in enumerate(zip(laws, is_monod)) if not m]
     den = np.empty(n)
-    # Row 0 is 0.0 (the start of the running consumption sum) and then the
-    # terms mu_i x_i; row 1 is a free slot and then dx_i = (mu_i - d) x_i.
-    work = np.zeros((2, size))
-    rows = work[:, 1:]
-    mu = work[0, 1:]
-    dx = work[1, 1:]
-    terms = work[0]
-    out_row = work[1]
+    # Slot 0 of ``terms`` stays 0.0, the start of the running consumption
+    # sum; slot i holds mu_i, then the term mu_i x_i.
+    terms = np.zeros(size)
+    mu = terms[1:]
+    acc = np.empty(size)
 
     def f(t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if len(y) != size:  # y[1:] of length 1 would broadcast over the laws
@@ -163,13 +161,14 @@ def vector_field(
         np.divide(mu, den, out=mu)
         for i, rate in scalar_rows:
             mu[i] = rate(sc)
-        np.subtract(mu, d, out=dx)
-        np.multiply(rows, y[1:], out=rows)
         if out is None:
-            out = out_row.copy()
-        else:
-            out[:] = out_row
-        out[0] = d * (s_in - s) - np.add.accumulate(terms)[-1]
+            out = np.empty(size)
+        x, dx = y[1:], out[1:]
+        np.subtract(mu, d, out=dx)
+        np.multiply(dx, x, out=dx)
+        np.multiply(mu, x, out=mu)
+        np.add.accumulate(terms, out=acc)
+        out[0] = d * (s_in - s) - acc.item(-1)
         return out
 
     return f

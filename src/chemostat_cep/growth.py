@@ -213,23 +213,35 @@ def monod_arrays(laws: Sequence[GrowthFunction]) -> tuple[list[bool], np.ndarray
 def rate_matrix(laws: Sequence[GrowthFunction], s) -> np.ndarray:
     """Rates of several laws on one substrate grid, one row per law.
 
-    Row k is bitwise equal to ``laws[k](s)``.  Monod rows come from one
-    array expression over the parameter arrays, with the operations of
+    Row k is bitwise equal to ``laws[k](s)``; the grid is validated as a law
+    validates it, then ``rate_rows`` evaluates it.
+    """
+    arr = _as_substrate(s)
+    rates = rate_rows(laws, monod_arrays(laws), arr.reshape(-1))
+    return rates.reshape((len(laws),) + arr.shape)
+
+
+def rate_rows(
+    laws: Sequence[GrowthFunction], monod: tuple[list[bool], np.ndarray, np.ndarray], s: np.ndarray
+) -> np.ndarray:
+    """Unvalidated rates of ``laws`` on a 1-D float grid ``s`` of finite levels >= 0.
+
+    ``monod`` is ``monod_arrays(laws)``, so a caller evaluating the same
+    laws on many grids prepares it once.  Monod rows come from one array
+    expression over the parameter arrays, with the operations of
     ``Monod._rate`` in the same order, written in place so that at most one
     more matrix (the ``k + s`` denominators) is alive.  Every other law then
     overwrites its own row: tables interpolate per law, and a Hill row needs
     ``np.power`` with its own scalar exponent, as in ``Hill._rate``, since a
     vectorised pow loop may round differently.
     """
-    arr = _as_substrate(s)
-    flat = arr.reshape(-1)
-    is_monod, mu_max, k_half = monod_arrays(laws)
-    out = np.multiply(mu_max[:, None], flat)
-    np.divide(out, k_half[:, None] + flat, out=out)
+    is_monod, mu_max, k_half = monod
+    out = np.multiply(mu_max[:, None], s)
+    np.divide(out, k_half[:, None] + s, out=out)
     for k, g in enumerate(laws):
         if not is_monod[k]:
-            out[k] = g._rate(flat)
-    return out.reshape((len(laws),) + arr.shape)
+            out[k] = g._rate(s)
+    return out
 
 
 def break_even(g: GrowthFunction, d: float, *, s_probe_max: float = 1e6) -> float:

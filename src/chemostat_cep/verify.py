@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,9 +44,6 @@ EPS_WASHOUT = 1e-4  # final density of a washed-out species
 EPS_FLOOR = 1e-3  # biomass floor after the burn-in
 EPS_P = 1e-4  # final proportion of every losing pack
 EPS_FINAL = 1e-3  # final-state error
-
-_RATIO_FLOOR = 1e-300  # discard ratio samples below this before taking logs
-_MIN_FIT_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -128,126 +125,62 @@ def _json_safe(d: Mapping) -> dict:
 def fit_log_decay(
     t: np.ndarray, v: np.ndarray
 ) -> tuple[float | None, int] | tuple[list[float | None], np.ndarray]:
-    """Least-squares slope of log v over t, skipping sub-floor samples.
+    """Least-squares slope of log v over t, on the samples above 1e-300.
 
-    For 1-D ``v`` returns (slope, samples used); slope is None when too few
-    samples remain to support a line.  For 2-D ``v`` (samples x columns)
-    every column is fitted on its own usable samples, in one pass, and the
-    result is (list of slopes or None, array of samples used).  This is the
-    single-tail case of ``fit_log_decay_tails``, on a copy of ``v``.
+    Only the tests and the benchmark's tracer use this: the exclusion
+    stages check the comparison inequality (``comparison_excess``).  For
+    1-D ``v`` returns (slope, samples used); slope is None when fewer than
+    8 samples are usable.  For 2-D ``v`` (samples x columns) every column is
+    fitted on its own usable samples and the result is (list of slopes or
+    None, array of samples used).  Two passes: the means, then the sums of
+    centred products.
     """
     one = np.ndim(v) == 1
-    buf = np.array(v, dtype=float)
-    slopes, used = fit_log_decay_tails(t, buf[:, None] if one else buf, [0])
-    fittable = (used[0] >= _MIN_FIT_SAMPLES).tolist()
-    fitted = [s if ok else None for s, ok in zip(slopes[0].tolist(), fittable)]
+    v = np.array(v, dtype=float, ndmin=2).T if one else np.array(v, dtype=float)
+    t = np.asarray(t, dtype=float)[:, None]
+    mask = np.isfinite(v) & (v > 1e-300)
+    used = np.count_nonzero(mask, axis=0)
+    n = np.maximum(used, 1)
+    t = np.where(mask, t, 0.0)
+    y = np.log(v, out=np.zeros_like(v), where=mask)
+    t = np.where(mask, t - t.sum(axis=0) / n, 0.0)
+    y = np.where(mask, y - y.sum(axis=0) / n, 0.0)
+    s_ty, s_tt = (t * y).sum(axis=0), (t * t).sum(axis=0)
+    slopes = [float(a / b) if k >= 8 else None for a, b, k in zip(s_ty, s_tt, used)]
     if one:
-        return fitted[0], int(used[0, 0])
-    return fitted, used[0]
-
-
-def fit_log_decay_tails(
-    t: np.ndarray,
-    v: np.ndarray,
-    starts: Sequence[int | None],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decay slopes of every column of ``v`` on the tail from every start.
-
-    Returns (slopes, used), both (starts x columns): row k holds, per
-    column, the slope of log v over ``t[starts[k]:]`` and the number of
-    usable samples it rests on.  A slope is fitted only where ``used`` is
-    at least ``_MIN_FIT_SAMPLES`` and is NaN elsewhere, so a fitted NaN is
-    told apart by ``used``; a None start uses no sample.  ``v`` (samples x
-    columns, float) is the work buffer: its rows from the first start on are
-    overwritten.
-
-    Those rows are cut at every start into segments.  Each segment gives,
-    per column and over the column's usable samples, the count, the means of
-    t and log v, and the centred sums S_tt and S_ty.  Merging the segments
-    from the end with the pairwise update of Chan, Golub and LeVeque gives
-    every tail's sums in one pass over the samples, and the slope is
-    S_ty / S_tt.  Raw sums of t*y over long tails are not used: they cancel
-    badly on short tails at the end of long horizons.
-    """
-    t = np.asarray(t, dtype=float)
-    shape = (len(starts), v.shape[1])
-    cuts = sorted({s for s in starts if s is not None})
-    if not cuts:
-        return np.full(shape, np.nan), np.zeros(shape, dtype=np.intp)
-    block = v[cuts[0]:]
-    mask = np.isfinite(block)
-    mask &= block > _RATIO_FLOOR
-    np.log(block, out=block, where=mask)
-    # Measure times and logs from the last sample and each column's last
-    # usable log, so a mean's rounding scales with how far its rows lie
-    # from the end, as in a two-pass fit of a short final tail.
-    if block.shape[0]:
-        last = block.shape[0] - 1 - np.argmax(mask[::-1], axis=0)
-        np.subtract(block, block[last, np.arange(block.shape[1])], out=block, where=mask)
-        t = t - t[-1]
-    block[~mask] = 0.0
-
-    tails = {}
-    acc = None
-    bounds = cuts + [t.size]
-    for a, b in reversed(list(zip(bounds[:-1], bounds[1:]))):
-        seg = _segment_moments(t[a:b], v[a:b], mask[a - cuts[0] : b - cuts[0]])
-        acc = seg if acc is None else _merge_moments(seg, acc)
-        tails[a] = acc
-
-    rows = [k for k, s in enumerate(starts) if s is not None]
-    picked = [tails[starts[k]] for k in rows]
-    used = np.zeros(shape, dtype=np.intp)
-    used[rows] = [m[0] for m in picked]
-    slopes = np.full(shape, np.nan)
-    slopes[rows] = np.divide(
-        [m[4] for m in picked],
-        [m[3] for m in picked],
-        out=slopes[rows],
-        where=used[rows] >= _MIN_FIT_SAMPLES,
-    )
+        return slopes[0], int(used[0])
     return slopes, used
 
 
-def _segment_moments(t: np.ndarray, y: np.ndarray, mask: np.ndarray) -> tuple:
-    """(count, mean t, mean y, S_tt, S_ty) of each column over its masked rows.
+def comparison_excess(t: np.ndarray, v: np.ndarray, starts: Sequence[int | None], rate: float) -> np.ndarray:
+    """Largest rise of g = ln v + rate t over every column's tail from every start.
 
-    ``y`` is zero outside the mask and is centred in place.  Columns with no
-    usable row get zero means, so merging them changes nothing.
+    Returns the (starts x columns) matrix whose entry (k, c) is the maximum
+    over samples j >= ``starts[k]`` of g[j, c] - g[starts[k], c], NaN
+    samples skipped.  It is NaN where the start is None or g at the start is
+    not finite (v zero, NaN or inf there); elsewhere it lies in [0, inf],
+    and it is 0 exactly when column c stays at or under
+    v[start, c] exp(-rate (t - t[start])) on every sample of the tail.  A
+    start must index a sample.  ``v`` (samples x columns, float) is the
+    work buffer: its rows from the first start on are overwritten with g.
+
+    One reversed ``np.fmax.accumulate`` over those rows gives every tail's
+    maximum at once, with no loop over starts.
     """
-    n = np.count_nonzero(mask, axis=0)
-    if t.size == 0:
-        zero = np.zeros(n.size)
-        return n, zero, zero, zero, zero
-    w = mask.astype(float)
-    n1 = np.maximum(n, 1)
-    c = np.mean(t)
-    t0 = t - c
-    t_bar = (t0 @ w) / n1
-    s_tt = (t0 * t0) @ w - n * t_bar * t_bar
-    y_bar = y.sum(axis=0) / n1
-    y -= y_bar
-    y *= w
-    s_ty = t0 @ y - t_bar * y.sum(axis=0)
-    return n, (c + t_bar) * (n > 0), y_bar, s_tt, s_ty
-
-
-def _merge_moments(a: tuple, b: tuple) -> tuple:
-    """Moments of the union of two disjoint row sets (Chan et al.)."""
-    n_a, t_a, y_a, tt_a, ty_a = a
-    n_b, t_b, y_b, tt_b, ty_b = b
-    n = n_a + n_b
-    w_b = n_b / np.maximum(n, 1)
-    d_t = t_b - t_a
-    d_y = y_b - y_a
-    cross = n_a * w_b
-    return (
-        n,
-        t_a + d_t * w_b,
-        y_a + d_y * w_b,
-        tt_a + tt_b + d_t * d_t * cross,
-        ty_a + ty_b + d_t * d_y * cross,
-    )
+    excess = np.full((len(starts), v.shape[1]), np.nan)
+    rows = [k for k, s in enumerate(starts) if s is not None]
+    if not rows:
+        return excess
+    first = min(starts[k] for k in rows)
+    g = v[first:]
+    at = [starts[k] - first for k in rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(g, out=g)
+        g += rate * t[first:, None]
+        peak = np.fmax.accumulate(g[::-1], axis=0)[::-1]
+        base = g[at]
+        excess[rows] = np.where(np.isfinite(base), peak[at] - base, np.nan)
+    return excess
 
 
 def check_mass_convergence(traj: Trajectory, params: ChemostatParams) -> ClaimResult:
@@ -400,17 +333,18 @@ def check_induction_properties(
     cert: Certificate,
     id_to_column: Mapping[str, int],
 ) -> list[ClaimResult]:
-    """Per-stage absorbing-interval entries and ratio decay.
+    """Per-stage absorbing-interval entries and the comparison inequality.
 
     Stage i requires the substrate to enter the i-th absorbing interval for
     good, no earlier than the next (wider) stage's entry, and every pack
-    above i to decay: the log of its summed density ratio against the lead
-    species must fall at least at rate nu less a slack of 0.1 nu, and its
-    final proportion must end below ``EPS_P``.
+    above i to be excluded: from the entry on, its summed density ratio r
+    against the lead species must stay under r(t_a) exp(-rate (t - t_a)),
+    with rate = 0.9 nu (the paper's comparison of solutions), and its final
+    proportion must end below ``EPS_P``.
 
-    Every stage fits every pack's ratio on the tail from its entry, in one
-    pass (``fit_log_decay_tails``), and ``_stage_claims`` reads the verdicts
-    off the (stages x packs) slopes.
+    ``comparison_excess`` gives every stage's largest rise of ln r + rate t
+    over every pack at once, and ``_stage_claims`` reads the verdicts off
+    the (stages x packs) excesses.
     """
     if cert.degenerate:
         return [_not_applicable("exclusion_stage_1", "degenerate certificate")]
@@ -421,10 +355,10 @@ def check_induction_properties(
 
     # Column c holds pack c + 2's summed density over the lead species, for
     # every pack above the first, and p_final[c] its final proportion.  One
-    # ``take`` reads every pack's first member, in the C order that the
-    # fits' sums run in; a pack with more members is then summed as before.
-    # (``np.add.reduceat`` over all members is slower at every n, and adds
-    # a0 + (a1 + a2) where the sum adds (a0 + a1) + a2.)
+    # ``take`` reads every pack's first member; a pack with more members is
+    # then summed member by member.  (``np.add.reduceat`` over all members
+    # is slower at every n, and adds a0 + (a1 + a2) where the sum adds
+    # (a0 + a1) + a2.)
     cols = [[id_to_column[sid] for sid in pack.ids] for pack in cert.packs[1:]]
     ratios = traj.states.take([pack_cols[0] for pack_cols in cols], axis=1)
     p_last = per_biomass(traj.states[-1, 1:], traj.channels.b[-1])
@@ -440,40 +374,48 @@ def check_induction_properties(
     times = [rec.entry_time for rec in entries]
     found = np.searchsorted(t, [math.inf if e is None else e for e in times], side="left").tolist()
     starts = [None if e is None else k for e, k in zip(times, found)]
-    slopes, used = fit_log_decay_tails(t, ratios, starts)
-    return _stage_claims(entries, slopes, used >= _MIN_FIT_SAMPLES, p_final, cert.nu)
+    rate = 0.9 * cert.nu
+    excess = comparison_excess(t, ratios, starts, rate)
+
+    def witness(i: int, c: int) -> float:
+        """Time of the largest rise of pack c + 2 in stage i (its first sample)."""
+        return float(t[starts[i] + np.nanargmax(ratios[starts[i] :, c])])
+
+    return _stage_claims(entries, excess, witness, p_final, cert.nu, rate)
 
 
 def _stage_claims(
     entries: Sequence[EntryRecord],
-    slopes: np.ndarray,
-    fittable: np.ndarray,
+    excess: np.ndarray,
+    witness: Callable[[int, int], float],
     p_final: np.ndarray,
     nu: float,
+    rate: float,
 ) -> list[ClaimResult]:
-    """One claim per stage from its entry and the (stages x packs) fits.
+    """One claim per stage from its entry and the (stages x packs) excesses.
 
-    Row i of ``slopes`` and ``fittable`` is stage i's fit from its entry,
-    column c is pack c + 2, and ``p_final[c]`` that pack's final
-    proportion; stage i checks the packs c >= i.  A slope counts only where
-    it is fittable and the stage has an entry; otherwise the pair passes
-    when the pack's final proportion is below ``EPS_P`` (its ratio fell under
-    the log floor: extinct).
+    Row i of ``excess`` is stage i's, column c is pack c + 2, and
+    ``p_final[c]`` that pack's final proportion; stage i checks the packs
+    c >= i.  An excess is measured where it is not NaN and the stage has an
+    entry; the pair then passes when the excess is at most 0 and the final
+    proportion is below ``EPS_P``, and otherwise it rests on its final
+    proportion alone (the ratio was zero, undefined or infinite at the
+    entry).  ``witness(i, c)`` is the time of a positive excess.
 
-    Stage i measures its entry, the slope and final proportion of pack
+    Stage i measures its entry, the excess and final proportion of pack
     i + 2 (the pack it newly excludes), and the governing values over every
-    pack it checks: ``slope_max`` and ``p_final_max`` with their packs (see
+    pack it checks: ``excess_max`` and ``p_final_max`` with their packs (see
     ``_governing``).  So a stage reports eight values, and each pack's final
-    proportion appears in one stage.  Only failing or unfittable pairs write
-    a detail.
+    proportion appears in one stage.  Only failing or unmeasured pairs write
+    a detail; a failing excess names its witness, the time and value of the
+    largest rise.
     """
     m = len(entries)
-    slope_threshold = -nu + 0.1 * nu
     times = [rec.entry_time for rec in entries]
     packs = np.arange(m)
     upper = packs >= packs[:, None]
     checked = packs >= np.array([m if e is None else i for i, e in enumerate(times)])[:, None]
-    fitted = fittable & checked
+    measured_pairs = ~np.isnan(excess) & checked
     p_list = p_final.tolist()
     prop_list = [math.isfinite(p) and p < EPS_P for p in p_list]
 
@@ -485,35 +427,34 @@ def _stage_claims(
         elif i + 1 < m and times[i + 1] is not None and e < times[i + 1]:
             details[i].append("entered the smaller interval earlier than the larger one")
             stage_ok[i] = False
-    # A checked pair passes silently when its slope is fitted and both its
-    # decay and its final proportion pass.  The others, few in practice,
-    # write their details; without a fitted slope a pair rests on its final
-    # proportion alone.
-    quiet = fitted & (slopes <= slope_threshold) & np.array(prop_list)
+    # A checked pair passes silently when its excess is measured and both
+    # the inequality and its final proportion hold.  The others, few in
+    # practice, write their details.
+    quiet = measured_pairs & (excess <= 0.0) & np.array(prop_list)
     rows, cols = np.nonzero(checked & ~quiet)
     for i, c in zip(rows.tolist(), cols.tolist()):
         prop = prop_list[c]
-        if not fitted[i, c]:
-            why = "ratio below the log floor; extinct" if prop else "ratio unfittable"
-            details[i].append(f"pack {c + 2} {why}")
-        elif not slopes[i, c] <= slope_threshold:
-            details[i].append(f"pack {c + 2} decay rate {float(slopes[i, c]):.4g} above {slope_threshold:.4g}")
+        if not measured_pairs[i, c]:
+            why = "ratio not positive and finite at the entry"
+            details[i].append(f"pack {c + 2} {why}; extinct" if prop else f"pack {c + 2} {why}")
+        elif not excess[i, c] <= 0.0:
+            details[i].append(f"pack {c + 2} excess {float(excess[i, c]):.4g} at t={witness(i, c):.6g}")
             stage_ok[i] = False
         if not prop:
             details[i].append(f"pack {c + 2} final proportion {p_list[c]:.4g} >= {EPS_P:g}")
             stage_ok[i] = False
 
-    slope_max, slope_pack = _governing(slopes, fitted)
+    excess_max, excess_pack = _governing(excess, measured_pairs)
     p_max, p_pack = _governing(p_final, upper)
     results = []
     for i, rec in enumerate(entries):
         measured = {
             "entry_time": rec.entry_time,
             "excursions": rec.excursions,
-            f"slope_pack_{i + 2}": float(slopes[i, i]) if fitted[i, i] else None,
+            f"excess_pack_{i + 2}": float(excess[i, i]) if measured_pairs[i, i] else None,
             f"p_final_pack_{i + 2}": p_list[i],
-            "slope_max": slope_max[i],
-            "slope_max_pack": None if slope_pack[i] is None else slope_pack[i] + 2,
+            "excess_max": excess_max[i],
+            "excess_max_pack": None if excess_pack[i] is None else excess_pack[i] + 2,
             "p_final_max": p_max[i],
             "p_final_max_pack": p_pack[i] + 2,
         }
@@ -523,7 +464,7 @@ def _stage_claims(
                 True,
                 stage_ok[i],
                 measured,
-                {"nu": nu, "slope_threshold": slope_threshold, "eps_p": EPS_P},
+                {"nu": nu, "rate": rate, "eps_p": EPS_P},
                 "; ".join(details[i]),
             )
         )

@@ -10,7 +10,7 @@ import pytest
 
 from chemostat_cep import ChemostatParams, Monod, State, order_species, simulate
 from chemostat_cep import certificate as certificate_mod
-from chemostat_cep.certificate import _pack_gap, build_certificate
+from chemostat_cep.certificate import _gap_rows, _pack_gap, build_certificate
 from chemostat_cep.errors import CertificateError, ParameterError
 from chemostat_cep.growth import OrderedSpecies
 from chemostat_cep.scenario import Scenario, Tolerances
@@ -91,7 +91,7 @@ def compute_nu(
     worst = math.inf
     for i, (s_minus, s_plus) in enumerate(margins):
         grid = np.linspace(s_minus, s_plus, certificate_mod.GRID_N + 1)
-        worst = min(worst, float(np.min(_pack_gap(ordered, i, grid))))
+        worst = min(worst, float(np.min(_pack_gap(_gap_rows(ordered, i), grid))))
     if worst <= 0.0:
         raise CertificateError(f"non-positive domination gap {worst:g} on margins")
     return 0.5 * worst

@@ -125,8 +125,7 @@ def test_c07_staged_exclusion(canonical_trajectory, canonical_certificate):
         t1 = results[0].measured["entry_time"]
         t2 = results[1].measured["entry_time"]
         assert t1 >= t2
-        slope = results[1].measured["slope_pack_3"]
-        assert slope <= -cert.nu + 0.1 * cert.nu
+        assert results[1].measured["excess_pack_3"] <= 0.0
         x_final = canonical_trajectory.states[-1, 1:]
         p = x_final / x_final.sum()
         assert p[1] < 1e-4 and p[2] < 1e-4

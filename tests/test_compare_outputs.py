@@ -15,7 +15,7 @@ compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
 
 
-def _report(slope2=-0.5, slope_max=-0.25, pack=3, entry=3.0, detail=""):
+def _report(excess2=0.5, excess_max=0.25, pack=3, entry=3.0, detail=""):
     return json.dumps(
         {
             "claims": [
@@ -23,9 +23,9 @@ def _report(slope2=-0.5, slope_max=-0.25, pack=3, entry=3.0, detail=""):
                     "id": "exclusion_stage_1",
                     "measured": {
                         "entry_time": entry,
-                        "slope_pack_2": slope2,
-                        "slope_max": slope_max,
-                        "slope_max_pack": pack,
+                        "excess_pack_2": excess2,
+                        "excess_max": excess_max,
+                        "excess_max_pack": pack,
                     },
                     "detail": detail,
                 }
@@ -35,33 +35,31 @@ def _report(slope2=-0.5, slope_max=-0.25, pack=3, entry=3.0, detail=""):
     ).encode()
 
 
-class TestSlopeOnlyDifference:
-    def test_slopes_only_give_the_largest_relative_difference(self):
-        rel = compare_outputs.slope_only_difference(
-            _report(), _report(slope2=-0.5 * (1 + 2e-15), slope_max=-0.25 * (1 - 4e-15))
-        )
-        assert rel == pytest.approx(4e-15, rel=1e-3)
+class TestExcessOnlyDifference:
+    def test_excesses_only_give_the_largest_difference(self):
+        diff = compare_outputs.excess_only_difference(_report(), _report(excess2=0.5 + 2e-15, excess_max=0.25 - 4e-15))
+        assert diff == pytest.approx(4e-15, rel=1e-2)
 
-    def test_slope_max_alone_is_a_slope_difference(self):
-        rel = compare_outputs.slope_only_difference(_report(), _report(slope_max=-0.25 * (1 + 8e-15)))
-        assert rel == pytest.approx(8e-15, rel=1e-3)
+    def test_excess_max_alone_is_an_excess_difference(self):
+        diff = compare_outputs.excess_only_difference(_report(), _report(excess_max=0.25 + 8e-15))
+        assert diff == pytest.approx(8e-15, rel=1e-2)
 
     def test_identical_reports_differ_by_zero(self):
-        assert compare_outputs.slope_only_difference(_report(), _report()) == 0.0
+        assert compare_outputs.excess_only_difference(_report(), _report()) == 0.0
 
     @pytest.mark.parametrize(
         "other",
         [
             _report(entry=3.0000001),
-            _report(detail="pack 2 ratio unfittable"),
-            _report(slope2=None),
-            _report(slope_max=None),
+            _report(detail="pack 2 ratio not positive and finite at the entry"),
+            _report(excess2=None),
+            _report(excess_max=None),
             _report(pack=2),
             b"not json",
         ],
     )
-    def test_any_other_difference_is_not_slope_only(self, other):
-        assert compare_outputs.slope_only_difference(_report(), other) is None
+    def test_any_other_difference_is_not_excess_only(self, other):
+        assert compare_outputs.excess_only_difference(_report(), other) is None
 
 
 class TestEntryOnlyDifference:
@@ -74,7 +72,7 @@ class TestEntryOnlyDifference:
     @pytest.mark.parametrize(
         "other",
         [
-            _report(entry=3.1, slope2=-0.4),
+            _report(entry=3.1, excess2=0.4),
             _report(entry=None),
             _report(detail="no persistent entry into the absorbing interval"),
             b"not json",
@@ -132,6 +130,65 @@ class TestRemovedKeys:
         assert compare_outputs.removed_items_text(b"x  FAIL    pack 2, pack 3\n", b"x  FAIL    pack 2\n") is None
 
 
+def _slope_report(slope2=-0.5, pack=3, entry=3.0):
+    """A stage report with the decay-slope keys that the excesses replaced."""
+    claim = json.loads(_report(entry=entry))["claims"][0]
+    claim["measured"] = {"entry_time": entry, "slope_pack_2": slope2, "slope_max": None, "slope_max_pack": pack}
+    return json.dumps({"claims": [claim], "overall_pass": True}).encode()
+
+
+_SLOPE_TEXT = (
+    b"exclusion_stage_1  PASS    entry_time=2.83048, excursions=0, p_final_max=6.52779e-07, "
+    b"slope_max=-0.20026, slope_max_pack=2, slope_pack_2=-0.20026\noverall: PASS\n"
+)
+_EXCESS_TEXT = (
+    b"exclusion_stage_1  PASS    entry_time=2.83048, excess_max=0, excess_max_pack=2, excess_pack_2=0, "
+    b"excursions=0, p_final_max=6.52779e-07\noverall: PASS\n"
+)
+
+
+class TestRenamedKeys:
+    def test_renames_in_place_are_named_once_whatever_their_values(self):
+        old = json.dumps({"claims": [json.loads(_slope_report())["claims"][0]] * 2, "overall_pass": True}).encode()
+        assert compare_outputs.renamed_keys(old, _report()) is None  # one claim against two
+        assert compare_outputs.renamed_keys(_slope_report(), _report()) == [
+            "slope_max -> excess_max",
+            "slope_max_pack -> excess_max_pack",
+            "slope_pack_* -> excess_pack_*",  # every numbered key once
+        ]
+        assert compare_outputs.renamed_keys(_report(), _report()) == []
+        stages = [{"measured": {f"slope_pack_{k}": -1.0, "x": k}} for k in (2, 3, 12)]
+        excess = [{"measured": {f"excess_pack_{k}": 0.0, "x": k}} for k in (2, 3, 12)]
+        assert compare_outputs.renamed_keys(json.dumps(stages).encode(), json.dumps(excess).encode()) == [
+            "slope_pack_* -> excess_pack_*"
+        ]
+
+    @pytest.mark.parametrize(
+        "new",
+        [
+            _report(entry=3.1),  # a value under a kept key
+            _report(detail="pack 2 excess 0.5 at t=3"),
+            json.dumps({"claims": [{"measured": {"slope_max": 1}}], "overall_pass": True}).encode(),
+            b"not json",
+        ],
+    )
+    def test_any_other_difference_is_not_a_rename(self, new):
+        assert compare_outputs.renamed_keys(_slope_report(), new) is None
+
+    def test_swapped_keys_are_not_renames(self):
+        assert compare_outputs.renamed_keys(b'{"a": 1, "b": 2}', b'{"b": 2, "a": 1}') is None
+        assert compare_outputs.renamed_keys(b'{"a": {"x": 1}}', b'{"b": {"x": 1}}') is None
+
+    def test_renamed_items_in_text(self):
+        dropped = ["slope_max", "slope_max_pack", "slope_pack_*"]
+        gained = ["excess_max", "excess_max_pack", "excess_pack_*"]
+        assert compare_outputs.renamed_items_text(_SLOPE_TEXT, _EXCESS_TEXT) == (dropped, gained)
+        assert compare_outputs.renamed_items_text(_SLOPE_TEXT, _SLOPE_TEXT) == ([], [])
+        assert compare_outputs.renamed_items_text(_SLOPE_TEXT, _EXCESS_TEXT.replace(b"PASS ", b"FAIL ", 1)) is None
+        assert compare_outputs.renamed_items_text(_SLOPE_TEXT, _EXCESS_TEXT.replace(b"2.83048", b"2.8")) is None
+        assert compare_outputs.renamed_items_text(_SLOPE_TEXT, _EXCESS_TEXT.replace(b"excess_pack_2=0, ", b"")) is None
+
+
 class TestCompare:
     def test_labels(self, tmp_path):
         parent, change = tmp_path / "parent", tmp_path / "change"
@@ -139,10 +196,12 @@ class TestCompare:
         files = {
             "same.json": (_report(), _report()),
             "formatting.json": (_report(), json.dumps(json.loads(_report()), indent=2).encode()),
-            "slopes.json": (_report(), _report(slope2=-0.5 * (1 + 2e-15))),
+            "excesses.json": (_report(), _report(excess2=0.5 + 2e-15)),
             "run/entries.json": (_report(), _report(entry=3.0 + 4e-8)),
             "run/stdout": (text, text.replace(b"2.83048", b"2.83049")),
-            "other.json": (_report(), _report(entry=4.0, slope2=-0.4)),
+            "other.json": (_report(), _report(entry=4.0, excess2=0.4)),
+            "renamed.json": (_slope_report(), _report()),
+            "renamed/stdout": (_SLOPE_TEXT, _EXCESS_TEXT),
             "stdout": (b"a", b"b"),
             "frame/report.json": (_frame_report(violations=0, worst_violation=0.0), _frame_report()),
             "frame/stdout": (
@@ -154,18 +213,22 @@ class TestCompare:
             for top, data in ((parent, old), (change, new)):
                 (top / name).parent.mkdir(parents=True, exist_ok=True)
                 (top / name).write_bytes(data)
-        diffs, slopes, entries = compare_outputs.compare(parent, change, {"run": 40.0})
+        diffs, excesses, entries = compare_outputs.compare(parent, change, {"run": 40.0})
         assert diffs == [
+            "differs: excesses.json (only stage excesses, max difference 2e-15)",
             "differs: formatting.json (only in formatting, the JSON values are equal)",
             "differs: frame/report.json (only removed keys violations, worst_violation)",
             "differs: frame/stdout (only removed items violations=0, worst_violation=0)",
             "differs: other.json",
+            "differs: renamed.json (only renamed keys slope_max -> excess_max, slope_max_pack -> excess_max_pack, "
+            "slope_pack_* -> excess_pack_*)",
+            "differs: renamed/stdout (only renamed items slope_max, slope_max_pack, slope_pack_* -> excess_max, "
+            "excess_max_pack, excess_pack_*)",
             "differs: run/entries.json (only entry times, max difference 1e-09 x horizon)",
             "differs: run/stdout (only printed entry times)",
-            "differs: slopes.json (only decay slopes, max relative difference 2e-15)",
             "differs: stdout",
         ]
-        assert slopes == [pytest.approx(2e-15, rel=1e-3)]
+        assert excesses == [pytest.approx(2e-15, rel=1e-2)]
         assert entries == [pytest.approx(1e-9, rel=1e-6)]
 
     def test_entry_times_without_a_horizon_are_not_labelled(self, tmp_path):
@@ -216,8 +279,8 @@ class TestVerdictSummary:
         parent, change = tmp_path / "parent", tmp_path / "change"
         base = json.loads(_report())
         base["claims"][0].update(applicable=True, **{"pass": True})
-        slopes = json.loads(json.dumps(base))
-        slopes["claims"][0]["measured"]["slope_pack_2"] = -0.6
+        moved = json.loads(json.dumps(base))
+        moved["claims"][0]["measured"]["excess_pack_2"] = 0.6
         flipped = json.loads(json.dumps(base))
         flipped["claims"][0]["pass"] = False
         not_applicable = json.loads(json.dumps(base))
@@ -225,7 +288,7 @@ class TestVerdictSummary:
         overall = dict(base, overall_pass=False)
         sides = {
             "same": (("0", base), ("0", base)),
-            "bytes": (("0", base), ("0", slopes)),
+            "bytes": (("0", base), ("0", moved)),
             "pass": (("0", base), ("0", flipped)),
             "applicable": (("0", base), ("0", not_applicable)),
             "overall": (("0", base), ("0", overall)),

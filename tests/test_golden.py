@@ -3,10 +3,8 @@
 ``golden.json`` holds, for the two example scenarios and one seeded
 30-species Monod scenario, the certificate text (17 significant digits) and
 every claim's ``applicable``/``pass`` flags and measured values.  Any change
-to the numbers the verifier produces shows up here.  Decay slopes
-(``slope_pack_*`` and ``slope_max``) are least-squares fits whose last bits
-depend on the summation order, so they are compared within 1e-9 relative;
-everything else must match exactly.
+to the numbers the verifier produces shows up here: every value must match
+exactly.
 
 Regenerate (only when a change is meant to move the numbers, and say why)::
 
@@ -33,7 +31,6 @@ from chemostat_cep.verify import run_report
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
-SLOPE_REL_TOL = 1e-9
 
 
 def monod_30() -> Scenario:
@@ -103,18 +100,12 @@ def test_claim_verdicts_are_pinned(pair):
     assert got["overall_pass"] == want["overall_pass"]
 
 
-def _agrees(key: str, want, got) -> bool:
-    if (key.startswith("slope_pack_") or key == "slope_max") and want is not None:
-        return got is not None and math.isclose(got, want, rel_tol=SLOPE_REL_TOL, abs_tol=0.0)
-    return got == want
-
-
 def test_measured_values_are_pinned(pair):
     want, got = pair
     for w, g in zip(want["claims"], got["claims"]):
         assert g["measured"].keys() == w["measured"].keys(), w["id"]
         for key, wv in w["measured"].items():
-            assert _agrees(key, wv, g["measured"][key]), (w["id"], key)
+            assert g["measured"][key] == wv, (w["id"], key)
 
 
 def _governing(values: dict[int, object]) -> tuple:
@@ -138,13 +129,14 @@ def stage_layout(claims: list[dict]) -> list[dict]:
 
     Stage k of the full layout holds ``slope_pack_j`` and ``p_final_pack_j``
     for every pack j > k (none without an entry); the final proportions are
-    the same in every stage.  Stage k of the current layout keeps
+    the same in every stage.  Stage k of the one-pack layout keeps
     ``entry_time`` and ``excursions``, pack k + 1's two values and the
     governing slope and proportion over packs j > k.  Values are carried
-    over as stored; claims in the current layout pass through unchanged.
+    over as stored; claims in a one-pack layout (with slopes, or with the
+    excesses that replaced them) pass through unchanged.
     """
     stages = [c for c in claims if c["id"].startswith("exclusion_stage_") and "entry_time" in c["measured"]]
-    if not stages or "slope_max" in stages[0]["measured"]:
+    if not stages or "p_final_max" in stages[0]["measured"]:
         return claims
     p_final: dict[int, object] = {}
     for c in stages:
@@ -216,7 +208,7 @@ def derive(stored: dict | None, fresh: dict) -> tuple[dict, int, list[str]]:
         moved += [f'{g["id"]}.{key}' for key in ("applicable", "pass") if w[key] != g[key]]
         measured = dict(g["measured"])
         for key, gv in g["measured"].items():
-            if key in w["measured"] and _agrees(key, w["measured"][key], gv):
+            if key in w["measured"] and w["measured"][key] == gv:
                 measured[key] = w["measured"][key]
                 kept += 1
             else:

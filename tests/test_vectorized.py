@@ -1,6 +1,6 @@
 """Array evaluations along the species axis against their scalar references.
 
-``rate_matrix``, the batched ``fit_log_decay``, the merged-moment tail fits,
+``rate_matrix``, the batched ``fit_log_decay``, the suffix-maximum excesses,
 the one-rule persistent-entry scan and its all-intervals form, the lockstep
 entry refinement, the array stage verdicts and governing values, dense
 output, the certificate's pack gaps, ``gamma_bounds`` and self-check and
@@ -41,6 +41,7 @@ from chemostat_cep.certificate import (
     GRID_N,
     _ROUNDING_ALLOWANCE,
     _envelope_rows,
+    _gap_rows,
     _pack_gap,
     gamma_bounds,
     recheck_certificate,
@@ -59,7 +60,7 @@ from chemostat_cep.integrate import (
     persistent_entries,
     scan_persistent_entry,
 )
-from chemostat_cep.verify import EPS_P, ClaimResult, _governing, _stage_claims, fit_log_decay, fit_log_decay_tails
+from chemostat_cep.verify import EPS_P, ClaimResult, _governing, _stage_claims, comparison_excess, fit_log_decay
 
 from conftest import CANONICAL_SPECIES, compute_nu
 
@@ -184,123 +185,106 @@ class TestBatchedDecayFit:
         assert fit_log_decay(t[:7], np.ones(7)) == (None, 7)
 
 
-def _tail_fit_reference(t, v, floor=1e-300):
-    """One masked, centred closed-form fit of one tail on its own.
-
-    Times are centred on the tail's mean and logs on each column's mean
-    over its usable samples, in two passes.
-    """
-    mask = np.isfinite(v) & (v > floor)
-    n = np.count_nonzero(mask, axis=0)
-    fit = n >= 8
-    slopes = [None] * n.size
-    if np.any(fit):
-        t0 = t - np.mean(t)
-        y = mask.astype(float)
-        n_fit = np.where(fit, n, 1)
-        t_bar = (t0 @ y) / n_fit
-        s_tt = (t0 * t0) @ y - n_fit * t_bar * t_bar
-        np.log(v, out=y, where=mask)
-        y -= y.sum(axis=0) / n_fit
-        y *= mask
-        s_ty = t0 @ y - t_bar * y.sum(axis=0)
-        for j in np.flatnonzero(fit):
-            slopes[j] = float(s_ty[j] / s_tt[j])
-    return slopes, n
+def _excess_reference(t, v, starts, rate):
+    """Per start and column, a loop over the tail: the largest g[j] - g[a]
+    over the samples j >= a whose g is not NaN, with g = ln v + rate t; None
+    where the start is None or g[a] is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.log(v) + rate * t[:, None]
+    out = []
+    for a in starts:
+        row = []
+        for c in range(v.shape[1]):
+            if a is None or not math.isfinite(g[a, c]):
+                row.append(None)
+                continue
+            best = g[a, c]
+            for j in range(a + 1, t.size):
+                if not math.isnan(g[j, c]) and g[j, c] > best:
+                    best = g[j, c]
+            row.append(float(best - g[a, c]))
+        out.append(row)
+    return out
 
 
 @st.composite
-def tail_fit_inputs(draw):
-    """A ratio block like the induction check's, and stage starts into it.
+def excess_inputs(draw):
+    """A ratio block like the induction check's, stage starts into it, a rate.
 
-    Columns decay until they fall under the log floor; holes are NaN, inf,
-    zero, negative or sub-floor samples; rows where the lead species is
-    zero are NaN throughout.  Starts come unsorted, duplicated and None,
-    and some leave 8-16 samples at the end of a long horizon.
+    Columns decay with noise that may beat the rate; holes are NaN, inf and
+    zero samples; rows where the lead species is zero are NaN throughout.
+    Starts come unsorted, duplicated and None, and include the last sample.
     """
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
-    n = draw(st.sampled_from([12, 40, 301, 2001]))
+    n = draw(st.sampled_from([1, 2, 12, 40, 301]))
     cols = draw(st.integers(min_value=1, max_value=8))
-    horizon = draw(st.sampled_from([1.0, 80.0, 800.0]))
-    t = np.linspace(0.0, horizon, n)
-    rate = rng.uniform(0.05, 3.0, cols) * 80.0 / horizon
-    v = np.exp(rng.uniform(-50.0, 50.0, cols) - np.outer(t, rate) + rng.normal(0.0, 0.1, (n, cols)))
+    t = np.linspace(0.0, draw(st.sampled_from([1.0, 80.0])), n)
+    rate = draw(st.sampled_from([0.0, 0.05, 2.0]))
+    decay = rng.uniform(0.0, 3.0, cols)
+    noise = rng.normal(0.0, draw(st.sampled_from([0.0, 0.01, 1.0])), (n, cols))
+    v = np.exp(rng.uniform(-50.0, 50.0, cols) - np.outer(t, decay) + noise)
     holes = rng.random((n, cols)) < draw(st.floats(min_value=0.0, max_value=0.5))
-    v[holes] = rng.choice([0.0, np.nan, np.inf, -1.0, 1e-310], holes.sum())
+    v[holes] = rng.choice([0.0, np.nan, np.inf], holes.sum())
     v[rng.random(n) < draw(st.floats(min_value=0.0, max_value=0.2))] = np.nan
-    late = [int(k) for k in rng.integers(max(0, n - 16), max(1, n - 7), 3)]
-    anywhere = [int(k) for k in rng.integers(0, n + 1, draw(st.integers(0, 6)))]
-    starts = draw(st.permutations(late + anywhere + [None] * draw(st.integers(0, 2))))
-    return t, v, list(starts)
+    anywhere = [int(k) for k in rng.integers(0, n, draw(st.integers(0, 6)))]
+    starts = draw(st.permutations(anywhere + [n - 1] + [None] * draw(st.integers(0, 2))))
+    return t, v, list(starts), rate
 
 
-def _tail_fits(t, v, starts):
-    """Per start, (slopes with None where unfittable, samples used), or None."""
-    slopes, used = fit_log_decay_tails(t, v, starts)
-    assert slopes.shape == used.shape == (len(starts), v.shape[1])
-    return [
-        None if start is None else ([x if n >= 8 else None for x, n in zip(slopes[k].tolist(), used[k])], used[k])
-        for k, start in enumerate(starts)
-    ]
-
-
-class TestMergedTailFits:
-    @given(tail_fit_inputs())
-    @settings(max_examples=150, deadline=None)
-    def test_every_tail_matches_a_two_pass_fit_of_that_tail(self, inputs):
-        t, v, starts = inputs
-        fits = _tail_fits(t, v.copy(), starts)
-        assert len(fits) == len(starts)
-        for start, fit in zip(starts, fits):
-            if start is None:
-                assert fit is None
-                continue
-            slopes, n = fit
-            ref_slopes, ref_n = _tail_fit_reference(t[start:], v[start:].copy())
-            assert n.tolist() == ref_n.tolist()
-            for got, ref in zip(slopes, ref_slopes):
-                assert (got is None) == (ref is None)
-                if ref is not None:
-                    assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+class TestComparisonExcess:
+    @given(excess_inputs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_every_tail_matches_the_per_stage_per_pack_loop(self, inputs):
+        t, v, starts, rate = inputs
+        got = comparison_excess(t, v.copy(), starts, rate)
+        assert got.shape == (len(starts), v.shape[1])
+        want = _excess_reference(t, v, starts, rate)
+        assert [[None if math.isnan(x) else x for x in row] for row in got.tolist()] == want
 
     @pytest.mark.parametrize("seed", range(20))
     def test_short_noisy_tails_at_the_end_of_a_long_horizon(self, seed):
-        # Logs near 45 whose trend over 8-16 samples is lost in the noise,
-        # so the slopes are small and rounding in the tails' means shows.
-        # Measured from the end these agree to 2e-13; measured from t = 0
-        # and log 0 they drift by 1e-12 to 5e-10.
+        # Logs near 45 that decay at exactly the rate: g stays near 45 up to
+        # noise of 0.1, so whether a tail of 8-16 samples passes turns on the
+        # noise alone, and rounding in g would flip the decision.
         rng = np.random.default_rng(seed)
         t = np.linspace(0.0, 80.0, 2001)
         v = np.exp(45.0 - 0.05 * t[:, None] + rng.normal(0.0, 0.1, (2001, 4)))
         starts = list(range(1985, 1994))
-        for start, (slopes, _) in zip(starts, _tail_fits(t, v.copy(), starts)):
-            ref, _ = _tail_fit_reference(t[start:], v[start:].copy())
-            assert slopes == pytest.approx(ref, rel=1e-12, abs=0.0)
+        got = comparison_excess(t, v.copy(), starts, 0.05)
+        assert got.tolist() == _excess_reference(t, v, starts, 0.05)
+        g = np.log(v) + 0.05 * t[:, None]
+        for k, a in enumerate(starts):
+            # exactly 0 where the start is its tail's maximum, positive elsewhere
+            assert ((got[k] == 0.0) == (g[a] >= g[a:].max(axis=0))).all()
+            assert (got[k] >= 0.0).all()
 
-    def test_columns_turn_unfittable_on_later_tails(self):
-        t = np.linspace(0.0, 10.0, 40)
-        v = np.exp(-np.outer(t, [0.5, 1.0]))
-        v[30:, 1] = np.nan  # 30 usable samples, then none
-        slopes, used = fit_log_decay_tails(t, v, [0, 25, 30, 40, None])
-        assert used.tolist() == [[40, 30], [15, 5], [10, 0], [0, 0], [0, 0]]
-        # unfittable slopes are NaN; the used counts tell them apart
-        assert np.isnan(slopes[1:, 1]).all() and np.isnan(slopes[3:]).all()
-        assert np.isfinite(slopes[:3, 0]).all() and np.isfinite(slopes[0, 1])
-        assert slopes[0, 0] == pytest.approx(-0.5, rel=1e-12)
+    def test_the_rate_is_the_bound(self):
+        t = np.linspace(0.0, 10.0, 101)
+        v = np.exp(-np.outer(t, [0.5, 0.5, 0.25]))
+        v[60, 2] = 1.0  # a late jump back to the start's value
+        excess = comparison_excess(t, v, [0, 50, None], 0.4)
+        assert excess[0, :2].tolist() == [0.0, 0.0]  # e^-0.5t stays under e^-0.4t
+        assert excess[0, 2] == pytest.approx(0.4 * 6.0)  # t = 6, back at ln 1
+        assert excess[1, 2] == pytest.approx(0.25 * 5.0 + 0.4 * 1.0)
+        assert np.isnan(excess[2]).all()
+        assert comparison_excess(t, np.exp(-np.outer(t, [0.3])), [0], 0.4)[0, 0] == pytest.approx(0.1 * 10.0)
 
-    def test_no_start_gives_no_fit(self):
-        v = np.ones((10, 3))
-        slopes, used = fit_log_decay_tails(np.arange(10.0), v, [None, None])
-        assert used.tolist() == [[0, 0, 0]] * 2 and np.isnan(slopes).all()
-        assert np.array_equal(v, np.ones((10, 3)))
+    def test_a_ratio_without_a_log_at_the_start_is_not_measured(self):
+        t = np.arange(4.0)
+        v = np.array([[0.0, np.nan, np.inf, 1.0]] * 4)
+        v[1:, 3] = np.inf  # an inf after a finite start is an infinite excess
+        assert [[None if math.isnan(x) else x for x in row] for row in comparison_excess(t, v, [0], 1.0).tolist()] == [
+            [None, None, None, math.inf]
+        ]
 
-    def test_values_are_overwritten_with_their_logs(self):
+    def test_rows_before_the_first_start_are_untouched(self):
         t = np.linspace(0.0, 1.0, 10)
         v = np.column_stack([np.exp(-t), np.full(10, np.nan)])
-        fit_log_decay_tails(t, v, [4])
-        assert np.array_equal(v[:4, 0], np.exp(-t[:4]))  # rows before the first start untouched
-        assert np.all(np.isfinite(v[4:]))
+        comparison_excess(t, v, [4, None], 1.0)
+        assert np.array_equal(v[:4, 0], np.exp(-t[:4]))
+        assert np.array_equal(v[4:, 0], np.log(np.exp(-t[4:])) + t[4:])
+        assert np.isnan(comparison_excess(t, v, [None], 1.0)).all()
 
 
 def _governing_reference(values, first_pack):
@@ -314,9 +298,9 @@ def _governing_reference(values, first_pack):
     return best, pack
 
 
-def _stage_claims_reference(entries, slopes, fittable, p_final, nu, eps_p):
-    """The per-stage, per-pair loop that ``_stage_claims`` replaced."""
-    slope_threshold = -nu + 0.1 * nu
+def _stage_claims_reference(entries, excess, p_final, nu, rate, eps_p):
+    """The per-stage, per-pair loop ``_stage_claims`` is held to; a positive
+    excess of pack c + 2 in stage i has its witness at time i + c / 8."""
     p_final_by_pack = [float(p) for p in p_final]
     results = []
     for i, rec in enumerate(entries):
@@ -332,31 +316,29 @@ def _stage_claims_reference(entries, slopes, fittable, p_final, nu, eps_p):
                 details.append("entered the smaller interval earlier than the larger one")
 
         if rec.entry_time is None:
-            stage_slopes = [None] * (len(entries) - i)
+            stage_excess = [None] * (len(entries) - i)
         else:
-            stage_slopes = [float(slopes[i, c]) if fittable[i, c] else None for c in range(i, len(entries))]
+            stage_excess = [None if math.isnan(x) else float(x) for x in excess[i, i:]]
         p_finals = p_final_by_pack[i:]
-        measured[f"slope_pack_{i + 2}"] = stage_slopes[0]
+        measured[f"excess_pack_{i + 2}"] = stage_excess[0]
         measured[f"p_final_pack_{i + 2}"] = p_finals[0]
-        measured["slope_max"], measured["slope_max_pack"] = _governing_reference(stage_slopes, i + 2)
+        measured["excess_max"], measured["excess_max_pack"] = _governing_reference(stage_excess, i + 2)
         measured["p_final_max"], measured["p_final_max_pack"] = _governing_reference(p_finals, i + 2)
 
         if rec.entry_time is not None:
-            for j, (slope, p) in enumerate(zip(stage_slopes, p_finals), start=i + 1):
+            for j, (x, p) in enumerate(zip(stage_excess, p_finals), start=i + 1):
                 prop_ok = math.isfinite(p) and p < eps_p
-                if slope is None:
-                    decay_ok = prop_ok
-                    if prop_ok:
-                        details.append(f"pack {j + 1} ratio below the log floor; extinct")
-                    else:
-                        details.append(f"pack {j + 1} ratio unfittable")
+                if x is None:
+                    holds = prop_ok
+                    why = "ratio not positive and finite at the entry"
+                    details.append(f"pack {j + 1} {why}; extinct" if prop_ok else f"pack {j + 1} {why}")
                 else:
-                    decay_ok = slope <= slope_threshold
-                    if not decay_ok:
-                        details.append(f"pack {j + 1} decay rate {slope:.4g} above {slope_threshold:.4g}")
+                    holds = x <= 0.0
+                    if not holds:
+                        details.append(f"pack {j + 1} excess {x:.4g} at t={i + (j - 1) / 8:.6g}")
                 if not prop_ok:
                     details.append(f"pack {j + 1} final proportion {p:.4g} >= {eps_p:g}")
-                ok = ok and decay_ok and prop_ok
+                ok = ok and holds and prop_ok
 
         results.append(
             ClaimResult(
@@ -364,7 +346,7 @@ def _stage_claims_reference(entries, slopes, fittable, p_final, nu, eps_p):
                 True,
                 ok,
                 measured,
-                {"nu": nu, "slope_threshold": slope_threshold, "eps_p": eps_p},
+                {"nu": nu, "rate": rate, "eps_p": eps_p},
                 "; ".join(details),
             )
         )
@@ -380,9 +362,14 @@ def _same_value(a, b) -> bool:
     return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
 
 
-# Slopes around the threshold -0.45 of nu = 0.5, repeated for ties, and the
-# non-finite values a degenerate fit can give; proportions around eps_p.
-_slope_values = st.one_of(
+# Excesses around 0, repeated for ties, NaN for an unmeasured pair and inf
+# for a ratio that overflows; proportions around eps_p.
+_excess_values = st.one_of(
+    st.sampled_from([math.nan, math.inf, 0.0, 1e-300, 0.5]),
+    st.floats(min_value=0.0, max_value=2.0),
+)
+# Any value the governing rule may meet, -inf included.
+_governed_values = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.45, -0.3, 0.0]),
     st.floats(min_value=-2.0, max_value=1.0),
 )
@@ -395,32 +382,32 @@ _entry_times = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 2.0, 2.0 + 1e-10]
 
 @st.composite
 def stage_inputs(draw):
-    """Entries, (stages x packs) slopes and fittable flags, final proportions."""
+    """Entries, (stages x packs) excesses, final proportions, nu and rate."""
     m = draw(st.integers(min_value=1, max_value=7))
     entries = [
         EntryRecord((0.1, 1.0 + k), draw(_entry_times), draw(st.integers(0, 3))) for k in range(m)
     ]
-    slopes = np.array(draw(st.lists(_slope_values, min_size=m * m, max_size=m * m))).reshape(m, m)
-    fittable = np.array(draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))).reshape(m, m)
+    excess = np.array(draw(st.lists(_excess_values, min_size=m * m, max_size=m * m))).reshape(m, m)
     p_final = np.array(draw(st.lists(_p_values, min_size=m, max_size=m)))
     nu = draw(st.sampled_from([0.5, 0.05]))
-    return entries, slopes, fittable, p_final, nu
+    return entries, excess, p_final, nu, 0.9 * nu
 
 
 class TestStageClaims:
     @given(stage_inputs())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @example(  # an entry-order violation, a stage without entry, NaN and inf values
         (
             [EntryRecord((0.1, 1.0), 1.0, 0), EntryRecord((0.1, 2.0), 2.0, 1), EntryRecord((0.1, 3.0), None, 0)],
-            np.array([[-1.0, math.nan, -1.0], [math.inf, -1.0, -1.0], [-1.0, -1.0, -1.0]]),
-            np.array([[True, True, False], [True, False, True], [True, True, True]]),
+            np.array([[0.0, math.nan, 0.0], [math.inf, 0.0, 1e-3], [0.0, 0.0, 0.0]]),
             np.array([1e-5, math.nan, math.inf]),
             0.5,
+            0.45,
         )
     )
     def test_matches_the_per_pair_loop(self, inputs):
-        got = _stage_claims(*inputs)
+        entries, excess, p_final, nu, rate = inputs
+        got = _stage_claims(entries, excess, lambda i, c: i + c / 8, p_final, nu, rate)
         want = _stage_claims_reference(*inputs, EPS_P)
         assert [c.claim_id for c in got] == [c.claim_id for c in want]
         for g, w in zip(got, want):
@@ -430,7 +417,7 @@ class TestStageClaims:
                 assert _same_value(g.measured[key], w.measured[key]), (w.claim_id, key)
             assert g.thresholds == w.thresholds
 
-    @given(st.lists(st.one_of(st.none(), _slope_values), min_size=1, max_size=8))
+    @given(st.lists(st.one_of(st.none(), _governed_values), min_size=1, max_size=8))
     @settings(max_examples=300, deadline=None)
     @example([None, -math.inf, 0.5, math.nan])  # a leading -inf governs
     @example([None, -math.inf])
@@ -756,7 +743,7 @@ class TestCertificateArrays:
         ordered = order_species(MIXED, 1.0, 10.0)
         for i in range(ordered.n_packs - 1):
             grid = np.linspace(0.1, 12.0, 513)
-            assert np.array_equal(_pack_gap(ordered, i, grid), _pack_gap_reference(ordered, i, grid))
+            assert np.array_equal(_pack_gap(_gap_rows(ordered, i), grid), _pack_gap_reference(ordered, i, grid))
 
     def test_nu_is_compute_nu_on_the_same_margins(self):
         ordered = order_species(MIXED, 1.0, 10.0)
@@ -818,7 +805,7 @@ class TestCertificateSelfCheck:
         assert recheck_certificate(cert, ordered, grid_factor=1) == []
         for i, b in enumerate(cert.boundaries):
             grid = np.linspace(b.s_minus, b.s_plus, GRID_N + 1)
-            assert b.gap_min == float(np.min(_pack_gap(ordered, i, grid)))
+            assert b.gap_min == float(np.min(_pack_gap(_gap_rows(ordered, i), grid)))
 
 
 # Laws at d = 1 whose break-even level is (about) a given lam.
@@ -895,8 +882,8 @@ def _assert_certificate_matches_every_row(ordered, d=1.0, s_in=10.0):
         ref = separation_margins(ordered, i, s_in, s_plus_limit=limit)
         assert (b.s_minus, b.s_plus, b.delta, b.gap_min) == (ref.s_minus, ref.s_plus, ref.delta, ref.gap_min)
         grid = np.linspace(b.s_minus, b.s_plus, GRID_N + 1)
-        every = _pack_gap(ordered, i, grid)
-        assert np.array_equal(_pack_gap(ordered, i, grid, rows[i]), every)
+        every = _pack_gap(_gap_rows(ordered, i), grid)
+        assert np.array_equal(_pack_gap(_gap_rows(ordered, i, rows[i]), grid), every)
         assert b.gap_min == float(np.min(every))
         limit = ref.s_plus
     if not got.degenerate:

@@ -33,7 +33,6 @@ from chemostat_cep.verify import (
     check_mass_convergence,
     check_substrate_frame,
     check_washout_species,
-    fit_log_decay,
     _governing,
 )
 
@@ -200,8 +199,7 @@ class TestInduction:
         t1 = results[0].measured["entry_time"]
         t2 = results[1].measured["entry_time"]
         assert t1 >= t2  # the smaller interval is entered no earlier
-        nu = canonical_certificate.nu
-        assert results[1].measured["slope_pack_3"] <= -nu + 0.1 * nu
+        assert results[1].measured["excess_pack_3"] <= 0.0
 
     def test_two_species(self):
         pair = (("a", Monod(3, 1)), ("b", Monod(4, 2)))
@@ -224,14 +222,54 @@ class TestInduction:
         members = list(range(2, 11))
         x_final = traj.states[-1, 1:]
         assert stage.measured["p_final_pack_2"] == float(np.sum(x_final[[c - 1 for c in members]] / x_final.sum()))
+        # The excess of the summed ratio, bit for bit: no BLAS product
+        # stands between the states and the check.
         start = int(np.searchsorted(traj.times, stage.measured["entry_time"]))
         ratio = traj.states[start:, members].sum(axis=1) / traj.states[start:, 1]
-        assert stage.measured["slope_pack_2"] == fit_log_decay(traj.times[start:], ratio)[0]
+        g = np.log(ratio) + stage.thresholds["rate"] * traj.times[start:]
+        assert stage.measured["excess_pack_2"] == float(np.max(g) - g[0])
 
     def test_corrupted_nu_fails(self, canonical_trajectory, canonical_certificate):
         bad = dataclasses.replace(canonical_certificate, nu=50.0 * canonical_certificate.nu)
         results = check_induction_properties(canonical_trajectory, bad, ID_TO_COL)
         assert not all(r.passed for r in results)
+
+    def test_one_rise_after_the_entry_fails_with_its_witness(self, canonical_trajectory, canonical_certificate):
+        # Pack 2's ratio rises by e^0.01 over the one spacing after stage 1's
+        # entry and decays as before from there on; its final proportion
+        # stays far below EPS_P.  A least-squares slope of the tail still
+        # reads a steep decay; the inequality names the rise.
+        traj = canonical_trajectory
+        entry = check_induction_properties(traj, canonical_certificate, ID_TO_COL)[0].measured["entry_time"]
+        a = int(np.searchsorted(traj.times, entry))
+        states = traj.states.copy()
+        states[a + 1, 2] = states[a, 2] / states[a, 1] * math.exp(0.01) * states[a + 1, 1]
+        stage_1, stage_2 = check_induction_properties(
+            dataclasses.replace(traj, states=states), canonical_certificate, ID_TO_COL
+        )
+        m = stage_1.measured
+        assert not stage_1.passed and stage_2.passed
+        assert m["p_final_pack_2"] < verify.EPS_P and m["excess_max_pack"] == 2
+        rise = 0.01 + stage_1.thresholds["rate"] * float(traj.times[a + 1] - traj.times[a])
+        assert m["excess_pack_2"] == m["excess_max"] == pytest.approx(rise, rel=1e-9)
+        assert stage_1.detail == f"pack 2 excess {m['excess_pack_2']:.4g} at t={float(traj.times[a + 1]):.6g}"
+
+    def test_a_decay_slower_than_the_rate_fails_at_the_horizon(self, canonical_trajectory, canonical_certificate):
+        # From stage 1's entry on, pack 2's ratio decays at 0.8 nu, slower
+        # than the rate 0.9 nu: g rises at 0.1 nu up to the horizon.
+        traj, nu = canonical_trajectory, canonical_certificate.nu
+        entry = check_induction_properties(traj, canonical_certificate, ID_TO_COL)[0].measured["entry_time"]
+        a = int(np.searchsorted(traj.times, entry))
+        states = traj.states.copy()
+        decay = np.exp(-0.8 * nu * (traj.times[a:] - traj.times[a]))
+        states[a:, 2] = states[a, 2] / states[a, 1] * decay * states[a:, 1]
+        stage_1, _ = check_induction_properties(
+            dataclasses.replace(traj, states=states), canonical_certificate, ID_TO_COL
+        )
+        assert stage_1.thresholds["rate"] == 0.9 * nu
+        excess = stage_1.measured["excess_pack_2"]
+        assert excess == pytest.approx(0.1 * nu * (traj.horizon - float(traj.times[a])), rel=1e-6)
+        assert f"pack 2 excess {excess:.4g} at t={traj.horizon:.6g}" in stage_1.detail and not stage_1.passed
 
 
 def _monod_report(n: int, horizon: float):
@@ -243,7 +281,7 @@ def _monod_report(n: int, horizon: float):
     return run_report(make_scenario(species=species, x=[0.01] * n, horizon=horizon))
 
 
-STAGE_KEYS = {"entry_time", "excursions", "slope_max", "slope_max_pack", "p_final_max", "p_final_max_pack"}
+STAGE_KEYS = {"entry_time", "excursions", "excess_max", "excess_max_pack", "p_final_max", "p_final_max_pack"}
 
 
 @pytest.fixture(scope="module", params=[(10, 10.0), (10, 20.0), (40, 20.0)], ids=lambda p: f"n{p[0]}-h{p[1]:g}")
@@ -259,7 +297,7 @@ class TestStageLayout:
         assert len(stages) >= 9
         for k, c in enumerate(stages, start=1):
             assert len(c.measured) <= 8
-            assert c.measured.keys() == STAGE_KEYS | {f"slope_pack_{k + 1}", f"p_final_pack_{k + 1}"}
+            assert c.measured.keys() == STAGE_KEYS | {f"excess_pack_{k + 1}", f"p_final_pack_{k + 1}"}
         finals = [key for c in short_monod_report.claims for key in c.measured if key.startswith("p_final_pack_")]
         assert sorted(finals) == sorted(f"p_final_pack_{j}" for j in range(2, len(stages) + 2))
 
@@ -272,17 +310,17 @@ class TestStageLayout:
             else {(True, False), (False, False)}
         )
         for c in stages:
-            m, thr, eps_p = c.measured, c.thresholds["slope_threshold"], c.thresholds["eps_p"]
-            slope_fails = m["slope_max"] is not None and not m["slope_max"] <= thr
+            m, eps_p = c.measured, c.thresholds["eps_p"]
+            excess_fails = m["excess_max"] is not None and not m["excess_max"] <= 0.0
             prop_fails = not (math.isfinite(m["p_final_max"]) and m["p_final_max"] < eps_p)
             if m["entry_time"] is None:
-                assert m["slope_max"] is None and m["slope_max_pack"] is None
+                assert m["excess_max"] is None and m["excess_max_pack"] is None
                 assert not c.passed
                 continue
             if "earlier than" not in c.detail:
-                assert c.passed == (not slope_fails and not prop_fails), c.claim_id
-            if slope_fails:
-                assert f"pack {m['slope_max_pack']} decay rate" in c.detail
+                assert c.passed == (not excess_fails and not prop_fails), c.claim_id
+            if excess_fails:
+                assert f"pack {m['excess_max_pack']} excess" in c.detail
             if prop_fails:
                 assert f"pack {m['p_final_max_pack']} final proportion" in c.detail
 
@@ -315,11 +353,12 @@ class TestStageLayout:
         assert m["p_final_max_pack"] == 3 and stage_2.measured["p_final_pack_3"] == m["p_final_max"]
         assert re.findall(r"pack (\d+) final proportion", stage_1.detail) == ["3"]
         start = int(np.searchsorted(traj.times, m["entry_time"]))
-        slope_3, _ = fit_log_decay(traj.times[start:], traj.states[start:, 3] / traj.states[start:, 1])
-        if m["slope_pack_2"] >= slope_3:
-            assert (m["slope_max"], m["slope_max_pack"]) == (m["slope_pack_2"], 2)
+        g = np.log(traj.states[start:, 3] / traj.states[start:, 1]) + stage_1.thresholds["rate"] * traj.times[start:]
+        excess_3 = float(np.max(g) - g[0])
+        if m["excess_pack_2"] >= excess_3:
+            assert (m["excess_max"], m["excess_max_pack"]) == (m["excess_pack_2"], 2)
         else:
-            assert (m["slope_max"], m["slope_max_pack"]) == (pytest.approx(slope_3, rel=1e-9), 3)
+            assert (m["excess_max"], m["excess_max_pack"]) == (excess_3, 3)
 
 
 class TestFinalConvergence:

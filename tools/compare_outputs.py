@@ -19,17 +19,21 @@ byte for byte.
 
 Exit status: 0 when the trees agree everywhere, 1 with one line per
 difference, 2 on a usage error.  A JSON report that differs only in its
-decay slopes (``slope_pack_*`` and ``slope_max`` values) is marked as such
-with its largest relative difference, and a last line gives the count of
-such reports and the largest difference over all of them.  A JSON report
+stage excesses (``excess_pack_*`` and ``excess_max`` values) is marked as
+such with its largest difference, and a last line gives the count of such
+reports and the largest difference over all of them.  A JSON report
 that differs only in its ``entry_time`` values is marked likewise, with its
 largest difference over the scenario's horizon, and so is a verify stdout
 whose lines differ only in their printed ``entry_time=`` values.  A JSON
 report whose values are all equal is marked as differing only in
 formatting.  A JSON report that equals the parent's with some keys deleted
 is marked with the deleted key names, and a verify stdout whose differing
-lines only lose ``key=value`` items is marked with those items.  All of
-them still count as differences.
+lines only lose ``key=value`` items is marked with those items.  A JSON
+report that equals the parent's with some keys renamed in place (the
+values at a renamed key are not compared) is marked with the renames, and
+a verify stdout whose differing lines only trade some ``key=value`` items
+for items under other keys is marked with the two key lists.  All of them
+still count as differences.
 
 A last line compares the verdicts of every ``verify`` run, whatever its
 bytes: the number of runs whose exit code, ``overall_pass`` and every
@@ -195,19 +199,19 @@ def _only_difference(a: bytes, b: bytes, movable, measure) -> float | None:
     return worst if same(x, y, "") else None
 
 
-def slope_only_difference(a: bytes, b: bytes) -> float | None:
-    """Largest relative difference if two reports differ only in decay slopes.
+def excess_only_difference(a: bytes, b: bytes) -> float | None:
+    """Largest absolute difference if two reports differ only in stage excesses.
 
-    Returns None when the files are not JSON or differ anywhere else.
-    Decay slopes (``slope_pack_*`` and ``slope_max``) depend on summation
-    order, so a change that regroups the fit moves them in their last bits
-    and nothing else.
+    Returns None when the files are not JSON or differ anywhere else.  The
+    excesses (``excess_pack_*`` and ``excess_max``) are differences of log
+    ratios, so a trajectory that moves in its last bits moves them and
+    nothing else.
     """
     return _only_difference(
         a,
         b,
-        lambda key: key.startswith("slope_pack_") or key == "slope_max",
-        lambda u, v: abs(u - v) / max(abs(u), abs(v)),
+        lambda key: key.startswith("excess_pack_") or key == "excess_max",
+        lambda u, v: abs(u - v),
     )
 
 
@@ -255,6 +259,50 @@ def removed_keys(a: bytes, b: bytes) -> list[str] | None:
     return sorted(removed) if kept(x, y) else None
 
 
+def _numbered(key: str) -> str:
+    """``key`` with a trailing ``_<number>`` written ``_*``."""
+    return re.sub(r"_\d+$", "_*", key)
+
+
+def renamed_keys(a: bytes, b: bytes) -> list[str] | None:
+    """The ``old -> new`` key renames that make ``b`` from ``a``, if that is all.
+
+    Keys are paired by position within each object.  A pair of different
+    keys is a rename when the new key is not in the old object and the old
+    key not in the new one; the values of a rename are not compared, as
+    long as both are numbers, strings or null.  Returns the renames sorted,
+    each once, with a trailing ``_<number>`` shown as ``_*``, or None when
+    the files are not JSON or differ anywhere else.
+    """
+    try:
+        x, y = json.loads(a), json.loads(b)
+    except ValueError:
+        return None
+    renames = set()
+    scalar = (int, float, str, type(None))
+
+    def same(u, v) -> bool:
+        if type(u) is not type(v):
+            return False
+        if isinstance(u, dict):
+            if len(u) != len(v):
+                return False
+            for (k, p), (j, q) in zip(u.items(), v.items()):
+                if k == j:
+                    if not same(p, q):
+                        return False
+                elif j in u or k in v or not isinstance(p, scalar) or not isinstance(q, scalar):
+                    return False
+                else:
+                    renames.add(f"{_numbered(k)} -> {_numbered(j)}")
+            return True
+        if isinstance(u, list):
+            return len(u) == len(v) and all(same(p, q) for p, q in zip(u, v))
+        return u == v
+
+    return sorted(renames) if same(x, y) else None
+
+
 _ITEM = re.compile(rb"[A-Za-z_]\w*=\S+")
 
 
@@ -283,13 +331,55 @@ def removed_items_text(a: bytes, b: bytes) -> list[str] | None:
     return list(dict.fromkeys(removed))
 
 
+def _items(line: bytes) -> tuple[bytes, dict[str, bytes]] | None:
+    """A line's text before its first item, and its ``key=value`` items."""
+    head, *rest = line.split(b", ")
+    match = re.search(rb"[A-Za-z_]\w*=", head)
+    if match is None:
+        return (head, {}) if not rest else None
+    chunks = [head[match.start() :]] + rest
+    if not all(_ITEM.fullmatch(chunk) for chunk in chunks):
+        return None
+    items = dict(chunk.split(b"=", 1) for chunk in chunks)
+    return head[: match.start()], {k.decode(): v for k, v in items.items()}
+
+
+def renamed_items_text(a: bytes, b: bytes) -> tuple[list[str], list[str]] | None:
+    """The item keys ``b``'s lines dropped and gained, if that is how they differ.
+
+    Lines are paired in order.  A differing pair must agree in its text
+    before the items and in the value of every key both lines hold, and
+    drop as many keys as it gains; the values under the dropped and gained
+    keys are not compared.  Returns (dropped, gained), each sorted and
+    listed once, with a trailing ``_<number>`` shown as ``_*``; None
+    otherwise.
+    """
+    old, new = a.split(b"\n"), b.split(b"\n")
+    if len(old) != len(new):
+        return None
+    dropped, gained = set(), set()
+    for u, v in zip(old, new):
+        if u == v:
+            continue
+        pu, pv = _items(u), _items(v)
+        if pu is None or pv is None or pu[0] != pv[0]:
+            return None
+        iu, iv = pu[1], pv[1]
+        gone, added = iu.keys() - iv.keys(), iv.keys() - iu.keys()
+        if len(gone) != len(added) or any(iu[k] != iv[k] for k in iu.keys() & iv.keys()):
+            return None
+        dropped.update(map(_numbered, gone))
+        gained.update(map(_numbered, added))
+    return sorted(dropped), sorted(gained)
+
+
 def compare(
     parent: Path, change: Path, horizons: dict[str, float]
 ) -> tuple[list[str], list[float], list[float]]:
     """One line per file that is missing on one side or differs in its bytes.
 
-    Also returns the relative slope differences of the reports that differ
-    only in their decay slopes, and the entry-time differences over the
+    Also returns the excess differences of the reports that differ only in
+    their stage excesses, and the entry-time differences over the
     horizon of those that differ only in their entry times; ``horizons``
     maps a run's directory (relative to ``parent``) to its scenario's
     horizon.  A report whose JSON values are all equal is marked as
@@ -298,33 +388,38 @@ def compare(
     a, b = _files(parent), _files(change)
     diffs = [f"only in parent: {k}" for k in sorted(a.keys() - b.keys())]
     diffs += [f"only in change: {k}" for k in sorted(b.keys() - a.keys())]
-    slopes, entries = [], []
+    excesses, entries = [], []
     for k in sorted(a.keys() & b.keys()):
         old, new = a[k].read_bytes(), b[k].read_bytes()
         if old == new:
             continue
         stem = str(Path(k).parent)
         json_file = k.endswith(".json")
-        rel = slope_only_difference(old, new) if json_file else None
-        entry = entry_only_difference(old, new) if json_file and rel is None and stem in horizons else None
-        removed = removed_keys(old, new) if json_file and rel is None and entry is None else None
-        if rel == 0.0:
+        excess = excess_only_difference(old, new) if json_file else None
+        entry = entry_only_difference(old, new) if json_file and excess is None and stem in horizons else None
+        removed = removed_keys(old, new) if json_file and excess is None and entry is None else None
+        renamed = renamed_keys(old, new) if json_file and excess is None and entry is None and removed is None else None
+        if excess == 0.0:
             diffs.append(f"differs: {k} (only in formatting, the JSON values are equal)")
-        elif rel is not None:
-            slopes.append(rel)
-            diffs.append(f"differs: {k} (only decay slopes, max relative difference {rel:.3g})")
+        elif excess is not None:
+            excesses.append(excess)
+            diffs.append(f"differs: {k} (only stage excesses, max difference {excess:.3g})")
         elif entry is not None:
             entries.append(entry / horizons[stem])
             diffs.append(f"differs: {k} (only entry times, max difference {entries[-1]:.3g} x horizon)")
         elif removed:
             diffs.append(f"differs: {k} (only removed keys {', '.join(removed)})")
+        elif renamed:
+            diffs.append(f"differs: {k} (only renamed keys {', '.join(renamed)})")
         elif Path(k).name == "stdout" and entry_only_text(old, new):
             diffs.append(f"differs: {k} (only printed entry times)")
         elif Path(k).name == "stdout" and (items := removed_items_text(old, new)):
             diffs.append(f"differs: {k} (only removed items {', '.join(items)})")
+        elif Path(k).name == "stdout" and (swap := renamed_items_text(old, new)) and swap[0]:
+            diffs.append(f"differs: {k} (only renamed items {', '.join(swap[0])} -> {', '.join(swap[1])})")
         else:
             diffs.append(f"differs: {k}")
-    return diffs, slopes, entries
+    return diffs, excesses, entries
 
 
 def verdict(run: Path, output: str) -> tuple:
@@ -377,17 +472,17 @@ def main(argv=None) -> int:
             print(f"worker exit codes (parent, change): {codes}", file=sys.stderr)
             return 1
         horizons = {run["stem"]: run["horizon"] for run in manifest if "horizon" in run}
-        diffs, slopes, entries = compare(outs["parent"], outs["change"], horizons)
+        diffs, excesses, entries = compare(outs["parent"], outs["change"], horizons)
         n_files = len(_files(outs["parent"]))
         verify_runs = [run for run in manifest if run["argv"][0] == "verify"]
         verdicts = verdict_summary(outs["parent"], outs["change"], verify_runs)
     for line in diffs:
         print(line)
     print(f"{len(manifest)} runs, {n_files} parent files, {len(diffs)} differences")
-    if slopes:
+    if excesses:
         print(
-            f"{len(slopes)} of the differences are reports that differ only in decay slopes, "
-            f"max relative difference {max(slopes):.3g}"
+            f"{len(excesses)} of the differences are reports that differ only in stage excesses, "
+            f"max difference {max(excesses):.3g}"
         )
     if entries:
         print(
