@@ -8,8 +8,10 @@ nu, the rate gaps gamma_minus / gamma_plus at the outermost margins, the
 widened dilution bounds (d_minus, d_plus), and the nested absorbing intervals
 [s_1_minus, s_i_plus].
 
-All strict inequalities are checked on dense grids; the constructed gap is
-halved so any certified nu is a conservative witness.
+Every law increases (the paper's hypothesis), so on a margin grid cell
+[s_k, s_k+1] pack i's slowest rate at s_k less the fastest higher rate at
+s_k+1 bounds the domination gap on the whole cell; nu, the smallest such
+bound over every boundary, is proved on the margins, not sampled.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ GRID_N = 2048  # grid intervals per margin interval
 
 _DELTA_MIN_REL = 1e-9  # extension floor relative to the smallest break-even level
 
-# Slack on the row selection's comparison of two computed rates: far above
-# the few-ulp error of a Monod, Hill (``np.power``) or table evaluation.
+# Slack on a comparison of two computed rates (row selection, cell bounds):
+# far above the few-ulp error of a Monod, Hill (``np.power``) or table rate.
 _ROUNDING_ALLOWANCE = (1.0 - 1e-12) ** 2
 
 
@@ -176,17 +178,19 @@ def _gap_rows(ordered: OrderedSpecies, i: int, rows: np.ndarray | None = None) -
 
 
 def _pack_gap(gap_rows: tuple, s_grid: np.ndarray) -> np.ndarray:
-    """Domination gap of pack i over all packs above it, pointwise on a grid.
+    """Lower bounds of the domination gap of pack i over all packs above it, per grid cell.
 
     ``gap_rows`` is ``_gap_rows(ordered, i, rows)``, and ``s_grid`` a 1-D
     grid of finite levels > 0 (a ``linspace`` between two margins), which
     is not validated again.  Pack-wise means the slowest member of pack i
-    against the fastest member of any higher pack, so a positive gap
-    certifies every member pair.
+    (row minimum f) against the fastest member of any higher pack (row
+    maximum g), so a positive bound certifies every member pair.  With
+    increasing laws, f(s_k) - g(s_k+1) bounds the gap on [s_k, s_k+1];
+    f is lowered by ``_ROUNDING_ALLOWANCE`` for the rounding of both rates.
     """
     laws, count, monod = gap_rows
     rates = rate_rows(laws, monod, s_grid)
-    return np.min(rates[:count], axis=0) - np.max(rates[count:], axis=0)
+    return np.min(rates[:count, :-1], axis=0) * _ROUNDING_ALLOWANCE - np.max(rates[count:, 1:], axis=0)
 
 
 def overshoot_cap(lam_lower: float, s_in: float) -> float:
@@ -259,10 +263,10 @@ def separation_margins(
     """Margins (s_i_minus, s_i_plus) around the boundary between packs i, i+1.
 
     Starting from symmetric extensions of half the level gap, the extension
-    halves until the grid-checked domination gap of pack i over all higher
-    packs is positive on [s_i_minus, s_i_plus].  The lower margin never
-    crosses zero and the upper one stays below ``s_plus_limit`` when given
-    (used to keep absorbing intervals nested).  ``rows`` selects
+    halves until every cell bound (``_pack_gap``) of pack i's domination gap
+    over all higher packs is positive on [s_i_minus, s_i_plus].  The lower
+    margin never crosses zero and the upper one stays below ``s_plus_limit``
+    when given (used to keep absorbing intervals nested).  ``rows`` selects
     the slower-pack records the grids evaluate, as in :func:`_gap_rows`,
     whose laws are prepared once for every grid.
 
@@ -428,9 +432,9 @@ def build_certificate(
             )
 
     margins = tuple((b.s_minus, b.s_plus) for b in boundaries)
-    # Each gap_min is the minimum on the boundary's final margin grid, so no
-    # grid is evaluated a second time for nu.
-    nu = 0.5 * min(b.gap_min for b in boundaries)
+    # Each gap_min is the smallest cell bound on the boundary's final margin
+    # grid, so no grid is evaluated a second time for nu.
+    nu = min(b.gap_min for b in boundaries)
     gamma_minus, gamma_plus, skipped = gamma_bounds(ordered, margins, d)
     d_minus, d_plus = dilution_bounds(gamma_minus, gamma_plus, d)
     if not 0.0 < d_minus < d < d_plus:
@@ -464,25 +468,20 @@ def build_certificate(
     return cert
 
 
-def recheck_certificate(
-    cert: Certificate,
-    ordered: OrderedSpecies,
-    *,
-    grid_factor: int = 10,
-) -> list[str]:
-    """Re-verify every certificate inequality on a refined grid.
+def recheck_certificate(cert: Certificate, ordered: OrderedSpecies) -> list[str]:
+    """Re-verify every certificate inequality from the laws.
 
     Returns a list of violation descriptions (empty when the certificate
-    holds).  Every boundary's grid of ``GRID_N * grid_factor`` intervals is
-    evaluated afresh and the rate gaps and dilution bounds are recomputed,
-    so this also checks certificates built elsewhere; ``build_certificate``
-    makes the margin checks on its final margin grids.
+    holds).  Every boundary's cell bounds are evaluated afresh with every
+    slower law, and the rate gaps and dilution bounds are recomputed, so
+    this also checks certificates built elsewhere; ``build_certificate``
+    makes the margin checks on its final margin grids.  A finer grid could
+    only raise a cell bound, so the grid is the construction's.
     """
     if cert.degenerate:
         return []
-    grid_n = GRID_N * grid_factor
     gap_mins = [
-        float(np.min(_pack_gap(_gap_rows(ordered, i), np.linspace(b.s_minus, b.s_plus, grid_n + 1))))
+        float(np.min(_pack_gap(_gap_rows(ordered, i), np.linspace(b.s_minus, b.s_plus, GRID_N + 1))))
         for i, b in enumerate(cert.boundaries)
     ]
     problems = _certificate_problems(cert, gap_mins)
@@ -509,7 +508,7 @@ def recheck_certificate(
 
 
 def _certificate_problems(cert: Certificate, gap_mins: list[float]) -> list[str]:
-    """The margin inequalities, given each boundary's minimum grid gap."""
+    """The margin inequalities, given each boundary's smallest cell bound."""
     problems: list[str] = []
     prev_plus = None
     for i, (b, gap_min) in enumerate(zip(cert.boundaries, gap_mins)):
@@ -520,9 +519,6 @@ def _certificate_problems(cert: Certificate, gap_mins: list[float]) -> list[str]
         if prev_plus is not None and not b.s_plus > prev_plus:
             problems.append(f"boundary {i + 1}: absorbing intervals not nested")
         prev_plus = b.s_plus
-        if not gap_min > cert.nu:
-            problems.append(
-                f"boundary {i + 1}: domination gap {gap_min:g} does not "
-                f"exceed nu {cert.nu:g} on the refined grid"
-            )
+        if not 0.0 < cert.nu <= gap_min:
+            problems.append(f"boundary {i + 1}: nu {cert.nu:g} not in (0, domination gap bound {gap_min:g}]")
     return problems

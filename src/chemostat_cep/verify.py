@@ -340,7 +340,9 @@ def check_induction_properties(
     above i to be excluded: from the entry on, its summed density ratio r
     against the lead species must stay under r(t_a) exp(-rate (t - t_a)),
     with rate = 0.9 nu (the paper's comparison of solutions), and its final
-    proportion must end below ``EPS_P``.
+    proportion must end below ``EPS_P``.  While s is in I_i the rate holds
+    where mu_lead - max over packs > i >= rate on I_i; boundary 1 certifies
+    that for stage 1 only, and for i >= 2 it is measured, not certified.
 
     ``comparison_excess`` gives every stage's largest rise of ln r + rate t
     over every pack at once, and ``_stage_claims`` reads the verdicts off

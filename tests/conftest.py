@@ -10,9 +10,9 @@ import pytest
 
 from chemostat_cep import ChemostatParams, Monod, State, order_species, simulate
 from chemostat_cep import certificate as certificate_mod
-from chemostat_cep.certificate import _gap_rows, _pack_gap, build_certificate
+from chemostat_cep.certificate import build_certificate
 from chemostat_cep.errors import CertificateError, ParameterError
-from chemostat_cep.growth import OrderedSpecies
+from chemostat_cep.growth import OrderedSpecies, rate_matrix
 from chemostat_cep.scenario import Scenario, Tolerances
 
 CANONICAL_SPECIES = (
@@ -82,19 +82,41 @@ def compute_nu(
     ordered: OrderedSpecies,
     margins: tuple[tuple[float, float], ...],
 ) -> float:
-    """Uniform domination margin: half the smallest gap over all boundaries,
-    on grids of ``GRID_N`` intervals."""
+    """Uniform domination gap: the smallest cell bound over all boundaries,
+    on grids of ``GRID_N`` intervals, from ``rate_matrix`` alone.
+
+    On a cell [s_k, s_k+1] of boundary i's grid, the bound is the slowest
+    rate of pack i at s_k, lowered by the rounding allowance, less the
+    fastest rate of any higher pack at s_k+1.
+    """
     if ordered.n_packs < 2:
         raise ParameterError("need at least two packs for a domination margin")
     if len(margins) != ordered.n_packs - 1:
         raise ParameterError("one margin pair per boundary is required")
     worst = math.inf
     for i, (s_minus, s_plus) in enumerate(margins):
-        grid = np.linspace(s_minus, s_plus, certificate_mod.GRID_N + 1)
-        worst = min(worst, float(np.min(_pack_gap(_gap_rows(ordered, i), grid))))
+        first, split = ordered.packs[i][0], ordered.packs[i + 1][0]
+        laws = [rec.growth for rec in ordered.records[first:]]
+        rates = rate_matrix(laws, np.linspace(s_minus, s_plus, certificate_mod.GRID_N + 1))
+        slowest = rates[: split - first].min(axis=0) * certificate_mod._ROUNDING_ALLOWANCE
+        fastest = rates[split - first :].max(axis=0)
+        worst = min(worst, float(np.min(slowest[:-1] - fastest[1:])))
     if worst <= 0.0:
         raise CertificateError(f"non-positive domination gap {worst:g} on margins")
-    return 0.5 * worst
+    return worst
+
+
+def refined_gaps(ordered: OrderedSpecies, cert, factor: int) -> list[float]:
+    """Per boundary, the smallest pointwise gap of pack i over the packs above
+    on a grid ``factor`` times finer than the certificate's, from each law's
+    own ``__call__``."""
+    gaps = []
+    for i, b in enumerate(cert.boundaries):
+        s = np.linspace(b.s_minus, b.s_plus, factor * certificate_mod.GRID_N + 1)
+        slowest = np.min([ordered.records[k].growth(s) for k in ordered.packs[i]], axis=0)
+        fastest = np.max([rec.growth(s) for rec in ordered.records[ordered.packs[i + 1][0] :]], axis=0)
+        gaps.append(float(np.min(slowest - fastest)))
+    return gaps
 
 
 def frame_reference(traj, cert, growths, params) -> tuple[bool, float | None, int | None]:

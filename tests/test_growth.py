@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chemostat_cep import Hill, Monod, Table, order_species
@@ -232,6 +233,17 @@ class TestOrdering:
             order_species([], 1.0, 10.0)
 
 
+def _exact_rate(g, s: float) -> Decimal:
+    """The law's rate at ``s`` to 60 digits (``decimal`` rounds powers correctly)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s, mu_max, k = Decimal(s), Decimal(g.mu_max), Decimal(g.k)
+        if isinstance(g, Hill):
+            u = (s / k) ** Decimal(g.p)
+            return mu_max * u / (1 + u)
+        return mu_max * s / (k + s)
+
+
 @given(
     s=st.floats(0.0, 50.0),
     ds=st.floats(1e-6, 5.0),
@@ -239,12 +251,13 @@ class TestOrdering:
     k=st.floats(0.01, 50.0),
     p=st.floats(1.0, 4.0),
 )
-@settings(max_examples=60, deadline=None)
+@example(s=42, ds=1e-6, mu_max=1, k=0.01, p=2.375)  # both rates round to 0.9999999975181078
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_laws_increase_up_to_float_saturation(s, ds, mu_max, k, p):
-    # strict increase is only resolvable in floats below the plateau where
-    # the law has saturated to mu_max within rounding
+    # a strict increase is only resolvable in floats where the exact increase
+    # exceeds the rounding of the two rates, taken as two ulps of the larger
     for g in (Monod(mu_max, k), Hill(mu_max, k, p)):
         lo, hi = g(s), g(s + ds)
         assert 0.0 <= lo <= hi
-        if hi < mu_max * (1.0 - 1e-9):
+        if _exact_rate(g, s + ds) - _exact_rate(g, s) > 2 * Decimal(math.ulp(hi)):
             assert hi > lo

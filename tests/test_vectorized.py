@@ -62,14 +62,14 @@ from chemostat_cep.integrate import (
 )
 from chemostat_cep.verify import EPS_P, ClaimResult, _governing, _stage_claims, comparison_excess, fit_log_decay
 
-from conftest import CANONICAL_SPECIES, compute_nu
+from conftest import CANONICAL_SPECIES, compute_nu, refined_gaps
 
 ROOT = Path(__file__).resolve().parent.parent
 
 pos = st.floats(min_value=0.01, max_value=20.0, allow_nan=False, allow_infinity=False)
 
 monods = st.builds(Monod, mu_max=pos, k=pos)
-hills = st.builds(Hill, mu_max=pos, k=pos, p=st.floats(min_value=1.0, max_value=4.0))
+hills = st.builds(Hill, mu_max=pos, k=pos, p=st.floats(min_value=1.0, max_value=600.0))
 
 
 @st.composite
@@ -725,9 +725,9 @@ def _pack_growths(ordered, i):
 
 
 def _pack_gap_reference(ordered, i, grid):
-    lower = np.min([g(grid) for g in _pack_growths(ordered, i)], axis=0)
+    lower = np.min([g(grid) for g in _pack_growths(ordered, i)], axis=0) * _ROUNDING_ALLOWANCE
     uppers = [g(grid) for j in range(i + 1, ordered.n_packs) for g in _pack_growths(ordered, j)]
-    return lower - np.max(uppers, axis=0)
+    return lower[:-1] - np.max(uppers, axis=0)[1:]
 
 
 MIXED = CANONICAL_SPECIES + (
@@ -802,10 +802,15 @@ class TestCertificateSelfCheck:
     def test_construction_reads_the_grids_a_recheck_evaluates(self, name, ordered):
         cert = build_certificate(ordered, 1.0, 10.0)
         assert not cert.degenerate
-        assert recheck_certificate(cert, ordered, grid_factor=1) == []
+        assert recheck_certificate(cert, ordered) == []
         for i, b in enumerate(cert.boundaries):
             grid = np.linspace(b.s_minus, b.s_plus, GRID_N + 1)
             assert b.gap_min == float(np.min(_pack_gap(_gap_rows(ordered, i), grid)))
+
+    @pytest.mark.parametrize("name,ordered", _certificate_cases())
+    def test_nu_is_below_the_gap_on_a_64_times_refined_grid(self, name, ordered):
+        cert = build_certificate(ordered, 1.0, 10.0)
+        assert 0.0 < cert.nu <= min(refined_gaps(ordered, cert, 64))
 
 
 # Laws at d = 1 whose break-even level is (about) a given lam.

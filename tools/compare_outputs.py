@@ -18,22 +18,13 @@ The output file, stdout, stderr and exit code of every run are compared
 byte for byte.
 
 Exit status: 0 when the trees agree everywhere, 1 with one line per
-difference, 2 on a usage error.  A JSON report that differs only in its
-stage excesses (``excess_pack_*`` and ``excess_max`` values) is marked as
-such with its largest difference, and a last line gives the count of such
-reports and the largest difference over all of them.  A JSON report
-that differs only in its ``entry_time`` values is marked likewise, with its
-largest difference over the scenario's horizon, and so is a verify stdout
-whose lines differ only in their printed ``entry_time=`` values.  A JSON
-report whose values are all equal is marked as differing only in
-formatting.  A JSON report that equals the parent's with some keys deleted
-is marked with the deleted key names, and a verify stdout whose differing
-lines only lose ``key=value`` items is marked with those items.  A JSON
-report that equals the parent's with some keys renamed in place (the
-values at a renamed key are not compared) is marked with the renames, and
-a verify stdout whose differing lines only trade some ``key=value`` items
-for items under other keys is marked with the two key lists.  All of them
-still count as differences.
+difference, 2 on a usage error.  A differing JSON file or stdout is walked
+key by key (a stdout line's keys are its ``key=value`` items and its first
+word, which holds the text before them), and its line names the keys whose
+numbers moved, with their largest absolute and relative change, and the
+keys removed, added or otherwise changed; a trailing ``_<number>`` is
+written ``_*``.  After the differences, one line per moved key gives the
+number of files it moved in and its largest changes over all of them.
 
 A last line compares the verdicts of every ``verify`` run, whatever its
 bytes: the number of runs whose exit code, ``overall_pass`` and every
@@ -46,6 +37,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -127,8 +119,6 @@ def write_inputs(inputs: Path, seeds) -> list[dict]:
                 run = {"argv": [wl.command, str(path)], "stem": stem, "output": wl.output}
                 manifest.append(run)
                 if wl.command == "verify":
-                    # the horizon as the scenario parser defaults it
-                    run["horizon"] = sc.get("horizon", 100.0 / sc["d"])
                     manifest.append(
                         {
                             "argv": ["certificate", str(path), "--json"],
@@ -169,257 +159,119 @@ def _files(top: Path) -> dict[str, Path]:
     return {str(p.relative_to(top)): p for p in sorted(top.rglob("*")) if p.is_file()}
 
 
-def _only_difference(a: bytes, b: bytes, movable, measure) -> float | None:
-    """Largest ``measure(u, v)`` if two JSON files differ only at ``movable`` keys.
-
-    Returns None when the files are not JSON or differ anywhere else, and
-    0.0 when their values are all equal.  At a key where ``movable(key)``
-    holds, two numbers may differ.
-    """
-    try:
-        x, y = json.loads(a), json.loads(b)
-    except ValueError:
-        return None
-    worst = 0.0
-
-    def same(u, v, key: str) -> bool:
-        nonlocal worst
-        if movable(key) and all(type(w) in (int, float) for w in (u, v)):
-            if u != v:
-                worst = max(worst, measure(u, v))
-            return True
-        if type(u) is not type(v):
-            return False
-        if isinstance(u, dict):
-            return u.keys() == v.keys() and all(same(u[k], v[k], k) for k in u)
-        if isinstance(u, list):
-            return len(u) == len(v) and all(same(p, q, key) for p, q in zip(u, v))
-        return u == v
-
-    return worst if same(x, y, "") else None
-
-
-def excess_only_difference(a: bytes, b: bytes) -> float | None:
-    """Largest absolute difference if two reports differ only in stage excesses.
-
-    Returns None when the files are not JSON or differ anywhere else.  The
-    excesses (``excess_pack_*`` and ``excess_max``) are differences of log
-    ratios, so a trajectory that moves in its last bits moves them and
-    nothing else.
-    """
-    return _only_difference(
-        a,
-        b,
-        lambda key: key.startswith("excess_pack_") or key == "excess_max",
-        lambda u, v: abs(u - v),
-    )
-
-
-def entry_only_difference(a: bytes, b: bytes) -> float | None:
-    """Largest absolute difference if two reports differ only in entry times.
-
-    Returns None when the files are not JSON or differ anywhere else.  A
-    change to how the stage entries are refined moves the ``entry_time``
-    values within the entry tolerance and nothing else.
-    """
-    return _only_difference(a, b, lambda key: key == "entry_time", lambda u, v: abs(u - v))
-
-
-_PRINTED_ENTRY = re.compile(rb"entry_time=[^,\s]+")
-
-
-def entry_only_text(a: bytes, b: bytes) -> bool:
-    """Whether two verify texts differ only in their printed ``entry_time=`` values."""
-    return _PRINTED_ENTRY.sub(b"entry_time=", a) == _PRINTED_ENTRY.sub(b"entry_time=", b)
-
-
-def removed_keys(a: bytes, b: bytes) -> list[str] | None:
-    """Sorted names of the keys deleted from ``a``, if that is all that makes ``b``.
-
-    Returns None when the files are not JSON or when ``b`` adds a key or
-    changes a value anywhere; a name deleted from several objects is listed
-    once.
-    """
-    try:
-        x, y = json.loads(a), json.loads(b)
-    except ValueError:
-        return None
-    removed = set()
-
-    def kept(u, v) -> bool:
-        if type(u) is not type(v):
-            return False
-        if isinstance(u, dict):
-            removed.update(u.keys() - v.keys())
-            return v.keys() <= u.keys() and all(kept(u[k], v[k]) for k in v)
-        if isinstance(u, list):
-            return len(u) == len(v) and all(kept(p, q) for p, q in zip(u, v))
-        return u == v
-
-    return sorted(removed) if kept(x, y) else None
-
-
 def _numbered(key: str) -> str:
     """``key`` with a trailing ``_<number>`` written ``_*``."""
     return re.sub(r"_\d+$", "_*", key)
 
 
-def renamed_keys(a: bytes, b: bytes) -> list[str] | None:
-    """The ``old -> new`` key renames that make ``b`` from ``a``, if that is all.
-
-    Keys are paired by position within each object.  A pair of different
-    keys is a rename when the new key is not in the old object and the old
-    key not in the new one; the values of a rename are not compared, as
-    long as both are numbers, strings or null.  Returns the renames sorted,
-    each once, with a trailing ``_<number>`` shown as ``_*``, or None when
-    the files are not JSON or differ anywhere else.
-    """
+def _number(v) -> float | None:
+    """A JSON number, or a string that prints one, as a float; None otherwise."""
+    if type(v) in (int, float):
+        return float(v)
     try:
-        x, y = json.loads(a), json.loads(b)
+        return float(v) if isinstance(v, str) else None
     except ValueError:
         return None
-    renames = set()
-    scalar = (int, float, str, type(None))
-
-    def same(u, v) -> bool:
-        if type(u) is not type(v):
-            return False
-        if isinstance(u, dict):
-            if len(u) != len(v):
-                return False
-            for (k, p), (j, q) in zip(u.items(), v.items()):
-                if k == j:
-                    if not same(p, q):
-                        return False
-                elif j in u or k in v or not isinstance(p, scalar) or not isinstance(q, scalar):
-                    return False
-                else:
-                    renames.add(f"{_numbered(k)} -> {_numbered(j)}")
-            return True
-        if isinstance(u, list):
-            return len(u) == len(v) and all(same(p, q) for p, q in zip(u, v))
-        return u == v
-
-    return sorted(renames) if same(x, y) else None
 
 
-_ITEM = re.compile(rb"[A-Za-z_]\w*=\S+")
+class KeyDiff:
+    """Where two outputs differ, by key, a trailing ``_<number>`` written ``_*``.
 
-
-def removed_items_text(a: bytes, b: bytes) -> list[str] | None:
-    """The ``key=value`` items ``b``'s lines lost, if that is how they differ from ``a``'s.
-
-    Lines are paired in order, and every differing line of ``b`` must be its
-    line of ``a`` with some of its ``, ``-separated ``key=value`` items taken
-    out.  Returns those items in order, each once; None otherwise.
+    ``moved`` maps each key whose numbers differ to the largest absolute
+    change and the largest change relative to the parent's value.
+    ``changed`` holds the keys whose other values differ (a string, a flag,
+    a list of another length), ``removed`` and ``added`` the keys that only
+    the parent or only the change has.
     """
-    old, new = a.split(b"\n"), b.split(b"\n")
-    if len(old) != len(new):
-        return None
-    removed: list[str] = []
-    for u, v in zip(old, new):
-        rest = v.split(b", ")
-        for item in u.split(b", "):
-            if rest and item == rest[0]:
-                rest.pop(0)
-            elif _ITEM.fullmatch(item):
-                removed.append(item.decode())
-            else:
-                return None
-        if rest:
+
+    def __init__(self):
+        self.moved: dict[str, tuple[float, float]] = {}
+        self.changed, self.removed, self.added = set(), set(), set()
+
+    def walk(self, u, v, key: str) -> None:
+        """Record every difference of ``v`` from ``u``, the value both hold under ``key``."""
+        if isinstance(u, dict) and isinstance(v, dict):
+            self.removed.update(map(_numbered, u.keys() - v.keys()))
+            self.added.update(map(_numbered, v.keys() - u.keys()))
+            for k in u.keys() & v.keys():
+                self.walk(u[k], v[k], k)
+        elif isinstance(u, list) and isinstance(v, list) and len(u) == len(v):
+            for p, q in zip(u, v):
+                self.walk(p, q, key)
+        elif (x := _number(u)) is not None and (y := _number(v)) is not None:
+            if x != y and not (math.isnan(x) and math.isnan(y)):
+                change = abs(y - x) if not math.isnan(x - y) else math.inf
+                rel = change / abs(x) if math.isfinite(x) and x else math.inf
+                old = self.moved.get(_numbered(key), (0.0, 0.0))
+                self.moved[_numbered(key)] = (max(old[0], change), max(old[1], rel))
+        elif u != v:
+            self.changed.add(_numbered(key))
+
+    def __str__(self) -> str:
+        parts = []
+        if self.moved:
+            moved = (f"{k} (max abs {a:.3g}, rel {r:.3g})" for k, (a, r) in sorted(self.moved.items()))
+            parts.append("moved " + ", ".join(moved))
+        for label, keys in (("removed", self.removed), ("added", self.added), ("changed", self.changed)):
+            if keys:
+                parts.append(f"{label} {', '.join(sorted(keys))}")
+        return "; ".join(parts) or "values equal, only formatting"
+
+
+_ITEM = re.compile(r"[A-Za-z_]\w*=\S+")
+
+
+def _items(line: str) -> dict[str, str]:
+    """A text line by key: each ``key=value`` item of its ``, ``-separated
+    tail under its key, and the text before them under the line's first word."""
+    head, *rest = line.split(", ")
+    match = re.search(r"[A-Za-z_]\w*=", head)
+    chunks = [head[match.start() :]] + rest if match else rest
+    if match is None or not all(_ITEM.fullmatch(chunk) for chunk in chunks):
+        head, chunks = line, []  # free text: the whole line is its head
+    else:
+        head = head[: match.start()]
+    word, _, text = head.strip().partition(" ")
+    return ({word.rstrip(":"): text.strip()} if word else {}) | dict(chunk.split("=", 1) for chunk in chunks)
+
+
+def key_diff(name: str, a: bytes, b: bytes) -> KeyDiff | None:
+    """The key-level difference of two JSON files or two stdouts; None for other files."""
+    try:
+        if name == "stdout":
+            x, y = ([_items(line) for line in data.decode().split("\n")] for data in (a, b))
+        elif name.endswith(".json"):
+            x, y = json.loads(a), json.loads(b)
+        else:
             return None
-    return list(dict.fromkeys(removed))
-
-
-def _items(line: bytes) -> tuple[bytes, dict[str, bytes]] | None:
-    """A line's text before its first item, and its ``key=value`` items."""
-    head, *rest = line.split(b", ")
-    match = re.search(rb"[A-Za-z_]\w*=", head)
-    if match is None:
-        return (head, {}) if not rest else None
-    chunks = [head[match.start() :]] + rest
-    if not all(_ITEM.fullmatch(chunk) for chunk in chunks):
+    except ValueError:
         return None
-    items = dict(chunk.split(b"=", 1) for chunk in chunks)
-    return head[: match.start()], {k.decode(): v for k, v in items.items()}
+    diff = KeyDiff()
+    diff.walk(x, y, name)
+    return diff
 
 
-def renamed_items_text(a: bytes, b: bytes) -> tuple[list[str], list[str]] | None:
-    """The item keys ``b``'s lines dropped and gained, if that is how they differ.
-
-    Lines are paired in order.  A differing pair must agree in its text
-    before the items and in the value of every key both lines hold, and
-    drop as many keys as it gains; the values under the dropped and gained
-    keys are not compared.  Returns (dropped, gained), each sorted and
-    listed once, with a trailing ``_<number>`` shown as ``_*``; None
-    otherwise.
-    """
-    old, new = a.split(b"\n"), b.split(b"\n")
-    if len(old) != len(new):
-        return None
-    dropped, gained = set(), set()
-    for u, v in zip(old, new):
-        if u == v:
-            continue
-        pu, pv = _items(u), _items(v)
-        if pu is None or pv is None or pu[0] != pv[0]:
-            return None
-        iu, iv = pu[1], pv[1]
-        gone, added = iu.keys() - iv.keys(), iv.keys() - iu.keys()
-        if len(gone) != len(added) or any(iu[k] != iv[k] for k in iu.keys() & iv.keys()):
-            return None
-        dropped.update(map(_numbered, gone))
-        gained.update(map(_numbered, added))
-    return sorted(dropped), sorted(gained)
-
-
-def compare(
-    parent: Path, change: Path, horizons: dict[str, float]
-) -> tuple[list[str], list[float], list[float]]:
+def compare(parent: Path, change: Path) -> tuple[list[str], dict[str, tuple[int, float, float]]]:
     """One line per file that is missing on one side or differs in its bytes.
 
-    Also returns the excess differences of the reports that differ only in
-    their stage excesses, and the entry-time differences over the
-    horizon of those that differ only in their entry times; ``horizons``
-    maps a run's directory (relative to ``parent``) to its scenario's
-    horizon.  A report whose JSON values are all equal is marked as
-    differing only in formatting and is counted in neither list.
+    A differing JSON file or stdout is followed by its ``KeyDiff``.  Also
+    returns, per moved key, the number of files it moved in and its largest
+    absolute and relative change over all of them.
     """
     a, b = _files(parent), _files(change)
     diffs = [f"only in parent: {k}" for k in sorted(a.keys() - b.keys())]
     diffs += [f"only in change: {k}" for k in sorted(b.keys() - a.keys())]
-    excesses, entries = [], []
+    moved: dict[str, tuple[int, float, float]] = {}
     for k in sorted(a.keys() & b.keys()):
         old, new = a[k].read_bytes(), b[k].read_bytes()
         if old == new:
             continue
-        stem = str(Path(k).parent)
-        json_file = k.endswith(".json")
-        excess = excess_only_difference(old, new) if json_file else None
-        entry = entry_only_difference(old, new) if json_file and excess is None and stem in horizons else None
-        removed = removed_keys(old, new) if json_file and excess is None and entry is None else None
-        renamed = renamed_keys(old, new) if json_file and excess is None and entry is None and removed is None else None
-        if excess == 0.0:
-            diffs.append(f"differs: {k} (only in formatting, the JSON values are equal)")
-        elif excess is not None:
-            excesses.append(excess)
-            diffs.append(f"differs: {k} (only stage excesses, max difference {excess:.3g})")
-        elif entry is not None:
-            entries.append(entry / horizons[stem])
-            diffs.append(f"differs: {k} (only entry times, max difference {entries[-1]:.3g} x horizon)")
-        elif removed:
-            diffs.append(f"differs: {k} (only removed keys {', '.join(removed)})")
-        elif renamed:
-            diffs.append(f"differs: {k} (only renamed keys {', '.join(renamed)})")
-        elif Path(k).name == "stdout" and entry_only_text(old, new):
-            diffs.append(f"differs: {k} (only printed entry times)")
-        elif Path(k).name == "stdout" and (items := removed_items_text(old, new)):
-            diffs.append(f"differs: {k} (only removed items {', '.join(items)})")
-        elif Path(k).name == "stdout" and (swap := renamed_items_text(old, new)) and swap[0]:
-            diffs.append(f"differs: {k} (only renamed items {', '.join(swap[0])} -> {', '.join(swap[1])})")
-        else:
-            diffs.append(f"differs: {k}")
-    return diffs, excesses, entries
+        diff = key_diff(Path(k).name, old, new)
+        diffs.append(f"differs: {k}" + ("" if diff is None else f" ({diff})"))
+        for key, (change_abs, change_rel) in (diff.moved.items() if diff else ()):
+            files, worst_abs, worst_rel = moved.get(key, (0, 0.0, 0.0))
+            moved[key] = (files + 1, max(worst_abs, change_abs), max(worst_rel, change_rel))
+    return diffs, moved
 
 
 def verdict(run: Path, output: str) -> tuple:
@@ -471,24 +323,15 @@ def main(argv=None) -> int:
         if any(codes):
             print(f"worker exit codes (parent, change): {codes}", file=sys.stderr)
             return 1
-        horizons = {run["stem"]: run["horizon"] for run in manifest if "horizon" in run}
-        diffs, excesses, entries = compare(outs["parent"], outs["change"], horizons)
+        diffs, moved = compare(outs["parent"], outs["change"])
         n_files = len(_files(outs["parent"]))
         verify_runs = [run for run in manifest if run["argv"][0] == "verify"]
         verdicts = verdict_summary(outs["parent"], outs["change"], verify_runs)
     for line in diffs:
         print(line)
     print(f"{len(manifest)} runs, {n_files} parent files, {len(diffs)} differences")
-    if excesses:
-        print(
-            f"{len(excesses)} of the differences are reports that differ only in stage excesses, "
-            f"max difference {max(excesses):.3g}"
-        )
-    if entries:
-        print(
-            f"{len(entries)} of the differences are reports that differ only in entry times, "
-            f"max difference {max(entries):.3g} x horizon"
-        )
+    for key, (files, change_abs, change_rel) in sorted(moved.items()):
+        print(f"moved {key}: in {files} files, max abs {change_abs:.3g}, rel {change_rel:.3g}")
     print(verdicts)
     return 1 if diffs else 0
 
