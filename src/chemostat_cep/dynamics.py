@@ -4,6 +4,12 @@ The model couples one substrate with n consumer species under a common
 removal rate.  The simulator integrates the original (substrate, densities)
 chart, which stays defined when the biomass vanishes; the biomass,
 proportion, mass and ratio channels are derived from it per sample.
+
+Its right-hand side, ``vector_field``, is built once per system.  A system
+with few Monod laws gets a function compiled for it from straight-line
+Python source, in which every law's scalar rate is spelled out with its
+parameters as float literals; a system with many gets one numpy expression
+over its Monod laws.  Both give the bits of one per-species loop.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .growth import GrowthFunction, OrderedSpecies, monod_arrays
+from .growth import GrowthFunction, OrderedSpecies, monod_arrays, rate_source
 
 
 @dataclass(frozen=True)
@@ -79,13 +85,49 @@ def predicted_limit(params: ChemostatParams, ordered: OrderedSpecies) -> State:
 
 
 # Monod laws from which the right-hand side takes its array body.  Only
-# Monod rates are vectorised there; a Hill or table law goes through its
-# scalar path in both bodies, at about the same cost (0.03-0.05 us more per
-# law in plain floats).  Measured per call on a 2-core x86-64 VM: 27 Monod
-# laws 7.5 us as arrays against 7.7 us in floats, 28 Monod laws 7.7 against
-# 8.0 us; 28 laws cycling Monod, Hill and table 9.6 against 7.4 us, 40 such
-# laws 12.6 against 10.6 us.
-_ARRAY_FIELD_MIN_LAWS = 28
+# Monod rates are vectorised there; a Hill or table law costs less in the
+# compiled float body (0.17-0.20 us per law against 0.19-0.25 us), so it
+# does not count.  Measured per call on a 2-core x86-64 VM, floats against
+# arrays: 30 Monod laws 4.4 against 5.0 us, 34 laws 4.8 against 4.9 us, 40
+# laws 5.7 against 5.0 us, 100 laws 14.5 against 5.8 us; 60 Monod and 60
+# Hill or table laws 20.1 against 20.9 us.
+_ARRAY_FIELD_MIN_LAWS = 34
+
+
+def _float_body(d: float, s_in: float, laws: tuple[GrowthFunction, ...]) -> Callable[..., np.ndarray]:
+    """The plain-float body for these laws, compiled from straight-line source.
+
+    Each law contributes the lines of ``growth.rate_source``, then its
+    ``dx_i`` and its consumption term.  Besides the laws' own float
+    literals, only ``d``, ``s_in`` (as float literals), the state size and
+    the law indices enter the source.
+    """
+    d, s_in = repr(float(d)), repr(float(s_in))
+    size = len(laws) + 1
+    lines = [
+        "def f_floats(t, y, out=None):",
+        "    v = y.tolist()  # the derivative overwrites it entry by entry",
+        f"    if len(v) != {size}:",
+        f"        raise ValueError(f'state has {{len(v)}} entries, expected {size}')",
+        "    s, " + "".join(f"x{i}, " for i in range(1, size)) + "= v",
+        "    sc = s if s > 0.0 else 0.0",
+        "    total = 0.0",
+    ]
+    namespace: dict[str, object] = {"array": np.array}
+    for i, g in enumerate(laws, 1):
+        rate_lines, names = rate_source(g, i)
+        namespace.update(names)
+        lines += ["    " + line for line in rate_lines]
+        lines += [f"    v[{i}] = (mu - {d}) * x{i}", f"    total += mu * x{i}"]
+    lines += [
+        f"    v[0] = {d} * ({s_in} - s) - total",
+        "    if out is None:",
+        "        return array(v)",
+        "    out[...] = v",
+        "    return out",
+    ]
+    exec(compile("\n".join(lines), "<vector_field>", "exec"), namespace)
+    return namespace["f_floats"]
 
 
 def vector_field(
@@ -98,15 +140,19 @@ def vector_field(
     intermediate stage values with tiny negative substrate stay legal.
     Every call returns the bits of a per-species loop: each law's rate,
     dx_i = (mu_i - d) x_i, and the consumption summed left to right from 0.
-    With fewer than ``_ARRAY_FIELD_MIN_LAWS`` Monod laws the closure does
-    exactly that in Python floats, each rate through the law's
-    ``_rate_scalar``; the sum is an explicit loop because the built-in
-    ``sum`` of floats is compensated from Python 3.12 on.  With more Monod
-    laws, their rates come from one array expression over their parameters,
-    with the operations of ``Monod._rate_scalar`` in the same order, and
-    every other law overwrites its own entry through its scalar path (a
-    Hill law needs the scalar ``pow``, since a vectorised pow loop may round
-    differently).
+    With fewer than ``_ARRAY_FIELD_MIN_LAWS`` Monod laws the function is
+    compiled here, once per call of ``vector_field``, from straight-line
+    Python source that does exactly that in Python floats, one scalar
+    operation at a time, without SIMD or BLAS.  Every law's
+    ``_rate_scalar`` is spelled out in species order (``growth.rate_source``):
+    the method's operations in its order, with ``repr`` literals that read
+    back to the parameters' floats, so each rate has the method's bits.
+    The sum is one ``+=`` per species, because the built-in ``sum`` of
+    floats is compensated from Python 3.12 on.  With more Monod laws, their
+    rates come from one array expression over their parameters, with the
+    operations of ``Monod._rate_scalar`` in the same order, and every other
+    law overwrites its own entry through its scalar path (a Hill law needs
+    the scalar ``pow``, since a vectorised pow loop may round differently).
     Given ``out``, a float array of y's shape that does not share memory
     with y, the call writes the derivative there and returns ``out``;
     without it, each call returns a new array.  A y whose length is not
@@ -121,27 +167,7 @@ def vector_field(
     size = n + 1
     is_monod, mu_max, k_half = monod_arrays(laws)
     if sum(is_monod) < _ARRAY_FIELD_MIN_LAWS:
-        rates = [g._rate_scalar for g in laws]
-
-        def f_floats(t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            v = y.tolist()  # the derivative overwrites it entry by entry
-            if len(v) != size:
-                raise ValueError(f"state has {len(v)} entries, expected {size}")
-            s = v[0]
-            sc = s if s > 0.0 else 0.0
-            total = 0.0
-            for i, rate in enumerate(rates, 1):
-                x_i = v[i]
-                mu = rate(sc)
-                v[i] = (mu - d) * x_i
-                total += mu * x_i
-            v[0] = d * (s_in - s) - total
-            if out is None:
-                return np.array(v)
-            out[...] = v
-            return out
-
-        return f_floats
+        return _float_body(d, s_in, laws)
 
     scalar_rows = [(i, g._rate_scalar) for i, (g, m) in enumerate(zip(laws, is_monod)) if not m]
     den = np.empty(n)

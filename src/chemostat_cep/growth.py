@@ -94,6 +94,9 @@ class Monod(GrowthFunction):
     def _rate_scalar(self, s: float) -> float:
         return self.mu_max * s / (self.k + s)
 
+    def _rate_source(self, i: int) -> tuple[list[str], dict[str, object]]:
+        return [f"mu = {_literal(self.mu_max)} * sc / ({_literal(self.k)} + sc)"], {}
+
 
 @dataclass(frozen=True)
 class Hill(GrowthFunction):
@@ -127,6 +130,16 @@ class Hill(GrowthFunction):
             u = (s / self.k) ** self.p
             return self.mu_max * u / (1.0 + u)
         return self.mu_max / (1.0 + (self.k / s) ** self.p)
+
+    def _rate_source(self, i: int) -> tuple[list[str], dict[str, object]]:
+        mu_max, k, p = _literal(self.mu_max), _literal(self.k), _literal(self.p)
+        return [
+            f"if sc <= {k}:",
+            f"    u = (sc / {k}) ** {p}",
+            f"    mu = {mu_max} * u / (1.0 + u)",
+            "else:",
+            f"    mu = {mu_max} / (1.0 + ({k} / sc) ** {p})",
+        ], {}
 
 
 @dataclass(frozen=True)
@@ -195,6 +208,42 @@ class Table(GrowthFunction):
         if s == xs[j]:
             return ys[j]
         return slopes[j] * (s - xs[j]) + ys[j]
+
+    def _rate_source(self, i: int) -> tuple[list[str], dict[str, object]]:
+        # The node lists are bound by name, so a long table compiles to the
+        # same few lines; so is the tail slope, a chord slope that may have
+        # overflowed to inf, which has no literal.
+        xs, ys, slopes = self._segments
+        x_last, y_last = _literal(xs[-1]), _literal(ys[-1])
+        return [
+            f"if not sc <= {x_last}:",
+            f"    mu = {y_last} + tail_{i} * (sc - {x_last})",
+            "else:",
+            f"    j = bisect_right(xs_{i}, sc) - 1",
+            f"    mu = ys_{i}[j] if sc == xs_{i}[j] else sl_{i}[j] * (sc - xs_{i}[j]) + ys_{i}[j]",
+        ], {f"xs_{i}": xs, f"ys_{i}": ys, f"sl_{i}": slopes, f"tail_{i}": slopes[-1], "bisect_right": bisect_right}
+
+
+def _literal(v: float) -> str:
+    """A validated finite parameter as a float literal of the same value."""
+    return repr(float(v))
+
+
+def rate_source(g: GrowthFunction, i: int) -> tuple[list[str], dict[str, object]]:
+    """Python lines that set ``mu`` to ``g._rate_scalar(sc)``, and the names they read.
+
+    The lines may also set ``u`` and ``j``.  ``i`` numbers the law, and
+    every name they read from the returned mapping carries it, apart from
+    ``bisect_right``.  A Monod, Hill or table law
+    spells out its ``_rate_scalar``: the same operations in the same order,
+    with its parameters as ``repr`` literals, which read back to the same
+    floats, so the lines give the method's bits.  A law of any other type,
+    a subclass of these included, is called through its own bound
+    ``_rate_scalar``.
+    """
+    if type(g) in (Monod, Hill, Table):
+        return g._rate_source(i)
+    return [f"mu = rate_{i}(sc)"], {f"rate_{i}": g._rate_scalar}
 
 
 def monod_arrays(laws: Sequence[GrowthFunction]) -> tuple[list[bool], np.ndarray, np.ndarray]:

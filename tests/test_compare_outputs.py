@@ -34,17 +34,23 @@ _STAGES = [{"measured": {"slope_pack_2": -1.0, "violations": 0}, "pass": True, "
 
 # name: (file name, parent bytes, change bytes, the diff's text; None for no key-level diff)
 KEY_DIFFS = {
-    "moved number": ("r.json", _json({"nu": 0.1}), _json({"nu": 0.2}), "moved nu (max abs 0.1, rel 1)"),
+    "moved number": ("r.json", _json({"nu": 0.1}), _json({"nu": 0.2}), "moved nu (max abs 0.1, new/old 2)"),
+    "moved both ways": (
+        "r.json",
+        _json([{"nu": 4.06e-4}, {"nu": 0.1}, {"nu": 3.0}]),
+        _json([{"nu": 3.36e-4}, {"nu": 0.2}, {"nu": -3.0}]),
+        "moved nu (max abs 6, new/old -1 to 2)",
+    ),
     "numbered keys": (
         "r.json",
         _json([{"excess_pack_2": 0.5, "excess_pack_3": 2.0}]),
         _json([{"excess_pack_2": 0.75, "excess_pack_3": 1.0}]),
-        "moved excess_pack_* (max abs 1, rel 0.5)",
+        "moved excess_pack_* (max abs 1, new/old 0.5 to 1.5)",
     ),
-    "from zero": ("r.json", b'{"a": 0}', b'{"a": 1e-16}', "moved a (max abs 1e-16, rel inf)"),
-    "from nan": ("r.json", b'{"b": NaN}', b'{"b": 1}', "moved b (max abs inf, rel inf)"),
+    "from zero": ("r.json", b'{"a": 0}', b'{"a": -1e-16}', "moved a (max abs 1e-16, new/old -inf)"),
+    "from nan": ("r.json", b'{"b": [NaN, 1]}', b'{"b": [1, 2]}', "moved b (max abs inf, new/old nan)"),
     "nan to nan": ("r.json", b'{"c": NaN}', b'{"c":  NaN}', "values equal, only formatting"),
-    "printed number": ("r.json", _json({"lambda": "inf"}), _json({"lambda": 5.0}), "moved lambda (max abs inf, rel inf)"),
+    "printed number": ("r.json", _json({"lambda": "inf"}), _json({"lambda": 5.0}), "moved lambda (max abs inf, new/old 0)"),
     "removed and added": (
         "r.json",
         _json(_STAGES),
@@ -65,7 +71,7 @@ KEY_DIFFS = {
     "csv": ("trajectory.csv", b"t\n1\n", b"t\n2\n", None),
     "stderr": ("stderr", b"a", b"b", None),
     "printed item moved": (
-        "stdout", _TEXT.encode(), _TEXT.replace("2.83048", "2.83049").encode(), "moved entry_time (max abs 1e-05, rel 3.53e-06)"
+        "stdout", _TEXT.encode(), _TEXT.replace("2.83048", "2.83049").encode(), "moved entry_time (max abs 1e-05, new/old 1+3.53e-06)"
     ),
     "printed item removed": (
         "stdout", _TEXT.encode(), _TEXT.replace("1.5, violations=0", "1.5").encode(), "removed violations"
@@ -101,7 +107,7 @@ class TestKeyDiff:
 
     def test_largest_changes_per_key_over_the_file(self):
         diff = compare_outputs.key_diff("r.json", _json([{"a_1": 1.0}, {"a_2": 4.0}]), _json([{"a_1": 3.0}, {"a_2": 5.0}]))
-        assert diff.moved == {"a_*": (2.0, 2.0)}
+        assert diff.moved == {"a_*": (2.0, 1.25, 3.0)}
 
 
 class TestTextKeys:
@@ -127,6 +133,7 @@ class TestCompare:
             "same.json": (report, report),
             "a/report.json": (report, report.replace(b"0.5", b"1.0")),
             "b/report.json": (report, report.replace(b"1.0}", b"1.5}")),
+            "b2/report.json": (report, report.replace(b"1.0}", b"0.25}")),
             "c/stdout": (_TEXT.encode(), _TEXT.replace("1.5", "1.25").encode()),
             "c/trajectory.csv": (b"t\n1\n", b"t\n2\n"),
             "only-parent": (b"x", None),
@@ -139,12 +146,14 @@ class TestCompare:
         diffs, moved = compare_outputs.compare(parent, change)
         assert diffs == [
             "only in parent: only-parent",
-            "differs: a/report.json (moved gap_min (max abs 0.5, rel 1), nu (max abs 0.5, rel 1))",
-            "differs: b/report.json (moved gap_min (max abs 0.5, rel 0.5))",
-            "differs: c/stdout (moved frame_time (max abs 0.25, rel 0.167))",
+            "differs: a/report.json (moved gap_min (max abs 0.5, new/old 2), nu (max abs 0.5, new/old 2))",
+            "differs: b/report.json (moved gap_min (max abs 0.5, new/old 1.5))",
+            "differs: b2/report.json (moved gap_min (max abs 0.75, new/old 0.25))",
+            "differs: c/stdout (moved frame_time (max abs 0.25, new/old 0.833))",
             "differs: c/trajectory.csv",
         ]
-        assert moved == {"gap_min": (2, 0.5, 1.0), "nu": (1, 0.5, 1.0), "frame_time": (1, 0.25, 1 / 6)}
+        # gap_min rose in two files and fell in one: the range over all files holds both
+        assert moved == {"gap_min": (3, 0.75, 0.25, 2.0), "nu": (1, 0.5, 2.0, 2.0), "frame_time": (1, 0.25, 1.25 / 1.5, 1.25 / 1.5)}
 
 
 class TestManifest:

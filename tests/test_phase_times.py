@@ -43,7 +43,9 @@ def test_simulate_workloads_time_emission_and_missing_trees_are_refused(tmp_path
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"export-mixed seed 1: 2 scenarios, min of 1 rounds x {phase_times.CALLS} calls"
     rows = {line.split()[0]: line.split() for line in lines[5:]}  # after 2 scenario rows and a header
-    assert sorted(rows) == ["emit", "simulate", "us/trial"]
+    assert sorted(rows) == ["emit", "field", "simulate", "us/trial"]
     assert all(float(cells[1]) > 0.0 and float(cells[2]) > 0.0 for cells in rows.values())
+    # building the right-hand side is a part of every simulate run
+    assert float(rows["field"][1]) < float(rows["simulate"][1])
     assert phase_times.main([str(tmp_path), src, "--workload", "sweep-small", "--seed", "1"]) == 2
     assert f"no chemostat_cep package under {tmp_path}" in capsys.readouterr().err

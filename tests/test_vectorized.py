@@ -49,7 +49,7 @@ from chemostat_cep.certificate import (
 )
 from chemostat_cep.dynamics import _ARRAY_FIELD_MIN_LAWS, vector_field
 from chemostat_cep.errors import CertificateError, DomainError, ParameterError
-from chemostat_cep.growth import break_even, pack_species, rate_matrix
+from chemostat_cep.growth import GrowthFunction, break_even, pack_species, rate_matrix
 from chemostat_cep.integrate import (
     ENTRY_TOL,
     Channels,
@@ -1045,8 +1045,14 @@ class TestPackSpecies:
 
 
 def _rate_reference(g, s):
-    """The integrator's per-law rate before it was vectorised."""
+    """The integrator's per-law rate before it was vectorised.
+
+    A law of another type than the three built-in ones (a subclass of one
+    of them included) is its own ``_rate_scalar``.
+    """
     s = s if s > 0.0 else 0.0
+    if type(g) not in (Monod, Hill, Table):
+        return g._rate_scalar(s)
     if isinstance(g, Table):
         xs, ys = g._nodes
         if s > xs[-1]:
@@ -1164,13 +1170,86 @@ class TestVectorField:
                 with pytest.raises(ValueError, match=f"state has {size} entries, expected {n + 1}"):
                     f(0.0, np.linspace(1.0, 2.0, size), out=np.empty(size))
 
-    @pytest.mark.parametrize("n_monod, n_other", [(0, 100), (27, 0), (27, 60), (28, 0), (28, 60)])
+    @pytest.mark.parametrize(
+        "n_monod, n_other",
+        [(0, 100), (_ARRAY_FIELD_MIN_LAWS - 1, 0), (_ARRAY_FIELD_MIN_LAWS - 1, 60), (_ARRAY_FIELD_MIN_LAWS, 0),
+         (_ARRAY_FIELD_MIN_LAWS, 60)],
+    )
     def test_body_is_chosen_by_the_monod_count(self, n_monod, n_other):
-        # Hill and table laws cost the same per law in both bodies, so only
-        # the Monod laws count towards the array body
+        # only Monod rates are vectorised in the array body; a Hill or table
+        # law costs less in plain floats, so it never counts towards the array
         gs = [Monod(1.0 + 0.1 * k, 0.5) for k in range(n_monod)] + [Hill(2.0, 1.5, 2.0)] * n_other
         f = vector_field(ChemostatParams(1.0, 10.0), gs)
         assert f.__name__ == ("f" if n_monod >= _ARRAY_FIELD_MIN_LAWS else "f_floats")
+
+
+class _HalfMonod(Monod):
+    """A Monod subclass with its own scalar rate, half the Monod rate."""
+
+    def _rate_scalar(self, s: float) -> float:
+        return 0.5 * super()._rate_scalar(s)
+
+
+class _Linear(GrowthFunction):
+    """A law the package does not know: its scalar rate is the base class's array path."""
+
+    def __init__(self, a: float):
+        self.a = a
+
+    def _rate(self, s: np.ndarray) -> np.ndarray:
+        return self.a * s
+
+
+class _ReprFloat(float):
+    """A float whose ``repr`` is not a number."""
+
+    def __repr__(self) -> str:
+        return "not_a_number()"
+
+
+def _substrates_near(points):
+    """Each point, its neighbouring floats and 1.5 x point + 1."""
+    near = [(math.nextafter(a, -math.inf), a, math.nextafter(a, math.inf), 1.5 * a + 1.0) for a in points]
+    return [s for group in near for s in group]
+
+
+class TestCompiledFloatBody:
+    """The plain-float body, compiled per system, against the per-species loop."""
+
+    def test_other_laws_run_their_own_rate(self):
+        gs = [_HalfMonod(2.0, 0.5), Monod(2.0, 0.5), _Linear(0.25), Hill(2.0, 1.5, 2.0), _Linear(3.0)]
+        y = np.array([2.0, 1.0, 1.0, 0.5, 1.5, 2.0])
+        _assert_field_matches_reference(ChemostatParams(1.0, 10.0), gs, y)
+        dy = vector_field(ChemostatParams(1.0, 10.0), gs)(0.0, y)
+        assert dy[1] == (0.5 * (2.0 * 2.0 / 2.5) - 1.0) * 1.0 and dy[3] == (0.25 * 2.0 - 1.0) * 0.5
+
+    @pytest.mark.parametrize("s", SPECIAL_SUBSTRATES + [5e-324, 1e-310, 1.5, 2.0, 1e10])
+    def test_extreme_literals(self, s):
+        gs = [
+            Monod(2.0, 5e-324),
+            Monod(1e300, 1e-310),
+            Hill(1e300, 5e-324, 600.0),
+            Hill(3.0, 1.5, 600.0),
+            Hill(2.0, 1e300, 1.0),
+            Monod(_ReprFloat(2.5), _ReprFloat(0.5)),
+            Table(((0.0, 0.0), (5e-324, 1e300))),  # a chord slope of inf
+        ]
+        x = np.linspace(-1.0, 3.0, len(gs))
+        _assert_field_matches_reference(ChemostatParams(1e-300, 1e300), gs, np.concatenate(([s], x)))
+
+    def test_ten_thousand_node_table(self):
+        xs = np.cumsum(np.linspace(0.5, 2.0, 10_000)) - 0.5
+        ys = np.sqrt(xs) * 3.0
+        table = Table(tuple(zip(xs.tolist(), ys.tolist())))
+        gs = [Monod(2.0, 0.5), table, Hill(3.0, 1.5, 2.0)]
+        for s in [0.0, -1e-12, xs[-1] * 4.0] + _substrates_near(xs[[1, 2, 4_999, 9_998, 9_999]].tolist()):
+            _assert_field_matches_reference(ChemostatParams(1.0, 10.0), gs, np.array([s, 1.0, 2.0, 0.5]))
+
+    def test_two_thousand_hill_laws_compile(self):
+        gs = [Hill(2.0 + 0.001 * k, 1.5, 1.0 + 0.01 * k) for k in range(2_000)]
+        x = np.linspace(0.0, 1.0, len(gs))
+        for s in (0.0, 1.5, 7.0):
+            _assert_field_matches_reference(ChemostatParams(1.0, 10.0), gs, np.concatenate(([s], x)))
 
 
 class TestTableScalarRow:

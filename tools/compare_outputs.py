@@ -21,10 +21,11 @@ Exit status: 0 when the trees agree everywhere, 1 with one line per
 difference, 2 on a usage error.  A differing JSON file or stdout is walked
 key by key (a stdout line's keys are its ``key=value`` items and its first
 word, which holds the text before them), and its line names the keys whose
-numbers moved, with their largest absolute and relative change, and the
-keys removed, added or otherwise changed; a trailing ``_<number>`` is
-written ``_*``.  After the differences, one line per moved key gives the
-number of files it moved in and its largest changes over all of them.
+numbers moved, with their largest absolute change and the smallest and
+largest signed ratio new/old, so a key that moved both ways shows both,
+and the keys removed, added or otherwise changed; a trailing ``_<number>``
+is written ``_*``.  After the differences, one line per moved key gives the
+number of files it moved in and its changes over all of them.
 
 A last line compares the verdicts of every ``verify`` run, whatever its
 bytes: the number of runs whose exit code, ``overall_pass`` and every
@@ -174,18 +175,36 @@ def _number(v) -> float | None:
         return None
 
 
+def _widen(span: tuple[float, float], lo: float, hi: float) -> tuple[float, float]:
+    """``span`` widened to hold [lo, hi]; NaN anywhere makes both ends NaN."""
+    if math.isnan(span[0]) or math.isnan(lo) or math.isnan(hi):
+        return math.nan, math.nan
+    return min(span[0], lo), max(span[1], hi)
+
+
+def _ratio(r: float) -> str:
+    """new/old to three digits; within 1e-3 of 1, as 1 and its signed distance from 1."""
+    return f"1{r - 1:+.3g}" if abs(r - 1) < 1e-3 else f"{r:.3g}"
+
+
+def _change(change_abs: float, lo: float, hi: float) -> str:
+    ratios = _ratio(lo) if lo == hi or math.isnan(lo) else f"{_ratio(lo)} to {_ratio(hi)}"
+    return f"max abs {change_abs:.3g}, new/old {ratios}"
+
+
 class KeyDiff:
     """Where two outputs differ, by key, a trailing ``_<number>`` written ``_*``.
 
     ``moved`` maps each key whose numbers differ to the largest absolute
-    change and the largest change relative to the parent's value.
+    change and the smallest and largest ratio new/old: signed, ±inf from a
+    parent's 0, and NaN when a NaN was on either side.
     ``changed`` holds the keys whose other values differ (a string, a flag,
     a list of another length), ``removed`` and ``added`` the keys that only
     the parent or only the change has.
     """
 
     def __init__(self):
-        self.moved: dict[str, tuple[float, float]] = {}
+        self.moved: dict[str, tuple[float, float, float]] = {}
         self.changed, self.removed, self.added = set(), set(), set()
 
     def walk(self, u, v, key: str) -> None:
@@ -201,16 +220,16 @@ class KeyDiff:
         elif (x := _number(u)) is not None and (y := _number(v)) is not None:
             if x != y and not (math.isnan(x) and math.isnan(y)):
                 change = abs(y - x) if not math.isnan(x - y) else math.inf
-                rel = change / abs(x) if math.isfinite(x) and x else math.inf
-                old = self.moved.get(_numbered(key), (0.0, 0.0))
-                self.moved[_numbered(key)] = (max(old[0], change), max(old[1], rel))
+                ratio = y / x if x else math.copysign(math.inf, y)
+                old_abs, *span = self.moved.get(_numbered(key), (0.0, math.inf, -math.inf))
+                self.moved[_numbered(key)] = (max(old_abs, change), *_widen(span, ratio, ratio))
         elif u != v:
             self.changed.add(_numbered(key))
 
     def __str__(self) -> str:
         parts = []
         if self.moved:
-            moved = (f"{k} (max abs {a:.3g}, rel {r:.3g})" for k, (a, r) in sorted(self.moved.items()))
+            moved = (f"{k} ({_change(*change)})" for k, change in sorted(self.moved.items()))
             parts.append("moved " + ", ".join(moved))
         for label, keys in (("removed", self.removed), ("added", self.added), ("changed", self.changed)):
             if keys:
@@ -251,26 +270,27 @@ def key_diff(name: str, a: bytes, b: bytes) -> KeyDiff | None:
     return diff
 
 
-def compare(parent: Path, change: Path) -> tuple[list[str], dict[str, tuple[int, float, float]]]:
+def compare(parent: Path, change: Path) -> tuple[list[str], dict[str, tuple[int, float, float, float]]]:
     """One line per file that is missing on one side or differs in its bytes.
 
     A differing JSON file or stdout is followed by its ``KeyDiff``.  Also
-    returns, per moved key, the number of files it moved in and its largest
-    absolute and relative change over all of them.
+    returns, per moved key, the number of files it moved in, its largest
+    absolute change and its smallest and largest ratio new/old over all of
+    them.
     """
     a, b = _files(parent), _files(change)
     diffs = [f"only in parent: {k}" for k in sorted(a.keys() - b.keys())]
     diffs += [f"only in change: {k}" for k in sorted(b.keys() - a.keys())]
-    moved: dict[str, tuple[int, float, float]] = {}
+    moved: dict[str, tuple[int, float, float, float]] = {}
     for k in sorted(a.keys() & b.keys()):
         old, new = a[k].read_bytes(), b[k].read_bytes()
         if old == new:
             continue
         diff = key_diff(Path(k).name, old, new)
         diffs.append(f"differs: {k}" + ("" if diff is None else f" ({diff})"))
-        for key, (change_abs, change_rel) in (diff.moved.items() if diff else ()):
-            files, worst_abs, worst_rel = moved.get(key, (0, 0.0, 0.0))
-            moved[key] = (files + 1, max(worst_abs, change_abs), max(worst_rel, change_rel))
+        for key, (change_abs, lo, hi) in (diff.moved.items() if diff else ()):
+            files, worst_abs, *span = moved.get(key, (0, 0.0, math.inf, -math.inf))
+            moved[key] = (files + 1, max(worst_abs, change_abs), *_widen(span, lo, hi))
     return diffs, moved
 
 
@@ -330,8 +350,8 @@ def main(argv=None) -> int:
     for line in diffs:
         print(line)
     print(f"{len(manifest)} runs, {n_files} parent files, {len(diffs)} differences")
-    for key, (files, change_abs, change_rel) in sorted(moved.items()):
-        print(f"moved {key}: in {files} files, max abs {change_abs:.3g}, rel {change_rel:.3g}")
+    for key, (files, *change) in sorted(moved.items()):
+        print(f"moved {key}: in {files} files, {_change(*change)}")
     print(verdicts)
     return 1 if diffs else 0
 

@@ -20,6 +20,9 @@ The phases of a verify workload, timed on every scenario with a
 non-degenerate certificate:
 
 - ``simulate`` of the scenario with its tolerances
+- ``field``: ``vector_field`` of the scenario's parameters and laws, the
+  right-hand side ``simulate`` builds once per run (the plain-float body
+  compiles its source there), so its cost shows beside ``simulate``
 - ``check_induction_properties`` on the scenario's trajectory and certificate
 - ``persistent_entries`` on the certificate's absorbing intervals
 - ``build_certificate`` on the species present initially
@@ -27,7 +30,7 @@ non-degenerate certificate:
 
 The phases of a simulate workload (export-mixed), timed on every scenario:
 
-- ``simulate`` as above
+- ``simulate`` and ``field`` as above
 - ``emit``: ``write_trajectory_csv`` of the scenario's trajectory into an
   ``io.StringIO``
 
@@ -61,8 +64,8 @@ from time import perf_counter
 from compare_outputs import import_tree, load_workloads, missing_tree, run_script, worker_argv, worker_env
 
 PHASES = {
-    "verify": ("simulate", "induction", "entries", "certificate", "gamma"),
-    "simulate": ("simulate", "emit"),
+    "verify": ("simulate", "field", "induction", "entries", "certificate", "gamma"),
+    "simulate": ("simulate", "field", "emit"),
 }
 CALLS = 3  # timed calls per request
 
@@ -88,7 +91,7 @@ def worker(src: Path, pool_file: Path) -> None:
     scenario.
     """
     import_tree(src)
-    from chemostat_cep import certificate, cli, integrate, scenario, verify
+    from chemostat_cep import certificate, cli, dynamics, integrate, scenario, verify
     from chemostat_cep.errors import ChemostatError
     from chemostat_cep.growth import order_species, pack_species
 
@@ -105,6 +108,9 @@ def worker(src: Path, pool_file: Path) -> None:
                 params, growths, sc.initial, sc.horizon, rel_tol=tols.rel_tol, abs_tol=tols.abs_tol
             )
 
+        def field():
+            return dynamics.vector_field(params, growths)
+
         traj = simulate()
         trials = traj.meta.steps_accepted + traj.meta.steps_rejected
         if command == "simulate":
@@ -112,6 +118,7 @@ def worker(src: Path, pool_file: Path) -> None:
                 "n": len(growths),
                 "trials": trials,
                 "simulate": simulate,
+                "field": field,
                 "emit": lambda: cli.write_trajectory_csv(traj, io.StringIO()),
             }
         levels = {rec.id: rec.lam for rec in order_species(sc.species, params.d, params.s_in).records}
@@ -129,6 +136,7 @@ def worker(src: Path, pool_file: Path) -> None:
             "n": len(active),
             "trials": trials,
             "simulate": simulate,
+            "field": field,
             "induction": lambda: verify.check_induction_properties(traj, cert, columns),
             "entries": lambda: integrate.persistent_entries(traj, cert.intervals),
             "certificate": lambda: certificate.build_certificate(ordered, params.d, params.s_in),
