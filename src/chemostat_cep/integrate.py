@@ -62,8 +62,6 @@ _MAX_STEPS = 5_000_000  # safety net against livelock on hostile inputs
 _B_ZERO = 1e-12  # biomass floor below which proportions are undefined
 
 DENSE_INTERVALS = 2000  # dense output intervals over the horizon
-ENTRY_TOL = 1e-9  # stage entries are refined to this times the horizon (and 1e-12)
-_ENTRY_CUTS = 16  # equal parts a stage-entry bracket is cut into per refinement round
 
 
 @dataclass(frozen=True)
@@ -355,9 +353,8 @@ def _dense_states(times, step_times, step_states, step_conts) -> np.ndarray:
     undershoots are clipped to zero.
     """
     k = np.searchsorted(step_times, times, side="right") - 1
-    # np.maximum/np.minimum rather than np.clip, whose Python wrapper costs
-    # about 6 us more per call, a sixth of an entry refinement round's
-    # evaluation at a few stages
+    # np.maximum/np.minimum rather than np.clip, whose Python wrapper adds
+    # about 3 us per call, of about 40 us for one ``Trajectory.sample``
     np.minimum(np.maximum(k, 0, out=k), len(step_times) - 2, out=k)
     t0 = step_times[k]
     theta = ((times - t0) / (step_times[k + 1] - t0))[:, None]
@@ -399,16 +396,17 @@ def per_biomass(values, b):
 class EntryRecord:
     """Persistent-entry report for one interval.
 
-    ``entry_time`` is the infimum of times from which the tracked value stays
-    in the interval up to the horizon, as seen on the samples and cut points
-    of ``persistent_entries``: the inside end of a bracket at most the entry
-    tolerance wide; None when the last sample is outside.  ``excursions``
-    counts exits after the first entry on the dense samples.
+    ``index`` is the index of the first dense sample of the persistent tail
+    (the samples from which the tracked value stays in the interval up to
+    the horizon) and ``entry_time`` that sample's time; both are None when
+    the last sample is outside.  ``excursions`` counts exits after the
+    first entry on the dense samples.
     """
 
     interval: tuple[float, float]
     entry_time: float | None
     excursions: int
+    index: int | None
 
 
 def scan_persistent_entry(inside: np.ndarray) -> tuple:
@@ -442,16 +440,10 @@ def persistent_entries(
 ) -> list[EntryRecord]:
     """Persistent entries of the substrate channel into closed intervals.
 
-    Each entry is located on the dense samples, every interval's membership
-    from one (intervals x samples) comparison, and then refined on the
-    continuous extension by the same rule at finer resolution: each round
-    cuts every bracket, an outside end and an inside end, into
-    ``_ENTRY_CUTS`` equal parts and keeps the part after the last outside
-    cut point, until the brackets are at most ``ENTRY_TOL`` times the
-    horizon wide (and 1e-12); the entry time is the inside end.  All
-    brackets are cut in lockstep, one evaluation of the substrate
-    interpolant per round.  An excursion shorter than one cut can still be
-    missed.  Persistence is always relative to the finite horizon.
+    Each entry is the first dense sample of its persistent tail (the rule of
+    ``scan_persistent_entry``), every interval's membership from one
+    (intervals x samples) comparison.  An excursion between two samples is
+    not seen, and persistence is always relative to the finite horizon.
     """
     s = trajectory.states[:, 0]
     t = trajectory.times
@@ -460,39 +452,9 @@ def persistent_entries(
     if bad.size:
         raise ParameterError(f"interval must satisfy lo < hi, got {intervals[int(bad[0])]!r}")
     idx, exits = scan_persistent_entry((s >= bounds[:, :1]) & (s <= bounds[:, 1:]))
-
-    entry_times: list[float | None] = [None if i is None else 0.0 for i in idx]
-    # One row per bracket [a, b], ``lows`` and ``highs`` its interval; the dense
-    # brackets are one spacing wide each, so all reach the tolerance in the
-    # same round.
-    pos = [k for k, i in enumerate(idx) if i]
-    if pos:
-        i_b = [idx[k] for k in pos]
-        a, b = t[[i - 1 for i in i_b]], t[i_b]
-        lows, highs = bounds[pos, :1], bounds[pos, 1:]
-        tol = max(1e-12, ENTRY_TOL * trajectory.horizon)
-        frac = np.arange(_ENTRY_CUTS + 1) / _ENTRY_CUTS
-        rows = np.arange(len(pos))
-        step_times, step_states, step_coeffs = (
-            trajectory.step_times, trajectory.step_states[:, :1], trajectory.step_coeffs[:, :, :1]
-        )
-        while np.max(b - a) > tol:
-            cuts = a[:, None] + (b - a)[:, None] * frac
-            cuts[:, -1] = b
-            sx = _dense_states(cuts.ravel(), step_times, step_states, step_coeffs).reshape(cuts.shape)
-            outside = ~((sx >= lows) & (sx <= highs))
-            outside[:, 0] = True
-            outside[:, -1] = False
-            # the scan's rule: keep the part after the last outside point
-            # (``from_end`` in ``scan_persistent_entry``)
-            k = _ENTRY_CUTS - outside[:, ::-1].argmax(axis=1)
-            a, b = cuts[rows, k], cuts[rows, k + 1]
-        for i, entry in zip(pos, b.tolist()):
-            entry_times[i] = entry
-
     return [
-        EntryRecord((lo, hi), entry_time, excursions)
-        for (lo, hi), entry_time, excursions in zip(bounds.tolist(), entry_times, exits)
+        EntryRecord((lo, hi), None if k is None else float(t[k]), excursions, k)
+        for (lo, hi), k, excursions in zip(bounds.tolist(), idx, exits)
     ]
 
 

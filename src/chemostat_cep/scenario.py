@@ -144,6 +144,8 @@ def _growth_from_node(node, key: str) -> GrowthFunction:
             if pts and pts[0] != (0.0, 0.0):
                 raise _fail(f"{key}.points[0]", p_nodes[0], "first node must be [0, 0], so that mu(0) = 0")
             for i in range(1, len(pts)):
+                if not pts[i][0] > pts[i - 1][0]:
+                    raise _fail(f"{key}.points[{i}]", p_nodes[i], "node substrate values must increase strictly")
                 if not pts[i][1] > pts[i - 1][1]:
                     raise _fail(f"{key}.points[{i}]", p_nodes[i], "node rates must increase strictly")
             return Table(points=tuple(pts))

@@ -336,14 +336,18 @@ def check_induction_properties(
     """Per-stage absorbing-interval entries and the comparison inequality.
 
     Stage i requires the substrate to enter the i-th absorbing interval for
-    good, no earlier than the next (wider) stage's entry, and every pack
-    above i to be excluded: from the entry on, its summed density ratio r
-    against the lead species must stay under r(t_a) exp(-rate (t - t_a)),
-    with rate = 0.9 nu (the paper's comparison of solutions), and its final
-    proportion must end below ``EPS_P``.  While s is in I_i the rate holds
-    where mu_lead - max over packs > i >= rate on I_i; boundary 1 certifies
-    that for stage 1 only, and for i >= 2 it is measured, not certified.
+    good, and every pack above i to be excluded: from the entry t_a on, its
+    summed density ratio r against the lead species must stay under
+    r(t_a) exp(-rate (t - t_a)), with rate = 0.9 nu (the paper's comparison
+    of solutions), and its final proportion must end below ``EPS_P``.  While
+    s is in I_i the rate holds where mu_lead - max over packs > i >= rate on
+    I_i; boundary 1 certifies that for stage 1 only, and for i >= 2 it is
+    measured, not certified.
 
+    Each entry t_a is the first dense sample of the persistent tail
+    (``persistent_entries``), and the stage's check starts at that sample.
+    The intervals are nested with a common left end, so on the one set of
+    samples a smaller interval is never entered before a larger one.
     ``comparison_excess`` gives every stage's largest rise of ln r + rate t
     over every pack at once, and ``_stage_claims`` reads the verdicts off
     the (stages x packs) excesses.
@@ -373,9 +377,7 @@ def check_induction_properties(
         np.divide(ratios, x_ref[:, None], out=ratios)
     ratios[x_ref <= 0.0] = np.nan
 
-    times = [rec.entry_time for rec in entries]
-    found = np.searchsorted(t, [math.inf if e is None else e for e in times], side="left").tolist()
-    starts = [None if e is None else k for e, k in zip(times, found)]
+    starts = [rec.index for rec in entries]
     rate = 0.9 * cert.nu
     excess = comparison_excess(t, ratios, starts, rate)
 
@@ -422,13 +424,8 @@ def _stage_claims(
     prop_list = [math.isfinite(p) and p < EPS_P for p in p_list]
 
     stage_ok = [e is not None for e in times]
-    details: list[list[str]] = [[] for _ in range(m)]
-    for i, e in enumerate(times):
-        if e is None:
-            details[i].append("no persistent entry into the absorbing interval")
-        elif i + 1 < m and times[i + 1] is not None and e < times[i + 1]:
-            details[i].append("entered the smaller interval earlier than the larger one")
-            stage_ok[i] = False
+    missing = "no persistent entry into the absorbing interval"
+    details: list[list[str]] = [[] if e is not None else [missing] for e in times]
     # A checked pair passes silently when its excess is measured and both
     # the inequality and its final proportion hold.  The others, few in
     # practice, write their details.

@@ -543,7 +543,8 @@ def _with_table(points: str) -> str:
 
 
 class TestTableHypotheses:
-    """mu(0) = 0 and strictly increasing node rates are enforced at parse time."""
+    """mu(0) = 0 and strictly increasing node substrate values and rates are
+    enforced at parse time."""
 
     @pytest.mark.parametrize(
         "points, key, message",
@@ -554,6 +555,12 @@ class TestTableHypotheses:
             # failed in break_even with exit 1 and no key or line
             ("[[0, 0], [1, 0.5], [2, 0.4], [10, 3]]", "species[1].growth.points[2]", "node rates must increase strictly"),
             ("[[0, 0], [1, 0.5], [2, 0.5]]", "species[1].growth.points[2]", "node rates must increase strictly"),
+            # named the law but not the node before the parser checked it
+            (
+                "[[0, 0], [2, 1], [1, 2], [3, 3]]",
+                "species[1].growth.points[2]",
+                "node substrate values must increase strictly",
+            ),
         ],
     )
     @pytest.mark.parametrize("command", ["verify", "certificate", "simulate", "curves"])

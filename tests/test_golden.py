@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chemostat_cep import ChemostatParams, Monod, State, build_certificate, order_species
+from chemostat_cep import ChemostatParams, Monod, State, build_certificate, order_species, simulate
 from chemostat_cep.scenario import Scenario, Tolerances, parse_scenario
 from chemostat_cep.verify import run_report
 
@@ -106,6 +106,21 @@ def test_measured_values_are_pinned(pair):
         assert g["measured"].keys() == w["measured"].keys(), w["id"]
         for key, wv in w["measured"].items():
             assert g["measured"][key] == wv, (w["id"], key)
+
+
+@pytest.mark.parametrize("name", sorted(scenarios()))
+def test_stage_entries_are_nested_dense_samples(name):
+    # Each stage's interval holds the next one's, so on the one set of dense
+    # samples the entries cannot increase from stage 1 to stage m; each is
+    # the first sample of its persistent tail.
+    sc = scenarios()[name]
+    tols = sc.tolerances
+    traj = simulate(sc.params, sc.growths, sc.initial, sc.horizon, rel_tol=tols.rel_tol, abs_tol=tols.abs_tol)
+    stages = [c for c in run_report(sc).claims if c.claim_id.startswith("exclusion_stage_")]
+    entries = [c.measured["entry_time"] for c in stages]
+    assert len(entries) >= 2 and None not in entries
+    assert all(wide <= narrow for narrow, wide in zip(entries, entries[1:]))
+    assert set(entries) <= set(traj.times.tolist())
 
 
 def _governing(values: dict[int, object]) -> tuple:

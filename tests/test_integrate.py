@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -416,29 +415,15 @@ class TestPersistentEntry:
     def test_canonical_interval_entry(self, canonical_trajectory, canonical_certificate):
         rec = first_persistent_entry(canonical_trajectory, canonical_certificate.intervals[1])
         assert rec.entry_time is not None and 0.0 < rec.entry_time < 80.0
-        # the substrate really is inside from the entry time onward
+        # the entry is the first dense sample of the persistent tail: the
+        # substrate is inside from that sample onward and outside at the one before
         t = canonical_trajectory.times
         s = canonical_trajectory.states[:, 0]
         lo, hi = canonical_certificate.intervals[1]
-        after = t >= rec.entry_time
-        assert np.all((s[after] >= lo) & (s[after] <= hi))
-        # and just before the entry it was outside
-        before = canonical_trajectory.sample(rec.entry_time - 0.05).s
-        assert not (lo <= before <= hi)
-
-    def test_entries_take_few_interpolant_rounds(self, monkeypatch, canonical_trajectory, canonical_certificate):
-        # Each round cuts every bracket, one dense spacing wide at first,
-        # into _ENTRY_CUTS parts with one interpolant evaluation, until the
-        # entry tolerance: 5 rounds on canonical, where bisection took 19.
-        calls = []
-        dense = integrate._dense_states
-        monkeypatch.setattr(integrate, "_dense_states", lambda *args: calls.append(1) or dense(*args))
-        entries = integrate.persistent_entries(canonical_trajectory, canonical_certificate.intervals)
-        assert all(rec.entry_time > 0.0 for rec in entries)
-        traj = canonical_trajectory
-        spacing = traj.meta.dense_dt
-        tol = max(1e-12, integrate.ENTRY_TOL * traj.horizon)
-        assert len(calls) == math.ceil(math.log(spacing / tol) / math.log(integrate._ENTRY_CUTS)) == 5
+        k = rec.index
+        assert rec.entry_time == t[k]
+        assert np.all((s[k:] >= lo) & (s[k:] <= hi))
+        assert not (lo <= s[k - 1] <= hi)
 
     def test_disjoint_interval_absent(self, canonical_trajectory):
         rec = first_persistent_entry(canonical_trajectory, (100.0, 200.0))
