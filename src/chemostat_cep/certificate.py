@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, ParameterError, WashoutError
-from .growth import Hill, Monod, OrderedSpecies, Table, monod_arrays, rate_matrix, rate_rows
+from .growth import OrderedSpecies, rate_matrix, rate_rows
 
 GRID_N = 2048  # grid intervals per margin interval
 
@@ -162,9 +162,9 @@ class Certificate:
 def _gap_rows(ordered: OrderedSpecies, i: int, rows: np.ndarray | None = None) -> tuple:
     """The laws the margin grids of boundary i evaluate, ready for ``_pack_gap``.
 
-    Returns (laws, count, monod): pack i's laws followed by the slower-pack
-    laws at the record positions ``rows`` (all of them for ``None``), how
-    many of them are pack i's, and their ``monod_arrays``.  Leaving out rows
+    Returns (laws, count): pack i's laws followed by the slower-pack laws at
+    the record positions ``rows`` (all of them for ``None``), and how many
+    of them are pack i's.  Leaving out rows
     that cannot set the maximum (``_envelope_rows``) gives the same gap
     bitwise.
     """
@@ -174,7 +174,7 @@ def _gap_rows(ordered: OrderedSpecies, i: int, rows: np.ndarray | None = None) -
         rows = range(split, ordered.n)
     laws = [rec.growth for rec in ordered.records[first:split]]
     laws += [ordered.records[k].growth for k in rows]
-    return laws, split - first, monod_arrays(laws)
+    return laws, split - first
 
 
 def _pack_gap(gap_rows: tuple, s_grid: np.ndarray) -> np.ndarray:
@@ -188,8 +188,8 @@ def _pack_gap(gap_rows: tuple, s_grid: np.ndarray) -> np.ndarray:
     increasing laws, f(s_k) - g(s_k+1) bounds the gap on [s_k, s_k+1];
     f is lowered by ``_ROUNDING_ALLOWANCE`` for the rounding of both rates.
     """
-    laws, count, monod = gap_rows
-    rates = rate_rows(laws, monod, s_grid)
+    laws, count = gap_rows
+    rates = rate_rows(laws, s_grid)
     return np.min(rates[:count, :-1], axis=0) * _ROUNDING_ALLOWANCE - np.max(rates[count:, 1:], axis=0)
 
 
@@ -218,13 +218,12 @@ def _envelope_rows(ordered: OrderedSpecies, s_in: float) -> list[np.ndarray]:
     Every margin grid of boundary i lies in its widest interval [L, R], the
     margins at the starting extension: the shrink loop and the nesting
     limit only move them inward.  Let M be the largest rate at L among the
-    slower laws of the built-in types, which their constructors make
-    increasing.  Such a law whose rate at R is below M (with a rounding
-    allowance) lies below the law attaining M at every grid point, so it
-    never sets the maximum of the slower rows and is left out.  Every other
-    law (a ``GrowthFunction`` subclass of the caller's), the one attaining M,
-    and any row whose comparison is NaN are kept.  All ends come from one
-    ``rate_matrix`` call.
+    slower laws, which their constructors make increasing.  A law whose
+    rate at R is below M (with a rounding allowance) lies below the law
+    attaining M at every grid point, so it never sets the maximum of the
+    slower rows and is left out.  The law attaining M and any row whose
+    comparison is NaN are kept.  All ends come from one ``rate_matrix``
+    call.
     """
     n_bounds = ordered.n_packs - 1
     ends, steps = [], []
@@ -234,12 +233,10 @@ def _envelope_rows(ordered: OrderedSpecies, s_in: float) -> list[np.ndarray]:
         steps.append((lam_hi_eff - lam_lo) / GRID_N)  # no grid step is smaller
     laws = [rec.growth for rec in ordered.records]
     rates = rate_matrix(laws, ends)  # column 2i is L, column 2i + 1 is R
-    # (record, boundary) masks: the record is in a slower pack, and its law
-    # is of a built-in type, increasing by construction.
+    # (record, boundary) mask: the record is in a slower pack.
     splits = [ordered.packs[i + 1][0] for i in range(n_bounds)]
     slower = np.arange(ordered.n)[:, None] >= np.array(splits)
-    monotone = np.array([type(g) in (Monod, Hill, Table) for g in laws])[:, None]
-    left = np.where(slower & monotone, rates[:, 0::2], -np.inf)
+    left = np.where(slower, rates[:, 0::2], -np.inf)
     cols = np.arange(n_bounds)
     top = np.argmax(left, axis=0)  # the first NaN, if any
     bound = left[top, cols] * _ROUNDING_ALLOWANCE
@@ -247,7 +244,7 @@ def _envelope_rows(ordered: OrderedSpecies, s_in: float) -> list[np.ndarray]:
     below = (rates[:, 1::2] < bound) & (bound >= np.finfo(float).tiny)
     # A linspace point can round past R only when the step is a few ulps of R.
     below &= np.array(steps) > 2.0**-40 * np.array(ends[1::2])
-    keep = slower & ~(monotone & below)
+    keep = slower & ~below
     keep[top, cols] |= slower[top, cols]
     return [np.flatnonzero(k) for k in keep.T]
 

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .growth import GrowthFunction, OrderedSpecies, monod_arrays, rate_source
+from .growth import GrowthFunction, OrderedSpecies, monod_arrays
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ _ARRAY_FIELD_MIN_LAWS = 34
 def _float_body(d: float, s_in: float, laws: tuple[GrowthFunction, ...]) -> Callable[..., np.ndarray]:
     """The plain-float body for these laws, compiled from straight-line source.
 
-    Each law contributes the lines of ``growth.rate_source``, then its
+    Each law contributes the lines of its ``_rate_source``, then its
     ``dx_i`` and its consumption term.  Besides the laws' own float
     literals, only ``d``, ``s_in`` (as float literals), the state size and
     the law indices enter the source.
@@ -105,7 +105,7 @@ def _float_body(d: float, s_in: float, laws: tuple[GrowthFunction, ...]) -> Call
     d, s_in = repr(float(d)), repr(float(s_in))
     size = len(laws) + 1
     lines = [
-        "def f_floats(t, y, out=None):",
+        "def f_floats(y, out):",
         "    v = y.tolist()  # the derivative overwrites it entry by entry",
         f"    if len(v) != {size}:",
         f"        raise ValueError(f'state has {{len(v)}} entries, expected {size}')",
@@ -113,16 +113,14 @@ def _float_body(d: float, s_in: float, laws: tuple[GrowthFunction, ...]) -> Call
         "    sc = s if s > 0.0 else 0.0",
         "    total = 0.0",
     ]
-    namespace: dict[str, object] = {"array": np.array}
+    namespace: dict[str, object] = {}
     for i, g in enumerate(laws, 1):
-        rate_lines, names = rate_source(g, i)
+        rate_lines, names = g._rate_source(i)
         namespace.update(names)
         lines += ["    " + line for line in rate_lines]
         lines += [f"    v[{i}] = (mu - {d}) * x{i}", f"    total += mu * x{i}"]
     lines += [
         f"    v[0] = {d} * ({s_in} - s) - total",
-        "    if out is None:",
-        "        return array(v)",
         "    out[...] = v",
         "    return out",
     ]
@@ -134,17 +132,18 @@ def vector_field(
     params: ChemostatParams,
     growths: Sequence[GrowthFunction],
 ) -> Callable[..., np.ndarray]:
-    """Unvalidated f(t, y, out=None) with y = [s, x_1..x_n] for the integrator hot loop.
+    """Unvalidated f(y, out) with y = [s, x_1..x_n] for the integrator hot loop.
 
+    The chemostat is autonomous, so the field takes no time argument.
     Growth laws are evaluated with the substrate clamped at zero so that
     intermediate stage values with tiny negative substrate stay legal.
-    Every call returns the bits of a per-species loop: each law's rate,
+    Every call writes the bits of a per-species loop: each law's rate,
     dx_i = (mu_i - d) x_i, and the consumption summed left to right from 0.
     With fewer than ``_ARRAY_FIELD_MIN_LAWS`` Monod laws the function is
     compiled here, once per call of ``vector_field``, from straight-line
     Python source that does exactly that in Python floats, one scalar
     operation at a time, without SIMD or BLAS.  Every law's
-    ``_rate_scalar`` is spelled out in species order (``growth.rate_source``):
+    ``_rate_scalar`` is spelled out in species order (its ``_rate_source``):
     the method's operations in its order, with ``repr`` literals that read
     back to the parameters' floats, so each rate has the method's bits.
     The sum is one ``+=`` per species, because the built-in ``sum`` of
@@ -153,12 +152,11 @@ def vector_field(
     operations of ``Monod._rate_scalar`` in the same order, and every other
     law overwrites its own entry through its scalar path (a Hill law needs
     the scalar ``pow``, since a vectorised pow loop may round differently).
-    Given ``out``, a float array of y's shape that does not share memory
-    with y, the call writes the derivative there and returns ``out``;
-    without it, each call returns a new array.  A y whose length is not
-    1 + the number of laws raises ``ValueError``.  The array body reuses its
-    work buffers, so one such closure must not be called from two threads
-    at once.
+    The call writes the derivative into ``out``, a float array of y's
+    shape that does not share memory with y, and returns ``out``.  A y
+    whose length is not 1 + the number of laws raises ``ValueError``.  The
+    array body reuses its work buffers, so one such closure must not be
+    called from two threads at once.
     """
     d = params.d
     s_in = params.s_in
@@ -177,7 +175,7 @@ def vector_field(
     mu = terms[1:]
     acc = np.empty(size)
 
-    def f(t: float, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def f(y: np.ndarray, out: np.ndarray) -> np.ndarray:
         if len(y) != size:  # y[1:] of length 1 would broadcast over the laws
             raise ValueError(f"state has {len(y)} entries, expected {size}")
         s = y.item(0)
@@ -187,8 +185,6 @@ def vector_field(
         np.divide(mu, den, out=mu)
         for i, rate in scalar_rows:
             mu[i] = rate(sc)
-        if out is None:
-            out = np.empty(size)
         x, dx = y[1:], out[1:]
         np.subtract(mu, d, out=dx)
         np.multiply(dx, x, out=dx)

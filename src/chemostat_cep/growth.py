@@ -46,17 +46,30 @@ def _as_substrate(s) -> np.ndarray:
 
 
 class GrowthFunction:
-    """Base class for specific growth rate laws mu(s)."""
+    """Base class of the three growth laws mu(s): Monod, Hill and Table.
+
+    No class outside this module may derive from it, so every law went
+    through a constructor that makes it increasing with mu(0) = 0, which
+    the certificate and the break-even bisection rely on.  Each law has one
+    array path, its row of :func:`rate_rows`, and one scalar path,
+    ``_rate_scalar``, which ``_rate_source(i)`` spells out: Python lines
+    that set ``mu`` (and may set ``u`` and ``j``) with the same operations
+    in the same order and the parameters as ``repr`` literals, which read
+    back to the same floats, so the lines give the method's bits; and the
+    names they read, each carrying ``i`` apart from ``bisect_right``.
+    """
 
     kind: str = "abstract"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__module__ != __name__:
+            raise TypeError(f"{cls.__qualname__}: growth laws are Monod, Hill and Table only")
+
     def __call__(self, s):
         """Evaluate mu at substrate level(s) s >= 0 (scalar or array)."""
-        arr = _as_substrate(s)
-        out = self._rate(arr)
-        if np.ndim(s) == 0:
-            return float(out)
-        return out
+        out = rate_matrix([self], s)[0]
+        return float(out) if np.ndim(s) == 0 else out
 
     def rate_unchecked(self, s: float) -> float:
         """Scalar fast path without domain validation (integrator hot loop).
@@ -65,12 +78,6 @@ class GrowthFunction:
         intermediate integration stages stay inside the law's domain.
         """
         return self._rate_scalar(s if s > 0.0 else 0.0)
-
-    def _rate(self, s: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _rate_scalar(self, s: float) -> float:
-        return float(self._rate(np.asarray(s, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -87,9 +94,6 @@ class Monod(GrowthFunction):
             raise ParameterError(f"monod mu_max must be finite and > 0, got {self.mu_max!r}")
         if not (math.isfinite(self.k) and self.k > 0.0):
             raise ParameterError(f"monod k must be finite and > 0, got {self.k!r}")
-
-    def _rate(self, s: np.ndarray) -> np.ndarray:
-        return self.mu_max * s / (self.k + s)
 
     def _rate_scalar(self, s: float) -> float:
         return self.mu_max * s / (self.k + s)
@@ -134,11 +138,8 @@ class Hill(GrowthFunction):
     def _rate_source(self, i: int) -> tuple[list[str], dict[str, object]]:
         mu_max, k, p = _literal(self.mu_max), _literal(self.k), _literal(self.p)
         return [
-            f"if sc <= {k}:",
-            f"    u = (sc / {k}) ** {p}",
-            f"    mu = {mu_max} * u / (1.0 + u)",
-            "else:",
-            f"    mu = {mu_max} / (1.0 + ({k} / sc) ** {p})",
+            f"mu = {mu_max} * (u := (sc / {k}) ** {p}) / (1.0 + u) if sc <= {k}"
+            f" else {mu_max} / (1.0 + ({k} / sc) ** {p})"
         ], {}
 
 
@@ -175,12 +176,6 @@ class Table(GrowthFunction):
             raise ParameterError("table node rates must increase strictly")
 
     @cached_property
-    def _nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        s = np.array([a for a, _ in self.points])
-        mu = np.array([b for _, b in self.points])
-        return s, mu
-
-    @cached_property
     def _segments(self) -> tuple[list[float], list[float], list[float]]:
         """Node lists and chord slopes, as ``np.interp`` computes them."""
         xs = [a for a, _ in self.points]
@@ -189,12 +184,11 @@ class Table(GrowthFunction):
         return xs, ys, slopes
 
     def _rate(self, s: np.ndarray) -> np.ndarray:
-        xs, ys = self._nodes
+        xs, ys, slopes = self._segments
         out = np.interp(s, xs, ys)
         tail = s > xs[-1]
         if np.any(tail):
-            tail_slope = self._segments[2][-1]
-            out = np.where(tail, ys[-1] + tail_slope * (s - xs[-1]), out)
+            out = np.where(tail, ys[-1] + slopes[-1] * (s - xs[-1]), out)
         return out
 
     def _rate_scalar(self, s: float) -> float:
@@ -229,29 +223,12 @@ def _literal(v: float) -> str:
     return repr(float(v))
 
 
-def rate_source(g: GrowthFunction, i: int) -> tuple[list[str], dict[str, object]]:
-    """Python lines that set ``mu`` to ``g._rate_scalar(sc)``, and the names they read.
-
-    The lines may also set ``u`` and ``j``.  ``i`` numbers the law, and
-    every name they read from the returned mapping carries it, apart from
-    ``bisect_right``.  A Monod, Hill or table law
-    spells out its ``_rate_scalar``: the same operations in the same order,
-    with its parameters as ``repr`` literals, which read back to the same
-    floats, so the lines give the method's bits.  A law of any other type,
-    a subclass of these included, is called through its own bound
-    ``_rate_scalar``.
-    """
-    if type(g) in (Monod, Hill, Table):
-        return g._rate_source(i)
-    return [f"mu = rate_{i}(sc)"], {f"rate_{i}": g._rate_scalar}
-
-
 def monod_arrays(laws: Sequence[GrowthFunction]) -> tuple[list[bool], np.ndarray, np.ndarray]:
     """Which laws are Monod, and their ``mu_max`` and ``k`` as arrays.
 
-    Other laws get harmless stand-in parameters 0 and 1, so an array
-    evaluation gives 0 * s / (1 + s) in their entries until the caller
-    overwrites them with the law's own rate.
+    Hill and table laws get harmless stand-in parameters 0 and 1, so an
+    array evaluation gives 0 * s / (1 + s) in their entries until the
+    caller overwrites them with the law's own rate.
     """
     is_monod = [type(g) is Monod for g in laws]
     mu_max = np.array([g.mu_max if m else 0.0 for g, m in zip(laws, is_monod)])
@@ -266,25 +243,23 @@ def rate_matrix(laws: Sequence[GrowthFunction], s) -> np.ndarray:
     validates it, then ``rate_rows`` evaluates it.
     """
     arr = _as_substrate(s)
-    rates = rate_rows(laws, monod_arrays(laws), arr.reshape(-1))
+    rates = rate_rows(laws, arr.reshape(-1))
     return rates.reshape((len(laws),) + arr.shape)
 
 
-def rate_rows(
-    laws: Sequence[GrowthFunction], monod: tuple[list[bool], np.ndarray, np.ndarray], s: np.ndarray
-) -> np.ndarray:
+def rate_rows(laws: Sequence[GrowthFunction], s: np.ndarray) -> np.ndarray:
     """Unvalidated rates of ``laws`` on a 1-D float grid ``s`` of finite levels >= 0.
 
-    ``monod`` is ``monod_arrays(laws)``, so a caller evaluating the same
-    laws on many grids prepares it once.  Monod rows come from one array
-    expression over the parameter arrays, with the operations of
-    ``Monod._rate`` in the same order, written in place so that at most one
-    more matrix (the ``k + s`` denominators) is alive.  Every other law then
-    overwrites its own row: tables interpolate per law, and a Hill row needs
-    ``np.power`` with its own scalar exponent, as in ``Hill._rate``, since a
-    vectorised pow loop may round differently.
+    Monod rows come from one array expression over the parameter arrays of
+    ``monod_arrays``, with the operations of ``Monod._rate_scalar`` in the
+    same order, written in place so that at most one more matrix (the
+    ``k + s`` denominators) is alive.  This is the only array path of a
+    Monod law.  Every other law then overwrites its own row with its
+    ``_rate``: tables interpolate per law, and a Hill row needs ``np.power``
+    with its own scalar exponent, since a vectorised pow loop may round
+    differently.
     """
-    is_monod, mu_max, k_half = monod
+    is_monod, mu_max, k_half = monod_arrays(laws)
     out = np.multiply(mu_max[:, None], s)
     np.divide(out, k_half[:, None] + s, out=out)
     for k, g in enumerate(laws):
@@ -302,7 +277,7 @@ def break_even(g: GrowthFunction, d: float, *, s_probe_max: float = 1e6) -> floa
     until it is narrower than both ``ROOT_TOL`` times its midpoint and
     ``_BISECT_WIDTH_CAP``, or cannot be split further.
 
-    Every built-in law is increasing with mu(0) = 0 by construction, so the
+    Every law is increasing with mu(0) = 0 by construction, so the
     bracket holds one crossing.  Raises :class:`ParameterError` for d <= 0
     or a probe bound that is not finite and > 0.
     """

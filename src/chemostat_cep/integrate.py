@@ -26,8 +26,8 @@ from .dynamics import ChemostatParams, State, vector_field
 from .errors import DivergenceError, DomainError, ParameterError, StiffnessError
 from .growth import GrowthFunction
 
-# Dormand-Prince 4(5) tableau.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+# Dormand-Prince 4(5) tableau.  The model is autonomous, so the stage
+# nodes c_i are not needed.
 _A = (
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -128,7 +128,7 @@ class Trajectory:
         return State(s=float(y[0]), x=y[1:])
 
 
-def _initial_step(f, t0, y0, f0, horizon, rel_tol, abs_tol) -> tuple[float, int]:
+def _initial_step(f, y0, f0, horizon, rel_tol, abs_tol) -> tuple[float, int]:
     """Automatic first-step guess from the local derivative scale.
 
     Returns the step and the number of RHS evaluations it made (0 or 1).
@@ -145,7 +145,7 @@ def _initial_step(f, t0, y0, f0, horizon, rel_tol, abs_tol) -> tuple[float, int]
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, horizon)
         y1 = y0 + h0 * f0
-        f1 = f(t0 + h0, y1)
+        f1 = f(y1, np.empty_like(y1))
         d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
         if not math.isfinite(d2):
             return min(1e-6, horizon), 1
@@ -189,10 +189,10 @@ def simulate(
     # combination reads its rows of hT and KY through views sliced once.
     KY = np.vstack((y0, np.empty((7, y0.size))))
     y, K = KY[0], KY[1:]
-    f(t, y, out=K[0])
+    f(y, K[0])
     hT = _TABLE.copy()
     h_cols, table_cols = hT[:, 1:], _TABLE[:, 1:]
-    stages = [(hT[i, : i + 2], KY[: i + 2], KY[i + 2], _C[i + 1]) for i in range(5)]
+    stages = [(hT[i, : i + 2], KY[: i + 2], KY[i + 2]) for i in range(5)]
     hB, KY_b, hE = hT[5, :7], KY[:7], hT[6, 1:]
     stage, err_vec, q, scale_new = np.empty((4, y0.size))
     scale = abs_tol + rel_tol * np.abs(y0)  # of the current state, kept across rejected steps
@@ -201,7 +201,7 @@ def simulate(
     # the requested horizon; treat it as stiffness (or divergence when the
     # state has already left any physical scale).
     min_step = 1e-14 * horizon
-    h, used = _initial_step(f, t, y0, K[0], horizon, rel_tol, abs_tol)
+    h, used = _initial_step(f, y0, K[0], horizon, rel_tol, abs_tol)
     # The guess falls below that limit for a state near zero with a large
     # derivative (s0 = 1e-12, no biomass); the controller corrects it.
     h = max(h, min_step)
@@ -234,11 +234,11 @@ def simulate(
 
             # stage = (1, h a_row) . (y, k0..k_i), in place
             np.multiply(table_cols, h, out=h_cols)
-            for hT_i, KY_i, K_i, c_i in stages:
+            for hT_i, KY_i, K_i in stages:
                 np.dot(hT_i, KY_i, out=stage)
-                f(t + c_i * h, stage, out=K_i)
+                f(stage, K_i)
             np.dot(hB, KY_b, out=y_new)
-            f(t + h, y_new, out=K[6])
+            f(y_new, K[6])
             np.dot(hE, K, out=err_vec)
             # err = RMS of err_vec / max(scale, abs_tol + rel_tol |y_new|),
             # which is err_vec / (abs_tol + rel_tol max(|y|, |y_new|))

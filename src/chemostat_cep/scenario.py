@@ -226,8 +226,11 @@ def parse_scenario(path: str) -> Scenario:
             f"expected {len(species)} densities for {len(species)} species, got {len(x_nodes)}",
         )
     x0 = [_float(n, f"initial.x[{j}]") for j, n in enumerate(x_nodes)]
-    if s0 < 0.0 or any(v < 0.0 for v in x0):
-        raise _fail("initial", initial_node, "initial state must be non-negative")
+    if s0 < 0.0:
+        raise _fail("initial.s", im["s"], "must be >= 0")
+    for j, v in enumerate(x0):
+        if v < 0.0:
+            raise _fail(f"initial.x[{j}]", x_nodes[j], "must be >= 0")
     initial = State(s=s0, x=np.array(x0))
 
     if "horizon" in top:

@@ -85,6 +85,8 @@ class TestParseScenario:
             (lambda t: t.replace("params:\n  dilution: 1.0\n", "params:\n"), "params.dilution"),
             (lambda t: t.replace("id: sp2", "id: sp1"), "species[1].id"),
             (lambda t: t.replace("[0.01, 0.01, 0.01]", "[0.01, 0.01]"), "initial.x"),
+            (lambda t: t.replace("[0.01, 0.01, 0.01]", "[0.01, -0.01, 0.01]"), "initial.x[1]: must be >= 0 (line 13)"),
+            (lambda t: t.replace("  s: 10.0\n", "  s: -1.0\n"), "initial.s: must be >= 0 (line 12)"),
             (lambda t: t.replace("dilution: 1.0", "dilution: -1.0"), "params.dilution"),
             (lambda t: t.replace("s_in: 10.0", "s_in: 0.0"), "params.s_in"),
             (lambda t: t.replace("horizon: 80.0", "horizon: -3.0"), "horizon"),

@@ -69,7 +69,8 @@ def rhs_original(
     """
     if len(growths) != state.n:
         raise ParameterError("growth law count must match species count")
-    dy = vector_field(params, growths)(0.0, np.concatenate(([state.s], state.x)))
+    y = np.concatenate(([state.s], state.x))
+    dy = vector_field(params, growths)(y, np.empty_like(y))
     return float(dy[0]), dy[1:]
 
 
@@ -284,7 +285,8 @@ class TestLogRatioLaw:
     @pytest.mark.parametrize("n", [len(GROWTHS), _ARRAY_FIELD_MIN_LAWS])  # plain-float and array body
     def test_vector_field_clamps_substrate(self, n):
         growths = [GROWTHS[k % len(GROWTHS)] for k in range(n)]
-        dy = vector_field(PARAMS, growths)(0.0, np.concatenate(([-1e-12], np.ones(n))))
+        y = np.concatenate(([-1e-12], np.ones(n)))
+        dy = vector_field(PARAMS, growths)(y, np.empty_like(y))
         assert np.all(np.isfinite(dy))
         # every rate is taken at s = 0, where mu(0) = 0
         assert np.array_equal(dy[1:], np.full(n, -PARAMS.d))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from chemostat_cep import Hill, Monod, Table, order_species
 from chemostat_cep.errors import DomainError, ParameterError
-from chemostat_cep.growth import ROOT_TOL, break_even, rate_matrix
+from chemostat_cep.growth import ROOT_TOL, GrowthFunction, break_even, rate_matrix
 
 
 class TestEvaluation:
@@ -65,6 +65,15 @@ class TestEvaluation:
     def test_bad_parameters_rejected(self, build):
         with pytest.raises(ParameterError):
             build()
+
+    @pytest.mark.parametrize("base", [GrowthFunction, Monod, Hill, Table])
+    def test_laws_defined_elsewhere_are_refused(self, base):
+        # Such a law would skip the constructors' checks, and the certificate
+        # and the break-even bisection assume every law increases.
+        with pytest.raises(TypeError, match="growth laws are Monod, Hill and Table only"):
+
+            class Custom(base):
+                pass
 
 
 # Steep Hill laws whose powers overflow: s**600 above s = 3.26 for the first,
