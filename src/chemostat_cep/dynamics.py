@@ -9,7 +9,9 @@ Its right-hand side, ``vector_field``, is built once per system.  A system
 with few Monod laws gets a function compiled for it from straight-line
 Python source, in which every law's scalar rate is spelled out with its
 parameters as float literals; a system with many gets one numpy expression
-over its Monod laws.  Both give the bits of one per-species loop.
+over its Monod laws.  Both give the bits of one per-species loop.  The
+compiled body also takes and returns tuples of floats, which is how the
+integrator's compiled trial step calls it.
 """
 
 from __future__ import annotations
@@ -100,15 +102,20 @@ def _float_body(d: float, s_in: float, laws: tuple[GrowthFunction, ...]) -> Call
     Each law contributes the lines of its ``_rate_source``, then its
     ``dx_i`` and its consumption term.  Besides the laws' own float
     literals, only ``d``, ``s_in`` (as float literals), the state size and
-    the law indices enter the source.
+    the law indices enter the source.  The body is ``f(y, out=None)``:
+    called with a sequence of floats alone, it returns the derivative as a
+    tuple; with ``out`` it writes the same floats into ``out``.
     """
     d, s_in = repr(float(d)), repr(float(s_in))
     size = len(laws) + 1
     lines = [
-        "def f_floats(y, out):",
-        "    v = y.tolist()  # the derivative overwrites it entry by entry",
-        f"    if len(v) != {size}:",
-        f"        raise ValueError(f'state has {{len(v)}} entries, expected {size}')",
+        "def f_floats(y, out=None):",
+        "    if out is None:",
+        "        v = y",
+        "    else:",
+        "        v = y.tolist()",
+        f"        if len(v) != {size}:",
+        f"            raise ValueError(f'state has {{len(v)}} entries, expected {size}')",
         "    s, " + "".join(f"x{i}, " for i in range(1, size)) + "= v",
         "    sc = s if s > 0.0 else 0.0",
         "    total = 0.0",
@@ -118,9 +125,11 @@ def _float_body(d: float, s_in: float, laws: tuple[GrowthFunction, ...]) -> Call
         rate_lines, names = g._rate_source(i)
         namespace.update(names)
         lines += ["    " + line for line in rate_lines]
-        lines += [f"    v[{i}] = (mu - {d}) * x{i}", f"    total += mu * x{i}"]
+        lines += [f"    dx{i} = (mu - {d}) * x{i}", f"    total += mu * x{i}"]
     lines += [
-        f"    v[0] = {d} * ({s_in} - s) - total",
+        f"    v = ({d} * ({s_in} - s) - total, " + "".join(f"dx{i}, " for i in range(1, size)) + ")",
+        "    if out is None:",
+        "        return v",
         "    out[...] = v",
         "    return out",
     ]
@@ -155,8 +164,10 @@ def vector_field(
     The call writes the derivative into ``out``, a float array of y's
     shape that does not share memory with y, and returns ``out``.  A y
     whose length is not 1 + the number of laws raises ``ValueError``.  The
-    array body reuses its work buffers, so one such closure must not be
-    called from two threads at once.
+    compiled body's ``out`` may be left out: then y is a tuple of 1 + n
+    floats and the derivative is returned as a tuple, with the same bits.
+    The array body reuses its work buffers, so one
+    such closure must not be called from two threads at once.
     """
     d = params.d
     s_in = params.s_in

@@ -183,9 +183,15 @@ class Table(GrowthFunction):
         slopes = [(ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) for j in range(len(xs) - 1)]
         return xs, ys, slopes
 
+    @cached_property
+    def _node_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The node lists as float64 arrays, which ``np.interp`` would make on every call."""
+        xs, ys, _ = self._segments
+        return np.array(xs), np.array(ys)
+
     def _rate(self, s: np.ndarray) -> np.ndarray:
         xs, ys, slopes = self._segments
-        out = np.interp(s, xs, ys)
+        out = np.interp(s, *self._node_arrays)
         tail = s > xs[-1]
         if np.any(tail):
             out = np.where(tail, ys[-1] + slopes[-1] * (s - xs[-1]), out)

@@ -2,10 +2,24 @@
 
 The stepper is the classic Dormand-Prince 4(5) pair with a
 proportional-integral step controller and the standard quartic continuous
-extension.  Each combination of a trial step, y + h (a . k), is one
-``np.dot`` (1, h a) . (y, k0..k6) of a row of the folded table against the
-stage matrix ``KY``.  Identical inputs give bit-identical trajectories on
-one platform and one BLAS kernel, which sets the order of those sums.
+extension.  It has two trial steps under one controller, chosen by the
+state size:
+
+- A state of at most ``_FLOAT_TRIAL_MAX_SIZE`` entries takes the
+  trial compiled once per size from straight-line Python source
+  (``_trial_source``).  Each combination y + h (a . k) is summed per
+  component in Python floats, left to right, as y + (h a_0) k0 +
+  (h a_1) k1 + ..., with every weight h a_j formed first and zero weights
+  left out; the error norm's squares are summed left to right too.  It
+  uses neither SIMD nor BLAS: its trajectories have the same bits under
+  OpenBLAS's SkylakeX, Haswell and Prescott kernels and without numpy's
+  AVX-512 loops.
+- A larger state takes the ``np.dot`` trial: each combination is one
+  ``np.dot`` (1, h a) . (y, k0..k6) of a row of the folded table against
+  the stage matrix ``KY``, whose summation order the BLAS kernel sets.
+
+Identical inputs give bit-identical trajectories on one platform, and on
+the ``np.dot`` trial on one BLAS kernel.
 
 The positive orthant is invariant for the model, so a step that would end
 with any component below zero is rejected, however small the undershoot.
@@ -16,9 +30,10 @@ law m' = d (s_in - m) through the pair's own stability polynomial alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,6 +73,21 @@ _EXPO = 0.2 - 0.75 * _BETA
 _FAC_SHRINK_MAX = 5.0   # new step no smaller than h / 5
 _FAC_GROW_MAX = 0.1     # new step no larger than 10 h
 _MAX_STEPS = 5_000_000  # safety net against livelock on hostile inputs
+
+# State sizes (1 + the number of laws) up to which ``simulate`` steps by the
+# trial compiled for the size, which calls the right-hand side with tuples:
+# the plain-float body takes them, and every such state gets it, since it
+# has fewer than ``dynamics._ARRAY_FIELD_MIN_LAWS`` laws.  Provisional: with
+# every plain-float size compiled, the change/parent ratio of ``simulate``
+# per species count on the export-mixed pool of seed 1
+# (``tools/phase_times.py``, 2-core x86-64 VM) was 0.90-0.91 at 12-14
+# species, 0.95-0.98 at 15-17, 0.96-1.03 at 18-22 and 1.08-1.20 at 23-30,
+# so speed alone would set the cut near 18 states.  It stays below every
+# export-mixed system (12 species or more) because a cut at 19 read a higher
+# export-mixed ``peak_rss_mb`` (48.5-48.7 against 47.8-48.0 MB), a reading
+# that follows the harness's heap layout more than the program's memory;
+# measure it again once ``peak_rss_mb`` tracks the program.
+_FLOAT_TRIAL_MAX_SIZE = 12
 
 _B_ZERO = 1e-12  # biomass floor below which proportions are undefined
 
@@ -156,6 +186,140 @@ def _initial_step(f, y0, f0, horizon, rel_tol, abs_tol) -> tuple[float, int]:
     return min(100.0 * h0, h1, horizon), 1
 
 
+def _trial_source(size: int) -> str:
+    """Python source of the trial step for states of ``size`` entries.
+
+    It defines ``trial(f, h, y, k0, scale, rel_tol, abs_tol)`` for the state
+    ``y``, its derivative ``k0`` and its error scale ``scale``, all tuples
+    of floats, which returns (err, min of y_new, y_new, k6,
+    abs_tol + rel_tol |y_new|, (k2, k3, k4, k5)); and
+    ``dense(k0, k2, k3, k4, k5, k6)``, the combination D K of an accepted
+    step.  Each combination is written out per component as
+    y + (h a_0) k0 + (h a_1) k1 + ..., summed left to right with every
+    weight h a_j formed first; zero weights are left out.  Each stage
+    derivative is a call of ``f`` with a tuple.
+    """
+    comps = range(size)
+
+    def names(prefix: str) -> str:
+        return "".join(f"{prefix}{c}, " for c in comps)
+
+    def weights(w: str, row) -> list[str]:
+        return [f"    {w}{j} = h * {a!r}" for j, a in enumerate(row) if a != 0.0]
+
+    def sums(w: str, row, start: str = "") -> list[str]:
+        """Per component: ``start`` + w_j k_j over the nonzero weights, left to right."""
+        return [
+            " + ".join([start.format(c)] * bool(start) + [f"{w}{j} * k{j}_{c}" for j, a in enumerate(row) if a != 0.0])
+            for c in comps
+        ]
+
+    def tuple_of(items: list[str]) -> str:
+        return "(" + "".join(f"{item}, " for item in items) + ")"
+
+    lines = ["def trial(f, h, y, k0, scale, rel_tol, abs_tol):", f"    {names('y')}= y", f"    {names('k0_')}= k0"]
+    for i, row in enumerate(_A, 1):
+        lines += weights(f"a{i}_", row)
+        lines += [f"    k{i} = f({tuple_of(sums(f'a{i}_', row, 'y{}'))})", f"    {names(f'k{i}_')}= k{i}"]
+    lines += weights("b", _B)
+    lines += [f"    yn = {tuple_of(sums('b', _B, 'y{}'))}", f"    {names('n')}= yn"]
+    lines += ["    k6 = f(yn)", f"    {names('k6_')}= k6", f"    {names('sc')}= scale"]
+    lines += weights("e", _E)
+    for c, error in zip(comps, sums("e", _E)):
+        lines += [
+            f"    sn{c} = abs_tol + rel_tol * abs(n{c})",
+            f"    q{c} = ({error}) / (sc{c} if sc{c} > sn{c} else sn{c})",
+        ]
+    squares = " + ".join(f"q{c} * q{c}" for c in comps)
+    lines.append(f"    return sqrt(({squares}) / {size}), min(yn), yn, k6, ({names('sn')}), (k2, k3, k4, k5)")
+    tops = [" + ".join(f"{a!r} * k{j}[{c}]" for j, a in enumerate(_D.tolist()) if a != 0.0) for c in comps]
+    lines += ["def dense(k0, k2, k3, k4, k5, k6):", f"    return {tuple_of(tops)}"]
+    return "\n".join(lines)
+
+
+@functools.cache
+def _compiled_trial(size: int) -> tuple[Callable, Callable]:
+    """``trial`` and ``dense`` of ``_trial_source(size)``, compiled once per size."""
+    namespace: dict[str, object] = {"sqrt": math.sqrt}
+    exec(compile(_trial_source(size), f"<trial {size}>", "exec"), namespace)
+    return namespace["trial"], namespace["dense"]
+
+
+def _float_trial(f, y0: np.ndarray, k0: np.ndarray, rel_tol: float, abs_tol: float):
+    """The compiled trial step over tuples of floats, for a plain-float body ``f``.
+
+    Returns ``trial(h, c)``, which runs one trial step from the current
+    state and gives (err, min of y_new), and ``accept(c)``, which writes
+    the step's raw rows (y_new, k0, k6, D K) into ``c[1:]`` and makes
+    y_new the current state.
+    """
+    step, dense = _compiled_trial(y0.size)
+    y, k = tuple(y0.tolist()), tuple(k0.tolist())
+    scale = tuple((abs_tol + rel_tol * np.abs(y0)).tolist())
+    last = ()
+
+    def trial(h: float, c: np.ndarray) -> tuple[float, float]:
+        nonlocal last
+        last = step(f, h, y, k, scale, rel_tol, abs_tol)
+        return last[0], last[1]
+
+    def accept(c: np.ndarray) -> None:
+        nonlocal y, k, scale
+        _, _, y, k6, scale, ks = last
+        c[1:] = (y, k, k6, dense(k, *ks, k6))
+        k = k6
+
+    return trial, accept
+
+
+def _dot_trial(f, y0: np.ndarray, k0: np.ndarray, rel_tol: float, abs_tol: float):
+    """The trial step by BLAS products, for an ``f(y, out)`` body.
+
+    The same ``trial(h, c)`` and ``accept(c)`` as ``_float_trial``; the
+    trial writes y_new into ``c[1]`` at once.  KY = (y, k0..k6), with k0 =
+    f(y) carried over (first same as last); the folded table hT is _TABLE
+    with columns 1-7 scaled by h.  Every combination is one ``np.dot`` of
+    a row of hT against KY, through views sliced once.
+    """
+    KY = np.vstack((y0, k0, np.empty((6, y0.size))))
+    K = KY[1:]
+    hT = _TABLE.copy()
+    h_cols, table_cols = hT[:, 1:], _TABLE[:, 1:]
+    stages = [(hT[i, : i + 2], KY[: i + 2], KY[i + 2]) for i in range(5)]
+    hB, KY_b, hE = hT[5, :7], KY[:7], hT[6, 1:]
+    stage, err_vec, q, scale_new = np.empty((4, y0.size))
+    scale = abs_tol + rel_tol * np.abs(y0)  # of the current state, kept across rejected steps
+
+    def trial(h: float, c: np.ndarray) -> tuple[float, float]:
+        # stage = (1, h a_row) . (y, k0..k_i), in place
+        np.multiply(table_cols, h, out=h_cols)
+        for hT_i, KY_i, K_i in stages:
+            np.dot(hT_i, KY_i, out=stage)
+            f(stage, K_i)
+        y_new = c[1]
+        np.dot(hB, KY_b, out=y_new)
+        f(y_new, K[6])
+        np.dot(hE, K, out=err_vec)
+        # err = RMS of err_vec / max(scale, abs_tol + rel_tol |y_new|),
+        # which is err_vec / (abs_tol + rel_tol max(|y|, |y_new|))
+        np.abs(y_new, out=scale_new)
+        np.multiply(scale_new, rel_tol, out=scale_new)
+        np.add(scale_new, abs_tol, out=scale_new)
+        np.maximum(scale, scale_new, out=q)
+        np.divide(err_vec, q, out=q)
+        return math.sqrt(np.dot(q, q) / q.size), float(np.minimum.reduce(y_new))
+
+    def accept(c: np.ndarray) -> None:
+        nonlocal scale, scale_new
+        # y_new and k6 (rows 1, 3) start the next step
+        c[2:4] = KY[1::6]
+        np.dot(_D, K, out=c[4])
+        KY[:2] = c[1:4:2]
+        scale, scale_new = scale_new, scale
+
+    return trial, accept
+
+
 def simulate(
     params: ChemostatParams,
     growths: Sequence[GrowthFunction],
@@ -184,37 +348,26 @@ def simulate(
     f = vector_field(params, growths)
     y0 = np.concatenate(([x0.s], x0.x)).astype(float)
     t = 0.0
-    # KY = (y, k0..k6), k0 = f(y) carried over (first same as last); the
-    # folded table hT is _TABLE with columns 1-7 scaled by h.  Every
-    # combination reads its rows of hT and KY through views sliced once.
-    KY = np.vstack((y0, np.empty((7, y0.size))))
-    y, K = KY[0], KY[1:]
-    f(y, K[0])
-    hT = _TABLE.copy()
-    h_cols, table_cols = hT[:, 1:], _TABLE[:, 1:]
-    stages = [(hT[i, : i + 2], KY[: i + 2], KY[i + 2]) for i in range(5)]
-    hB, KY_b, hE = hT[5, :7], KY[:7], hT[6, 1:]
-    stage, err_vec, q, scale_new = np.empty((4, y0.size))
-    scale = abs_tol + rel_tol * np.abs(y0)  # of the current state, kept across rejected steps
-
+    k0 = f(y0, np.empty_like(y0))
     # Below this step size the explicit pair cannot make useful progress on
     # the requested horizon; treat it as stiffness (or divergence when the
     # state has already left any physical scale).
     min_step = 1e-14 * horizon
-    h, used = _initial_step(f, y0, K[0], horizon, rel_tol, abs_tol)
+    h, used = _initial_step(f, y0, k0, horizon, rel_tol, abs_tol)
     # The guess falls below that limit for a state near zero with a large
     # derivative (s0 = 1e-12, no biomass); the controller corrects it.
     h = max(h, min_step)
     first_step = h
+    trial, accept = (_float_trial if y0.size <= _FLOAT_TRIAL_MAX_SIZE else _dot_trial)(f, y0, k0, rel_tol, abs_tol)
 
     step_times = [0.0]
     step_sizes = []
     # Raw rows of the interpolant, one (5, dim) block per accepted step:
-    # row 1 the end state (every trial writes its own), rows 2 and 3 the end
-    # derivatives, row 4 _D @ K, finished in place after the loop.  The
-    # buffer doubles when full and is cut to the step count at the end.
+    # row 1 the end state, rows 2 and 3 the end derivatives, row 4 D K,
+    # finished in place after the loop.  The buffer doubles when full and
+    # is cut to the step count at the end.
     conts = np.empty((64, 5, y0.size))
-    y_new = conts[0, 1]
+    c = conts[0]
 
     n_accepted = 0
     n_rejected = 0
@@ -225,35 +378,20 @@ def simulate(
             # Judge underflow on the controller's proposal, not on the final
             # sliver left before the horizon, which may be one ulp wide.
             if h < min_step or t + min(h, horizon - t) <= t:
+                y = conts[n_accepted - 1, 1] if n_accepted else y0
                 if float(np.max(np.abs(y))) > 1e100:
                     raise DivergenceError(t, y, "state grew beyond any physical scale")
                 raise StiffnessError(t, y)
             h = min(h, horizon - t)
             if n_accepted + n_rejected >= _MAX_STEPS:
+                y = conts[n_accepted - 1, 1] if n_accepted else y0
                 raise StiffnessError(t, y, f"step budget of {_MAX_STEPS} exhausted")
 
-            # stage = (1, h a_row) . (y, k0..k_i), in place
-            np.multiply(table_cols, h, out=h_cols)
-            for hT_i, KY_i, K_i in stages:
-                np.dot(hT_i, KY_i, out=stage)
-                f(stage, K_i)
-            np.dot(hB, KY_b, out=y_new)
-            f(y_new, K[6])
-            np.dot(hE, K, out=err_vec)
-            # err = RMS of err_vec / max(scale, abs_tol + rel_tol |y_new|),
-            # which is err_vec / (abs_tol + rel_tol max(|y|, |y_new|))
-            np.abs(y_new, out=scale_new)
-            scale_new *= rel_tol
-            scale_new += abs_tol
-            np.maximum(scale, scale_new, out=q)
-            np.divide(err_vec, q, out=q)
-            err = math.sqrt(np.dot(q, q) / q.size)
-
-            low = float(np.minimum.reduce(y_new))
+            err, low = trial(h, c)
             # Both RHS bodies give a non-finite derivative component j when
             # component j of the state is non-finite, and E[6] K[6] carries
-            # it into err_vec[j]; so a non-finite y_new makes err non-finite
-            # (inf or NaN), and no reduction over y_new is needed.
+            # it into the error vector's component j; so a non-finite y_new
+            # makes err non-finite (inf or NaN), and no scan of y_new is needed.
             if not math.isfinite(err) or not math.isfinite(low) or (err <= 1.0 and low < 0.0):
                 # Overflow inside the trial step, or an end state outside the
                 # positive orthant: reject as hard as possible.
@@ -262,21 +400,16 @@ def simulate(
                 continue
 
             if err <= 1.0:
-                # Accept: keep the raw rows; y_new and k6 (rows 1, 3) start the next step.
-                c = conts[n_accepted]
-                c[2:4] = KY[1::6]
-                np.dot(_D, K, out=c[4])
-                KY[:2] = c[1:4:2]
+                accept(c)
                 step_sizes.append(h)
 
                 t = t + h
-                scale, scale_new = scale_new, scale
                 step_times.append(t)
                 n_accepted += 1
                 if n_accepted == conts.shape[0]:
-                    # only the stale views ``c`` and ``y_new`` point into it, so it may move
+                    # only the stale view ``c`` points into it, so it may move
                     conts.resize((2 * n_accepted,) + conts.shape[1:], refcheck=False)
-                y_new = conts[n_accepted, 1]
+                c = conts[n_accepted]
 
                 fac = (err**_EXPO) / (fac_old**_BETA)
                 fac = max(_FAC_GROW_MAX, min(_FAC_SHRINK_MAX, fac / _SAFETY))

@@ -9,18 +9,30 @@ at n = 5, and a Monod/Hill/Table mix at n = 20.  The clipped case, a fast
 Monod species at loose tolerances, has trial steps that the error norm
 accepts but that end far below zero, so it pins their rejection.  Any
 change to the right-hand side or to the step loop that moves a single bit
-shows up here.  The right-hand side has a plain-float body for few laws
-and an array body for many; every case also runs with each body forced,
-so both are pinned to the same bytes.
+shows up here.
 
-The integrator is deterministic on a fixed platform, but the last bits of
-``pow`` and of the numpy loops may differ between CPUs and libraries, and
-every stage of a step is an ``np.dot``, whose summation order is chosen by
-the BLAS kernel: OpenBLAS, built DYNAMIC_ARCH, picks one per CPU.  So the
-hashes belong to the platform and the kernel that wrote them, SkylakeX;
-under ``OPENBLAS_CORETYPE=Haswell`` or ``Prescott`` all 12 cases here and
-the 3 of ``test_golden.py::test_measured_values_are_pinned`` fail (ROADMAP
-item 5).
+``simulate`` has two trial steps.  A state of at most
+``integrate._FLOAT_TRIAL_MAX_SIZE`` entries takes the compiled trial, which
+sums every combination per component in Python floats; a larger one takes
+the ``np.dot`` trial.  Every case is pinned on the ``np.dot`` trial (the cut
+forced to 0), and the cases small enough for it (canonical, mixed_5,
+clipped) also on the compiled trial.  On the ``np.dot`` trial the
+right-hand side has a plain-float body for few laws and an array body for
+many; every case runs there with each body forced, so both are pinned to
+the same bytes.  The compiled trial calls the plain-float body with tuples,
+so it has no second body.
+
+The last bits of ``pow`` and of numpy's loops may differ between CPUs and
+libraries, and every combination of the ``np.dot`` trial has its summation
+order chosen by the BLAS kernel: OpenBLAS, built DYNAMIC_ARCH, picks one
+per CPU.  So the ``np.dot`` hashes belong to the platform and the kernel
+that wrote them, SkylakeX; under ``OPENBLAS_CORETYPE=Haswell`` they fail.
+The compiled-trial hashes do not depend on the kernel: its sums use
+neither BLAS nor SIMD, and the rest of a run is elementwise IEEE
+arithmetic, libm ``pow`` and reductions over at most 12 entries.
+``test_compiled_trial_bytes_under_other_kernels`` reruns them under
+``OPENBLAS_CORETYPE`` Haswell and Prescott and with numpy's AVX-512 loops
+disabled.
 
 Regenerate (only when a change is meant to move the trajectories, and say
 why)::
@@ -36,13 +48,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chemostat_cep import ChemostatParams, Hill, Monod, State, Table, dynamics, simulate
+from chemostat_cep import ChemostatParams, Hill, Monod, State, Table, dynamics, integrate, simulate
 from chemostat_cep.scenario import parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,26 +119,61 @@ def capture(params, growths, x0, horizon, rel_tol=1e-8, abs_tol=1e-10) -> dict:
     return out
 
 
-def _assert_pinned(name):
-    want = json.loads(GOLDEN.read_text())[name]
-    got = capture(*cases()[name])
+def trials(name: str) -> tuple[str, ...]:
+    """The trial steps case ``name`` is pinned on."""
+    size = len(cases()[name][1]) + 1
+    return ("compiled", "dot") if size <= integrate._FLOAT_TRIAL_MAX_SIZE else ("dot",)
+
+
+def capture_trial(name: str, trial: str) -> dict:
+    """``capture`` of case ``name``, with the cut forced to 0 for the ``np.dot`` trial."""
+    with pytest.MonkeyPatch.context() as mp:
+        if trial == "dot":
+            mp.setattr(integrate, "_FLOAT_TRIAL_MAX_SIZE", 0)
+        return capture(*cases()[name])
+
+
+def _assert_pinned(name, trial):
+    want = json.loads(GOLDEN.read_text())[name][trial]
+    got = capture_trial(name, trial)
     assert got["meta"] == want["meta"]
     assert got["shapes"] == want["shapes"]
     for array in ARRAYS:
         assert got[array] == want[array], array
 
 
-@pytest.mark.parametrize("name", sorted(cases()))
-def test_trajectory_bytes_are_pinned(name):
-    _assert_pinned(name)
+@pytest.mark.parametrize("name, trial", [(name, trial) for name in sorted(cases()) for trial in trials(name)])
+def test_trajectory_bytes_are_pinned(name, trial):
+    _assert_pinned(name, trial)
 
 
 @pytest.mark.parametrize("min_laws", [0, sys.maxsize], ids=["array_body", "float_body"])
 @pytest.mark.parametrize("name", sorted(cases()))
 def test_both_rhs_bodies_give_the_pinned_bytes(monkeypatch, name, min_laws):
-    """Each case runs one body by its law count; the other must give the same bytes."""
+    """On the ``np.dot`` trial each case runs one body by its law count; the other must give the same bytes."""
     monkeypatch.setattr(dynamics, "_ARRAY_FIELD_MIN_LAWS", min_laws)
-    _assert_pinned(name)
+    _assert_pinned(name, "dot")
+
+
+@pytest.mark.parametrize(
+    "env",
+    [{"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Prescott"}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}],
+    ids=["haswell", "prescott", "no-x86-v4"],
+)
+def test_compiled_trial_bytes_under_other_kernels(env):
+    """The compiled-trial cases keep their hashes in a process whose numpy or OpenBLAS picks other kernels."""
+    pythonpath = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k", "compiled and pinned",
+         "tests/test_golden_trajectories.py"],
+        cwd=ROOT,
+        env={**os.environ, **env, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "3 passed" in proc.stdout and "failed" not in proc.stdout
 
 
 def moved(stored: dict | None, fresh: dict) -> list[str]:
@@ -145,11 +194,12 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_golden_trajectories.py --write")
     stored = json.loads(GOLDEN.read_text())
     data = {}
-    for name, case in cases().items():
-        data[name] = capture(*case)
-        lines = moved(stored.get(name), data[name])
-        print(f"{name}: {len(lines)} moved")
-        for line in lines:
-            print(f"  {line}")
+    for name in cases():
+        data[name] = {trial: capture_trial(name, trial) for trial in trials(name)}
+        for trial, fresh in data[name].items():
+            lines = moved(stored.get(name, {}).get(trial), fresh)
+            print(f"{name} ({trial} trial): {len(lines)} moved")
+            for line in lines:
+                print(f"  {line}")
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

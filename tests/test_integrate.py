@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -167,6 +168,8 @@ DP_A = (
     (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176), F(-5103, 18656)),
 )
 DP_B = (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784), F(11, 84))
+# Error weights: B minus the embedded fourth-order weights, with k6's weight.
+DP_E = (F(71, 57600), F(0), F(-71, 16695), F(71, 1920), F(-17253, 339200), F(22, 525), F(-1, 40))
 DP_D = (
     F(-12715105075, 11282082432),
     F(0),
@@ -203,14 +206,24 @@ def reference_step(f, y: list[float], h: float) -> tuple[list[float], list[list[
     return y_new, [y, ydiff, bspl, top, comb(DP_D, k)]
 
 
-class TestReferenceStep:
-    """The folded stage products against the textbook step formula."""
+# The two trial steps of ``simulate``: the compiled one, which the golden
+# cases take by their size, and the ``np.dot`` one, forced by a cut of 0.
+TRIAL_CUTS = pytest.mark.parametrize(
+    "cut", [integrate._FLOAT_TRIAL_MAX_SIZE, 0], ids=["compiled_trial", "dot_trial"]
+)
 
+
+class TestReferenceStep:
+    """Both trial steps against the textbook step formula."""
+
+    @TRIAL_CUTS
     @pytest.mark.parametrize("case", ["canonical", "mixed_5"])
-    def test_first_step_matches_the_textbook_formula(self, case):
+    def test_first_step_matches_the_textbook_formula(self, monkeypatch, case, cut):
         from test_golden_trajectories import cases
 
+        monkeypatch.setattr(integrate, "_FLOAT_TRIAL_MAX_SIZE", cut)
         params, growths, x0, horizon = cases()[case]
+        assert (len(growths) + 1 <= integrate._FLOAT_TRIAL_MAX_SIZE) == (cut > 0)
         traj = simulate(params, growths, x0, horizon)
         y0 = traj.step_states[0].tolist()
         y_new, coeffs = reference_step(dynamics.vector_field(params, growths), y0, float(traj.step_times[1]))
@@ -219,40 +232,126 @@ class TestReferenceStep:
         assert np.max(np.abs(traj.step_coeffs[0] - np.array(coeffs))) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("min_laws", [0, sys.maxsize], ids=["array_body", "float_body"])
+def trial_reference(f, h, y, k0, scale, rel_tol, abs_tol):
+    """One compiled trial step as a per-component loop in the same order.
+
+    Each combination is, per component, the state (if any) plus every
+    (h w_j) k_j with a nonzero weight, summed left to right; the error
+    norm divides by the larger scale and sums the squares left to right.
+    """
+    ks = [k0]
+
+    def comb(weights, start):
+        out = []
+        for c in range(len(y)):
+            terms = [(h * float(w)) * k[c] for w, k in zip(weights, ks) if w != 0]
+            acc = start[c] if start else terms.pop(0)
+            for term in terms:
+                acc = acc + term
+            out.append(acc)
+        return tuple(out)
+
+    for row in DP_A:
+        ks.append(f(comb(row, y)))
+    y_new = comb(DP_B, y)
+    ks.append(f(y_new))
+    scale_new = tuple(abs_tol + rel_tol * abs(v) for v in y_new)
+    q = [e / max(a, b) for e, a, b in zip(comb(DP_E, None), scale, scale_new)]
+    squares = q[0] * q[0]
+    for v in q[1:]:
+        squares = squares + v * v
+    top = []
+    for c in range(len(y)):
+        terms = [float(w) * k[c] for w, k in zip(DP_D, ks) if w != 0]
+        acc = terms.pop(0)
+        for term in terms:
+            acc = acc + term
+        top.append(acc)
+    return math.sqrt(squares / len(y)), min(y_new), y_new, ks[6], scale_new, tuple(top)
+
+
+class TestCompiledTrial:
+    """The compiled trial step, bit for bit against ``trial_reference``."""
+
+    @pytest.mark.parametrize("h", [1e-3, 0.05, 0.4])
+    @pytest.mark.parametrize("case", ["canonical", "mixed_5", "clipped"])
+    def test_bitwise_equal_to_a_per_component_loop(self, case, h):
+        from test_golden_trajectories import cases
+
+        params, growths, x0 = cases()[case][:3]
+        f = dynamics.vector_field(params, growths)
+        y = (x0.s, *x0.x.tolist())
+        k0 = f(y)
+        rel_tol, abs_tol = 1e-8, 1e-10
+        scale = tuple(abs_tol + rel_tol * abs(v) for v in y)
+        step, dense = integrate._compiled_trial(len(y))
+        err, low, y_new, k6, scale_new, (k2, k3, k4, k5) = step(f, h, y, k0, scale, rel_tol, abs_tol)
+        got = (err, low, y_new, k6, scale_new, dense(k0, k2, k3, k4, k5, k6))
+        want = trial_reference(f, h, y, k0, scale, rel_tol, abs_tol)
+        assert np.array_equal(np.hstack(got).view(np.int64), np.hstack(want).view(np.int64))
+        assert all(type(v) is float for v in y_new + k6)
+
+    def test_every_compiled_size_gets_the_plain_float_body(self):
+        """The compiled trial calls the right-hand side with tuples, which only the plain-float body takes."""
+        assert integrate._FLOAT_TRIAL_MAX_SIZE - 1 < dynamics._ARRAY_FIELD_MIN_LAWS
+
+
+@pytest.mark.parametrize(
+    "min_laws, cut",
+    [(0, 0), (sys.maxsize, 0), (sys.maxsize, integrate._FLOAT_TRIAL_MAX_SIZE)],
+    ids=["array_body", "float_body", "compiled_trial"],
+)
 class TestNonFiniteTrialStep:
     """A trial step whose end state is not finite is rejected.
 
     ``simulate`` checks only the error norm and the end state's minimum;
     the premise is that each RHS body gives a non-finite derivative
     component wherever the state's component is non-finite, which the
-    error estimate then carries.
+    error estimate then carries.  The array body and the plain-float body
+    run on the ``np.dot`` trial (the cut forced to 0); the compiled trial
+    calls the plain-float body with tuples.
     """
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("j", [0, 2], ids=["s", "x_2"])
-    def test_rhs_keeps_the_component_non_finite(self, monkeypatch, min_laws, j, value):
+    def test_rhs_keeps_the_component_non_finite(self, monkeypatch, min_laws, cut, j, value):
         monkeypatch.setattr(dynamics, "_ARRAY_FIELD_MIN_LAWS", min_laws)
+        monkeypatch.setattr(integrate, "_FLOAT_TRIAL_MAX_SIZE", cut)
         y = np.array([2.0, 0.5, 0.5, 0.5])
         y[j] = value
+        f = dynamics.vector_field(PARAMS, GROWTHS)
         with np.errstate(over="ignore", invalid="ignore"):
-            dy = dynamics.vector_field(PARAMS, GROWTHS)(y, np.empty_like(y))
+            dy = f(y, np.empty_like(y))
         assert not np.isfinite(dy[j])
+        if min_laws > 0:  # the plain-float body, which also takes a tuple
+            assert not math.isfinite(f(tuple(y.tolist()))[j])
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("j", [0, 2], ids=["s", "x_2"])
-    def test_step_is_rejected(self, monkeypatch, min_laws, j, value):
+    def test_step_is_rejected(self, monkeypatch, min_laws, cut, j, value):
         monkeypatch.setattr(dynamics, "_ARRAY_FIELD_MIN_LAWS", min_laws)
+        monkeypatch.setattr(integrate, "_FLOAT_TRIAL_MAX_SIZE", cut)
         factory = integrate.vector_field
         injected = []
+        tuple_calls = []
 
         def injecting_factory(*args):
             f = factory(*args)
 
-            def g(y, out):
-                # The end state of a trial step is the one call that writes
-                # row K[6], the last row of the stage matrix; corrupt the
-                # first one in place.
+            def g(y, out=None):
+                if out is None:
+                    # A call of the compiled trial, whose end state is a
+                    # tuple: the sixth of the run is the first trial's
+                    # end-state call.  It gets the state with component j
+                    # replaced, so k6 is what a non-finite end state gives.
+                    tuple_calls.append(True)
+                    if not injected and len(tuple_calls) == 6:
+                        y = y[:j] + (value,) + y[j + 1 :]
+                        injected.append(True)
+                    return f(y)
+                # The end state of an np.dot trial step is the one call that
+                # writes row K[6], the last row of the stage matrix; corrupt
+                # the first one in place.
                 if not injected and out.base is not None and np.shares_memory(out, out.base[-1]):
                     y[j] = value
                     injected.append(True)
@@ -263,6 +362,7 @@ class TestNonFiniteTrialStep:
         monkeypatch.setattr(integrate, "vector_field", injecting_factory)
         traj = simulate(PARAMS, GROWTHS, X0, 5.0)
         assert len(injected) == 1
+        assert bool(tuple_calls) == (cut > 0)
         assert traj.meta.steps_rejected >= 1
         assert np.isfinite(traj.step_states).all() and np.isfinite(traj.step_coeffs).all()
         # The first trial step was corrupted, so it was not taken: the first
@@ -281,9 +381,9 @@ class TestRhsCount:
         def counting_factory(*fargs):
             f = factory(*fargs)
 
-            def counted(y, out):
+            def counted(*args):
                 calls[0] += 1
-                return f(y, out)
+                return f(*args)
 
             return counted
 

@@ -1168,6 +1168,15 @@ class TestTableScalarRow:
         ))
         assert _bits(table._rate_scalar(s)) == _bits(float(table._rate(np.asarray(s))))
 
+    def test_ten_thousand_node_rows(self):
+        xs = np.cumsum(np.linspace(0.5, 2.0, 10_000)) - 0.5
+        table = Table(tuple(zip(xs.tolist(), (np.sqrt(xs) * 3.0).tolist())))
+        grid = np.array([0.0, xs[-1] * 4.0, *_substrates_near(xs[[1, 2, 4_999, 9_998, 9_999]].tolist())])
+        grid = np.concatenate((grid, np.linspace(0.0, 1.2 * xs[-1], 2049)))
+        want = [table._rate_scalar(v) for v in grid.tolist()]
+        assert np.array_equal(_bits(table._rate(grid)), _bits(want))
+        assert np.array_equal(_bits(rate_matrix([table, Monod(2.0, 0.5)], grid)[0]), _bits(want))
+
 
 def _break_even_reference(g, d, s_probe_max=1e6):
     """The bisection of ``break_even`` with every probe through ``g.rate_unchecked``."""

@@ -38,10 +38,13 @@ The output has one row per timed scenario with its trial steps in each
 tree (``meta.steps_accepted + steps_rejected`` of its ``simulate``) and
 each phase's min-of-N microseconds for both trees (N = ``--rounds`` x
 ``CALLS``), then one row per phase with the sums over scenarios, their
-ratio and the number of scenarios where the change is slower, and a last
-row with each tree's ``simulate`` microseconds per trial step: the trial
-count does not depend on the host, so it tells a faster step from fewer
-steps.
+ratio and the number of scenarios where the change is slower, a row with
+each tree's ``simulate`` microseconds per trial step (the trial count does
+not depend on the host, so it tells a faster step from fewer steps), and
+last one row per species count, over the scenarios of that count: the
+change/parent ratio of ``simulate`` and each tree's microseconds per
+trial step.  Those rows set size cuts such as
+``integrate._FLOAT_TRIAL_MAX_SIZE``.
 
 Both trees run this one worker script, which calls the library as it is
 now.  A tree from before ``check_induction_properties`` lost its
@@ -133,7 +136,7 @@ def worker(src: Path, pool_file: Path) -> None:
         columns = {sid: 1 + k for k, (sid, _) in enumerate(sc.species)}
         margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
         return {
-            "n": len(active),
+            "n": len(growths),
             "trials": trials,
             "simulate": simulate,
             "field": field,
@@ -176,6 +179,13 @@ def _summary(phases: tuple[str, ...], sizes: dict, trials: dict, best: dict) -> 
         lines.append(f"{ph:12} {a:12.1f} {b:12.1f} {b / a if a else float('nan'):7.3f}  {slower}/{len(sizes)}")
     a, b = (sum(best[side][k]["simulate"] for k in sizes) / sum(trials[side].values()) for side in ("parent", "change"))
     lines.append(f"{'us/trial':12} {a:12.2f} {b:12.2f} {b / a:7.3f}")
+    lines.append(f"{'species':12} {'scenarios':>9} {'simulate ratio':>14} {'us/trial parent':>16} {'change':>7}")
+    for n in sorted(set(sizes.values())):
+        keys = [k for k, m in sizes.items() if m == n]
+        us = {side: sum(best[side][k]["simulate"] for k in keys) for side in ("parent", "change")}
+        per_trial = [us[side] / sum(trials[side][k] for k in keys) for side in ("parent", "change")]
+        ratio = us["change"] / us["parent"]
+        lines.append(f"{'n=' + str(n):12} {len(keys):9d} {ratio:14.3f} {per_trial[0]:16.2f} {per_trial[1]:7.2f}")
     return lines
 
 
