@@ -59,6 +59,13 @@ class Boundary:
     gap_min: float
 
 
+def json_number(v):
+    """``v`` as JSON holds it: a non-finite float as "inf", "-inf" or "nan", anything else as is."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return "nan" if math.isnan(v) else ("inf" if v > 0 else "-inf")
+    return v
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Constructive constants certifying the competition's outcome.
@@ -127,17 +134,11 @@ class Certificate:
 
     def to_dict(self) -> dict:
         """JSON-safe summary (infinite levels rendered as the string 'inf')."""
-
-        def num(v):
-            if v is None:
-                return None
-            return "inf" if math.isinf(v) else v
-
         return {
             "status": "degenerate" if self.degenerate else "ok",
             "d": self.d,
             "s_in": self.s_in,
-            "packs": [{"ids": list(p.ids), "lambda": num(p.lam)} for p in self.packs],
+            "packs": [{"ids": list(p.ids), "lambda": json_number(p.lam)} for p in self.packs],
             "boundaries": [
                 {
                     "s_minus": b.s_minus,

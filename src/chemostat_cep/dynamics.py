@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, require_positive
 from .growth import GrowthFunction, OrderedSpecies, monod_arrays
 
 
@@ -34,10 +34,7 @@ class ChemostatParams:
     s_in: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.d) and self.d > 0.0):
-            raise ParameterError(f"removal rate must be finite and > 0, got {self.d!r}")
-        if not (math.isfinite(self.s_in) and self.s_in > 0.0):
-            raise ParameterError(f"inflow concentration must be finite and > 0, got {self.s_in!r}")
+        require_positive(self, "d", "s_in")
 
 
 @dataclass(frozen=True)
@@ -56,10 +53,10 @@ class State:
         arr = np.array(self.x, dtype=float, ndmin=1)
         arr.setflags(write=False)
         object.__setattr__(self, "x", arr)
-        if not math.isfinite(self.s) or self.s < 0.0:
-            raise DomainError(f"substrate level must be finite and >= 0, got {self.s!r}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise DomainError("species densities must be finite and >= 0")
+        for j, v in enumerate((self.s, *arr.tolist())):
+            if not (math.isfinite(v) and v >= 0.0):
+                reason = "must be >= 0" if math.isfinite(v) else "must be finite"
+                raise DomainError(reason, field=f"x[{j - 1}]" if j else "s")
 
     @property
     def n(self) -> int:

@@ -2,13 +2,35 @@
 
 from __future__ import annotations
 
+import math
+
 
 class ChemostatError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    A refusal of one value names it: ``field`` is its name on the refusing
+    type, such as ``"mu_max"``, ``"points[2]"`` or ``"x[1]"`` (for an
+    :class:`InputError`, its key path in the scenario file), ``reason`` says
+    what is wrong with it, and the message is ``field: reason``.  An error
+    about no single value has ``field`` None and the message as its reason.
+    """
+
+    def __init__(self, reason: str, *, field: str | None = None):
+        self.field = field
+        self.reason = reason
+        super().__init__(reason if field is None else f"{field}: {reason}")
 
 
 class ParameterError(ChemostatError, ValueError):
     """A numeric parameter is outside its admissible range."""
+
+
+def require_positive(owner: object, *names: str) -> None:
+    """Refuse, by :class:`ParameterError`, a named attribute of ``owner`` that is not finite and > 0."""
+    for name in names:
+        v = getattr(owner, name)
+        if not (math.isfinite(v) and v > 0.0):
+            raise ParameterError(f"must be finite and > 0, got {v!r}", field=name)
 
 
 class DomainError(ChemostatError, ValueError):

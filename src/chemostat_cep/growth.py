@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, require_positive
 
 # Bisection runs until the bracket cannot be split further, so this cap is a
 # safety net, not a tolerance (float64 exhausts in ~1100 halvings worst case).
@@ -90,10 +90,7 @@ class Monod(GrowthFunction):
     kind = "monod"
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu_max) and self.mu_max > 0.0):
-            raise ParameterError(f"monod mu_max must be finite and > 0, got {self.mu_max!r}")
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise ParameterError(f"monod k must be finite and > 0, got {self.k!r}")
+        require_positive(self, "mu_max", "k")
 
     def _rate_scalar(self, s: float) -> float:
         return self.mu_max * s / (self.k + s)
@@ -118,12 +115,9 @@ class Hill(GrowthFunction):
     kind = "hill"
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu_max) and self.mu_max > 0.0):
-            raise ParameterError(f"hill mu_max must be finite and > 0, got {self.mu_max!r}")
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise ParameterError(f"hill k must be finite and > 0, got {self.k!r}")
+        require_positive(self, "mu_max", "k")
         if not (math.isfinite(self.p) and self.p >= 1.0):
-            raise ParameterError(f"hill exponent must be finite and >= 1, got {self.p!r}")
+            raise ParameterError(f"must be finite and >= 1, got {self.p!r}", field="p")
 
     def _rate(self, s: np.ndarray) -> np.ndarray:
         u = np.power(np.minimum(s, self.k) / np.maximum(s, self.k), self.p)
@@ -161,19 +155,18 @@ class Table(GrowthFunction):
     def __post_init__(self):
         pts = tuple((float(a), float(b)) for a, b in self.points)
         object.__setattr__(self, "points", pts)
+        for i, (a, b) in enumerate(pts):
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ParameterError("node must be finite", field=f"points[{i}]")
+        if pts and pts[0] != (0.0, 0.0):
+            raise ParameterError("first node must be [0, 0], so that mu(0) = 0", field="points[0]")
+        for i in range(1, len(pts)):
+            if not pts[i][0] > pts[i - 1][0]:
+                raise ParameterError("node substrate values must increase strictly", field=f"points[{i}]")
+            if not pts[i][1] > pts[i - 1][1]:
+                raise ParameterError("node rates must increase strictly", field=f"points[{i}]")
         if len(pts) < 2:
-            raise ParameterError("table law needs at least two nodes")
-        ss = [a for a, _ in pts]
-        if any(not math.isfinite(v) for v in ss) or any(
-            not math.isfinite(v) for _, v in pts
-        ):
-            raise ParameterError("table nodes must be finite")
-        if any(b <= a for a, b in zip(ss, ss[1:])):
-            raise ParameterError("table substrate nodes must be strictly increasing")
-        if pts[0] != (0.0, 0.0):
-            raise ParameterError(f"table first node must be (0, 0), so that mu(0) = 0, got {pts[0]!r}")
-        if any(b[1] <= a[1] for a, b in zip(pts, pts[1:])):
-            raise ParameterError("table node rates must increase strictly")
+            raise ParameterError("needs at least two nodes", field="points")
 
     @cached_property
     def _segments(self) -> tuple[list[float], list[float], list[float]]:

@@ -253,7 +253,8 @@ def _float_trial(f, y0: np.ndarray, k0: np.ndarray, rel_tol: float, abs_tol: flo
     the step's raw rows (y_new, k0, k6, D K) into ``c[1:]`` and makes
     y_new the current state.
     """
-    step, dense = _compiled_trial(y0.size)
+    size = y0.size
+    step, dense = _compiled_trial(size)
     y, k = tuple(y0.tolist()), tuple(k0.tolist())
     scale = tuple((abs_tol + rel_tol * np.abs(y0)).tolist())
     last = ()
@@ -266,7 +267,8 @@ def _float_trial(f, y0: np.ndarray, k0: np.ndarray, rel_tol: float, abs_tol: flo
     def accept(c: np.ndarray) -> None:
         nonlocal y, k, scale
         _, _, y, k6, scale, ks = last
-        c[1:] = (y, k, k6, dense(k, *ks, k6))
+        # one flat tuple into the contiguous rows 1-4, past numpy's nested-sequence path
+        c.reshape(-1)[size:] = y + k + k6 + dense(k, *ks, k6)
         k = k6
 
     return trial, accept

@@ -1,21 +1,21 @@
 """Scenario types and the scenario-file parser.
 
 Scenario files are YAML mappings with a fixed schema (documented in the
-README).  Parsing walks the YAML node tree directly so every validation
-error can name the offending key and line.
+README).  Parsing walks the YAML node tree directly against the schema,
+and each type it builds checks its own hypotheses and ranges, so every
+refusal names the offending key and the line of its node.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
-import numpy as np
 import yaml
 
 from .dynamics import ChemostatParams, State
-from .errors import ChemostatError, InputError
+from .errors import DomainError, InputError, ParameterError, require_positive
 from .growth import PROBE_FACTOR, GrowthFunction, Hill, Monod, Table
 
 # libyaml's composer when PyYAML was built with it; its nodes carry the same
@@ -30,6 +30,12 @@ class Tolerances:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
 
+    def __post_init__(self):
+        for name in ("rel_tol", "abs_tol"):
+            v = getattr(self, name)
+            if not 0.0 < v < 1.0:
+                raise ParameterError(f"must lie in (0, 1), got {v!r}", field=name)
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -40,6 +46,9 @@ class Scenario:
     initial: State
     horizon: float
     tolerances: Tolerances = field(default_factory=Tolerances)
+
+    def __post_init__(self):
+        require_positive(self, "horizon")
 
     @property
     def growths(self) -> tuple[GrowthFunction, ...]:
@@ -55,7 +64,7 @@ def _line(node) -> int:
 
 
 def _fail(key: str, node, message: str) -> InputError:
-    return InputError(f"{key}: {message} (line {_line(node)})")
+    return InputError(f"{message} (line {_line(node)})", field=key)
 
 
 def _mapping(node, key: str) -> dict:
@@ -95,72 +104,74 @@ def _str(node, key: str) -> str:
     return str(node.value)
 
 
+def _points(node, key: str) -> tuple[tuple[float, float], ...]:
+    """A table law's nodes: a list of [s, mu] pairs."""
+    pts = []
+    for i, p_node in enumerate(_sequence(node, key)):
+        pair = _sequence(p_node, f"{key}[{i}]")
+        if len(pair) != 2:
+            raise _fail(f"{key}[{i}]", p_node, "expected a [s, mu] pair")
+        pts.append((_float(pair[0], f"{key}[{i}][0]"), _float(pair[1], f"{key}[{i}][1]")))
+    return tuple(pts)
+
+
 def _require(mapping: dict, key: str, parent: str, parent_node):
     if key not in mapping:
         raise _fail(f"{parent}.{key}" if parent else key, parent_node, "missing required key")
     return mapping[key]
 
 
-def _reject_unknown(mapping: dict, allowed: Iterable[str], parent: str, parent_node):
+def _reject_unknown(mapping: dict, allowed: Iterable[str], parent: str):
     unknown = set(mapping) - set(allowed)
     if unknown:
         key = sorted(unknown)[0]
         raise _fail(f"{parent}.{key}" if parent else key, mapping[key], "unknown key")
 
 
+# The growth laws by their ``kind``; each law's fields are its YAML keys.
+_LAWS = {law.kind: law for law in (Monod, Hill, Table)}
+
+# The fields whose YAML key is another name.
+_YAML_KEYS = {"d": "dilution"}
+
+
+def _build(cls, key: str, nodes: dict, /, **values):
+    """``cls(**values)``, the type checking its own hypotheses and ranges.
+
+    ``nodes`` maps the YAML keys under ``key`` to their nodes.  A field the
+    type refuses, such as ``d`` or ``points[2]``, becomes an
+    :class:`InputError` that names its key path and the line of its node.
+    """
+    try:
+        return cls(**values)
+    except (ParameterError, DomainError) as exc:
+        name, bracket, index = exc.field.partition("[")
+        name = _YAML_KEYS.get(name, name)
+        node = nodes[name]
+        if bracket:
+            node = node.value[int(index.rstrip("]"))]
+        path = f"{key}.{name}" if key else name
+        raise _fail(path + bracket + index, node, exc.reason) from exc
+
+
 def _growth_from_node(node, key: str) -> GrowthFunction:
     m = _mapping(node, key)
-    kind = _str(_require(m, "kind", key, node), f"{key}.kind")
-    try:
-        if kind == "monod":
-            _reject_unknown(m, ("kind", "mu_max", "k"), key, node)
-            return Monod(
-                mu_max=_float(_require(m, "mu_max", key, node), f"{key}.mu_max"),
-                k=_float(_require(m, "k", key, node), f"{key}.k"),
-            )
-        if kind == "hill":
-            _reject_unknown(m, ("kind", "mu_max", "k", "p"), key, node)
-            return Hill(
-                mu_max=_float(_require(m, "mu_max", key, node), f"{key}.mu_max"),
-                k=_float(_require(m, "k", key, node), f"{key}.k"),
-                p=_float(_require(m, "p", key, node), f"{key}.p"),
-            )
-        if kind == "table":
-            _reject_unknown(m, ("kind", "points"), key, node)
-            pts_node = _require(m, "points", key, node)
-            p_nodes = _sequence(pts_node, f"{key}.points")
-            pts = []
-            for i, p_node in enumerate(p_nodes):
-                pair = _sequence(p_node, f"{key}.points[{i}]")
-                if len(pair) != 2:
-                    raise _fail(f"{key}.points[{i}]", p_node, "expected a [s, mu] pair")
-                pts.append(
-                    (
-                        _float(pair[0], f"{key}.points[{i}][0]"),
-                        _float(pair[1], f"{key}.points[{i}][1]"),
-                    )
-                )
-            # Table refuses these too; checked here first to name the node.
-            if pts and pts[0] != (0.0, 0.0):
-                raise _fail(f"{key}.points[0]", p_nodes[0], "first node must be [0, 0], so that mu(0) = 0")
-            for i in range(1, len(pts)):
-                if not pts[i][0] > pts[i - 1][0]:
-                    raise _fail(f"{key}.points[{i}]", p_nodes[i], "node substrate values must increase strictly")
-                if not pts[i][1] > pts[i - 1][1]:
-                    raise _fail(f"{key}.points[{i}]", p_nodes[i], "node rates must increase strictly")
-            return Table(points=tuple(pts))
-    except ChemostatError as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise _fail(key, node, str(exc)) from exc
-    raise _fail(f"{key}.kind", node, f"unknown growth kind {kind!r}")
+    kind_node = _require(m, "kind", key, node)
+    law = _LAWS.get(_str(kind_node, f"{key}.kind"))
+    if law is None:
+        raise _fail(f"{key}.kind", kind_node, f"unknown growth kind {kind_node.value!r}")
+    names = [f.name for f in fields(law)]
+    _reject_unknown(m, ("kind", *names), key)
+    read = _points if law is Table else _float
+    return _build(law, key, m, **{n: read(_require(m, n, key, node), f"{key}.{n}") for n in names})
 
 
 def parse_scenario(path: str) -> Scenario:
-    """Read and fully validate a scenario file.
+    """Read a scenario file, walking its YAML nodes against the schema.
 
-    Raises :class:`InputError` naming the offending key and line for every
-    syntactic or semantic defect.
+    The walk checks shapes, keys, number syntax, ids and the density count;
+    each type it builds checks its own hypotheses and ranges.  Raises
+    :class:`InputError` naming the offending key and line for every defect.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -173,90 +184,54 @@ def parse_scenario(path: str) -> Scenario:
         raise InputError(f"scenario file {path!r} is empty")
 
     top = _mapping(root, "scenario")
-    _reject_unknown(
-        top,
-        ("params", "species", "initial", "horizon", "tolerances"),
-        "",
-        root,
-    )
+    _reject_unknown(top, ("params", "species", "initial", "horizon", "tolerances"), "")
 
     params_node = _require(top, "params", "", root)
     pm = _mapping(params_node, "params")
-    _reject_unknown(pm, ("dilution", "s_in"), "params", params_node)
+    _reject_unknown(pm, ("dilution", "s_in"), "params")
     d = _float(_require(pm, "dilution", "params", params_node), "params.dilution")
     s_in = _float(_require(pm, "s_in", "params", params_node), "params.s_in")
-    if d <= 0.0:
-        raise _fail("params.dilution", pm["dilution"], "must be > 0")
-    if s_in <= 0.0:
-        raise _fail("params.s_in", pm["s_in"], "must be > 0")
+    params = _build(ChemostatParams, "params", pm, d=d, s_in=s_in)
     if not math.isfinite(PROBE_FACTOR * s_in):
         raise _fail("params.s_in", pm["s_in"], f"too large for the break-even probe bound {PROBE_FACTOR:g} * s_in")
-    params = ChemostatParams(d=d, s_in=s_in)
 
-    species_node = _require(top, "species", "", root)
-    species: list[tuple[str, GrowthFunction]] = []
-    seen = set()
-    entries = _sequence(species_node, "species")
+    entries = _sequence(_require(top, "species", "", root), "species")
     if not entries:
-        raise _fail("species", species_node, "need at least one species")
+        raise _fail("species", top["species"], "need at least one species")
+    species: dict[str, GrowthFunction] = {}
     for i, s_node in enumerate(entries):
-        sm = _mapping(s_node, f"species[{i}]")
-        _reject_unknown(sm, ("id", "growth"), f"species[{i}]", s_node)
-        sid = _str(_require(sm, "id", f"species[{i}]", s_node), f"species[{i}].id")
+        key = f"species[{i}]"
+        sm = _mapping(s_node, key)
+        _reject_unknown(sm, ("id", "growth"), key)
+        sid = _str(_require(sm, "id", key, s_node), f"{key}.id")
         # Ids are written unquoted into CSV headers and comma-joined lists.
         if not sid.isprintable() or "," in sid or '"' in sid:
-            raise _fail(f"species[{i}].id", sm["id"], f"id {sid!r} must be printable, without ',' or '\"'")
-        if sid in seen:
-            raise _fail(f"species[{i}].id", sm["id"], f"duplicate id {sid!r}")
-        seen.add(sid)
-        growth = _growth_from_node(
-            _require(sm, "growth", f"species[{i}]", s_node), f"species[{i}].growth"
-        )
-        species.append((sid, growth))
+            raise _fail(f"{key}.id", sm["id"], f"id {sid!r} must be printable, without ',' or '\"'")
+        if sid in species:
+            raise _fail(f"{key}.id", sm["id"], f"duplicate id {sid!r}")
+        species[sid] = _growth_from_node(_require(sm, "growth", key, s_node), f"{key}.growth")
 
     initial_node = _require(top, "initial", "", root)
     im = _mapping(initial_node, "initial")
-    _reject_unknown(im, ("s", "x"), "initial", initial_node)
+    _reject_unknown(im, ("s", "x"), "initial")
     s0 = _float(_require(im, "s", "initial", initial_node), "initial.s")
     x_nodes = _sequence(_require(im, "x", "initial", initial_node), "initial.x")
     if len(x_nodes) != len(species):
-        raise _fail(
-            "initial.x",
-            im["x"],
-            f"expected {len(species)} densities for {len(species)} species, got {len(x_nodes)}",
-        )
-    x0 = [_float(n, f"initial.x[{j}]") for j, n in enumerate(x_nodes)]
-    if s0 < 0.0:
-        raise _fail("initial.s", im["s"], "must be >= 0")
-    for j, v in enumerate(x0):
-        if v < 0.0:
-            raise _fail(f"initial.x[{j}]", x_nodes[j], "must be >= 0")
-    initial = State(s=s0, x=np.array(x0))
+        n = len(species)
+        raise _fail("initial.x", im["x"], f"expected {n} densities for {n} species, got {len(x_nodes)}")
+    x0 = [_float(x_node, f"initial.x[{j}]") for j, x_node in enumerate(x_nodes)]
+    initial = _build(State, "initial", im, s=s0, x=x0)
 
     if "horizon" in top:
         horizon = _float(top["horizon"], "horizon")
-        if horizon <= 0.0:
-            raise _fail("horizon", top["horizon"], "must be > 0")
     else:
         horizon = 100.0 / d
         if not math.isfinite(horizon):
             raise _fail("params.dilution", pm["dilution"], "too small for the default horizon 100 / dilution")
 
-    tols = Tolerances()
-    if "tolerances" in top:
-        tm = _mapping(top["tolerances"], "tolerances")
-        allowed = ("rel_tol", "abs_tol")
-        _reject_unknown(tm, allowed, "tolerances", top["tolerances"])
-        values = {k: _float(tm[k], f"tolerances.{k}") for k in allowed if k in tm}
-        for k, v in values.items():
-            if not 0.0 < v < 1.0:
-                raise _fail(f"tolerances.{k}", tm[k], "must lie in (0, 1)")
-        tols = Tolerances(**values)
+    tm = _mapping(top["tolerances"], "tolerances") if "tolerances" in top else {}
+    _reject_unknown(tm, ("rel_tol", "abs_tol"), "tolerances")
+    tols = _build(Tolerances, "tolerances", tm, **{k: _float(v, f"tolerances.{k}") for k, v in tm.items()})
 
-    return Scenario(
-        params=params,
-        species=tuple(species),
-        initial=initial,
-        horizon=horizon,
-        tolerances=tols,
-    )
+    values = dict(params=params, species=tuple(species.items()), initial=initial, horizon=horizon, tolerances=tols)
+    return _build(Scenario, "", top, **values)

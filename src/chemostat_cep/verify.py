@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .certificate import GRID_N, Certificate, build_certificate
+from .certificate import GRID_N, Certificate, build_certificate, json_number
 from .dynamics import ChemostatParams, State, predicted_limit
 from .errors import CertificateError, ChemostatError
 from .growth import (
@@ -80,8 +80,8 @@ class VerificationReport:
                     "id": c.claim_id,
                     "applicable": c.applicable,
                     "pass": c.passed,
-                    "measured": _json_safe(c.measured),
-                    "thresholds": _json_safe(c.thresholds),
+                    "measured": {k: json_number(v) for k, v in c.measured.items()},
+                    "thresholds": {k: json_number(v) for k, v in c.thresholds.items()},
                     "detail": c.detail,
                 }
                 for c in self.claims
@@ -108,18 +108,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)
-
-
-def _json_safe(d: Mapping) -> dict:
-    out = {}
-    for k, v in d.items():
-        if isinstance(v, float):
-            if math.isinf(v):
-                v = "inf" if v > 0 else "-inf"
-            elif math.isnan(v):
-                v = "nan"
-        out[k] = v
-    return out
 
 
 def fit_log_decay(

@@ -19,6 +19,8 @@ from chemostat_cep import Hill, InputError, Monod, Scenario, State, Table, order
 from chemostat_cep import cli, integrate
 from chemostat_cep import scenario as scenario_mod
 from chemostat_cep.cli import main, write_trajectory_csv
+from chemostat_cep.errors import ParameterError
+from chemostat_cep.scenario import Tolerances
 from chemostat_cep.verify import scenario_digest
 
 from conftest import make_scenario
@@ -537,6 +539,55 @@ class TestHillOverflowScenario:
             assert all(claim["pass"] for claim in report["claims"])
 
 
+BLOCK_HILL_YAML = """\
+params:
+  dilution: 1.0
+  s_in: 10.0
+species:
+  - id: sp1
+    growth:
+      kind: hill
+      mu_max: 3.0
+      k: 1.0
+      p: 2.0
+initial:
+  s: 10.0
+  x: [0.01]
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("mu_max: 3.0", "mu_max: 0.0", "species[0].growth.mu_max: must be finite and > 0, got 0.0 (line 8)"),
+        ("k: 1.0", "k: -1.0", "species[0].growth.k: must be finite and > 0, got -1.0 (line 9)"),
+        ("p: 2.0", "p: 0.5", "species[0].growth.p: must be finite and >= 1, got 0.5 (line 10)"),
+    ],
+)
+def test_law_parameter_refusal_names_its_key_and_line(old, new, message, tmp_path, capsys):
+    # The law refuses the value; the parser names its key and its own line,
+    # not the law's first line.
+    path = tmp_path / "block.yaml"
+    path.write_text(BLOCK_HILL_YAML.replace(old, new))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+@pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -1e-8, math.nan])
+def test_tolerances_refused_at_construction(key, value):
+    with pytest.raises(ParameterError) as exc:
+        Tolerances(**{key: value})
+    assert exc.value.field == key and exc.value.reason.startswith("must lie in (0, 1)")
+
+
+@pytest.mark.parametrize("horizon", [-1.0, 0.0, math.inf, math.nan])
+def test_scenario_horizon_refused_at_construction(horizon):
+    with pytest.raises(ParameterError) as exc:
+        make_scenario(horizon=horizon)
+    assert exc.value.field == "horizon"
+
+
 def _with_table(points: str) -> str:
     """The canonical scenario with sp2 (line 8) replaced by a table law."""
     return CANONICAL_YAML.replace(
@@ -751,10 +802,41 @@ def test_parser_returns_a_scenario_or_raises_input_error(leaf, value, tmp_path_f
         del parent[leaf[-1]]
     else:
         parent[leaf[-1]] = value
+    text = yaml.safe_dump(doc)
     path = tmp_path_factory.mktemp("doc") / "scenario.yaml"
-    path.write_text(yaml.safe_dump(doc))
+    path.write_text(text)
     try:
         parsed = parse_scenario(str(path))
-    except InputError:
+    except InputError as exc:
+        if _names_its_own_key(leaf):
+            # safe_dump gives each value its own line; a dropped key is
+            # named at the line of the mapping that lost it.
+            node_path = leaf[:-1] if value is _MISSING else leaf
+            line = _node_line(text, node_path)
+            assert exc.field == _key_path(leaf), str(exc)
+            assert str(exc).endswith(f" (line {line})"), str(exc)
         return
     assert isinstance(parsed, Scenario)
+
+
+def _names_its_own_key(leaf) -> bool:
+    """Whether a refusal of this leaf names the leaf itself.
+
+    A table node's refusal may name a neighbouring node, and an id's a
+    later duplicate; a changed kind asks for other parameters, and a
+    dropped density changes the count.
+    """
+    if leaf[0] == "species":
+        return leaf[2:3] == ("growth",) and leaf[3] in ("mu_max", "k", "p")
+    return leaf[0] in ("params", "horizon", "tolerances") or leaf == ("initial", "s")
+
+
+def _key_path(leaf) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else (f".{k}" if i else k) for i, k in enumerate(leaf))
+
+
+def _node_line(text: str, path) -> int:
+    node = yaml.compose(text)
+    for key in path:
+        node = node.value[key] if isinstance(key, int) else next(v for k, v in node.value if k.value == key)
+    return node.start_mark.line + 1

@@ -149,6 +149,26 @@ class TestOriginalField:
         with pytest.raises(DomainError):
             State(s=1.0, x=np.array([1.0, -0.5]))
 
+    @pytest.mark.parametrize(
+        "s, x, field, reason",
+        [
+            (-1.0, [1.0, 1.0], "s", "must be >= 0"),
+            (math.inf, [1.0, 1.0], "s", "must be finite"),
+            (1.0, [1.0, -0.5, 2.0], "x[1]", "must be >= 0"),
+            (1.0, [1.0, 2.0, math.nan], "x[2]", "must be finite"),
+            (1.0, [-1.0, -math.inf], "x[0]", "must be >= 0"),
+        ],
+    )
+    def test_state_refusal_names_its_component(self, s, x, field, reason):
+        with pytest.raises(DomainError) as exc:
+            State(s=s, x=np.array(x))
+        assert (exc.value.field, exc.value.reason, str(exc.value)) == (field, reason, f"{field}: {reason}")
+
+    def test_params_refusal_names_its_field(self):
+        with pytest.raises(ParameterError) as exc:
+            ChemostatParams(d=1.0, s_in=-2.0)
+        assert (exc.value.field, str(exc.value)) == ("s_in", "s_in: must be finite and > 0, got -2.0")
+
 
 class TestTransformedField:
     def test_single_species_proportion_frozen(self):

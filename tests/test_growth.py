@@ -168,6 +168,30 @@ class TestBreakEven:
         with pytest.raises(ParameterError, match="node rates must increase strictly"):
             Table(((0.0, 0.0), (1.0, 0.5), (2.0, 0.4)))
 
+    @pytest.mark.parametrize(
+        "points, i, reason",
+        [
+            (((0.5, 0.0), (1.0, 1.0)), 0, "first node must be [0, 0], so that mu(0) = 0"),
+            (((0.0, 0.0), (2.0, 1.0), (1.0, 2.0)), 2, "node substrate values must increase strictly"),
+            (((0.0, 0.0), (1.0, 0.5), (2.0, 0.5)), 2, "node rates must increase strictly"),
+            (((0.0, 0.0), (1.0, 0.5), (math.inf, 3.0)), 2, "node must be finite"),
+        ],
+    )
+    def test_table_refusal_names_its_node(self, points, i, reason):
+        with pytest.raises(ParameterError) as exc:
+            Table(points)
+        assert (exc.value.field, exc.value.reason) == (f"points[{i}]", reason)
+        assert str(exc.value) == f"points[{i}]: {reason}"
+
+    @pytest.mark.parametrize(
+        "law, field",
+        [(lambda: Monod(0.0, 1.0), "mu_max"), (lambda: Hill(1.0, math.nan, 2.0), "k"), (lambda: Hill(1.0, 1.0, 0.5), "p")],
+    )
+    def test_law_parameter_refusal_names_its_field(self, law, field):
+        with pytest.raises(ParameterError) as exc:
+            law()
+        assert exc.value.field == field and str(exc.value).startswith(f"{field}: must be finite and ")
+
     def test_probe_bound_respected(self):
         # root sits at 1e5, probe stops at 1e3
         g = Monod(2.0, 1e5)
