@@ -11,7 +11,7 @@ Python source, in which every law's scalar rate is spelled out with its
 parameters as float literals; a system with many gets one numpy expression
 over its Monod laws.  Both give the bits of one per-species loop.  The
 compiled body also takes and returns tuples of floats, which is how the
-integrator's compiled trial step calls it.
+integrator's compiled step loop calls it.
 """
 
 from __future__ import annotations

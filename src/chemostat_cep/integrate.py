@@ -2,21 +2,23 @@
 
 The stepper is the classic Dormand-Prince 4(5) pair with a
 proportional-integral step controller and the standard quartic continuous
-extension.  It has two trial steps under one controller, chosen by the
-state size:
+extension.  Its whole step loop is generated Python source
+(``_loop_source``), compiled once per state size and cached, in which the
+controller is written once and one of two trial steps plugs in, chosen by
+the state size:
 
-- A state of at most ``_FLOAT_TRIAL_MAX_SIZE`` entries takes the
-  trial compiled once per size from straight-line Python source
-  (``_trial_source``).  Each combination y + h (a . k) is summed per
-  component in Python floats, left to right, as y + (h a_0) k0 +
-  (h a_1) k1 + ..., with every weight h a_j formed first and zero weights
-  left out; the error norm's squares are summed left to right too.  It
-  uses neither SIMD nor BLAS: its trajectories have the same bits under
-  OpenBLAS's SkylakeX, Haswell and Prescott kernels and without numpy's
-  AVX-512 loops.
-- A larger state takes the ``np.dot`` trial: each combination is one
-  ``np.dot`` (1, h a) . (y, k0..k6) of a row of the folded table against
-  the stage matrix ``KY``, whose summation order the BLAS kernel sets.
+- A state of at most ``_FLOAT_TRIAL_MAX_SIZE`` entries has the trial
+  inlined in the loop compiled for its size, over local floats.  Each
+  combination y + h (a . k) is summed per component, left to right, as
+  y + (h a_0) k0 + (h a_1) k1 + ..., with every weight h a_j formed first
+  and zero weights left out; the error norm's squares are summed left to
+  right too.  It uses neither SIMD nor BLAS: its trajectories have the
+  same bits under OpenBLAS's SkylakeX, Haswell and Prescott kernels and
+  without numpy's AVX-512 loops.
+- A larger state takes the ``np.dot`` trial, in one loop compiled for
+  every such size: each combination is one ``np.dot`` (1, h a) . (y,
+  k0..k6) of a row of the folded table against the stage matrix ``KY``,
+  whose summation order the BLAS kernel sets.
 
 Identical inputs give bit-identical trajectories on one platform, and on
 the ``np.dot`` trial on one BLAS kernel.
@@ -74,10 +76,11 @@ _FAC_SHRINK_MAX = 5.0   # new step no smaller than h / 5
 _FAC_GROW_MAX = 0.1     # new step no larger than 10 h
 _MAX_STEPS = 5_000_000  # safety net against livelock on hostile inputs
 
-# State sizes (1 + the number of laws) up to which ``simulate`` steps by the
-# trial compiled for the size, which calls the right-hand side with tuples:
-# the plain-float body takes them, and every such state gets it, since it
-# has fewer than ``dynamics._ARRAY_FIELD_MIN_LAWS`` laws.  Provisional: with
+# State sizes (1 + the number of laws) up to which ``simulate`` runs the loop
+# compiled for the size, whose inlined trial calls the right-hand side with
+# tuples: the plain-float body takes them, and every such state gets it,
+# since it has fewer than ``dynamics._ARRAY_FIELD_MIN_LAWS`` laws.  Read at
+# call time.  Provisional: with
 # every plain-float size compiled, the change/parent ratio of ``simulate``
 # per species count on the export-mixed pool of seed 1
 # (``tools/phase_times.py``, 2-core x86-64 VM) was 0.90-0.91 at 12-14
@@ -88,6 +91,14 @@ _MAX_STEPS = 5_000_000  # safety net against livelock on hostile inputs
 # that follows the harness's heap layout more than the program's memory;
 # measure it again once ``peak_rss_mb`` tracks the program.
 _FLOAT_TRIAL_MAX_SIZE = 12
+
+# Accepted steps whose rows the compiled float loop keeps as Python floats
+# before it turns them into one array block.  The floats take about 0.6 kB
+# per step at 6 entries against 0.2 kB in an array: kept for a whole run
+# (up to about 700 steps on sweep-small), they raised that workload's peak
+# RSS by about 0.7 MB; in blocks of 64 steps it stays at the level of a
+# per-step numpy write, at the same speed.
+_ROW_BLOCK = 64
 
 _B_ZERO = 1e-12  # biomass floor below which proportions are undefined
 
@@ -186,99 +197,184 @@ def _initial_step(f, y0, f0, horizon, rel_tol, abs_tol) -> tuple[float, int]:
     return min(100.0 * h0, h1, horizon), 1
 
 
-def _trial_source(size: int) -> str:
-    """Python source of the trial step for states of ``size`` entries.
+def _loop_source(size: int | None) -> str:
+    """Python source of the adaptive step loop for states of ``size`` entries.
 
-    It defines ``trial(f, h, y, k0, scale, rel_tol, abs_tol)`` for the state
-    ``y``, its derivative ``k0`` and its error scale ``scale``, all tuples
-    of floats, which returns (err, min of y_new, y_new, k6,
-    abs_tol + rel_tol |y_new|, (k2, k3, k4, k5)); and
-    ``dense(k0, k2, k3, k4, k5, k6)``, the combination D K of an accepted
-    step.  Each combination is written out per component as
-    y + (h a_0) k0 + (h a_1) k1 + ..., summed left to right with every
-    weight h a_j formed first; zero weights are left out.  Each stage
-    derivative is a call of ``f`` with a tuple.
+    It defines ``run(f, y, k, rel_tol, abs_tol, h, horizon, min_step,
+    max_steps)``, which steps from the state ``y`` (an array) with
+    derivative ``k`` = f(y) and first step ``h`` until t reaches the
+    horizon, and returns (status, t, y_end, n_accepted, n_rejected, times,
+    sizes, conts).  status is None when t reached the horizon,
+    ``"underflow"`` when the controller's proposal fell below ``min_step``
+    or no longer moves t, and ``"budget"`` when ``max_steps`` trial steps
+    were made; y_end is the state at t, the end of the last accepted step;
+    times are the step ends from 0 and sizes the step sizes; conts holds
+    the raw rows [-, y_new, k0, k6, D K] of each accepted step, row 0 unset.
+
+    The controller is written here once: the PI step control, the
+    acceptance, the rejection of a step that is not finite or ends below
+    zero, the step budget and the underflow checks.  The trial step plugs
+    into it:
+
+    - ``size`` None: the ``np.dot`` trial of ``_dot_trial``, its
+      ``trial(h, c)`` writing y_new into the current block ``c`` of the
+      buffer ``conts`` and its ``accept(c)`` the block's other rows; the
+      buffer doubles when full.  One source serves every state size.
+    - ``size`` an int: the trial inlined as straight-line source over
+      local floats, which keep the state, k0 and the error scale across
+      steps.  Each combination is written out per component as
+      y + (h a_0) k0 + (h a_1) k1 + ..., summed left to right with every
+      weight h a_j formed first; zero weights are left out.  The error
+      norm divides by the larger of the two scales and sums its squares
+      left to right.  Each stage derivative is a call of ``f`` with a
+      tuple.  An accepted step appends its rows as one flat tuple to a
+      list, which becomes an array block every ``_ROW_BLOCK`` steps; the
+      blocks become ``conts`` after the loop.
     """
-    comps = range(size)
+    if size is None:
+        head = [
+            "trial, accept = dot_trial(f, y, k, rel_tol, abs_tol)",
+            "conts = np.empty((64, 5, y.size))",
+            "c = conts[0]",
+        ]
+        step = ["err, low = trial(h, c)"]
+        # only the stale view ``c`` points into the full buffer, so it may move
+        take = [
+            "accept(c)",
+            "if n_acc == len(conts):",
+            "    conts.resize((2 * n_acc, 5, y.size), refcheck=False)",
+            "c = conts[n_acc]",
+        ]
+        tail = ["if n_acc:", "    y = conts[n_acc - 1, 1].copy()", "conts.resize((n_acc, 5, y.size), refcheck=False)"]
+    else:
+        comps = range(size)
 
-    def names(prefix: str) -> str:
-        return "".join(f"{prefix}{c}, " for c in comps)
+        def names(prefix: str) -> str:
+            return "".join(f"{prefix}{c}, " for c in comps)
 
-    def weights(w: str, row) -> list[str]:
-        return [f"    {w}{j} = h * {a!r}" for j, a in enumerate(row) if a != 0.0]
+        def weights(w: str, row) -> list[str]:
+            return [f"{w}{j} = h * {a!r}" for j, a in enumerate(row) if a != 0.0]
 
-    def sums(w: str, row, start: str = "") -> list[str]:
-        """Per component: ``start`` + w_j k_j over the nonzero weights, left to right."""
-        return [
-            " + ".join([start.format(c)] * bool(start) + [f"{w}{j} * k{j}_{c}" for j, a in enumerate(row) if a != 0.0])
-            for c in comps
+        def sums(w: str, row, start: str = "") -> list[str]:
+            """Per component: ``start`` + w_j k_j over the nonzero weights, left to right."""
+            terms = [(j, a) for j, a in enumerate(row) if a != 0.0]
+            return [
+                " + ".join([start.format(c)] * bool(start) + [f"{w}{j} * k{j}_{c}" for j, a in terms])
+                for c in comps
+            ]
+
+        def tuple_of(items: list[str]) -> str:
+            return "(" + "".join(f"{item}, " for item in items) + ")"
+
+        head = [
+            "k0 = tuple(k.tolist())",
+            f"{names('y')}= y.tolist()",
+            f"{names('k0_')}= k0",
+            f"{names('sc')}= [abs_tol + rel_tol * abs(v) for v in y.tolist()]",
+            *(f"d{j} = {a!r}" for j, a in enumerate(_D.tolist()) if a != 0.0),
+            "rows = []",
+            "blocks = []",
+        ]
+        step = []
+        for i, row in enumerate(_A, 1):
+            stage = tuple_of(sums(f"a{i}_", row, "y{}"))
+            step += [*weights(f"a{i}_", row), f"{names(f'k{i}_')}= f({stage})"]
+        step += [*weights("b", _B), f"yn = {tuple_of(sums('b', _B, 'y{}'))}", f"{names('n')}= yn"]
+        step += ["k6 = f(yn)", f"{names('k6_')}= k6", *weights("e", _E)]
+        for c, error in zip(comps, sums("e", _E)):
+            step += [f"sn{c} = abs_tol + rel_tol * abs(n{c})", f"q{c} = ({error}) / (sc{c} if sc{c} > sn{c} else sn{c})"]
+        squares = " + ".join(f"q{c} * q{c}" for c in comps)
+        step += [f"err = sqrt(({squares}) / {size})", "low = min(yn)"]
+        tops = [" + ".join(f"d{j} * k{j}_{c}" for j, a in enumerate(_D.tolist()) if a != 0.0) for c in comps]
+        take = [
+            f"rows.append(yn + k0 + k6 + {tuple_of(tops)})",
+            f"if len(rows) == {_ROW_BLOCK}:",
+            "    blocks.append(np.array(rows, float))",
+            "    rows = []",
+            f"{names('y')}= yn",
+            "k0 = k6",
+            f"{names('k0_')}= k6",
+            f"{names('sc')}= {names('sn')}",
+        ]
+        tail = [
+            f"y = np.array(({names('y')}))",
+            f"conts = np.empty((n_acc, 5, {size}))",
+            f"blocks.append(np.array(rows, float).reshape(-1, {4 * size}))",
+            f"conts[:, 1:] = np.concatenate(blocks).reshape(n_acc, 4, {size})",
         ]
 
-    def tuple_of(items: list[str]) -> str:
-        return "(" + "".join(f"{item}, " for item in items) + ")"
+    def block(indent: int, lines: list[str]) -> list[str]:
+        return [" " * indent + line for line in lines]
 
-    lines = ["def trial(f, h, y, k0, scale, rel_tol, abs_tol):", f"    {names('y')}= y", f"    {names('k0_')}= k0"]
-    for i, row in enumerate(_A, 1):
-        lines += weights(f"a{i}_", row)
-        lines += [f"    k{i} = f({tuple_of(sums(f'a{i}_', row, 'y{}'))})", f"    {names(f'k{i}_')}= k{i}"]
-    lines += weights("b", _B)
-    lines += [f"    yn = {tuple_of(sums('b', _B, 'y{}'))}", f"    {names('n')}= yn"]
-    lines += ["    k6 = f(yn)", f"    {names('k6_')}= k6", f"    {names('sc')}= scale"]
-    lines += weights("e", _E)
-    for c, error in zip(comps, sums("e", _E)):
-        lines += [
-            f"    sn{c} = abs_tol + rel_tol * abs(n{c})",
-            f"    q{c} = ({error}) / (sc{c} if sc{c} > sn{c} else sn{c})",
-        ]
-    squares = " + ".join(f"q{c} * q{c}" for c in comps)
-    lines.append(f"    return sqrt(({squares}) / {size}), min(yn), yn, k6, ({names('sn')}), (k2, k3, k4, k5)")
-    tops = [" + ".join(f"{a!r} * k{j}[{c}]" for j, a in enumerate(_D.tolist()) if a != 0.0) for c in comps]
-    lines += ["def dense(k0, k2, k3, k4, k5, k6):", f"    return {tuple_of(tops)}"]
-    return "\n".join(lines)
+    grow, shrink = _FAC_GROW_MAX, _FAC_SHRINK_MAX
+
+    return "\n".join([
+        "def run(f, y, k, rel_tol, abs_tol, h, horizon, min_step, max_steps):",
+        *block(4, head),
+        "    t = 0.0",
+        "    times = [t]",
+        "    sizes = []",
+        "    n_acc = n_rej = 0",
+        "    fac_old = 1e-4",
+        "    status = None",
+        "    while t < horizon:",
+        # Judge underflow on the controller's proposal, not on the final
+        # sliver left before the horizon, which may be one ulp wide.
+        "        rest = horizon - t",
+        "        if h < min_step or t + (rest if rest < h else h) <= t:",
+        "            status = 'underflow'",
+        "            break",
+        "        if rest < h:",
+        "            h = rest",
+        "        if n_acc + n_rej >= max_steps:",
+        "            status = 'budget'",
+        "            break",
+        *block(8, step),
+        # Both RHS bodies give a non-finite derivative component j when
+        # component j of the state is non-finite, and E[6] K[6] carries it
+        # into the error vector's component j; so a non-finite y_new makes
+        # err non-finite (inf or NaN), and no scan of y_new is needed.  A
+        # step is taken when err is at most 1 and the end state's minimum
+        # is finite and >= 0 (a chained comparison is false for NaN).
+        "        if err <= 1.0 and 0.0 <= low < inf:",
+        "            sizes.append(h)",
+        "            t = t + h",
+        "            times.append(t)",
+        "            n_acc += 1",
+        *block(12, take),
+        f"            fac = err ** {_EXPO!r} / fac_old ** {_BETA!r} / {_SAFETY!r}",
+        f"            h = h / ({grow!r} if fac < {grow!r} else fac if fac < {shrink!r} else {shrink!r})",
+        "            fac_old = err if err > 1e-4 else 1e-4",
+        # Too large an error on a finite step: shrink it by the controller.
+        "        elif 1.0 < err < inf and -inf < low < inf:",
+        "            n_rej += 1",
+        f"            fac = err ** {_EXPO!r} / {_SAFETY!r}",
+        f"            h = h / (fac if fac < {shrink!r} else {shrink!r})",
+        # Overflow inside the step, or an end state below zero: reject as
+        # hard as possible.
+        "        else:",
+        "            n_rej += 1",
+        f"            h = h / {shrink!r}",
+        *block(4, tail),
+        "    return status, t, y, n_acc, n_rej, times, sizes, conts",
+    ])
 
 
 @functools.cache
-def _compiled_trial(size: int) -> tuple[Callable, Callable]:
-    """``trial`` and ``dense`` of ``_trial_source(size)``, compiled once per size."""
-    namespace: dict[str, object] = {"sqrt": math.sqrt}
-    exec(compile(_trial_source(size), f"<trial {size}>", "exec"), namespace)
-    return namespace["trial"], namespace["dense"]
-
-
-def _float_trial(f, y0: np.ndarray, k0: np.ndarray, rel_tol: float, abs_tol: float):
-    """The compiled trial step over tuples of floats, for a plain-float body ``f``.
-
-    Returns ``trial(h, c)``, which runs one trial step from the current
-    state and gives (err, min of y_new), and ``accept(c)``, which writes
-    the step's raw rows (y_new, k0, k6, D K) into ``c[1:]`` and makes
-    y_new the current state.
-    """
-    size = y0.size
-    step, dense = _compiled_trial(size)
-    y, k = tuple(y0.tolist()), tuple(k0.tolist())
-    scale = tuple((abs_tol + rel_tol * np.abs(y0)).tolist())
-    last = ()
-
-    def trial(h: float, c: np.ndarray) -> tuple[float, float]:
-        nonlocal last
-        last = step(f, h, y, k, scale, rel_tol, abs_tol)
-        return last[0], last[1]
-
-    def accept(c: np.ndarray) -> None:
-        nonlocal y, k, scale
-        _, _, y, k6, scale, ks = last
-        # one flat tuple into the contiguous rows 1-4, past numpy's nested-sequence path
-        c.reshape(-1)[size:] = y + k + k6 + dense(k, *ks, k6)
-        k = k6
-
-    return trial, accept
+def _compiled_loop(size: int | None) -> Callable:
+    """``run`` of ``_loop_source(size)``, compiled once per size (once for None)."""
+    namespace: dict[str, object] = {"sqrt": math.sqrt, "inf": math.inf, "np": np, "dot_trial": _dot_trial}
+    exec(compile(_loop_source(size), f"<step loop {size}>", "exec"), namespace)
+    return namespace["run"]
 
 
 def _dot_trial(f, y0: np.ndarray, k0: np.ndarray, rel_tol: float, abs_tol: float):
     """The trial step by BLAS products, for an ``f(y, out)`` body.
 
-    The same ``trial(h, c)`` and ``accept(c)`` as ``_float_trial``; the
-    trial writes y_new into ``c[1]`` at once.  KY = (y, k0..k6), with k0 =
+    Returns ``trial(h, c)``, which runs one trial step from the current
+    state, writes y_new into ``c[1]`` and gives (err, min of y_new), and
+    ``accept(c)``, which writes the step's other raw rows (k0, k6, D K)
+    into ``c[2:]`` and makes y_new the current state.  KY = (y, k0..k6), with k0 =
     f(y) carried over (first same as last); the folded table hT is _TABLE
     with columns 1-7 scaled by h.  Every combination is one ``np.dot`` of
     a row of hT against KY, through views sliced once.
@@ -338,18 +434,20 @@ def simulate(
     :class:`DivergenceError` if the state leaves the finite range.
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ParameterError(f"horizon must be finite and > 0, got {horizon!r}")
-    if not (0.0 < rel_tol < 1.0) or not (0.0 < abs_tol < 1.0):
-        raise ParameterError("tolerances must lie in (0, 1)")
+        raise ParameterError(f"must be finite and > 0, got {horizon!r}", field="horizon")
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not 0.0 < tol < 1.0:
+            raise ParameterError(f"must lie in (0, 1), got {tol!r}", field=name)
     if len(growths) != x0.n:
         raise ParameterError("growth law count must match species count")
     dense_dt = horizon / DENSE_INTERVALS
     if not dense_dt > 0.0:
-        raise ParameterError(f"horizon {horizon!r} too small for {DENSE_INTERVALS} dense intervals")
+        raise ParameterError(
+            f"must leave {DENSE_INTERVALS} dense intervals a positive width, got {horizon!r}", field="horizon"
+        )
 
     f = vector_field(params, growths)
     y0 = np.concatenate(([x0.s], x0.x)).astype(float)
-    t = 0.0
     k0 = f(y0, np.empty_like(y0))
     # Below this step size the explicit pair cannot make useful progress on
     # the requested horizon; treat it as stiffness (or divergence when the
@@ -360,68 +458,19 @@ def simulate(
     # derivative (s0 = 1e-12, no biomass); the controller corrects it.
     h = max(h, min_step)
     first_step = h
-    trial, accept = (_float_trial if y0.size <= _FLOAT_TRIAL_MAX_SIZE else _dot_trial)(f, y0, k0, rel_tol, abs_tol)
-
-    step_times = [0.0]
-    step_sizes = []
-    # Raw rows of the interpolant, one (5, dim) block per accepted step:
-    # row 1 the end state, rows 2 and 3 the end derivatives, row 4 D K,
-    # finished in place after the loop.  The buffer doubles when full and
-    # is cut to the step count at the end.
-    conts = np.empty((64, 5, y0.size))
-    c = conts[0]
-
-    n_accepted = 0
-    n_rejected = 0
-    fac_old = 1e-4
-
+    max_steps = _MAX_STEPS
+    run = _compiled_loop(y0.size if y0.size <= _FLOAT_TRIAL_MAX_SIZE else None)
     with np.errstate(over="ignore", invalid="ignore"):
-        while t < horizon:
-            # Judge underflow on the controller's proposal, not on the final
-            # sliver left before the horizon, which may be one ulp wide.
-            if h < min_step or t + min(h, horizon - t) <= t:
-                y = conts[n_accepted - 1, 1] if n_accepted else y0
-                if float(np.max(np.abs(y))) > 1e100:
-                    raise DivergenceError(t, y, "state grew beyond any physical scale")
-                raise StiffnessError(t, y)
-            h = min(h, horizon - t)
-            if n_accepted + n_rejected >= _MAX_STEPS:
-                y = conts[n_accepted - 1, 1] if n_accepted else y0
-                raise StiffnessError(t, y, f"step budget of {_MAX_STEPS} exhausted")
+        status, t, y, n_accepted, n_rejected, step_times, step_sizes, conts = run(
+            f, y0, k0, rel_tol, abs_tol, h, horizon, min_step, max_steps
+        )
+        if status == "budget":
+            raise StiffnessError(t, y, f"step budget of {max_steps} exhausted")
+        if status == "underflow":
+            if float(np.max(np.abs(y))) > 1e100:
+                raise DivergenceError(t, y, "state grew beyond any physical scale")
+            raise StiffnessError(t, y)
 
-            err, low = trial(h, c)
-            # Both RHS bodies give a non-finite derivative component j when
-            # component j of the state is non-finite, and E[6] K[6] carries
-            # it into the error vector's component j; so a non-finite y_new
-            # makes err non-finite (inf or NaN), and no scan of y_new is needed.
-            if not math.isfinite(err) or not math.isfinite(low) or (err <= 1.0 and low < 0.0):
-                # Overflow inside the trial step, or an end state outside the
-                # positive orthant: reject as hard as possible.
-                n_rejected += 1
-                h = h / _FAC_SHRINK_MAX
-                continue
-
-            if err <= 1.0:
-                accept(c)
-                step_sizes.append(h)
-
-                t = t + h
-                step_times.append(t)
-                n_accepted += 1
-                if n_accepted == conts.shape[0]:
-                    # only the stale view ``c`` points into it, so it may move
-                    conts.resize((2 * n_accepted,) + conts.shape[1:], refcheck=False)
-                c = conts[n_accepted]
-
-                fac = (err**_EXPO) / (fac_old**_BETA)
-                fac = max(_FAC_GROW_MAX, min(_FAC_SHRINK_MAX, fac / _SAFETY))
-                h = h / fac
-                fac_old = max(err, 1e-4)
-            else:
-                n_rejected += 1
-                h = h / min(_FAC_SHRINK_MAX, (err**_EXPO) / _SAFETY)
-
-    conts.resize((n_accepted,) + conts.shape[1:], refcheck=False)
     step_times_arr = np.array(step_times)
     # each step starts at the previous one's end row, which _finish_coeffs
     # overwrites, so the states are taken first

@@ -68,13 +68,14 @@ def _fail(key: str, node, message: str) -> InputError:
 
 
 def _mapping(node, key: str) -> dict:
+    """The keys of a mapping node; ``key`` is "" for the root, which a refusal names ``scenario``."""
     if not isinstance(node, yaml.MappingNode):
-        raise _fail(key, node, "expected a mapping")
+        raise _fail(key or "scenario", node, "expected a mapping")
     out = {}
     for k_node, v_node in node.value:
         k = str(k_node.value)
         if k in out:
-            raise _fail(f"{key}.{k}", k_node, "duplicate key")
+            raise _fail(f"{key}.{k}" if key else k, k_node, "duplicate key")
         out[k] = v_node
     return out
 
@@ -183,7 +184,7 @@ def parse_scenario(path: str) -> Scenario:
     if root is None:
         raise InputError(f"scenario file {path!r} is empty")
 
-    top = _mapping(root, "scenario")
+    top = _mapping(root, "")
     _reject_unknown(top, ("params", "species", "initial", "horizon", "tolerances"), "")
 
     params_node = _require(top, "params", "", root)

@@ -674,6 +674,22 @@ def test_removed_option_keys_exit_2(key, value, tmp_path, capsys):
     assert "input error: options: unknown key (line 19)" in capsys.readouterr().err
 
 
+def test_duplicate_top_level_key_exit_2(tmp_path, capsys):
+    # a top-level key is named bare, as in every other top-level refusal,
+    # at the line of its second occurrence
+    path = tmp_path / "duplicate.yaml"
+    path.write_text(CANONICAL_YAML + "params:\n  dilution: 2.0\n  s_in: 10.0\n")
+    assert main(["verify", str(path)]) == 2
+    assert "input error: params: duplicate key (line 18)" in capsys.readouterr().err
+
+
+def test_non_mapping_root_exit_2(tmp_path, capsys):
+    path = tmp_path / "list.yaml"
+    path.write_text("- 1\n- 2\n")
+    assert main(["verify", str(path)]) == 2
+    assert "input error: scenario: expected a mapping (line 1)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [("eps_p", "1.0e-4"), ("eps_final", "1.0e-3")])
 def test_removed_tolerance_keys_exit_2(key, value, tmp_path, capsys):
     # CANONICAL_YAML ends inside its tolerances block.

@@ -11,16 +11,18 @@ accepts but that end far below zero, so it pins their rejection.  Any
 change to the right-hand side or to the step loop that moves a single bit
 shows up here.
 
-``simulate`` has two trial steps.  A state of at most
-``integrate._FLOAT_TRIAL_MAX_SIZE`` entries takes the compiled trial, which
+``simulate`` runs a step loop compiled per state size, with one of two
+trial steps.  A state of at most ``integrate._FLOAT_TRIAL_MAX_SIZE``
+entries has the compiled trial, inlined in the loop for its size, which
 sums every combination per component in Python floats; a larger one takes
-the ``np.dot`` trial.  Every case is pinned on the ``np.dot`` trial (the cut
-forced to 0), and the cases small enough for it (canonical, mixed_5,
-clipped) also on the compiled trial.  On the ``np.dot`` trial the
-right-hand side has a plain-float body for few laws and an array body for
-many; every case runs there with each body forced, so both are pinned to
-the same bytes.  The compiled trial calls the plain-float body with tuples,
-so it has no second body.
+the ``np.dot`` trial, in one loop shared by every such size.  Every case is
+pinned on the ``np.dot`` trial (the cut forced to 0), and the cases small
+enough for it (canonical, mixed_5, clipped) also on the compiled trial.
+The controller is the same source in both loops.  On the ``np.dot`` trial
+the right-hand side has a plain-float body for few laws and an array body
+for many; every case runs there with each body forced, so both are pinned
+to the same bytes.  The compiled trial calls the plain-float body with
+tuples, so it has no second body.
 
 The last bits of ``pow`` and of numpy's loops may differ between CPUs and
 libraries, and every combination of the ``np.dot`` trial has its summation

@@ -146,6 +146,23 @@ class TestSimulate:
         with pytest.raises(ParameterError):
             simulate(PARAMS, [Monod(3, 1)], State(s=1.0, x=np.array([0.1])), **args)
 
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("horizon", -1.0, "must be finite and > 0"),
+            ("horizon", math.inf, "must be finite and > 0"),
+            ("horizon", 1e-321, "must leave 2000 dense intervals a positive width"),
+            ("rel_tol", 2.0, "must lie in (0, 1)"),
+            ("abs_tol", 0.0, "must lie in (0, 1)"),
+        ],
+    )
+    def test_bad_argument_names_its_field(self, field, value, reason):
+        args = {"horizon": 10.0, "rel_tol": 1e-8, "abs_tol": 1e-10, field: value}
+        with pytest.raises(ParameterError) as exc:
+            simulate(PARAMS, [Monod(3, 1)], State(s=1.0, x=np.array([0.1])), **args)
+        assert exc.value.field == field
+        assert str(exc.value) == f"{field}: {reason}, got {value!r}"
+
     def test_growth_count_mismatch(self):
         with pytest.raises(ParameterError):
             simulate(PARAMS, GROWTHS, State(s=1.0, x=np.array([0.1])), 10.0)
@@ -270,12 +287,29 @@ def trial_reference(f, h, y, k0, scale, rel_tol, abs_tol):
     return math.sqrt(squares / len(y)), min(y_new), y_new, ks[6], scale_new, tuple(top)
 
 
-class TestCompiledTrial:
-    """The compiled trial step, bit for bit against ``trial_reference``."""
+def bits(*parts) -> np.ndarray:
+    return np.hstack(parts).view(np.int64)
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestCompiledLoop:
+    """The step loop compiled per state size."""
 
     @pytest.mark.parametrize("h", [1e-3, 0.05, 0.4])
     @pytest.mark.parametrize("case", ["canonical", "mixed_5", "clipped"])
     def test_bitwise_equal_to_a_per_component_loop(self, case, h):
+        """The loop's first trial step of size ``h``, bit for bit against ``trial_reference``.
+
+        The loop keeps a trial's results in its locals, so they are read
+        from its frame when it starts the second trial, at the seventh call
+        of the right-hand side: err, min of y_new, y_new, k6 and the new
+        error scale, and, when the step was taken, its row (y_new, k0, k6,
+        D K) and the state, k0 and scale the next trial starts from.  D K
+        is formed only for a step that is taken.
+        """
         from test_golden_trajectories import cases
 
         params, growths, x0 = cases()[case][:3]
@@ -284,16 +318,132 @@ class TestCompiledTrial:
         k0 = f(y)
         rel_tol, abs_tol = 1e-8, 1e-10
         scale = tuple(abs_tol + rel_tol * abs(v) for v in y)
-        step, dense = integrate._compiled_trial(len(y))
-        err, low, y_new, k6, scale_new, (k2, k3, k4, k5) = step(f, h, y, k0, scale, rel_tol, abs_tol)
-        got = (err, low, y_new, k6, scale_new, dense(k0, k2, k3, k4, k5, k6))
-        want = trial_reference(f, h, y, k0, scale, rel_tol, abs_tol)
-        assert np.array_equal(np.hstack(got).view(np.int64), np.hstack(want).view(np.int64))
-        assert all(type(v) is float for v in y_new + k6)
+        err, low, y_new, k6, scale_new, top = trial_reference(f, h, y, k0, scale, rel_tol, abs_tol)
+        frames = []
+
+        def spy(v):
+            if len(frames) == 6:
+                frames.append(sys._getframe(1))
+                raise _Stop
+            frames.append(None)
+            return f(v)
+
+        run = integrate._compiled_loop(len(y))
+        with pytest.raises(_Stop):
+            run(spy, np.array(y), np.array(k0), rel_tol, abs_tol, h, 1.0, 0.0, 2)
+        loop = frames[-1].f_locals
+        assert frames[-1].f_code.co_name == "run"
+        got = (loop["err"], loop["low"], loop["yn"], loop["k6"], *(loop[f"sn{c}"] for c in range(len(y))))
+        assert np.array_equal(bits(*got), bits(err, low, y_new, k6, scale_new))
+        assert all(type(v) is float for v in loop["yn"] + loop["k6"])
+        taken = loop["n_acc"] == 1
+        assert taken == (err <= 1.0 and low >= 0.0) and (taken or loop["n_rej"] == 1)
+        assert taken or h > 1e-3  # every case takes its smallest step, so D K is checked on each
+        if taken:
+            (row,) = loop["rows"]
+            assert np.array_equal(bits(row), bits(y_new, k0, k6, top))
+            state = [loop[f"{name}{c}"] for name in ("y", "k0_", "sc") for c in range(len(y))]
+            assert np.array_equal(bits(state), bits(y_new, k6, scale_new))
+
+    def test_compiled_once_per_state_size(self, monkeypatch):
+        """Systems of one size share their loop, whatever their laws; every ``np.dot`` size shares one.
+
+        Compiling a loop per system would cost about 1 ms a run on sweep-small.
+        """
+        compiles = []
+
+        def counting_compile(*args, **kwargs):
+            compiles.append(args[1])
+            return compile(*args, **kwargs)
+
+        monkeypatch.setattr(integrate, "compile", counting_compile, raising=False)
+        simulate(PARAMS, GROWTHS, X0, 1.0)  # compiles the loop of size 4 unless it is cached
+        done = len(compiles)
+        other = [Monod(2.0, 0.5), Monod(6.0, 4.0), Monod(1.5, 0.1)]
+        simulate(ChemostatParams(d=0.5, s_in=4.0), other, State(s=1.0, x=[0.2, 0.3, 0.4]), 1.0)
+        assert len(compiles) == done
+        monkeypatch.setattr(integrate, "_FLOAT_TRIAL_MAX_SIZE", 0)
+        simulate(PARAMS, GROWTHS, X0, 1.0)
+        done = len(compiles)
+        simulate(PARAMS, [Monod(3, 1)], State(s=1.0, x=[0.1]), 1.0)
+        simulate(PARAMS, GROWTHS[:2], State(s=1.0, x=[0.1, 0.2]), 1.0)
+        assert len(compiles) == done
 
     def test_every_compiled_size_gets_the_plain_float_body(self):
-        """The compiled trial calls the right-hand side with tuples, which only the plain-float body takes."""
+        """The compiled loop calls the right-hand side with tuples, which only the plain-float body takes."""
         assert integrate._FLOAT_TRIAL_MAX_SIZE - 1 < dynamics._ARRAY_FIELD_MIN_LAWS
+
+
+class TestLoopFailures:
+    """A run that stops early reports the time and state of its last accepted step, bit for bit.
+
+    Up to the failure the run makes the trial steps of a run without it,
+    so the reported time is one of that run's step times and the state
+    is the step state there.
+    """
+
+    @staticmethod
+    def _assert_last_accepted(exc, full):
+        assert isinstance(exc.y, np.ndarray)
+        k = full.step_times.tolist().index(exc.t)
+        assert 0 < k < full.step_times.size - 1
+        assert np.array_equal(bits(exc.y), bits(full.step_states[k]))
+
+    @TRIAL_CUTS
+    def test_step_budget(self, monkeypatch, cut):
+        monkeypatch.setattr(integrate, "_FLOAT_TRIAL_MAX_SIZE", cut)
+        full = simulate(PARAMS, GROWTHS, X0, 20.0)
+        monkeypatch.setattr(integrate, "_MAX_STEPS", 25)
+        calls = []
+        factory = integrate.vector_field
+
+        def counting_factory(*args):
+            f = factory(*args)
+
+            def counted(*fargs):
+                calls.append(True)
+                return f(*fargs)
+
+            return counted
+
+        monkeypatch.setattr(integrate, "vector_field", counting_factory)
+        with pytest.raises(StiffnessError, match=r"^step budget of 25 exhausted at t=") as exc:
+            simulate(PARAMS, GROWTHS, X0, 20.0)
+        self._assert_last_accepted(exc.value, full)
+        # exactly 25 trial steps: the calls before the first trial, then six per trial
+        meta = full.meta
+        assert len(calls) == meta.rhs_evals - 6 * (meta.steps_accepted + meta.steps_rejected) + 6 * 25
+
+    @TRIAL_CUTS
+    def test_step_size_underflow(self, monkeypatch, cut):
+        monkeypatch.setattr(integrate, "_FLOAT_TRIAL_MAX_SIZE", cut)
+        full = simulate(PARAMS, GROWTHS, X0, 20.0)
+        factory = integrate.vector_field
+
+        def poisoning_factory(*args):
+            f = factory(*args)
+            poisoned = []
+
+            def g(y, out=None):
+                # From the first stage state with s < 5 on, every derivative
+                # is NaN: each trial is rejected at a fifth of its size until
+                # the step underflows.
+                if y[0] < 5.0:
+                    poisoned.append(True)
+                if not poisoned:
+                    return f(y) if out is None else f(y, out)
+                nans = (math.nan,) * len(y)
+                if out is None:
+                    return nans
+                out[...] = nans
+                return out
+
+            return g
+
+        monkeypatch.setattr(integrate, "vector_field", poisoning_factory)
+        with pytest.raises(StiffnessError, match=r"^step size underflow at t=") as exc:
+            simulate(PARAMS, GROWTHS, X0, 20.0)
+        self._assert_last_accepted(exc.value, full)
 
 
 @pytest.mark.parametrize(
