@@ -25,6 +25,11 @@ import numpy as np
 from .errors import DomainError, require_positive
 from .growth import GrowthFunction, OrderedSpecies, monod_arrays
 
+# Dense output intervals over the horizon: the grid on which
+# ``integrate.simulate`` samples a trajectory, and which a scenario's horizon
+# must leave a positive width.
+DENSE_INTERVALS = 2000
+
 
 @dataclass(frozen=True)
 class ChemostatParams:

@@ -281,9 +281,9 @@ def break_even(g: GrowthFunction, d: float, *, s_probe_max: float = 1e6) -> floa
     or a probe bound that is not finite and > 0.
     """
     if not (isinstance(d, (int, float)) and math.isfinite(d) and d > 0.0):
-        raise ParameterError(f"removal rate must be finite and > 0, got {d!r}")
+        raise ParameterError(f"must be finite and > 0, got {d!r}", field="d")
     if not (math.isfinite(s_probe_max) and s_probe_max > 0.0):
-        raise ParameterError(f"probe bound must be finite and > 0, got {s_probe_max!r}")
+        raise ParameterError(f"must be finite and > 0, got {s_probe_max!r}", field="s_probe_max")
 
     # Every probe is a finite float >= 0 made here, so the probes go straight
     # to the scalar rate the right-hand side evaluates: the level is the root

@@ -23,6 +23,10 @@ the state size:
 Identical inputs give bit-identical trajectories on one platform, and on
 the ``np.dot`` trial on one BLAS kernel.
 
+Both trials store an accepted step the same way: its raw rows (y_new, K0,
+K6, D K) are appended to one ``array('d')`` buffer, which becomes
+``Trajectory.step_coeffs`` after the loop, without a copy.
+
 The positive orthant is invariant for the model, so a step that would end
 with any component below zero is rejected, however small the undershoot.
 An accepted state is never altered (clipping it would add mass): every step
@@ -34,12 +38,13 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import ChemostatParams, State, vector_field
+from .dynamics import DENSE_INTERVALS, ChemostatParams, State, vector_field
 from .errors import DivergenceError, DomainError, ParameterError, StiffnessError
 from .growth import GrowthFunction
 
@@ -92,17 +97,7 @@ _MAX_STEPS = 5_000_000  # safety net against livelock on hostile inputs
 # measure it again once ``peak_rss_mb`` tracks the program.
 _FLOAT_TRIAL_MAX_SIZE = 12
 
-# Accepted steps whose rows the compiled float loop keeps as Python floats
-# before it turns them into one array block.  The floats take about 0.6 kB
-# per step at 6 entries against 0.2 kB in an array: kept for a whole run
-# (up to about 700 steps on sweep-small), they raised that workload's peak
-# RSS by about 0.7 MB; in blocks of 64 steps it stays at the level of a
-# per-step numpy write, at the same speed.
-_ROW_BLOCK = 64
-
 _B_ZERO = 1e-12  # biomass floor below which proportions are undefined
-
-DENSE_INTERVALS = 2000  # dense output intervals over the horizon
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,10 @@ class Trajectory:
     """Densely sampled solution plus the per-step interpolation data.
 
     ``states[k]`` is the full vector [s, x_1..x_n] at ``times[k]``; the grid
-    starts at 0 and ends exactly at the horizon.  ``sample`` evaluates the
+    starts at 0 and ends exactly at the horizon.  ``step_states[k]`` is the
+    state at the step node ``step_times[k]``, and ``step_coeffs[k]`` the
+    four coefficients of step k's quartic past its start state
+    ``step_states[k]`` (``_finish_coeffs``).  ``sample`` evaluates the
     integrator's own continuous extension between steps.
     """
 
@@ -148,7 +146,7 @@ class Trajectory:
     meta: IntegratorStats
     step_times: np.ndarray
     step_states: np.ndarray
-    step_coeffs: np.ndarray  # (steps, 5, dim) interpolant coefficients
+    step_coeffs: np.ndarray  # (steps, 4, dim)
 
     @property
     def horizon(self) -> float:
@@ -163,7 +161,7 @@ class Trajectory:
         horizon = float(self.step_times[-1])
         slack = 1e-12 * max(1.0, horizon)
         if not (-slack <= t <= horizon + slack):
-            raise DomainError(f"sample time {t!r} outside [0, {horizon!r}]")
+            raise DomainError(f"sample time {t!r} outside [0, {horizon!r}]", field="t")
         t = min(max(t, 0.0), horizon)
         y = _dense_states(np.array([t]), self.step_times, self.step_states, self.step_coeffs)[0]
         return State(s=float(y[0]), x=y[1:])
@@ -203,23 +201,23 @@ def _loop_source(size: int | None) -> str:
     It defines ``run(f, y, k, rel_tol, abs_tol, h, horizon, min_step,
     max_steps)``, which steps from the state ``y`` (an array) with
     derivative ``k`` = f(y) and first step ``h`` until t reaches the
-    horizon, and returns (status, t, y_end, n_accepted, n_rejected, times,
-    sizes, conts).  status is None when t reached the horizon,
-    ``"underflow"`` when the controller's proposal fell below ``min_step``
-    or no longer moves t, and ``"budget"`` when ``max_steps`` trial steps
-    were made; y_end is the state at t, the end of the last accepted step;
-    times are the step ends from 0 and sizes the step sizes; conts holds
-    the raw rows [-, y_new, k0, k6, D K] of each accepted step, row 0 unset.
+    horizon, and returns (status, t, n_accepted, n_rejected, times, sizes,
+    buf).  status is None when t reached the horizon, ``"underflow"`` when
+    the controller's proposal fell below ``min_step`` or no longer moves t,
+    and ``"budget"`` when ``max_steps`` trial steps were made; t is the end
+    of the last accepted step; times are the step ends from 0 and sizes the
+    step sizes; the ``array('d')`` buffer ``buf`` holds the raw rows
+    (y_new, k0, k6, D K) of every accepted step, one after the other.
 
     The controller is written here once: the PI step control, the
     acceptance, the rejection of a step that is not finite or ends below
-    zero, the step budget and the underflow checks.  The trial step plugs
-    into it:
+    zero, the step budget and the underflow checks.  So is the storage:
+    each accepted step appends its four rows to ``buf``.  The trial step
+    plugs into it:
 
-    - ``size`` None: the ``np.dot`` trial of ``_dot_trial``, its
-      ``trial(h, c)`` writing y_new into the current block ``c`` of the
-      buffer ``conts`` and its ``accept(c)`` the block's other rows; the
-      buffer doubles when full.  One source serves every state size.
+    - ``size`` None: the ``np.dot`` trial of ``_dot_trial``, whose
+      ``accept()`` gives the step's rows as bytes.  One source serves every
+      state size.
     - ``size`` an int: the trial inlined as straight-line source over
       local floats, which keep the state, k0 and the error scale across
       steps.  Each combination is written out per component as
@@ -227,25 +225,12 @@ def _loop_source(size: int | None) -> str:
       weight h a_j formed first; zero weights are left out.  The error
       norm divides by the larger of the two scales and sums its squares
       left to right.  Each stage derivative is a call of ``f`` with a
-      tuple.  An accepted step appends its rows as one flat tuple to a
-      list, which becomes an array block every ``_ROW_BLOCK`` steps; the
-      blocks become ``conts`` after the loop.
+      tuple.  An accepted step appends its rows as one list of floats.
     """
     if size is None:
-        head = [
-            "trial, accept = dot_trial(f, y, k, rel_tol, abs_tol)",
-            "conts = np.empty((64, 5, y.size))",
-            "c = conts[0]",
-        ]
-        step = ["err, low = trial(h, c)"]
-        # only the stale view ``c`` points into the full buffer, so it may move
-        take = [
-            "accept(c)",
-            "if n_acc == len(conts):",
-            "    conts.resize((2 * n_acc, 5, y.size), refcheck=False)",
-            "c = conts[n_acc]",
-        ]
-        tail = ["if n_acc:", "    y = conts[n_acc - 1, 1].copy()", "conts.resize((n_acc, 5, y.size), refcheck=False)"]
+        head = ["trial, accept = dot_trial(f, y, k, rel_tol, abs_tol)"]
+        step = ["err, low = trial(h)"]
+        take = ["buf.frombytes(accept())"]
     else:
         comps = range(size)
 
@@ -272,8 +257,6 @@ def _loop_source(size: int | None) -> str:
             f"{names('k0_')}= k0",
             f"{names('sc')}= [abs_tol + rel_tol * abs(v) for v in y.tolist()]",
             *(f"d{j} = {a!r}" for j, a in enumerate(_D.tolist()) if a != 0.0),
-            "rows = []",
-            "blocks = []",
         ]
         step = []
         for i, row in enumerate(_A, 1):
@@ -285,22 +268,13 @@ def _loop_source(size: int | None) -> str:
             step += [f"sn{c} = abs_tol + rel_tol * abs(n{c})", f"q{c} = ({error}) / (sc{c} if sc{c} > sn{c} else sn{c})"]
         squares = " + ".join(f"q{c} * q{c}" for c in comps)
         step += [f"err = sqrt(({squares}) / {size})", "low = min(yn)"]
-        tops = [" + ".join(f"d{j} * k{j}_{c}" for j, a in enumerate(_D.tolist()) if a != 0.0) for c in comps]
+        tops = ", ".join(" + ".join(f"d{j} * k{j}_{c}" for j, a in enumerate(_D.tolist()) if a != 0.0) for c in comps)
         take = [
-            f"rows.append(yn + k0 + k6 + {tuple_of(tops)})",
-            f"if len(rows) == {_ROW_BLOCK}:",
-            "    blocks.append(np.array(rows, float))",
-            "    rows = []",
+            f"buf.fromlist([*yn, *k0, *k6, {tops}])",
             f"{names('y')}= yn",
             "k0 = k6",
             f"{names('k0_')}= k6",
             f"{names('sc')}= {names('sn')}",
-        ]
-        tail = [
-            f"y = np.array(({names('y')}))",
-            f"conts = np.empty((n_acc, 5, {size}))",
-            f"blocks.append(np.array(rows, float).reshape(-1, {4 * size}))",
-            f"conts[:, 1:] = np.concatenate(blocks).reshape(n_acc, 4, {size})",
         ]
 
     def block(indent: int, lines: list[str]) -> list[str]:
@@ -311,6 +285,7 @@ def _loop_source(size: int | None) -> str:
     return "\n".join([
         "def run(f, y, k, rel_tol, abs_tol, h, horizon, min_step, max_steps):",
         *block(4, head),
+        "    buf = array('d')",
         "    t = 0.0",
         "    times = [t]",
         "    sizes = []",
@@ -355,15 +330,14 @@ def _loop_source(size: int | None) -> str:
         "        else:",
         "            n_rej += 1",
         f"            h = h / {shrink!r}",
-        *block(4, tail),
-        "    return status, t, y, n_acc, n_rej, times, sizes, conts",
+        "    return status, t, n_acc, n_rej, times, sizes, buf",
     ])
 
 
 @functools.cache
 def _compiled_loop(size: int | None) -> Callable:
     """``run`` of ``_loop_source(size)``, compiled once per size (once for None)."""
-    namespace: dict[str, object] = {"sqrt": math.sqrt, "inf": math.inf, "np": np, "dot_trial": _dot_trial}
+    namespace: dict[str, object] = {"sqrt": math.sqrt, "inf": math.inf, "array": array, "dot_trial": _dot_trial}
     exec(compile(_loop_source(size), f"<step loop {size}>", "exec"), namespace)
     return namespace["run"]
 
@@ -371,13 +345,14 @@ def _compiled_loop(size: int | None) -> Callable:
 def _dot_trial(f, y0: np.ndarray, k0: np.ndarray, rel_tol: float, abs_tol: float):
     """The trial step by BLAS products, for an ``f(y, out)`` body.
 
-    Returns ``trial(h, c)``, which runs one trial step from the current
-    state, writes y_new into ``c[1]`` and gives (err, min of y_new), and
-    ``accept(c)``, which writes the step's other raw rows (k0, k6, D K)
-    into ``c[2:]`` and makes y_new the current state.  KY = (y, k0..k6), with k0 =
-    f(y) carried over (first same as last); the folded table hT is _TABLE
-    with columns 1-7 scaled by h.  Every combination is one ``np.dot`` of
-    a row of hT against KY, through views sliced once.
+    Returns ``trial(h)``, which runs one trial step from the current
+    state, writes y_new into row 0 of a private (4, size) block ``raw`` and
+    gives (err, min of y_new), and ``accept()``, which writes the step's
+    other raw rows (k0, k6, D K) into ``raw[1:]``, makes y_new the current
+    state and returns the block's bytes.  KY = (y, k0..k6), with k0 = f(y)
+    carried over (first same as last); the folded table hT is _TABLE with
+    columns 1-7 scaled by h.  Every combination is one ``np.dot`` of a row
+    of hT against KY, through views sliced once.
     """
     KY = np.vstack((y0, k0, np.empty((6, y0.size))))
     K = KY[1:]
@@ -387,14 +362,15 @@ def _dot_trial(f, y0: np.ndarray, k0: np.ndarray, rel_tol: float, abs_tol: float
     hB, KY_b, hE = hT[5, :7], KY[:7], hT[6, 1:]
     stage, err_vec, q, scale_new = np.empty((4, y0.size))
     scale = abs_tol + rel_tol * np.abs(y0)  # of the current state, kept across rejected steps
+    raw = np.empty((4, y0.size))
+    y_new, raw_bytes = raw[0], raw.data.cast("B")
 
-    def trial(h: float, c: np.ndarray) -> tuple[float, float]:
+    def trial(h: float) -> tuple[float, float]:
         # stage = (1, h a_row) . (y, k0..k_i), in place
         np.multiply(table_cols, h, out=h_cols)
         for hT_i, KY_i, K_i in stages:
             np.dot(hT_i, KY_i, out=stage)
             f(stage, K_i)
-        y_new = c[1]
         np.dot(hB, KY_b, out=y_new)
         f(y_new, K[6])
         np.dot(hE, K, out=err_vec)
@@ -407,13 +383,14 @@ def _dot_trial(f, y0: np.ndarray, k0: np.ndarray, rel_tol: float, abs_tol: float
         np.divide(err_vec, q, out=q)
         return math.sqrt(np.dot(q, q) / q.size), float(np.minimum.reduce(y_new))
 
-    def accept(c: np.ndarray) -> None:
+    def accept() -> memoryview:
         nonlocal scale, scale_new
-        # y_new and k6 (rows 1, 3) start the next step
-        c[2:4] = KY[1::6]
-        np.dot(_D, K, out=c[4])
-        KY[:2] = c[1:4:2]
+        # y_new and k6 (rows 0, 2) start the next step
+        raw[1:3] = KY[1::6]
+        np.dot(_D, K, out=raw[3])
+        KY[:2] = raw[0:3:2]
         scale, scale_new = scale_new, scale
+        return raw_bytes
 
     return trial, accept
 
@@ -461,9 +438,12 @@ def simulate(
     max_steps = _MAX_STEPS
     run = _compiled_loop(y0.size if y0.size <= _FLOAT_TRIAL_MAX_SIZE else None)
     with np.errstate(over="ignore", invalid="ignore"):
-        status, t, y, n_accepted, n_rejected, step_times, step_sizes, conts = run(
+        status, t, n_accepted, n_rejected, step_times, step_sizes, buf = run(
             f, y0, k0, rel_tol, abs_tol, h, horizon, min_step, max_steps
         )
+        # the raw rows of every accepted step, without a copy
+        coeffs = np.frombuffer(buf).reshape(n_accepted, 4, y0.size)
+        y = coeffs[-1, 0] if n_accepted else y0
         if status == "budget":
             raise StiffnessError(t, y, f"step budget of {max_steps} exhausted")
         if status == "underflow":
@@ -474,14 +454,14 @@ def simulate(
     step_times_arr = np.array(step_times)
     # each step starts at the previous one's end row, which _finish_coeffs
     # overwrites, so the states are taken first
-    step_states_arr = np.concatenate((y0[None], conts[:, 1]))
-    _finish_coeffs(conts, step_states_arr[:-1], np.array(step_sizes)[:, None])
+    step_states_arr = np.concatenate((y0[None], coeffs[:, 0]))
+    _finish_coeffs(coeffs, step_states_arr[:-1], np.array(step_sizes)[:, None])
 
     # not the bare constant: the rounding of horizon / dense_dt gives 2001
     # intervals for some horizons, and the dense grid keeps them
     n_dense = max(1, math.ceil(horizon / dense_dt))
     times = np.linspace(0.0, horizon, n_dense + 1)
-    states = _dense_states(times, step_times_arr, step_states_arr, conts)
+    states = _dense_states(times, step_times_arr, step_states_arr, coeffs)
 
     meta = IntegratorStats(
         steps_accepted=n_accepted,
@@ -493,7 +473,7 @@ def simulate(
         first_step=first_step,
     )
     channels = _derive_channel_arrays(states)
-    for arr in (times, states, step_times_arr, step_states_arr, conts):
+    for arr in (times, states, step_times_arr, step_states_arr, coeffs):
         arr.setflags(write=False)
     return Trajectory(
         times=times,
@@ -502,38 +482,39 @@ def simulate(
         meta=meta,
         step_times=step_times_arr,
         step_states=step_states_arr,
-        step_coeffs=conts,
+        step_coeffs=coeffs,
     )
 
 
-def _finish_coeffs(conts: np.ndarray, y0: np.ndarray, h: np.ndarray) -> None:
-    """Turn the raw rows of every step into its interpolant coefficients.
+def _finish_coeffs(coeffs: np.ndarray, y0: np.ndarray, h: np.ndarray) -> None:
+    """Turn the raw rows of every step into its interpolant coefficients, in place.
 
-    ``conts[k]`` holds [-, y_new, K0, K6, D K] of step k, ``y0[k]`` its
-    start state (the y_new of step k - 1, or the initial state) and ``h[k]``
-    its size.  The rows become
-    [y0, ydiff, h K0 - ydiff, ydiff - h K6 - (h K0 - ydiff), h D K] with
+    ``coeffs[k]`` holds [y_new, K0, K6, D K] of step k, ``y0[k]`` its start
+    state (the y_new of step k - 1, or the initial state) and ``h[k]`` its
+    size.  The rows become
+    [ydiff, h K0 - ydiff, ydiff - h K6 - (h K0 - ydiff), h D K] with
     ydiff = y_new - y0, by the elementwise operations of a per-step build in
-    the same order, so every coefficient has the same bits.
+    the same order, so every coefficient has the same bits.  The start
+    state, the interpolant's constant term, is ``y0[k]`` itself.
     """
-    c1, c2, c3, c4 = (conts[:, r] for r in range(1, 5))
-    c1 -= y0  # ydiff
+    c0, c1, c2, c3 = (coeffs[:, r] for r in range(4))
+    c0 -= y0  # ydiff
+    c1 *= h
+    c1 -= c0  # bspl = h K0 - ydiff
     c2 *= h
-    c2 -= c1  # bspl = h K0 - ydiff
+    np.subtract(c0, c2, out=c2)
+    c2 -= c1  # ydiff - h K6 - bspl
     c3 *= h
-    np.subtract(c1, c3, out=c3)
-    c3 -= c2  # ydiff - h K6 - bspl
-    c4 *= h
-    conts[:, 0] = y0
 
 
-def _dense_states(times, step_times, step_states, step_conts) -> np.ndarray:
+def _dense_states(times, step_times, step_states, step_coeffs) -> np.ndarray:
     """Continuous extension at every time of ``times`` (in [0, horizon]).
 
     Times on a step node give that node's state and times at or past the
     last node give the final state; elsewhere the quartic
-    c1 + theta (c2 + (1 - theta) (c3 + theta (c4 + (1 - theta) c5))) of the
-    enclosing step is evaluated, one coefficient slice at a time.  Negative
+    y + theta (c1 + (1 - theta) (c2 + theta (c3 + (1 - theta) c4))) of the
+    enclosing step, with y its start state and c1..c4 its
+    ``step_coeffs``, is evaluated one slice at a time.  Negative
     undershoots are clipped to zero.
     """
     k = np.searchsorted(step_times, times, side="right") - 1
@@ -543,14 +524,14 @@ def _dense_states(times, step_times, step_states, step_conts) -> np.ndarray:
     t0 = step_times[k]
     theta = ((times - t0) / (step_times[k + 1] - t0))[:, None]
     rest = 1.0 - theta
-    out = rest * step_conts[k, 4]
-    out += step_conts[k, 3]
+    out = rest * step_coeffs[k, 3]
+    out += step_coeffs[k, 2]
     out *= theta
-    out += step_conts[k, 2]
+    out += step_coeffs[k, 1]
     out *= rest
-    out += step_conts[k, 1]
+    out += step_coeffs[k, 0]
     out *= theta
-    out += step_conts[k, 0]
+    out += step_states[k]
     at_step = times == t0
     out[at_step] = step_states[k[at_step]]
     out[~at_step & (times >= step_times[-1])] = step_states[-1]

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import yaml
 
-from .dynamics import ChemostatParams, State
+from .dynamics import DENSE_INTERVALS, ChemostatParams, State
 from .errors import DomainError, InputError, ParameterError, require_positive
 from .growth import PROBE_FACTOR, GrowthFunction, Hill, Monod, Table
 
@@ -49,6 +49,11 @@ class Scenario:
 
     def __post_init__(self):
         require_positive(self, "horizon")
+        # a subnormal horizon, such as 1e-321, divides into intervals of width 0
+        if not self.horizon / DENSE_INTERVALS > 0.0:
+            raise ParameterError(
+                f"must leave {DENSE_INTERVALS} dense intervals a positive width, got {self.horizon!r}", field="horizon"
+            )
 
     @property
     def growths(self) -> tuple[GrowthFunction, ...]:

@@ -92,6 +92,10 @@ class TestParseScenario:
             (lambda t: t.replace("dilution: 1.0", "dilution: -1.0"), "params.dilution"),
             (lambda t: t.replace("s_in: 10.0", "s_in: 0.0"), "params.s_in"),
             (lambda t: t.replace("horizon: 80.0", "horizon: -3.0"), "horizon"),
+            (
+                lambda t: t.replace("horizon: 80.0", "horizon: 1e-321"),
+                "horizon: must leave 2000 dense intervals a positive width, got 1e-321 (line 14)",
+            ),
             (lambda t: t.replace("kind: monod", "kind: logistic"), "growth"),
             (lambda t: t + "unknown_key: 1\n", "unknown_key"),
             (lambda t: t.replace("mu_max: 3.0", "mu_max: fast"), "mu_max"),
@@ -581,7 +585,7 @@ def test_tolerances_refused_at_construction(key, value):
     assert exc.value.field == key and exc.value.reason.startswith("must lie in (0, 1)")
 
 
-@pytest.mark.parametrize("horizon", [-1.0, 0.0, math.inf, math.nan])
+@pytest.mark.parametrize("horizon", [-1.0, 0.0, math.inf, math.nan, 1e-321])
 def test_scenario_horizon_refused_at_construction(horizon):
     with pytest.raises(ParameterError) as exc:
         make_scenario(horizon=horizon)
@@ -701,6 +705,20 @@ def test_removed_tolerance_keys_exit_2(key, value, tmp_path, capsys):
 
 def _refuse_to_run(*args, **kwargs):
     raise AssertionError("a command ran on a scenario the parser should refuse")
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "certificate", "curves"])
+def test_subnormal_horizon_exit_2(command, monkeypatch, tmp_path, capsys):
+    # horizon / DENSE_INTERVALS underflows to 0: refused at parse time, so
+    # no command runs and every one names the key and its line
+    for name in ("cmd_simulate", "cmd_certificate", "cmd_verify", "cmd_curves"):
+        monkeypatch.setattr(cli, name, _refuse_to_run)
+    path = tmp_path / "tiny.yaml"
+    path.write_text(CANONICAL_YAML.replace("horizon: 80.0", "horizon: 1e-321"))
+    assert main([command, str(path), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "input error: horizon: must leave 2000 dense intervals a positive width" in err, err
+    assert "(line 14)" in err
 
 
 def test_default_horizon_must_be_finite(tmp_path, capsys):

@@ -160,8 +160,16 @@ class TestBreakEven:
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ParameterError):
             break_even(Monod(3.0, 1.0), 0.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as exc:
             break_even(Monod(3.0, 1.0), -1.0)
+        assert exc.value.field == "d" and str(exc.value) == "d: must be finite and > 0, got -1.0"
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_probe_bound_names_its_field(self, bound):
+        with pytest.raises(ParameterError) as exc:
+            break_even(Monod(3.0, 1.0), 1.0, s_probe_max=bound)
+        assert exc.value.field == "s_probe_max"
+        assert str(exc.value) == f"s_probe_max: must be finite and > 0, got {bound!r}"
 
     def test_non_monotone_table_rejected(self):
         # refused at construction, so break_even never sees such a law

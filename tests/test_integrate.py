@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from fractions import Fraction as F
@@ -202,8 +203,9 @@ def reference_step(f, y: list[float], h: float) -> tuple[list[float], list[list[
     """One Dormand-Prince step from ``y`` by the textbook formula, in Python floats.
 
     Stage i is y + h * sum_j a_ij k_j, with h outside the sum.  Returns the
-    end state and the interpolant coefficients [y, ydiff, h k0 - ydiff,
-    ydiff - h k6 - (h k0 - ydiff), h sum_j d_j k_j] with ydiff = y_new - y.
+    end state and the interpolant coefficients past the start state y,
+    [ydiff, h k0 - ydiff, ydiff - h k6 - (h k0 - ydiff), h sum_j d_j k_j]
+    with ydiff = y_new - y.
     """
 
     def comb(weights, k):
@@ -220,7 +222,7 @@ def reference_step(f, y: list[float], h: float) -> tuple[list[float], list[list[
     ydiff = [u - v for u, v in zip(y_new, y)]
     bspl = [h * k0 - dy for k0, dy in zip(k[0], ydiff)]
     top = [dy - h * k6 - b for dy, k6, b in zip(ydiff, k[6], bspl)]
-    return y_new, [y, ydiff, bspl, top, comb(DP_D, k)]
+    return y_new, [ydiff, bspl, top, comb(DP_D, k)]
 
 
 # The two trial steps of ``simulate``: the compiled one, which the golden
@@ -306,9 +308,9 @@ class TestCompiledLoop:
         The loop keeps a trial's results in its locals, so they are read
         from its frame when it starts the second trial, at the seventh call
         of the right-hand side: err, min of y_new, y_new, k6 and the new
-        error scale, and, when the step was taken, its row (y_new, k0, k6,
-        D K) and the state, k0 and scale the next trial starts from.  D K
-        is formed only for a step that is taken.
+        error scale, and, when the step was taken, its rows (y_new, k0, k6,
+        D K) in the buffer and the state, k0 and scale the next trial
+        starts from.  D K is formed only for a step that is taken.
         """
         from test_golden_trajectories import cases
 
@@ -340,8 +342,7 @@ class TestCompiledLoop:
         assert taken == (err <= 1.0 and low >= 0.0) and (taken or loop["n_rej"] == 1)
         assert taken or h > 1e-3  # every case takes its smallest step, so D K is checked on each
         if taken:
-            (row,) = loop["rows"]
-            assert np.array_equal(bits(row), bits(y_new, k0, k6, top))
+            assert np.array_equal(bits(loop["buf"]), bits(y_new, k0, k6, top))
             state = [loop[f"{name}{c}"] for name in ("y", "k0_", "sc") for c in range(len(y))]
             assert np.array_equal(bits(state), bits(y_new, k6, scale_new))
 
@@ -372,6 +373,51 @@ class TestCompiledLoop:
     def test_every_compiled_size_gets_the_plain_float_body(self):
         """The compiled loop calls the right-hand side with tuples, which only the plain-float body takes."""
         assert integrate._FLOAT_TRIAL_MAX_SIZE - 1 < dynamics._ARRAY_FIELD_MIN_LAWS
+
+
+def _wide_monod():
+    """``_ARRAY_FIELD_MIN_LAWS`` Monod laws: the array body, on the ``np.dot`` trial by its size."""
+    laws = [Monod(2.0 + 0.05 * i, 1.0 + 0.1 * i) for i in range(_ARRAY_FIELD_MIN_LAWS)]
+    return PARAMS, laws, State(s=10.0, x=[0.01] * len(laws)), 30.0
+
+
+class TestStepBuffer:
+    """``step_coeffs`` is a view of the buffer every accepted step appends to."""
+
+    @pytest.mark.parametrize(
+        "case, cut",
+        [("clipped", integrate._FLOAT_TRIAL_MAX_SIZE), ("clipped", 0), ("wide_monod", integrate._FLOAT_TRIAL_MAX_SIZE)],
+        ids=["clipped-compiled_trial", "clipped-dot_trial", "wide_monod-dot_trial"],
+    )
+    def test_coefficients_outlive_the_run(self, monkeypatch, case, cut):
+        """After the run and a collection, the view still holds the coefficients the run made.
+
+        The buffer grew many times over these runs (1723 accepted steps on
+        clipped, 35 entries a step on wide_monod), so a view of a moved or
+        freed block would show here.
+        """
+        from test_golden_trajectories import cases
+
+        monkeypatch.setattr(integrate, "_FLOAT_TRIAL_MAX_SIZE", cut)
+        system = cases()["clipped"] if case == "clipped" else _wide_monod()
+        taken = []
+        finish = integrate._finish_coeffs
+
+        def copying_finish(coeffs, *args):
+            finish(coeffs, *args)
+            taken.append(coeffs.copy())
+
+        monkeypatch.setattr(integrate, "_finish_coeffs", copying_finish)
+        traj = simulate(*system)
+        gc.collect()
+        simulate(*system)  # allocates and frees as much again
+        gc.collect()
+        coeffs, n = traj.step_coeffs, traj.meta.steps_accepted
+        assert (len(system[1]) + 1 <= integrate._FLOAT_TRIAL_MAX_SIZE) == (case == "clipped" and cut > 0)
+        assert n == 1723 if case == "clipped" else n > 100
+        assert coeffs.shape == (n, 4, len(system[1]) + 1)
+        assert not coeffs.flags.writeable and coeffs.flags.c_contiguous
+        assert np.array_equal(bits(coeffs), bits(taken[0]))
 
 
 class TestLoopFailures:
@@ -656,8 +702,9 @@ class TestSample:
     def test_outside_range_rejected(self, canonical_trajectory):
         with pytest.raises(DomainError):
             canonical_trajectory.sample(-0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as exc:
             canonical_trajectory.sample(80.5)
+        assert exc.value.field == "t" and str(exc.value).startswith("t: sample time 80.5 outside [0, ")
 
 
 class TestPersistentEntry:

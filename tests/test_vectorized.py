@@ -506,7 +506,8 @@ def _sample_reference(traj, t):
 
     Step nodes give their stored state, times at or past the last node the
     final state; elsewhere c1 + theta (c2 + (1 - theta) (c3 + theta (c4 +
-    (1 - theta) c5))) on the enclosing step, clipped at zero.
+    (1 - theta) c5))) on the enclosing step, with c1 its start state and
+    c2..c5 its ``step_coeffs``, clipped at zero.
     """
     if t >= traj.step_times[-1]:
         return traj.step_states[-1]
@@ -514,7 +515,7 @@ def _sample_reference(traj, t):
     t0 = traj.step_times[k]
     if t == t0:
         return traj.step_states[k]
-    c1, c2, c3, c4, c5 = traj.step_coeffs[k]
+    c1, (c2, c3, c4, c5) = traj.step_states[k], traj.step_coeffs[k]
     theta = (t - t0) / (traj.step_times[k + 1] - t0)
     y = c1 + theta * (c2 + (1.0 - theta) * (c3 + theta * (c4 + (1.0 - theta) * c5)))
     return np.maximum(y, 0.0)
