@@ -90,12 +90,17 @@ def predicted_limit(params: ChemostatParams, ordered: OrderedSpecies) -> State:
 
 # Monod laws from which the right-hand side takes its array body.  Only
 # Monod rates are vectorised there; a Hill or table law costs less in the
-# compiled float body (0.17-0.20 us per law against 0.19-0.25 us), so it
-# does not count.  Measured per call on a 2-core x86-64 VM, floats against
-# arrays: 30 Monod laws 4.4 against 5.0 us, 34 laws 4.8 against 4.9 us, 40
-# laws 5.7 against 5.0 us, 100 laws 14.5 against 5.8 us; 60 Monod and 60
-# Hill or table laws 20.1 against 20.9 us.
-_ARRAY_FIELD_MIN_LAWS = 34
+# compiled float body (about 0.16 us per law against 0.22 us), so it does
+# not count.  Min-of-N interleaved per-call times on a 2-core x86-64 VM,
+# floats against arrays, over three to six runs: 20 Monod laws 2.7 against
+# 3.0 us, 22 laws 2.8-2.9 against 3.0-3.1 us, 23 laws 2.9-3.0 against
+# 3.0 us, 24 laws 3.0-3.2 against 3.0-3.1 us, 26 laws 3.2-3.3 against
+# 3.0-3.2 us, 28 laws 3.4-3.6 against 3.0-3.1 us, 34 laws 4.4 against
+# 3.1 us, 40 laws 5.1 against 3.1-3.2 us, 100 laws 12.5-12.8 against
+# 3.3 us.  From 26 laws on the array body won every run; at 24-25 the two
+# are within noise.  Beside 26 Monod laws, 10 Hill or table laws give 5.3
+# against 5.5 us; 60 Monod and 60 Hill or table laws 18.3 against 16.2 us.
+_ARRAY_FIELD_MIN_LAWS = 26
 
 
 def _float_body(d: float, s_in: float, laws: tuple[GrowthFunction, ...]) -> Callable[..., np.ndarray]:
@@ -168,8 +173,11 @@ def vector_field(
     whose length is not 1 + the number of laws raises ``ValueError``.  The
     compiled body's ``out`` may be left out: then y is a tuple of 1 + n
     floats and the derivative is returned as a tuple, with the same bits.
-    The array body reuses its work buffers, so one
-    such closure must not be called from two threads at once.
+    The array body reuses its work buffers, and it passes d and the
+    clamped substrate to its ufuncs as 0-d arrays that it owns, the
+    substrate one rewritten by every call.  Like the work buffers, they
+    are state shared by every call, so one such closure must not be called
+    from two threads at once.
     """
     d = params.d
     s_in = params.s_in
@@ -187,22 +195,29 @@ def vector_field(
     terms = np.zeros(size)
     mu = terms[1:]
     acc = np.empty(size)
+    # The clamped substrate and d as 0-d float64 operands, since a ufunc
+    # given a Python float converts it on every call; every output goes
+    # positionally, since an ``out=`` keyword is parsed on every call.
+    sc_buf = np.empty(())
+    d_buf = np.array(float(d))
+    multiply, add, subtract, divide, accumulate = np.multiply, np.add, np.subtract, np.divide, np.add.accumulate
 
     def f(y: np.ndarray, out: np.ndarray) -> np.ndarray:
         if len(y) != size:  # y[1:] of length 1 would broadcast over the laws
             raise ValueError(f"state has {len(y)} entries, expected {size}")
         s = y.item(0)
         sc = s if s > 0.0 else 0.0
-        np.multiply(mu_max, sc, out=mu)
-        np.add(k_half, sc, out=den)
-        np.divide(mu, den, out=mu)
+        sc_buf[()] = sc
+        multiply(mu_max, sc_buf, mu)
+        add(k_half, sc_buf, den)
+        divide(mu, den, mu)
         for i, rate in scalar_rows:
             mu[i] = rate(sc)
         x, dx = y[1:], out[1:]
-        np.subtract(mu, d, out=dx)
-        np.multiply(dx, x, out=dx)
-        np.multiply(mu, x, out=mu)
-        np.add.accumulate(terms, out=acc)
+        subtract(mu, d_buf, dx)
+        multiply(dx, x, dx)
+        multiply(mu, x, mu)
+        accumulate(terms, 0, None, acc)  # axis 0, no dtype, into acc
         out[0] = d * (s_in - s) - acc.item(-1)
         return out
 

@@ -416,7 +416,7 @@ def simulate(
         if not 0.0 < tol < 1.0:
             raise ParameterError(f"must lie in (0, 1), got {tol!r}", field=name)
     if len(growths) != x0.n:
-        raise ParameterError("growth law count must match species count")
+        raise ParameterError(f"must hold one law per species, got {len(growths)} for {x0.n}", field="growths")
     dense_dt = horizon / DENSE_INTERVALS
     if not dense_dt > 0.0:
         raise ParameterError(
@@ -615,7 +615,8 @@ def persistent_entries(
     bounds = np.array(intervals, dtype=float).reshape(len(intervals), 2)
     bad = np.flatnonzero(~(bounds[:, 0] < bounds[:, 1]))
     if bad.size:
-        raise ParameterError(f"interval must satisfy lo < hi, got {intervals[int(bad[0])]!r}")
+        k = int(bad[0])
+        raise ParameterError(f"interval {k} must satisfy lo < hi, got {intervals[k]!r}", field="intervals")
     idx, exits = scan_persistent_entry((s >= bounds[:, :1]) & (s <= bounds[:, 1:]))
     return [
         EntryRecord((lo, hi), None if k is None else float(t[k]), excursions, k)

@@ -165,8 +165,10 @@ class TestSimulate:
         assert str(exc.value) == f"{field}: {reason}, got {value!r}"
 
     def test_growth_count_mismatch(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as exc:
             simulate(PARAMS, GROWTHS, State(s=1.0, x=np.array([0.1])), 10.0)
+        assert exc.value.field == "growths"
+        assert str(exc.value) == f"growths: must hold one law per species, got {len(GROWTHS)} for 1"
 
     def test_hostile_scale_raises_typed_error(self):
         # an absurd growth scale must end in a diagnosis, not a hang
@@ -732,8 +734,10 @@ class TestPersistentEntry:
         assert rec.excursions == 0
 
     def test_bad_interval(self, canonical_trajectory):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as exc:
             first_persistent_entry(canonical_trajectory, (1.0, 1.0))
+        assert exc.value.field == "intervals"
+        assert str(exc.value) == "intervals: interval 0 must satisfy lo < hi, got (1.0, 1.0)"
 
     def test_scan_counts_excursions(self):
         inside = np.array([0, 1, 1, 0, 1, 0, 1, 1, 1, 1], dtype=bool)

@@ -641,8 +641,9 @@ class TestPersistentEntries:
         assert got[-1] == got[0] and got[-2].entry_time is None and got[-4].entry_time is None
 
     def test_reversed_interval_is_named(self, canonical_trajectory):
-        with pytest.raises(ParameterError, match=r"lo < hi, got \(2\.0, 1\.0\)"):
+        with pytest.raises(ParameterError, match=r"lo < hi, got \(2\.0, 1\.0\)") as exc:
             persistent_entries(canonical_trajectory, [(0.0, 1.0), (2.0, 1.0), (3.0, 3.0)])
+        assert (exc.value.field, exc.value.reason) == ("intervals", "interval 1 must satisfy lo < hi, got (2.0, 1.0)")
 
 
 @st.composite
@@ -1088,6 +1089,30 @@ class TestVectorField:
     def test_special_substrates_with_negative_densities(self, n, s):
         x = np.linspace(-1.0, 3.0, n) if n > 1 else np.array([-0.5])
         _assert_field_matches_reference(ChemostatParams(1.3, 10.0), _mixed_laws(n), np.concatenate(([s], x)))
+
+    @pytest.mark.parametrize("n", [34, 100])
+    @pytest.mark.parametrize("s", [-0.5, 0.0, math.nan])
+    def test_array_body_keeps_no_substrate_between_calls(self, n, s):
+        """Two states in turn, as the ``np.dot`` trial alternates its stage and y_new rows.
+
+        The array body keeps the clamped substrate in a 0-d array it owns;
+        every call must rewrite it before the first ufunc reads it.
+        """
+        params = ChemostatParams(1.3, 10.0)
+        gs = _mixed_laws(n)
+        f = _fields(params, gs)[0]
+        x = np.linspace(-1.0, 3.0, n)
+        states = (np.concatenate(([s], x)), np.concatenate(([2.5], 0.5 * x[::-1])))
+        with np.errstate(all="ignore"):
+            wants = [_field_reference(params, gs, y) for y in states]
+        stage, y_new = np.empty(n + 1), np.empty(n + 1)
+        for k in range(6):
+            y = (stage, y_new)[k % 2]
+            y[:] = states[k % 2]
+            out = np.full(n + 1, np.nan)
+            with np.errstate(all="ignore"):
+                f(y, out)
+            assert np.array_equal(_bits(out), _bits(wants[k % 2])), (k, out, wants[k % 2])
 
     @pytest.mark.parametrize("n", FIELD_LAW_COUNTS)
     def test_state_of_the_wrong_length_raises(self, n):

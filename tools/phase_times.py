@@ -23,6 +23,9 @@ non-degenerate certificate:
 - ``field``: ``vector_field`` of the scenario's parameters and laws, the
   right-hand side ``simulate`` builds once per run (the plain-float body
   compiles its source there), so its cost shows beside ``simulate``
+- ``rhs``: one ``f(y0, out)`` call of that right-hand side on the
+  scenario's initial state, with ``f``, ``y0`` and ``out`` built outside
+  the timing
 - ``check_induction_properties`` on the scenario's trajectory and certificate
 - ``persistent_entries`` on the certificate's absorbing intervals
 - ``build_certificate`` on the species present initially
@@ -30,7 +33,7 @@ non-degenerate certificate:
 
 The phases of a simulate workload (export-mixed), timed on every scenario:
 
-- ``simulate`` and ``field`` as above
+- ``simulate``, ``field`` and ``rhs`` as above
 - ``emit``: ``write_trajectory_csv`` of the scenario's trajectory into an
   ``io.StringIO``
 
@@ -42,9 +45,10 @@ ratio and the number of scenarios where the change is slower, a row with
 each tree's ``simulate`` microseconds per trial step (the trial count does
 not depend on the host, so it tells a faster step from fewer steps), and
 last one row per species count, over the scenarios of that count: the
-change/parent ratio of ``simulate`` and each tree's microseconds per
-trial step.  Those rows set size cuts such as
-``integrate._FLOAT_TRIAL_MAX_SIZE``.
+change/parent ratio of ``simulate``, each tree's microseconds per trial
+step and each tree's mean microseconds per ``rhs`` call.  Those rows set
+size cuts such as ``integrate._FLOAT_TRIAL_MAX_SIZE`` and
+``dynamics._ARRAY_FIELD_MIN_LAWS``.
 
 Both trees run this one worker script, which calls the library as it is
 now.  A tree from before ``check_induction_properties`` lost its
@@ -67,8 +71,8 @@ from time import perf_counter
 from compare_outputs import import_tree, load_workloads, missing_tree, run_script, worker_argv, worker_env
 
 PHASES = {
-    "verify": ("simulate", "field", "induction", "entries", "certificate", "gamma"),
-    "simulate": ("simulate", "field", "emit"),
+    "verify": ("simulate", "field", "rhs", "induction", "entries", "certificate", "gamma"),
+    "simulate": ("simulate", "field", "rhs", "emit"),
 }
 CALLS = 3  # timed calls per request
 
@@ -94,6 +98,8 @@ def worker(src: Path, pool_file: Path) -> None:
     scenario.
     """
     import_tree(src)
+    import numpy as np
+
     from chemostat_cep import certificate, cli, dynamics, integrate, scenario, verify
     from chemostat_cep.errors import ChemostatError
     from chemostat_cep.growth import order_species, pack_species
@@ -114,16 +120,19 @@ def worker(src: Path, pool_file: Path) -> None:
         def field():
             return dynamics.vector_field(params, growths)
 
+        f = field()
+        y0 = np.concatenate(([sc.initial.s], sc.initial.x))
+        out = np.empty_like(y0)
         traj = simulate()
-        trials = traj.meta.steps_accepted + traj.meta.steps_rejected
+        common = {
+            "n": len(growths),
+            "trials": traj.meta.steps_accepted + traj.meta.steps_rejected,
+            "simulate": simulate,
+            "field": field,
+            "rhs": lambda: f(y0, out),
+        }
         if command == "simulate":
-            return {
-                "n": len(growths),
-                "trials": trials,
-                "simulate": simulate,
-                "field": field,
-                "emit": lambda: cli.write_trajectory_csv(traj, io.StringIO()),
-            }
+            return {**common, "emit": lambda: cli.write_trajectory_csv(traj, io.StringIO())}
         levels = {rec.id: rec.lam for rec in order_species(sc.species, params.d, params.s_in).records}
         active = [(sid, g) for (sid, g), x in zip(sc.species, sc.initial.x) if x > 0.0]
         ordered = pack_species(active, [levels[sid] for sid, _ in active])
@@ -136,10 +145,7 @@ def worker(src: Path, pool_file: Path) -> None:
         columns = {sid: 1 + k for k, (sid, _) in enumerate(sc.species)}
         margins = tuple((b.s_minus, b.s_plus) for b in cert.boundaries)
         return {
-            "n": len(growths),
-            "trials": trials,
-            "simulate": simulate,
-            "field": field,
+            **common,
             "induction": lambda: verify.check_induction_properties(traj, cert, columns),
             "entries": lambda: integrate.persistent_entries(traj, cert.intervals),
             "certificate": lambda: certificate.build_certificate(ordered, params.d, params.s_in),
@@ -179,13 +185,20 @@ def _summary(phases: tuple[str, ...], sizes: dict, trials: dict, best: dict) -> 
         lines.append(f"{ph:12} {a:12.1f} {b:12.1f} {b / a if a else float('nan'):7.3f}  {slower}/{len(sizes)}")
     a, b = (sum(best[side][k]["simulate"] for k in sizes) / sum(trials[side].values()) for side in ("parent", "change"))
     lines.append(f"{'us/trial':12} {a:12.2f} {b:12.2f} {b / a:7.3f}")
-    lines.append(f"{'species':12} {'scenarios':>9} {'simulate ratio':>14} {'us/trial parent':>16} {'change':>7}")
+    lines.append(
+        f"{'species':12} {'scenarios':>9} {'simulate ratio':>14} {'us/trial parent':>16} {'change':>7}"
+        f" {'us/rhs parent':>14} {'change':>7}"
+    )
     for n in sorted(set(sizes.values())):
         keys = [k for k, m in sizes.items() if m == n]
         us = {side: sum(best[side][k]["simulate"] for k in keys) for side in ("parent", "change")}
         per_trial = [us[side] / sum(trials[side][k] for k in keys) for side in ("parent", "change")]
+        per_rhs = [sum(best[side][k]["rhs"] for k in keys) / len(keys) for side in ("parent", "change")]
         ratio = us["change"] / us["parent"]
-        lines.append(f"{'n=' + str(n):12} {len(keys):9d} {ratio:14.3f} {per_trial[0]:16.2f} {per_trial[1]:7.2f}")
+        lines.append(
+            f"{'n=' + str(n):12} {len(keys):9d} {ratio:14.3f} {per_trial[0]:16.2f} {per_trial[1]:7.2f}"
+            f" {per_rhs[0]:14.2f} {per_rhs[1]:7.2f}"
+        )
     return lines
 
 
